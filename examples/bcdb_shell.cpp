@@ -175,10 +175,7 @@ int main() {
       continue;
     }
 
-    // Boolean constraints go through the textual overload: the engine
-    // parses and compiles internally (the parse above only routed the
-    // answers/probability modes).
-    auto result = engine.Check(trimmed, options);
+    auto result = engine.Check(*q, options);
     if (!result.ok()) {
       std::printf("error: %s\n", result.status().ToString().c_str());
       continue;

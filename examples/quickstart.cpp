@@ -13,6 +13,7 @@
 
 #include "bitcoin/to_relational.h"
 #include "core/dcsat.h"
+#include "query/parser.h"
 
 using namespace bcdb;
 
@@ -64,19 +65,24 @@ int main() {
   (void)db->AddPending(first_payment);
 
   // The denial constraint q1 of Example 4: two *different* transactions in
-  // which Alice transfers 1 BTC to Bob. The engine parses and compiles the
-  // text itself (DcSatEngine::Check(std::string_view)).
-  const char* q1 =
+  // which Alice transfers 1 BTC to Bob. The engine compiles and classifies
+  // it once and reuses both across the checks below.
+  const char* q1_text =
       "q1() :- TxIn(pt1, ps1, 'AlicePK', 1, ntx1, 'AliceSig'), "
       "        TxOut(ntx1, ns1, 'BobPK', 1), "
       "        TxIn(pt2, ps2, 'AlicePK', 1, ntx2, 'AliceSig'), "
       "        TxOut(ntx2, ns2, 'BobPK', 1), ntx1 != ntx2";
-  std::printf("Denial constraint:\n  %s\n\n", q1);
+  std::printf("Denial constraint:\n  %s\n\n", q1_text);
+  auto q1 = ParseDenialConstraint(q1_text);
+  if (!q1.ok()) {
+    std::printf("parse failed: %s\n", q1.status().ToString().c_str());
+    return 1;
+  }
 
   DcSatEngine engine(&*db);
 
   // With only the first payment pending, Bob cannot be paid twice.
-  auto before = engine.Check(q1);
+  auto before = engine.Check(*q1);
   if (!before.ok()) {
     std::printf("check failed: %s\n", before.status().ToString().c_str());
     return 1;
@@ -89,7 +95,7 @@ int main() {
   careless_reissue.Add("TxIn", In(102, 1, "AlicePK", 1, 202, "AliceSig"));
   careless_reissue.Add("TxOut", Out(202, 1, "BobPK", 1));
   auto careless_id = db->AddPending(careless_reissue);
-  auto careless = engine.Check(q1);
+  auto careless = engine.Check(*q1);
   Report("dry run: careless re-issue", *careless);
 
   // Retract the hypothetical transaction (a dry run never broadcasts).
@@ -102,7 +108,7 @@ int main() {
   conflicting_reissue.Add("TxIn", In(101, 1, "AlicePK", 1, 203, "AliceSig"));
   conflicting_reissue.Add("TxOut", Out(203, 1, "BobPK", 1));
   (void)db->AddPending(conflicting_reissue);
-  auto safe = engine.Check(q1);
+  auto safe = engine.Check(*q1);
   Report("dry run: conflicting re-issue", *safe);
 
   std::printf(

@@ -594,8 +594,8 @@ TractabilityClass ClassifyConstraint(const DenialConstraint& q,
   if (proved_unsat) return TractabilityClass::kTriviallyUnsat;
   const bool has_fds = !constraints.fds().empty();
   const bool has_inds = !constraints.inds().empty();
-  // Mirrors TryTractableDcSat's gating exactly, so static dispatch routes
-  // bit-identically to the runtime probing it replaces.
+  // TryTractableDcSat runs whichever PTIME procedure the class names, so
+  // these gates are the fragments' preconditions.
   if (!has_fds) {
     return analysis.monotone ? TractabilityClass::kPtimeIndOnly
                              : TractabilityClass::kCoNpMixed;
@@ -650,10 +650,8 @@ AnalysisReport AnalyzeConstraint(const DenialConstraint& q, const Database& db,
   report.proved_unsat = RunUnsatCore(q, catalog, &sink);
 
   // --- Monotonicity and connectivity. ---
-  const QueryAnalysis analysis = AnalyzeQuery(q, catalog);
-  report.monotone = analysis.monotone;
-  report.monotone_reason = analysis.monotone_reason;
-  report.connected = analysis.connected;
+  report.analysis = AnalyzeQuery(q, catalog);
+  const QueryAnalysis& analysis = report.analysis;
   // Derived-fact notes are suppressed for erroneous constraints: the
   // classification is only meaningful once the errors are fixed.
   if (!analysis.monotone && !sink.has_error()) {

@@ -121,11 +121,9 @@ struct AnalyzerOptions {
 /// against one catalog + integrity-constraint set.
 struct AnalysisReport {
   std::vector<Diagnostic> diagnostics;
-  /// Proved monotone (AnalyzeQuery), with the classifier's reason.
-  bool monotone = false;
-  std::string monotone_reason;
-  /// Gaifman graph connected (non-aggregate queries only).
-  bool connected = false;
+  /// Monotonicity (with the classifier's reason) and Gaifman connectivity,
+  /// as AnalyzeQuery derives them.
+  QueryAnalysis analysis;
   /// Statically proved to have no satisfying assignment in any world.
   bool proved_unsat = false;
   TractabilityClass tractability = TractabilityClass::kCoNpMixed;
@@ -181,9 +179,10 @@ TemplateAnalysis AnalyzeTemplate(const ConstraintTemplate& tmpl,
                                  const ConstraintSet& constraints,
                                  const AnalyzerOptions& options = {});
 
-/// The cheap classification core, shared with the engine's per-check
-/// dispatch: no diagnostics, no base-state probe. `proved_unsat` comes from
-/// ProvedUnsatisfiable (or a cached report).
+/// The cheap classification core and the engine's only routing decision
+/// (DcSatEngine caches it per compiled query): no diagnostics, no
+/// base-state probe. `proved_unsat` comes from ProvedUnsatisfiable (or a
+/// cached report).
 TractabilityClass ClassifyConstraint(const DenialConstraint& q,
                                      const QueryAnalysis& analysis,
                                      const ConstraintSet& constraints,

@@ -67,13 +67,13 @@ std::string FormatConstraintText(std::string_view file,
       out += location + "template (" + std::to_string(c.num_params) +
              (c.num_params == 1 ? " param" : " params") + "), class " +
              TractabilityClassToString(c.report.tractability) +
-             (c.report.monotone ? ", monotone" : ", non-monotone") +
+             (c.report.analysis.monotone ? ", monotone" : ", non-monotone") +
              (c.batchable ? ", batch-admitted" : ", per-member") + "\n";
       out += location + "class key: " + c.class_key + "\n";
     } else {
       out += location + "class " +
              TractabilityClassToString(c.report.tractability) +
-             (c.report.monotone ? ", monotone" : ", non-monotone") + "\n";
+             (c.report.analysis.monotone ? ", monotone" : ", non-monotone") + "\n";
     }
   }
   return out;
@@ -101,9 +101,9 @@ void AppendConstraintJson(const LintedConstraint& c, std::string& out) {
          JsonEscape(c.text) + "\",\n     \"class\": \"";
   out += TractabilityClassToString(c.report.tractability);
   out += "\", \"monotone\": ";
-  out += c.report.monotone ? "true" : "false";
+  out += c.report.analysis.monotone ? "true" : "false";
   out += ", \"connected\": ";
-  out += c.report.connected ? "true" : "false";
+  out += c.report.analysis.connected ? "true" : "false";
   if (c.is_template) {
     out += ", \"template\": true, \"params\": " + std::to_string(c.num_params) +
            ", \"batchable\": ";

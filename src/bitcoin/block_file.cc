@@ -13,6 +13,15 @@ namespace {
 constexpr std::uint32_t kBlockEntryKind = 1;
 constexpr std::uint32_t kTxEntryKind = 2;
 
+// Smallest encodings, for bounding untrusted element counts (a count the
+// remaining bytes cannot hold reads as truncation): an input is
+// txid + index + empty pubkey + amount + empty signature, an output is an
+// empty pubkey + amount, and a transaction is txid + coinbase flag + two
+// zero counts.
+constexpr std::size_t kMinInputBytes = 8 + 4 + 4 + 8 + 4;
+constexpr std::size_t kMinOutputBytes = 4 + 8;
+constexpr std::size_t kMinTransactionBytes = 8 + 1 + 4 + 4;
+
 void EncodeTransactionInto(std::string* out, const BitcoinTransaction& tx) {
   AppendI64(out, tx.txid());
   AppendU8(out, tx.is_coinbase() ? 1 : 0);
@@ -37,7 +46,7 @@ StatusOr<BitcoinTransaction> DecodeTransactionFrom(ByteReader* in,
   std::uint8_t is_coinbase = 0;
   std::uint32_t num_inputs = 0;
   if (!in->ReadI64(&stored_txid) || !in->ReadU8(&is_coinbase) ||
-      !in->ReadU32(&num_inputs)) {
+      !in->ReadCount(kMinInputBytes, &num_inputs)) {
     return Status::InvalidArgument("block file: truncated transaction");
   }
   std::vector<TxInput> inputs;
@@ -55,7 +64,7 @@ StatusOr<BitcoinTransaction> DecodeTransactionFrom(ByteReader* in,
     inputs.push_back(std::move(input));
   }
   std::uint32_t num_outputs = 0;
-  if (!in->ReadU32(&num_outputs)) {
+  if (!in->ReadCount(kMinOutputBytes, &num_outputs)) {
     return Status::InvalidArgument("block file: truncated transaction");
   }
   std::vector<TxOutput> outputs;
@@ -185,7 +194,8 @@ StatusOr<Block> DecodeBlockPayload(std::string_view payload) {
   std::int64_t stored_hash = 0;
   std::uint32_t num_txs = 0;
   if (!in.ReadU64(&height) || !in.ReadI64(&prev_hash) ||
-      !in.ReadI64(&stored_hash) || !in.ReadU32(&num_txs)) {
+      !in.ReadI64(&stored_hash) ||
+      !in.ReadCount(kMinTransactionBytes, &num_txs)) {
     return Status::InvalidArgument("block file: truncated block header");
   }
   std::vector<BitcoinTransaction> transactions;

@@ -10,7 +10,6 @@
 #include "core/possible_worlds.h"
 #include "core/tractable.h"
 #include "query/analysis.h"
-#include "query/parser.h"
 #include "util/flat_table.h"
 #include "util/stopwatch.h"
 
@@ -34,6 +33,13 @@ const char* DcSatAlgorithmToString(DcSatAlgorithm algorithm) {
   return "?";
 }
 
+DcSatAlgorithm GeneralSearchAlgorithm(const DenialConstraint& q,
+                                      const QueryAnalysis& analysis) {
+  if (!analysis.monotone) return DcSatAlgorithm::kExhaustive;
+  if (analysis.connected && !q.is_aggregate()) return DcSatAlgorithm::kOpt;
+  return DcSatAlgorithm::kNaive;
+}
+
 namespace {
 
 /// Active pending ids of a world view.
@@ -42,22 +48,6 @@ std::vector<PendingId> WitnessOf(const WorldView& view) {
   view.active_bits().ForEach([&](std::size_t id) { ids.push_back(id); });
   return ids;
 }
-
-/// Everything one parallel component task produces; merged by index order
-/// after all futures join, so the aggregate result is deterministic.
-struct ComponentOutcome {
-  bool covered = false;
-  bool violated = false;
-  bool cancelled = false;
-  /// The shared budget expired before (or while) this component ran.
-  bool expired = false;
-  /// The component's search finished normally (filtered by covers, fully
-  /// enumerated, or stopped by its own violation).
-  bool completed = false;
-  std::optional<std::vector<PendingId>> witness;
-  std::size_t cliques = 0;
-  std::size_t worlds = 0;
-};
 
 }  // namespace
 
@@ -272,18 +262,22 @@ std::shared_ptr<ThreadPool> DcSatEngine::PoolFor(
   return pool_;
 }
 
-StatusOr<std::shared_ptr<const CompiledQuery>> DcSatEngine::GetOrCompile(
-    const DenialConstraint& q) {
+StatusOr<const DcSatEngine::CompiledCacheEntry*>
+DcSatEngine::LookupOrCompile(const DenialConstraint& q) {
   const std::uint64_t version = db_->version();
   std::string text = q.ToString();
   for (const CompiledCacheEntry& entry : compiled_cache_) {
-    if (entry.version == version && entry.text == text) {
-      return entry.compiled;
-    }
+    if (entry.version == version && entry.text == text) return &entry;
   }
   StatusOr<CompiledQuery> compiled =
       CompiledQuery::Compile(q, &db_->database());
   if (!compiled.ok()) return compiled.status();
+  // The class needs only the catalog, the integrity constraints and the
+  // structural analysis the compiler already derived — not AnalyzeConstraint,
+  // which would compile q a second time.
+  const TractabilityClass klass = ClassifyConstraint(
+      q, compiled->analysis(), db_->constraints(),
+      ProvedUnsatisfiable(q, db_->catalog()));
   if (compiled_cache_.size() >= kCompiledCacheCapacity) {
     // FIFO eviction drops only the cache's reference; queries handed out by
     // earlier calls stay alive with their holders.
@@ -291,44 +285,27 @@ StatusOr<std::shared_ptr<const CompiledQuery>> DcSatEngine::GetOrCompile(
   }
   compiled_cache_.push_back(CompiledCacheEntry{
       std::move(text), version,
-      std::make_shared<const CompiledQuery>(std::move(*compiled))});
-  return compiled_cache_.back().compiled;
+      std::make_shared<const CompiledQuery>(std::move(*compiled)), klass});
+  return &compiled_cache_.back();
+}
+
+StatusOr<std::shared_ptr<const CompiledQuery>> DcSatEngine::GetOrCompile(
+    const DenialConstraint& q) {
+  StatusOr<const CompiledCacheEntry*> entry = LookupOrCompile(q);
+  if (!entry.ok()) return entry.status();
+  return (*entry)->compiled;
 }
 
 StatusOr<DcSatResult> DcSatEngine::Check(const DenialConstraint& q,
                                          const DcSatOptions& options) {
   Stopwatch total_watch;
-  StatusOr<std::shared_ptr<const CompiledQuery>> compiled = GetOrCompile(q);
-  if (!compiled.ok()) return compiled.status();
+  StatusOr<const CompiledCacheEntry*> entry = LookupOrCompile(q);
+  if (!entry.ok()) return entry.status();
   const bool cache_hit =
       cached_version_ == db_->version() && fd_graph_.has_value();
   RefreshCaches();
-  return CheckImpl(q, **compiled, options, /*report=*/nullptr, &uf_scratch_,
-                   cache_hit, total_watch);
-}
-
-StatusOr<DcSatResult> DcSatEngine::Check(std::string_view query_text,
-                                         const DcSatOptions& options) {
-  StatusOr<DenialConstraint> q = ParseDenialConstraint(query_text);
-  if (!q.ok()) return q.status();
-  return Check(*q, options);
-}
-
-StatusOr<DcSatResult> DcSatEngine::Check(const DenialConstraint& q,
-                                         const AnalysisReport& report,
-                                         const DcSatOptions& options) {
-  Stopwatch total_watch;
-  if (!report.ok()) {
-    return Status::InvalidArgument(
-        "constraint rejected by static analysis: " + report.ErrorSummary());
-  }
-  StatusOr<std::shared_ptr<const CompiledQuery>> compiled = GetOrCompile(q);
-  if (!compiled.ok()) return compiled.status();
-  const bool cache_hit =
-      cached_version_ == db_->version() && fd_graph_.has_value();
-  RefreshCaches();
-  return CheckImpl(q, **compiled, options, &report, &uf_scratch_, cache_hit,
-                   total_watch);
+  return CheckImpl(q, *(*entry)->compiled, options, (*entry)->klass,
+                   &uf_scratch_, cache_hit, total_watch);
 }
 
 StatusOr<DcSatResult> DcSatEngine::CheckPrepared(
@@ -344,104 +321,54 @@ StatusOr<DcSatResult> DcSatEngine::CheckPrepared(
         "CheckPrepared requires fresh steady-state caches; call "
         "PrepareSteadyState after the last database mutation");
   }
-  return CheckImpl(q, compiled, options, &report, /*scratch=*/nullptr,
-                   /*cache_hit=*/true, total_watch);
+  return CheckImpl(q, compiled, options, report.tractability,
+                   /*scratch=*/nullptr, /*cache_hit=*/true, total_watch);
 }
 
 AnalysisReport DcSatEngine::Analyze(const DenialConstraint& q) const {
   AnalyzerOptions analyzer_options;
-  // The classified Check paths evaluate R themselves (pre-check and the
-  // base-view probe), so the cached class must not depend on the data.
+  // The Check paths evaluate R themselves (pre-check and the base-view
+  // probe), so the class must not depend on the data.
   analyzer_options.check_base_state = false;
   return AnalyzeConstraint(q, db_->database(), db_->constraints(),
                            analyzer_options);
 }
 
-StatusOr<DcSatResult> DcSatEngine::CheckPrepared(
-    const DenialConstraint& q, const CompiledQuery& compiled,
-    const DcSatOptions& options) const {
-  Stopwatch total_watch;
-  if (cached_version_ != db_->version() || !fd_graph_.has_value()) {
-    return Status::Internal(
-        "CheckPrepared requires fresh steady-state caches; call "
-        "PrepareSteadyState after the last database mutation");
-  }
-  return CheckImpl(q, compiled, options, /*report=*/nullptr,
-                   /*scratch=*/nullptr, /*cache_hit=*/true, total_watch);
-}
-
 StatusOr<DcSatResult> DcSatEngine::CheckImpl(
     const DenialConstraint& q, const CompiledQuery& compiled,
-    const DcSatOptions& options, const AnalysisReport* report,
-    UnionFind* scratch, bool cache_hit,
-    const Stopwatch& total_watch) const {
+    const DcSatOptions& options, TractabilityClass klass, UnionFind* scratch,
+    bool cache_hit, const Stopwatch& total_watch) const {
   const QueryAnalysis& analysis = compiled.analysis();
+  DcSatResult result;
+  result.stats.steady_cache_hit = cache_hit;
 
-  // --- Static dispatch (classified overloads only). ---
-  // kTriviallyUnsat: q has no satisfying assignment in any world over this
-  // catalog, so D |= ¬q vacuously — no data access at all. The general path
-  // agrees: its R ∪ T pre-check evaluates q to false and returns satisfied.
-  if (report != nullptr &&
-      report->tractability == TractabilityClass::kTriviallyUnsat &&
-      options.algorithm == DcSatAlgorithm::kAuto) {
-    DcSatResult result;
-    result.stats.algorithm_used = DcSatAlgorithm::kStatic;
-    result.stats.num_pending = db_->PendingIds().size();
-    result.stats.steady_cache_hit = cache_hit;
-    result.satisfied = true;
-    result.stats.total_seconds = total_watch.ElapsedSeconds();
-    return result;
-  }
-
-  // With limits set, one shared tracker is probed at every cooperative
-  // preemption point below; with the default (unlimited) limits the pointer
-  // stays null and every search path is bit-identical to the unbudgeted
-  // reference. The deadline clock starts here, so it covers the whole
-  // decision procedure.
-  std::optional<Budget> budget_storage;
-  const Budget* budget = nullptr;
-  if (!options.budget.unlimited()) {
-    budget_storage.emplace(options.budget);
-    budget = &*budget_storage;
-  }
-
-  // Resolve kAuto and reject unsound explicit choices.
+  // --- Routing: the static class under kAuto, else the requested search. ---
   DcSatAlgorithm algorithm = options.algorithm;
-  if (algorithm == DcSatAlgorithm::kTractable) {
-    return Status::InvalidArgument(
-        "the tractable fragments are selected automatically; use kAuto");
-  }
-  if (algorithm == DcSatAlgorithm::kStatic) {
-    return Status::InvalidArgument(
-        "the static-analysis decision is selected automatically; use kAuto");
-  }
-  // A classified kCoNpMixed constraint skips the fragment probe it could
-  // never pass (TryTractableDcSat's gates are exactly what the classifier
-  // mirrors); every other class attempts the fragment as before, falling
-  // back to the general search when the fragment abstains.
-  const bool attempt_tractable =
-      algorithm == DcSatAlgorithm::kAuto && options.use_tractable_fragments &&
-      (report == nullptr ||
-       report->tractability != TractabilityClass::kCoNpMixed);
-  if (attempt_tractable) {
-    std::optional<DcSatResult> tractable = TryTractableDcSat(
-        *db_, *fd_graph_, q, &compiled, /*support_limit=*/100000, &analysis);
+  if (algorithm == DcSatAlgorithm::kAuto) {
+    if (klass == TractabilityClass::kTriviallyUnsat) {
+      // q has no satisfying assignment in any world over this catalog, so
+      // D |= ¬q vacuously — no data access at all. The general search
+      // agrees: its R ∪ T pre-check evaluates q to false.
+      result.stats.algorithm_used = DcSatAlgorithm::kStatic;
+      result.stats.num_pending = db_->PendingIds().size();
+      result.satisfied = true;
+      result.stats.total_seconds = total_watch.ElapsedSeconds();
+      return result;
+    }
+    std::optional<DcSatResult> tractable =
+        TryTractableDcSat(*db_, *fd_graph_, compiled, klass);
     if (tractable.has_value()) {
       tractable->stats.steady_cache_hit = cache_hit;
       tractable->stats.total_seconds = total_watch.ElapsedSeconds();
       return *tractable;
     }
-  }
-  if (algorithm == DcSatAlgorithm::kAuto) {
-    if (!analysis.monotone) {
-      algorithm = DcSatAlgorithm::kExhaustive;
-    } else if (analysis.connected && !q.is_aggregate()) {
-      algorithm = DcSatAlgorithm::kOpt;
-    } else {
-      algorithm = DcSatAlgorithm::kNaive;
-    }
-  } else if (algorithm == DcSatAlgorithm::kNaive ||
-             algorithm == DcSatAlgorithm::kOpt) {
+    algorithm = GeneralSearchAlgorithm(q, analysis);
+  } else if (algorithm == DcSatAlgorithm::kTractable ||
+             algorithm == DcSatAlgorithm::kStatic) {
+    return Status::InvalidArgument(
+        std::string(DcSatAlgorithmToString(algorithm)) +
+        " is selected automatically; use kAuto");
+  } else if (algorithm != DcSatAlgorithm::kExhaustive) {
     if (!analysis.monotone) {
       return Status::InvalidArgument(
           std::string(DcSatAlgorithmToString(algorithm)) +
@@ -454,11 +381,19 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
           "OptDCSat requires a connected, non-aggregate denial constraint");
     }
   }
-
-  DcSatResult result;
   result.stats.algorithm_used = algorithm;
   result.stats.num_pending = db_->PendingIds().size();
-  result.stats.steady_cache_hit = cache_hit;
+
+  // With limits set, one shared tracker is probed at every cooperative
+  // preemption point below; with the default (unlimited) limits the pointer
+  // stays null and every search path is bit-identical to the unbudgeted
+  // reference.
+  std::optional<Budget> budget_storage;
+  const Budget* budget = nullptr;
+  if (!options.budget.unlimited()) {
+    budget_storage.emplace(options.budget);
+    budget = &*budget_storage;
+  }
 
   if (algorithm == DcSatAlgorithm::kExhaustive) {
     StatusOr<PossibleWorldsEnumeration> enumeration =
@@ -488,226 +423,213 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
   }
 
   // --- Monotone pre-check over R ∪ T (Section 6.3). ---
-  if (options.use_precheck) {
-    if (!compiled.Evaluate(db_->PendingUnionView())) {
-      result.satisfied = true;
-      result.stats.precheck_decided = true;
-      result.stats.total_seconds = total_watch.ElapsedSeconds();
-      return result;
-    }
+  if (options.use_precheck && !compiled.Evaluate(db_->PendingUnionView())) {
+    result.satisfied = true;
+    result.stats.precheck_decided = true;
+    result.stats.total_seconds = total_watch.ElapsedSeconds();
+    return result;
   }
 
   // --- Steady-state structures (kept fresh by the caller). ---
   Stopwatch graph_watch;
-  const FdGraph& fd_graph = *fd_graph_;
-  result.stats.num_valid_nodes = fd_graph.valid_nodes().Count();
-  result.stats.fd_conflict_pairs = fd_graph.num_conflict_pairs();
+  result.stats.num_valid_nodes = fd_graph_->valid_nodes().Count();
+  result.stats.fd_conflict_pairs = fd_graph_->num_conflict_pairs();
 
   // The base world R is itself a possible world; the clique search below
   // reaches it only when a component is empty, so check it once up front.
+  ++result.stats.num_worlds_evaluated;
   if (compiled.Evaluate(db_->BaseView())) {
     result.satisfied = false;
     result.witness = std::vector<PendingId>{};
-    ++result.stats.num_worlds_evaluated;
     result.stats.total_seconds = total_watch.ElapsedSeconds();
     return result;
   }
-  ++result.stats.num_worlds_evaluated;
 
   // --- Component structure (OptDCSat) or one big component (Naive). ---
-  std::vector<std::vector<PendingId>> components;
-  if (algorithm == DcSatAlgorithm::kOpt) {
-    UnionFind local{0};
-    UnionFind& uf = scratch != nullptr ? *scratch : local;
-    uf.CopyFrom(theta_i_.components());  // Θ_I precomputed; add Θ_q.
-    if (!compiled.equalities_status().ok()) {
-      return compiled.equalities_status();
-    }
-    MergeEqualityComponents(*db_, compiled.equalities(), fd_graph.valid_nodes(),
-                            uf);
-    components = GroupComponents(fd_graph.valid_nodes(), uf);
-  } else {
-    components.push_back(fd_graph.valid_nodes().ToVector());
-    if (components.back().empty()) components.clear();
+  const bool opt = algorithm == DcSatAlgorithm::kOpt;
+  if (opt && !compiled.equalities_status().ok()) {
+    return compiled.equalities_status();
   }
+  const std::vector<std::vector<PendingId>> components =
+      Decompose(opt ? &compiled.equalities() : nullptr, scratch);
   result.stats.num_components = components.size();
   result.stats.graph_seconds = graph_watch.ElapsedSeconds();
 
-  const std::size_t num_workers = std::min(
-      ThreadPool::EffectiveThreads(options.num_threads), components.size());
-  if (num_workers > 1) {
-    ParallelComponentSearch(compiled, options, components, num_workers,
-                            budget, result);
-    result.stats.total_seconds = total_watch.ElapsedSeconds();
-    return result;
-  }
-
-  // --- Serial clique search per component (the reference path). ---
-  result.satisfied = true;
-  bool expired = false;
-  for (const std::vector<PendingId>& component : components) {
-    if (budget != nullptr && budget->Expired()) {
-      expired = true;
-      break;
-    }
-    if (algorithm == DcSatAlgorithm::kOpt && options.use_covers) {
-      WorldView cover_view = db_->BaseView();
-      for (PendingId id : component) {
-        cover_view.Activate(static_cast<TupleOwner>(id));
-      }
-      if (!compiled.CoversConstants(cover_view)) {
-        ++result.stats.components_completed;
-        continue;
-      }
-    }
-    ++result.stats.num_components_covered;
-    if (budget != nullptr && !budget->ChargeComponent()) {
-      expired = true;
-      break;
-    }
-
-    DynamicBitset subset(db_->num_pending());
-    for (PendingId id : component) subset.Set(id);
-
-    const CliqueEnumerationStats clique_stats = EnumerateMaximalCliques(
-        fd_graph.graph(), subset, options.use_pivot,
-        [&](const std::vector<std::size_t>& clique) {
-          if (budget != nullptr &&
-              (!budget->ChargeClique() || !budget->ChargeWorld())) {
-            return false;  // Budget expired; unwind without evaluating.
-          }
-          const WorldView world = GetMaximal(*db_, clique);
-          ++result.stats.num_worlds_evaluated;
-          if (compiled.Evaluate(world)) {
-            result.satisfied = false;
-            result.witness = WitnessOf(world);
-            return false;  // Stop: one violating world suffices.
-          }
-          return true;
-        },
-        budget);
-    result.stats.num_cliques += clique_stats.cliques_reported;
-    // stopped_early with `satisfied` still true means the stop came from a
-    // budget charge, not a violation (the expiry-probe stop is flagged
-    // directly); either way the component did not finish.
-    if (clique_stats.budget_expired ||
-        (clique_stats.stopped_early && result.satisfied)) {
-      expired = true;
-      break;
-    }
-    ++result.stats.components_completed;
-    if (!result.satisfied) break;
-  }
-  if (result.satisfied && expired) {
+  // --- Clique search: the first violating world decides. ---
+  result.witness = SearchComponents(
+      components, opt && options.use_covers ? &compiled : nullptr,
+      options.num_threads, budget, options.use_pivot,
+      [&](const WorldView& world) { return compiled.Evaluate(world); },
+      result.stats);
+  result.satisfied = !result.witness.has_value();
+  if (result.satisfied && result.stats.budget_expired) {
     // No counterexample found and parts of the search were skipped: the
     // answer is genuinely unknown within this budget.
     result.decided = false;
     result.satisfied = false;
   }
-  result.stats.budget_expired = expired;
-
   result.stats.total_seconds = total_watch.ElapsedSeconds();
   return result;
 }
 
-void DcSatEngine::ParallelComponentSearch(
-    const CompiledQuery& compiled, const DcSatOptions& options,
-    const std::vector<std::vector<PendingId>>& components,
-    std::size_t num_workers, const Budget* budget,
-    DcSatResult& result) const {
-  const FdGraph& fd_graph = *fd_graph_;
-  const bool check_covers =
-      result.stats.algorithm_used == DcSatAlgorithm::kOpt &&
-      options.use_covers;
+std::vector<std::vector<PendingId>> DcSatEngine::Decompose(
+    const std::vector<EqualityConstraint>* equalities,
+    UnionFind* scratch) const {
+  const DynamicBitset& valid = fd_graph_->valid_nodes();
+  if (equalities == nullptr) {
+    std::vector<std::vector<PendingId>> components;
+    if (valid.Any()) components.push_back(valid.ToVector());
+    return components;
+  }
+  UnionFind local{0};
+  UnionFind& uf = scratch != nullptr ? *scratch : local;
+  uf.CopyFrom(theta_i_.components());  // Θ_I precomputed; add the rest.
+  MergeEqualityComponents(*db_, *equalities, valid, uf);
+  return GroupComponents(valid, uf);
+}
 
-  // Deterministic-result rule: the serial algorithm reports the violating
-  // world of the first violating component in scan order. A task may
-  // therefore abandon its search only once a *lower-index* component has
-  // violated; the token's rank limit carries exactly that information.
-  CancellationToken cancel;
-  std::vector<ComponentOutcome> outcomes(components.size());
+std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
+    const std::vector<std::vector<PendingId>>& components,
+    const CompiledQuery* covers, std::size_t num_threads,
+    const Budget* budget, bool use_pivot, const WorldVisitor& visit,
+    DcSatStats& stats) const {
+  // What one scan over a contiguous run of components produced.
+  struct Tally {
+    std::size_t covered = 0;
+    std::size_t completed = 0;
+    std::size_t cliques = 0;
+    std::size_t worlds = 0;
+    std::size_t cancelled = 0;
+    bool expired = false;
+    std::optional<std::vector<PendingId>> stop_world;
+  };
+
+  // Scans components [begin, end) in order. Budget expiry ends the scan
+  // (the budget latches, so the rest would only be marked expired too).
+  // Without a token (one worker) the first stop ends it as well; with one,
+  // a stop cancels the higher-index components through the token and the
+  // scan counts them as cancelled.
+  auto scan = [&](std::size_t begin, std::size_t end,
+                  CancellationToken* cancel, Tally& tally) {
+    for (std::size_t index = begin; index < end; ++index) {
+      if (budget != nullptr && budget->Expired()) {
+        tally.expired = true;
+        return;
+      }
+      if (cancel != nullptr && cancel->ShouldStop(index)) {
+        ++tally.cancelled;
+        continue;
+      }
+      const std::vector<PendingId>& component = components[index];
+      if (covers != nullptr) {
+        WorldView cover_view = db_->BaseView();
+        for (PendingId id : component) {
+          cover_view.Activate(static_cast<TupleOwner>(id));
+        }
+        if (!covers->CoversConstants(cover_view)) {
+          ++tally.completed;
+          continue;
+        }
+      }
+      ++tally.covered;
+      if (budget != nullptr && !budget->ChargeComponent()) {
+        tally.expired = true;
+        return;
+      }
+
+      DynamicBitset subset(db_->num_pending());
+      for (PendingId id : component) subset.Set(id);
+
+      bool stopped = false;
+      bool cancelled = false;
+      const CliqueEnumerationStats clique_stats = EnumerateMaximalCliques(
+          fd_graph_->graph(), subset, use_pivot,
+          [&](const std::vector<std::size_t>& clique) {
+            if (cancel != nullptr && cancel->ShouldStop(index)) {
+              cancelled = true;
+              return false;
+            }
+            if (budget != nullptr &&
+                (!budget->ChargeClique() || !budget->ChargeWorld())) {
+              return false;  // Budget expired; unwind without evaluating.
+            }
+            const WorldView world = GetMaximal(*db_, clique);
+            ++tally.worlds;
+            if (!visit(world)) return true;
+            stopped = true;
+            tally.stop_world = WitnessOf(world);
+            if (cancel != nullptr) cancel->CancelRanksAbove(index);
+            return false;
+          },
+          budget);
+      tally.cliques += clique_stats.cliques_reported;
+      if (cancelled) {
+        ++tally.cancelled;
+        continue;
+      }
+      // stopped_early without a visitor stop means a budget charge ended the
+      // enumeration (the expiry-probe stop is flagged directly); either way
+      // the component did not finish.
+      if (clique_stats.budget_expired ||
+          (clique_stats.stopped_early && !stopped)) {
+        tally.expired = true;
+        return;
+      }
+      ++tally.completed;
+      if (stopped && cancel == nullptr) return;
+    }
+  };
+
+  // Tallies are merged in component order, so the lowest stopping index
+  // supplies the stop world — what the in-order scan would have returned.
+  std::optional<std::vector<PendingId>> stop_world;
+  auto merge = [&](Tally& tally) {
+    stats.num_components_covered += tally.covered;
+    stats.components_completed += tally.completed;
+    stats.num_cliques += tally.cliques;
+    stats.num_worlds_evaluated += tally.worlds;
+    stats.cancelled_tasks += tally.cancelled;
+    if (tally.expired) stats.budget_expired = true;
+    if (!stop_world.has_value()) stop_world = std::move(tally.stop_world);
+  };
+
+  const std::size_t width = ThreadPool::EffectiveThreads(num_threads);
+  if (std::min(width, components.size()) <= 1) {
+    Tally tally;
+    scan(0, components.size(), /*cancel=*/nullptr, tally);
+    merge(tally);
+    return stop_world;
+  }
 
   // One task per contiguous chunk of components rather than per component:
   // typical components are a handful of transactions, far below the pool's
   // task overhead. A few chunks per worker keeps the stealing deques busy
   // for load balancing without drowning in bookkeeping. Cancellation ranks
-  // stay per-*component*, so chunking cannot change the decided result.
+  // stay per-*component*: a task may abandon a component only once a
+  // lower-index one has stopped, so chunking cannot change the result.
+  const std::size_t num_workers = std::min(width, components.size());
   const std::size_t num_chunks = std::min(components.size(), num_workers * 8);
   const std::size_t chunk_size =
       (components.size() + num_chunks - 1) / num_chunks;
+  CancellationToken cancel;
+  std::vector<Tally> tallies(num_chunks);
 
   // The pool is sized to the *requested* width, not min(width, work): the
   // per-check fan-out only decides how many chunks are submitted, so the
   // pool survives fluctuating component counts unchanged.
-  std::shared_ptr<ThreadPool> pool =
-      PoolFor(ThreadPool::EffectiveThreads(options.num_threads));
+  std::shared_ptr<ThreadPool> pool = PoolFor(width);
   std::vector<std::future<void>> futures;
   futures.reserve(num_chunks);
-  for (std::size_t begin = 0; begin < components.size(); begin += chunk_size) {
+  for (std::size_t chunk = 0; chunk * chunk_size < components.size();
+       ++chunk) {
+    const std::size_t begin = chunk * chunk_size;
     const std::size_t end = std::min(begin + chunk_size, components.size());
-    futures.push_back(pool->Submit([&, begin, end] {
-      for (std::size_t index = begin; index < end; ++index) {
-        ComponentOutcome& out = outcomes[index];
-        if (budget != nullptr && budget->Expired()) {
-          out.expired = true;
-          continue;
-        }
-        if (cancel.ShouldStop(index)) {
-          out.cancelled = true;
-          continue;
-        }
-        const std::vector<PendingId>& component = components[index];
-        if (check_covers) {
-          WorldView cover_view = db_->BaseView();
-          for (PendingId id : component) {
-            cover_view.Activate(static_cast<TupleOwner>(id));
-          }
-          if (!compiled.CoversConstants(cover_view)) {
-            out.completed = true;
-            continue;
-          }
-        }
-        out.covered = true;
-        if (budget != nullptr && !budget->ChargeComponent()) {
-          out.expired = true;
-          continue;
-        }
-
-        DynamicBitset subset(db_->num_pending());
-        for (PendingId id : component) subset.Set(id);
-
-        const CliqueEnumerationStats clique_stats = EnumerateMaximalCliques(
-            fd_graph.graph(), subset, options.use_pivot,
-            [&](const std::vector<std::size_t>& clique) {
-              if (cancel.ShouldStop(index)) {
-                out.cancelled = true;
-                return false;
-              }
-              if (budget != nullptr &&
-                  (!budget->ChargeClique() || !budget->ChargeWorld())) {
-                out.expired = true;
-                return false;
-              }
-              const WorldView world = GetMaximal(*db_, clique);
-              ++out.worlds;
-              if (compiled.Evaluate(world)) {
-                out.violated = true;
-                out.witness = WitnessOf(world);
-                cancel.CancelRanksAbove(index);
-                return false;
-              }
-              return true;
-            },
-            budget);
-        out.cliques = clique_stats.cliques_reported;
-        if (clique_stats.budget_expired) out.expired = true;
-        if (!out.expired && !out.cancelled) out.completed = true;
-      }
-    }));
+    futures.push_back(pool->Submit(
+        [&, chunk, begin, end] { scan(begin, end, &cancel, tallies[chunk]); }));
   }
   // Join every future before any error can propagate: a task that threw
   // (e.g. bad_alloc) surfaces via future.get(), and rethrowing while
-  // sibling tasks still reference the stack-local outcomes/cancel state
+  // sibling tasks still reference the stack-local tallies/cancel state
   // would be use-after-scope UB.
   std::exception_ptr first_error;
   for (std::future<void>& future : futures) {
@@ -719,30 +641,10 @@ void DcSatEngine::ParallelComponentSearch(
   }
   if (first_error != nullptr) std::rethrow_exception(first_error);
 
-  // Merge in component order: the lowest violating index supplies the
-  // witness, matching what the serial scan would have returned.
-  result.satisfied = true;
-  bool any_expired = false;
-  for (std::size_t index = 0; index < outcomes.size(); ++index) {
-    ComponentOutcome& out = outcomes[index];
-    if (out.covered) ++result.stats.num_components_covered;
-    if (out.completed) ++result.stats.components_completed;
-    result.stats.num_cliques += out.cliques;
-    result.stats.num_worlds_evaluated += out.worlds;
-    if (out.cancelled) ++result.stats.cancelled_tasks;
-    if (out.expired) any_expired = true;
-    if (out.violated && result.satisfied) {
-      result.satisfied = false;
-      result.witness = std::move(out.witness);
-    }
-  }
-  if (result.satisfied && any_expired) {
-    result.decided = false;
-    result.satisfied = false;
-  }
-  result.stats.budget_expired = any_expired;
-  result.stats.threads_used = pool->num_threads();
-  result.stats.components_parallel = components.size();
+  for (Tally& tally : tallies) merge(tally);
+  stats.threads_used = pool->num_threads();
+  stats.components_parallel = components.size();
+  return stop_world;
 }
 
 TemplateBindingIndex TemplateBindingIndex::Build(
@@ -856,93 +758,43 @@ StatusOr<TemplateBatchResult> DcSatEngine::CheckTemplateBatch(
   // --- Survivors: one shared component decomposition and clique
   // enumeration. Every maximal world evaluated marks all the bindings it
   // answers, so each additional member costs one hash lookup per answer.
-  bool expired = false;
   if (unsettled > 0) {
     Stopwatch graph_watch;
-    const FdGraph& fd_graph = *fd_graph_;
-    result.stats.num_valid_nodes = fd_graph.valid_nodes().Count();
-    result.stats.fd_conflict_pairs = fd_graph.num_conflict_pairs();
+    result.stats.num_valid_nodes = fd_graph_->valid_nodes().Count();
+    result.stats.fd_conflict_pairs = fd_graph_->num_conflict_pairs();
 
     // Θ_I ∪ Θ_template components when the generalized query is connected
     // (the class analogue of OptDCSat); otherwise one all-valid-nodes
     // component (NaiveDCSat). `template_equalities` is coarser than every
     // member's Θ_q, so any member's support stays within one component.
-    std::vector<std::vector<PendingId>> components;
-    if (analysis.connected) {
-      UnionFind uf{0};
-      uf.CopyFrom(theta_i_.components());
-      MergeEqualityComponents(*db_, template_equalities,
-                              fd_graph.valid_nodes(), uf);
-      components = GroupComponents(fd_graph.valid_nodes(), uf);
-      result.stats.algorithm_used = DcSatAlgorithm::kOpt;
-    } else {
-      components.push_back(fd_graph.valid_nodes().ToVector());
-      if (components.back().empty()) components.clear();
-      result.stats.algorithm_used = DcSatAlgorithm::kNaive;
-    }
+    const bool opt = analysis.connected;
+    const std::vector<std::vector<PendingId>> components =
+        Decompose(opt ? &template_equalities : nullptr, /*scratch=*/nullptr);
+    result.stats.algorithm_used =
+        opt ? DcSatAlgorithm::kOpt : DcSatAlgorithm::kNaive;
     result.stats.num_components = components.size();
     result.stats.graph_seconds = graph_watch.ElapsedSeconds();
 
-    for (const std::vector<PendingId>& component : components) {
-      if (budget != nullptr && budget->Expired()) {
-        expired = true;
-        break;
-      }
-      if (result.stats.algorithm_used == DcSatAlgorithm::kOpt &&
-          options.use_covers) {
-        // The generalized query carries only the class's literal constants
-        // (parameters are variables), so this filters a subset of what any
-        // member's own probe would filter — sound for every binding.
-        WorldView cover_view = db_->BaseView();
-        for (PendingId id : component) {
-          cover_view.Activate(static_cast<TupleOwner>(id));
-        }
-        if (!generalized.CoversConstants(cover_view)) {
-          ++result.stats.components_completed;
-          continue;
-        }
-      }
-      ++result.stats.num_components_covered;
-      if (budget != nullptr && !budget->ChargeComponent()) {
-        expired = true;
-        break;
-      }
-
-      DynamicBitset subset(db_->num_pending());
-      for (PendingId id : component) subset.Set(id);
-
-      const CliqueEnumerationStats clique_stats = EnumerateMaximalCliques(
-          fd_graph.graph(), subset, options.use_pivot,
-          [&](const std::vector<std::size_t>& clique) {
-            if (budget != nullptr &&
-                (!budget->ChargeClique() || !budget->ChargeWorld())) {
-              return false;  // Budget expired; unwind without evaluating.
+    // The generalized query carries only the class's literal constants
+    // (parameters are variables), so its cover filter drops a subset of
+    // what any member's own probe would drop — sound for every binding.
+    // One worker: the visitor mutates the shared settle state.
+    SearchComponents(
+        components, opt && options.use_covers ? &generalized : nullptr,
+        /*num_threads=*/1, budget, options.use_pivot,
+        [&](const WorldView& world) {
+          generalized.EnumerateAnswers(world, [&](const Tuple& answer) {
+            auto it = slot_of.find(answer);
+            if (it != slot_of.end()) {
+              settle(it->second, TemplateBatchOutcome::kPossible);
             }
-            const WorldView world = GetMaximal(*db_, clique);
-            ++result.stats.num_worlds_evaluated;
-            generalized.EnumerateAnswers(world, [&](const Tuple& answer) {
-              auto it = slot_of.find(answer);
-              if (it != slot_of.end()) {
-                settle(it->second, TemplateBatchOutcome::kPossible);
-              }
-              return unsettled > 0;
-            });
-            return unsettled > 0;  // Stop once every binding is settled.
-          },
-          budget);
-      result.stats.num_cliques += clique_stats.cliques_reported;
-      // stopped_early with survivors left means a budget charge stopped the
-      // enumeration (the all-settled stop leaves unsettled == 0).
-      if (clique_stats.budget_expired ||
-          (clique_stats.stopped_early && unsettled > 0)) {
-        expired = true;
-        break;
-      }
-      ++result.stats.components_completed;
-      if (unsettled == 0) break;
-    }
+            return unsettled > 0;
+          });
+          return unsettled == 0;  // Stop once every binding is settled.
+        },
+        result.stats);
 
-    if (!expired) {
+    if (!result.stats.budget_expired) {
       // The enumeration ran to completion (or every binding settled): any
       // remaining survivor was answered by no maximal world, so no possible
       // world satisfies it.
@@ -951,7 +803,6 @@ StatusOr<TemplateBatchResult> DcSatEngine::CheckTemplateBatch(
       }
     }
   }
-  result.stats.budget_expired = expired;
 
   for (std::size_t i = 0; i < bindings.size(); ++i) {
     result.outcomes[i] = outcome[index.slots[i]];

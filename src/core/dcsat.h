@@ -3,10 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "analysis/analyzer.h"
@@ -28,9 +28,9 @@ namespace bcdb {
 
 /// Which search procedure decides D |= ¬q.
 enum class DcSatAlgorithm {
-  /// Pick automatically: OptDCSat for connected monotone conjunctive
-  /// constraints, NaiveDCSat for other monotone constraints (e.g.
-  /// aggregates), exhaustive possible-world search otherwise.
+  /// Pick automatically from the constraint's static class: kStatic for a
+  /// provably unsatisfiable body, kTractable for the Theorem-1 fragments,
+  /// otherwise GeneralSearchAlgorithm (Opt, Naive or exhaustive).
   kAuto,
   /// Paper Figure 4: maximal cliques of G^fd_T over all pending
   /// transactions. Requires a monotone constraint.
@@ -47,20 +47,27 @@ enum class DcSatAlgorithm {
   /// check or IND-only unique-maximal-world check); only ever *selected*
   /// automatically, never requested. See core/tractable.h.
   kTractable,
-  /// The static analyzer decided the check without touching any data: the
-  /// constraint is provably unsatisfiable in every world (kTriviallyUnsat),
-  /// so D |= ¬q holds vacuously. Only ever selected automatically, and only
-  /// on the report-carrying Check/CheckPrepared overloads.
+  /// The static classification decided the check without touching any
+  /// data: the constraint is provably unsatisfiable in every world
+  /// (kTriviallyUnsat), so D |= ¬q holds vacuously. Only ever selected
+  /// automatically, never requested.
   kStatic,
 };
 
 const char* DcSatAlgorithmToString(DcSatAlgorithm algorithm);
 
+/// The general search kAuto falls back to when neither the static class nor
+/// a Theorem-1 fragment decides the check: OptDCSat for connected monotone
+/// conjunctive constraints, NaiveDCSat for other monotone constraints,
+/// exhaustive possible-world search otherwise. `analysis` must be
+/// AnalyzeQuery(q, ...) (CompiledQuery::analysis() carries it).
+DcSatAlgorithm GeneralSearchAlgorithm(const DenialConstraint& q,
+                                      const QueryAnalysis& analysis);
+
 struct DcSatOptions {
+  /// kAuto routes on the constraint's static class (see DcSatEngine::Check);
+  /// an explicit kNaive/kOpt/kExhaustive runs that general search directly.
   DcSatAlgorithm algorithm = DcSatAlgorithm::kAuto;
-  /// With kAuto: try the Theorem-1 polynomial fragments first (FD-only /
-  /// IND-only constraint sets) before the general clique search.
-  bool use_tractable_fragments = true;
   /// Evaluate q over R ∪ T first; if false there, monotonicity makes the
   /// whole search unnecessary (paper Section 6.3, final optimization).
   bool use_precheck = true;
@@ -70,12 +77,13 @@ struct DcSatOptions {
   bool use_pivot = true;
   /// Exhaustive only: abort after this many worlds.
   std::size_t exhaustive_world_limit = 1u << 20;
-  /// Worker threads for the OptDCSat component-level clique search (and, via
+  /// Worker threads for the component-level clique search (and, via
   /// ConstraintMonitor::Poll, for cross-constraint evaluation). 0 = hardware
-  /// concurrency; 1 = the exact serial reference path. Results (satisfied,
-  /// witness, clique counts) are identical at every thread count: components
-  /// are decided independently (Proposition 2) and the lowest violating
-  /// component index wins, matching the serial scan order.
+  /// concurrency; 1 = the serial reference, run on the caller's thread.
+  /// Results (satisfied, witness, clique counts) are identical at every
+  /// thread count: components are decided independently (Proposition 2) and
+  /// the lowest violating component index wins, matching the serial scan
+  /// order.
   std::size_t num_threads = 1;
   /// Time/work ceiling for this check (DCSat is CoNP-complete for
   /// {key, ind} constraint sets — paper Theorem 1 — so adversarial mempool
@@ -231,30 +239,26 @@ class DcSatEngine {
   /// or if an explicitly requested algorithm is unsound for `q` (kNaive/
   /// kOpt on a non-monotone constraint, kOpt on a disconnected or aggregate
   /// constraint). Keeps the steady-state caches fresh as a side effect.
+  ///
+  /// With kAuto the check routes on `q`'s static class (ClassifyConstraint
+  /// over ProvedUnsatisfiable and the compiled query's analysis, computed
+  /// once per compiled query and cached beside it): kTriviallyUnsat is
+  /// vacuously satisfied without touching data (kStatic), the PTIME classes
+  /// run the Theorem-1 fragment they inhabit (kTractable), and everything
+  /// else — or a fragment that abstains — runs GeneralSearchAlgorithm.
   StatusOr<DcSatResult> Check(const DenialConstraint& q,
                               const DcSatOptions& options = {});
 
-  /// Convenience overload: parses and compiles `query_text` internally, so
-  /// callers with textual constraints skip the parse/compile boilerplate.
-  /// Fails on syntax errors exactly like ParseDenialConstraint.
-  StatusOr<DcSatResult> Check(std::string_view query_text,
-                              const DcSatOptions& options = {});
-
-  /// Classified check: dispatches on `report`'s tractability class instead
-  /// of probing at runtime. `report` must be this database's analysis of
-  /// `q` (see Analyze); the verdict and witness are bit-identical to the
-  /// unclassified Check — classification only routes, never re-decides:
-  /// kTriviallyUnsat short-circuits to a vacuous satisfied (the general
-  /// path's pre-check would conclude the same), the PTIME classes run the
-  /// Theorem-1 fragment they were proved to inhabit, and kCoNpMixed skips
-  /// the fragment probe it could never pass. Fails with InvalidArgument on
-  /// a report carrying errors.
-  StatusOr<DcSatResult> Check(const DenialConstraint& q,
-                              const AnalysisReport& report,
-                              const DcSatOptions& options = {});
-
-  /// Classified const-path check (see CheckPrepared below for the cache
-  /// freshness contract and concurrency rules).
+  /// Const query path for concurrent callers (ConstraintMonitor::Poll):
+  /// decides D |= ¬q with a query already compiled against the current
+  /// database, routed on `report`'s class exactly as Check routes on its
+  /// cached one, without touching the engine's caches. `report` must be this
+  /// database's analysis of `q` (see Analyze); fails with InvalidArgument on
+  /// a report carrying errors. Requires PrepareSteadyState (or any Check)
+  /// to have run since the last database mutation; fails with Internal
+  /// otherwise. Many threads may call this simultaneously as long as each
+  /// call uses `num_threads` == 1 (the engine-owned pool is not re-entrant)
+  /// and the database is not mutated concurrently.
   StatusOr<DcSatResult> CheckPrepared(const DenialConstraint& q,
                                       const CompiledQuery& compiled,
                                       const AnalysisReport& report,
@@ -262,20 +266,8 @@ class DcSatEngine {
 
   /// Statically analyzes `q` against this database and its integrity
   /// constraints (no base-state probe: the engine re-checks R itself on
-  /// every classified Check, so the cached class stays data-independent).
+  /// every check, so the class stays data-independent).
   AnalysisReport Analyze(const DenialConstraint& q) const;
-
-  /// Const query path for concurrent callers (ConstraintMonitor::Poll):
-  /// decides D |= ¬q with a query already compiled against the current
-  /// database, without touching the engine's caches. Requires
-  /// PrepareSteadyState (or any Check) to have run since the last database
-  /// mutation; fails with Internal otherwise. Many threads may call this
-  /// simultaneously as long as each call uses `num_threads` == 1 (the
-  /// engine-owned pool is not re-entrant) and the database is not mutated
-  /// concurrently.
-  StatusOr<DcSatResult> CheckPrepared(const DenialConstraint& q,
-                                      const CompiledQuery& compiled,
-                                      const DcSatOptions& options = {}) const;
 
   /// Batch evaluation of one template class (paper Section 6 machinery run
   /// once per class instead of once per constraint): `generalized` is the
@@ -287,11 +279,13 @@ class DcSatEngine {
   /// monotone by admission), and one shared Θ_I ∪ Θ_template component
   /// decomposition plus clique enumeration decides the survivors — each
   /// evaluated world marks every binding it answers, so per-binding work is
-  /// one hash lookup at the leaves. `template_equalities` must come from
-  /// TemplateEqualitiesFromQuery on the generalized query (coarser than any
-  /// member's Θ_q, which keeps the shared decomposition sound for every
-  /// binding). Outcomes are bit-identical to running the serial grounded
-  /// check per member under unlimited budgets.
+  /// one hash lookup at the leaves. The survivor search is the same
+  /// component-search driver Check uses, run on one worker.
+  /// `template_equalities` must come from TemplateEqualitiesFromQuery on
+  /// the generalized query (coarser than any member's Θ_q, which keeps the
+  /// shared decomposition sound for every binding). Outcomes are
+  /// bit-identical to running the serial grounded check per member under
+  /// unlimited budgets.
   ///
   /// Same contract as CheckPrepared: requires fresh steady-state caches
   /// (Internal otherwise), const, callable concurrently for different
@@ -325,13 +319,13 @@ class DcSatEngine {
   /// Capacity of the compiled-query cache (FIFO eviction beyond it).
   static constexpr std::size_t kCompiledCacheCapacity = 32;
 
-  /// Compiled-query cache for the serial Check paths. Monitors, pollers and
-  /// benchmark harnesses re-check the same constraints over an unchanged
-  /// database; recompiling per check (plan construction, structural
-  /// analysis, Θ_q derivation) is pure overhead there. Keyed by query text
-  /// and database version — conservative, since plans are structural, but
-  /// cover probes and size hints are only validated against the version
-  /// they compiled at.
+  /// Compiled-query cache for Check. Monitors, pollers and benchmark
+  /// harnesses re-check the same constraints over an unchanged database;
+  /// recompiling per check (plan construction, structural analysis, Θ_q
+  /// derivation, static classification) is pure overhead there. Keyed by
+  /// query text and database version — conservative, since plans are
+  /// structural, but cover probes and size hints are only validated against
+  /// the version they compiled at.
   ///
   /// Entries are shared-ownership: the returned query stays valid for as
   /// long as the caller holds the pointer, across arbitrary later compiles,
@@ -350,27 +344,47 @@ class DcSatEngine {
   const SteadyStateRefresh& last_refresh() const { return last_refresh_; }
 
  private:
-  /// The whole decision procedure after compilation, against fresh caches.
-  /// `scratch` (optional) is reused for the Θ_I ∪ Θ_q union-find instead of
-  /// allocating per call; concurrent callers pass nullptr.
-  /// `report` is the optional static classification: kTriviallyUnsat short-
-  /// circuits, PTIME classes go straight to their fragment, kCoNpMixed
-  /// skips the fragment probe. nullptr = the unclassified legacy path.
+  /// The whole decision procedure after compilation, against fresh caches,
+  /// routed on `klass` (the query's static class). `scratch` (optional) is
+  /// reused for the Θ_I ∪ Θ_q union-find instead of allocating per call;
+  /// concurrent callers pass nullptr.
   StatusOr<DcSatResult> CheckImpl(const DenialConstraint& q,
                                   const CompiledQuery& compiled,
                                   const DcSatOptions& options,
-                                  const AnalysisReport* report,
-                                  UnionFind* scratch, bool cache_hit,
+                                  TractabilityClass klass, UnionFind* scratch,
+                                  bool cache_hit,
                                   const Stopwatch& total_watch) const;
 
-  /// Runs the per-component clique searches on the worker pool. Returns the
-  /// merged satisfied/witness/stats contribution into `result`. `budget`
-  /// (may be null) is shared across every task.
-  void ParallelComponentSearch(
-      const CompiledQuery& compiled, const DcSatOptions& options,
+  /// The components the clique search runs over: the Θ_I ∪ `equalities`
+  /// components of the valid nodes (OptDCSat), or, when `equalities` is
+  /// null, one component holding every valid node (NaiveDCSat; none when no
+  /// node is valid). `scratch` as in CheckImpl.
+  std::vector<std::vector<PendingId>> Decompose(
+      const std::vector<EqualityConstraint>* equalities,
+      UnionFind* scratch) const;
+
+  /// Receives each maximal world the clique search builds; returns true to
+  /// stop the search. Called concurrently when the search has several
+  /// workers.
+  using WorldVisitor = std::function<bool(const WorldView&)>;
+
+  /// The component-search driver shared by every clique-search path: per
+  /// component, the cover filter (`covers`' CoversConstants; none when
+  /// null), ChargeComponent, Bron–Kerbosch over the component with
+  /// ChargeClique/ChargeWorld per clique, GetMaximal, then `visit`. Returns
+  /// the active pending ids of the world whose visit stopped the search — the
+  /// first such world of the lowest stopping component — or nullopt.
+  /// Accumulates the coverage, completion, clique, world and cancellation
+  /// counts into `stats` and sets `stats.budget_expired` when `budget` (may
+  /// be null) ended some component early. `num_threads` as in DcSatOptions:
+  /// one worker scans in order on the caller's thread and ends at the first
+  /// stop or expiry; N workers split the components into chunks on the
+  /// engine pool, and a stop cancels only higher-index components.
+  std::optional<std::vector<PendingId>> SearchComponents(
       const std::vector<std::vector<PendingId>>& components,
-      std::size_t num_workers, const Budget* budget,
-      DcSatResult& result) const;
+      const CompiledQuery* covers, std::size_t num_threads,
+      const Budget* budget, bool use_pivot, const WorldVisitor& visit,
+      DcSatStats& stats) const;
 
   void RefreshCaches();
   /// Patches fd_graph_/theta_i_ from the mutation events since
@@ -402,7 +416,12 @@ class DcSatEngine {
     std::string text;
     std::uint64_t version;
     std::shared_ptr<const CompiledQuery> compiled;
+    /// The query's static class, computed once when it compiled.
+    TractabilityClass klass;
   };
+  /// GetOrCompile's cache slot for `q`; valid until the next call.
+  StatusOr<const CompiledCacheEntry*> LookupOrCompile(
+      const DenialConstraint& q);
   std::vector<CompiledCacheEntry> compiled_cache_;
   std::size_t cache_hits_ = 0;
   std::size_t cache_misses_ = 0;

@@ -98,7 +98,7 @@ std::size_t ConstraintMonitor::CreateClass(std::string label,
   // S[x] ⊆ R[a] ties them together, so members over S must re-evaluate on
   // R churn even though the constraint never mentions R.
   cls.relation_ids = analysis.report.footprint;
-  cls.always_dirty = !analysis.report.monotone;
+  cls.always_dirty = !analysis.report.analysis.monotone;
   cls.batchable = analysis.batchable;
   cls.report = std::move(analysis.report);
   if (cls.batchable) {

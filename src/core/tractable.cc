@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <vector>
 
+#include "analysis/analyzer.h"
 #include "core/dcsat.h"
 #include "core/get_maximal.h"
-#include "query/analysis.h"
 #include "query/compiled_query.h"
-#include "util/stopwatch.h"
 
 namespace bcdb {
 
@@ -77,51 +76,27 @@ bool SupportRealizable(const Database& database, const FdGraph& fd_graph,
 
 std::optional<DcSatResult> TryTractableDcSat(const BlockchainDatabase& db,
                                              const FdGraph& fd_graph,
-                                             const DenialConstraint& q,
-                                             const CompiledQuery* precompiled,
-                                             std::size_t support_limit,
-                                             const QueryAnalysis* preanalyzed) {
-  const bool has_fds = !db.constraints().fds().empty();
-  const bool has_inds = !db.constraints().inds().empty();
-  if (has_fds && has_inds) return std::nullopt;  // CoNP-complete territory.
-
-  Stopwatch watch;
-  const QueryAnalysis analysis =
-      preanalyzed != nullptr ? *preanalyzed : AnalyzeQuery(q, db.catalog());
-
-  std::optional<CompiledQuery> owned;
-  if (precompiled == nullptr) {
-    StatusOr<CompiledQuery> fresh = CompiledQuery::Compile(q, &db.database());
-    if (!fresh.ok()) return std::nullopt;  // Caller reports the error.
-    owned = std::move(*fresh);
-    precompiled = &*owned;
+                                             const CompiledQuery& compiled,
+                                             TractabilityClass klass,
+                                             std::size_t support_limit) {
+  if (klass != TractabilityClass::kPtimeIndOnly &&
+      klass != TractabilityClass::kPtimeFdOnly) {
+    return std::nullopt;
   }
-  const CompiledQuery& compiled = *precompiled;
+  DcSatResult result;
+  result.stats.algorithm_used = DcSatAlgorithm::kTractable;
+  result.stats.num_pending = db.PendingIds().size();
 
   // --- IND-only (or unconstrained): unique maximal world. ---
-  if (!has_fds) {
-    if (!analysis.monotone) return std::nullopt;
-    DcSatResult result;
-    result.stats.algorithm_used = DcSatAlgorithm::kTractable;
-    result.stats.num_pending = db.PendingIds().size();
+  if (klass == TractabilityClass::kPtimeIndOnly) {
     const WorldView maximal = GetMaximal(db, db.PendingIds());
     result.stats.num_worlds_evaluated = 1;
-    if (compiled.Evaluate(maximal)) {
-      result.satisfied = false;
-      result.witness = maximal.active_bits().ToVector();
-    } else {
-      result.satisfied = true;
-    }
-    result.stats.total_seconds = watch.ElapsedSeconds();
+    result.satisfied = !compiled.Evaluate(maximal);
+    if (!result.satisfied) result.witness = maximal.active_bits().ToVector();
     return result;
   }
 
   // --- FD-only: assignment supports against G^fd_T. ---
-  if (q.is_aggregate() || !q.negated_atoms.empty()) return std::nullopt;
-
-  DcSatResult result;
-  result.stats.algorithm_used = DcSatAlgorithm::kTractable;
-  result.stats.num_pending = db.PendingIds().size();
   result.stats.num_valid_nodes = fd_graph.valid_nodes().Count();
   result.stats.fd_conflict_pairs = fd_graph.num_conflict_pairs();
 
@@ -145,13 +120,8 @@ std::optional<DcSatResult> TryTractableDcSat(const BlockchainDatabase& db,
   if (abstained) return std::nullopt;
 
   result.stats.num_worlds_evaluated = supports_seen;
-  if (realizable) {
-    result.satisfied = false;
-    result.witness = std::move(witness);
-  } else {
-    result.satisfied = true;
-  }
-  result.stats.total_seconds = watch.ElapsedSeconds();
+  result.satisfied = !realizable;
+  if (realizable) result.witness = std::move(witness);
   return result;
 }
 

@@ -5,15 +5,13 @@
 
 #include "core/blockchain_db.h"
 #include "core/fd_graph.h"
-#include "query/ast.h"
-#include "util/status.h"
 
 // Forward declarations to avoid a core <-> core include cycle with dcsat.h
-// and a heavyweight include of the query compiler.
+// and heavyweight includes of the query compiler and the analyzer.
 namespace bcdb {
 struct DcSatResult;
 class CompiledQuery;
-struct QueryAnalysis;
+enum class TractabilityClass;
 }
 
 namespace bcdb {
@@ -22,41 +20,35 @@ namespace bcdb {
 /// Theorem 1 (and the monotone half of Theorem 2) — the cases where the
 /// general clique search is provably unnecessary:
 ///
-/// * **FD-only** (`∆ ⊆ {key, fd}`), positive conjunctive `q`: a world is
-///   any FD-compatible transaction set (inclusion witnesses never gate
-///   appends), so `q` is realizable iff some satisfying assignment over
+/// * **FD-only** (kPtimeFdOnly: `∆ ⊆ {key, fd}`, positive conjunctive `q`):
+///   a world is any FD-compatible transaction set (inclusion witnesses never
+///   gate appends), so `q` is realizable iff some satisfying assignment over
 ///   R ∪ T is *supported* by transactions that are pairwise FD-consistent
 ///   and individually consistent with R. We enumerate assignment supports
 ///   and check their owner sets against G^fd_T — |q| is constant, so this
 ///   is polynomial data complexity (Theorem 1, case DCSat(Qc,{key,fd})).
 ///
-/// * **IND-only** (`∆ ⊆ {ind}`), monotone `q`: without FDs no two
-///   transactions conflict, so Poss(D) has a *unique maximal* world —
+/// * **IND-only** (kPtimeIndOnly: `∆ ⊆ {ind}`, monotone `q`): without FDs no
+///   two transactions conflict, so Poss(D) has a *unique maximal* world —
 ///   getMaximal over all of T — and a monotone constraint is satisfied iff
 ///   `q` is false there (Theorem 1 case DCSat(Qc,{ind}) restricted to
 ///   positive queries, and Theorem 2 case DCSat(Q+_{α,>},{ind})).
 ///
-/// `TryTractableDcSat` returns nullopt when (q, I) falls outside these
-/// fragments; the caller then runs the general algorithms. Results carry
+/// `klass` is the constraint's static class (ClassifyConstraint) and picks
+/// the procedure; every other class returns nullopt, and so does the
+/// FD-only procedure once the assignment-support enumeration exceeds
+/// `support_limit` (it abstains rather than risk a pathological query
+/// shape). The caller then runs the general algorithms. Results carry
 /// `DcSatAlgorithm::kTractable` and a witness world when unsatisfied.
 ///
-/// `fd_graph` must be current for `db` (the engine's cached one).
-/// `precompiled`, when given, must be `q` compiled against `db`'s database;
-/// it skips the internal recompilation, which also keeps the procedure free
-/// of lazy index construction — a requirement for concurrent callers
-/// (ConstraintMonitor::Poll runs one TryTractableDcSat per constraint in
-/// parallel over a read-only snapshot).
-/// `support_limit` bounds the assignment-support enumeration of the FD-only
-/// path; if exceeded, the procedure abstains (nullopt) rather than risk a
-/// pathological query shape.
-/// `preanalyzed`, when given, must be AnalyzeQuery(q, db.catalog()) — the
-/// engine's dispatch already has it in hand and skips the recomputation.
+/// `fd_graph` must be current for `db` (the engine's cached one) and
+/// `compiled` must be the constraint compiled against `db`'s database. The
+/// procedure only reads them, so concurrent callers may share both.
 std::optional<DcSatResult> TryTractableDcSat(const BlockchainDatabase& db,
                                              const FdGraph& fd_graph,
-                                             const DenialConstraint& q,
-                                             const CompiledQuery* precompiled = nullptr,
-                                             std::size_t support_limit = 100000,
-                                             const QueryAnalysis* preanalyzed = nullptr);
+                                             const CompiledQuery& compiled,
+                                             TractabilityClass klass,
+                                             std::size_t support_limit = 100000);
 
 }  // namespace bcdb
 

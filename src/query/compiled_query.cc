@@ -431,9 +431,13 @@ struct CompiledQuery::AggState {
       case AggregateFunction::kSum: {
         const Value& v =
             ValuePool::Global().value(assignment[query->agg_vars_[0]]);
-        if (sum_is_int && v.type() == ValueType::kInt) {
-          sum_int += v.AsInt();
+        std::int64_t next = 0;
+        if (sum_is_int && v.type() == ValueType::kInt &&
+            !__builtin_add_overflow(sum_int, v.AsInt(), &next)) {
+          sum_int = next;
         } else {
+          // A Real operand or int64 overflow: continue in floating point
+          // (a wrapped sum could flip the comparison's verdict).
           if (sum_is_int) {
             sum_real = static_cast<double>(sum_int);
             sum_is_int = false;

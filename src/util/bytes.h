@@ -132,6 +132,19 @@ class ByteReader {
     return true;
   }
 
+  /// Reads a u32 element count and rejects it when `count` elements of at
+  /// least `min_elem_bytes` each could not fit in the remaining bytes, so
+  /// a decoder may reserve() from the count without trusting the input.
+  bool ReadCount(std::size_t min_elem_bytes, std::uint32_t* count) {
+    std::uint32_t n;
+    if (!ReadU32(&n)) return false;
+    if (static_cast<std::uint64_t>(n) * min_elem_bytes > remaining()) {
+      return false;
+    }
+    *count = n;
+    return true;
+  }
+
   /// Reads a u32-length-prefixed byte string as a view into the underlying
   /// buffer (no copy; valid while the buffer is).
   bool ReadBytes(std::string_view* v) {

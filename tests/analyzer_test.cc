@@ -7,6 +7,7 @@
 #include "analysis/schema_text.h"
 #include "core/dcsat.h"
 #include "core/monitor.h"
+#include "query/compiled_query.h"
 #include "query/parser.h"
 #include "query/template.h"
 
@@ -214,21 +215,21 @@ TEST_F(AnalyzerTest, AlreadyViolated) {
 TEST_F(AnalyzerTest, NonMonotone) {
   AnalysisReport report = Analyze("q() :- R(x, y), not S(x, y)");
   EXPECT_TRUE(report.ok());
-  EXPECT_FALSE(report.monotone);
+  EXPECT_FALSE(report.analysis.monotone);
   const Diagnostic* diag = FindDiagnostic(report, AnalysisCode::kNonMonotone);
   ASSERT_NE(diag, nullptr);
   EXPECT_EQ(diag->severity, Severity::kNote);
-  EXPECT_FALSE(report.monotone_reason.empty());
+  EXPECT_FALSE(report.analysis.monotone_reason.empty());
 }
 
 TEST_F(AnalyzerTest, Disconnected) {
   AnalysisReport report = Analyze("q() :- R(x, y), S(u, v)");
   EXPECT_TRUE(report.ok());
-  EXPECT_FALSE(report.connected);
+  EXPECT_FALSE(report.analysis.connected);
   EXPECT_TRUE(HasDiagnostic(report, AnalysisCode::kDisconnected));
   // A shared variable connects the Gaifman graph: no note.
   AnalysisReport joined = Analyze("q() :- R(x, y), S(x, v)");
-  EXPECT_TRUE(joined.connected);
+  EXPECT_TRUE(joined.analysis.connected);
   EXPECT_FALSE(HasDiagnostic(joined, AnalysisCode::kDisconnected));
 }
 
@@ -260,7 +261,7 @@ TEST_F(AnalyzerTest, ClassPtimeFdOnly) {
   AnalysisReport report = Analyze("q() :- R(x, y), S(x, z)", Sets::kFdOnly);
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.tractability, TractabilityClass::kPtimeFdOnly);
-  EXPECT_TRUE(report.monotone);
+  EXPECT_TRUE(report.analysis.monotone);
 }
 
 TEST_F(AnalyzerTest, ClassPtimeIndOnly) {
@@ -344,10 +345,10 @@ TEST(AnalyzerHardnessFixtureTest, MixedKeyIndWitness) {
   EXPECT_EQ(report.tractability, TractabilityClass::kCoNpMixed);
 
   // q is realizable exactly in the world {t1, t2}.
-  auto classified = engine.Check(*q, report);
+  auto classified = engine.Check(*q);
   ASSERT_TRUE(classified.ok());
   DcSatOptions general_options;
-  general_options.use_tractable_fragments = false;
+  general_options.algorithm = GeneralSearchAlgorithm(*q, report.analysis);
   auto general = engine.Check(*q, general_options);
   ASSERT_TRUE(general.ok());
   EXPECT_FALSE(classified->satisfied);
@@ -376,14 +377,22 @@ TEST(ClassifiedDispatchTest, TriviallyUnsatShortCircuits) {
   ASSERT_TRUE(q.ok());
   AnalysisReport report = engine.Analyze(*q);
   EXPECT_EQ(report.tractability, TractabilityClass::kTriviallyUnsat);
-  auto result = engine.Check(*q, report);
+  auto result = engine.Check(*q);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->decided);
   EXPECT_TRUE(result->satisfied);
   EXPECT_EQ(result->stats.algorithm_used, DcSatAlgorithm::kStatic);
   EXPECT_EQ(result->stats.num_worlds_evaluated, 0u);
-  // The unclassified general path agrees on the verdict.
-  auto general = engine.Check(*q);
+  // The report-carrying path routes on the same class.
+  auto compiled = CompiledQuery::Compile(*q, &db->database());
+  ASSERT_TRUE(compiled.ok());
+  auto prepared = engine.CheckPrepared(*q, *compiled, report);
+  ASSERT_TRUE(prepared.ok());
+  EXPECT_EQ(prepared->stats.algorithm_used, DcSatAlgorithm::kStatic);
+  // The general search agrees on the verdict.
+  DcSatOptions general_options;
+  general_options.algorithm = GeneralSearchAlgorithm(*q, report.analysis);
+  auto general = engine.Check(*q, general_options);
   ASSERT_TRUE(general.ok());
   EXPECT_TRUE(general->satisfied);
 }
@@ -393,11 +402,19 @@ TEST(ClassifiedDispatchTest, ErrorReportRejected) {
                                        MakeConstraints(MakeCatalog(), Sets::kNone));
   ASSERT_TRUE(db.ok());
   DcSatEngine engine(&*db);
-  auto q = ParseDenialConstraint("q() :- Nope(x)");
+  engine.PrepareSteadyState();
+  // Analyzer errors normally fail compilation as well, so the
+  // report-carrying path is handed a compilable query whose report carries
+  // an error diagnostic.
+  auto q = ParseDenialConstraint("q() :- R(x, y)");
   ASSERT_TRUE(q.ok());
+  auto compiled = CompiledQuery::Compile(*q, &db->database());
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
   AnalysisReport report = engine.Analyze(*q);
-  EXPECT_FALSE(report.ok());
-  EXPECT_EQ(engine.Check(*q, report).status().code(),
+  ASSERT_TRUE(report.ok());
+  report.diagnostics.push_back(Diagnostic{
+      Severity::kError, AnalysisCode::kUnknownRelation, "injected", {}});
+  EXPECT_EQ(engine.CheckPrepared(*q, *compiled, report).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -448,7 +465,7 @@ TEST(MonitorRegistrationTest, AcceptedEntryExposesAnalysis) {
   EXPECT_EQ(report->tractability, TractabilityClass::kCoNpMixed);
   // The IND-closed footprint watches R as well as S.
   EXPECT_EQ(report->footprint.size(), 2u);
-  EXPECT_TRUE(report->monotone);
+  EXPECT_TRUE(report->analysis.monotone);
   EXPECT_TRUE(monitor.Remove(*handle).ok());
   EXPECT_EQ(monitor.analysis(*handle), nullptr);
 }
@@ -493,7 +510,7 @@ TEST(LintFormatTest, JsonEscapesAndCounts) {
   c.text = "q() :- R(x, y)";
   c.line = 3;
   c.report.tractability = TractabilityClass::kPtimeFdOnly;
-  c.report.monotone = true;
+  c.report.analysis.monotone = true;
   c.report.diagnostics.push_back(Diagnostic{
       Severity::kError, AnalysisCode::kUnknownRelation, "msg \"quoted\"",
       SourceSpan{7, 4}});

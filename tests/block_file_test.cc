@@ -13,6 +13,7 @@
 #include "bitcoin/to_relational.h"
 #include "storage/durable_store.h"
 #include "storage_test_util.h"
+#include "util/bytes.h"
 
 namespace bcdb {
 namespace {
@@ -21,6 +22,7 @@ using bitcoin::BitcoinTransaction;
 using bitcoin::Block;
 using bitcoin::BuildBlockchainDatabase;
 using bitcoin::DecodeBlockPayload;
+using bitcoin::DecodeTransactionPayload;
 using bitcoin::EncodeBlockPayload;
 using bitcoin::ExportNode;
 using bitcoin::GeneratedWorkload;
@@ -173,6 +175,44 @@ TEST(BlockFileTest, BlockPayloadRejectsTrailingBytes) {
   EXPECT_FALSE(
       DecodeBlockPayload(std::string_view(payload.data(), payload.size() - 1))
           .ok());
+}
+
+// A count read from the payload must be bounded by the bytes left to encode
+// its elements before anything is reserved: each of these payloads claims
+// 2^31 - 1 elements in a few bytes, which used to abort with bad_alloc.
+constexpr std::uint32_t kHugeCount = 0x7fffffff;
+
+TEST(BlockFileTest, HugeInputCountIsRejected) {
+  std::string payload;
+  AppendI64(&payload, 42);  // txid
+  AppendU8(&payload, 0);    // not a coinbase
+  AppendU32(&payload, kHugeCount);
+  ASSERT_EQ(payload.size(), 13u);
+  StatusOr<BitcoinTransaction> tx = DecodeTransactionPayload(payload);
+  ASSERT_FALSE(tx.ok());
+  EXPECT_EQ(tx.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(BlockFileTest, HugeOutputCountIsRejected) {
+  std::string payload;
+  AppendI64(&payload, 42);
+  AppendU8(&payload, 0);
+  AppendU32(&payload, 0);  // no inputs
+  AppendU32(&payload, kHugeCount);
+  StatusOr<BitcoinTransaction> tx = DecodeTransactionPayload(payload);
+  ASSERT_FALSE(tx.ok());
+  EXPECT_EQ(tx.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(BlockFileTest, HugeTransactionCountIsRejected) {
+  std::string payload;
+  AppendU64(&payload, 1);   // height
+  AppendI64(&payload, 7);   // prev hash
+  AppendI64(&payload, 9);   // hash
+  AppendU32(&payload, kHugeCount);
+  StatusOr<Block> block = DecodeBlockPayload(payload);
+  ASSERT_FALSE(block.ok());
+  EXPECT_EQ(block.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(BlockFileTest, DurableIngestRecoversIdForId) {

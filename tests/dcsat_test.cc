@@ -187,7 +187,7 @@ TEST_F(DcSatTest, CompiledQuerySurvivesCacheGrowthAndEviction) {
   }
 
   engine_.PrepareSteadyState();
-  auto result = engine_.CheckPrepared(*held_q, **held);
+  auto result = engine_.CheckPrepared(*held_q, **held, engine_.Analyze(*held_q));
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->satisfied, before.satisfied);
   EXPECT_EQ(result->decided, before.decided);

@@ -158,7 +158,6 @@ TEST(DeadlineDcSatTest, CliqueCapReturnsUndecidedAndUnlimitedDecides) {
 
   DcSatOptions budgeted;
   budgeted.algorithm = DcSatAlgorithm::kOpt;
-  budgeted.use_tractable_fragments = false;
   budgeted.budget.max_cliques = 2;
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     budgeted.num_threads = threads;
@@ -189,7 +188,6 @@ TEST(DeadlineDcSatTest, ComponentCapBoundsBreadth) {
   DenialConstraint q = Q("q() :- R(x, 0), R(x, 1)");
   DcSatOptions budgeted;
   budgeted.algorithm = DcSatAlgorithm::kOpt;
-  budgeted.use_tractable_fragments = false;
   budgeted.budget.max_components = 3;
   auto result = engine.Check(q, budgeted);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -274,7 +272,6 @@ TEST(DeadlineDcSatTest, HugeBudgetMatchesUnlimitedBitForBit) {
         // ever consulting the budget.
         DcSatOptions unlimited;
         unlimited.algorithm = DcSatAlgorithm::kOpt;
-        unlimited.use_tractable_fragments = false;
         unlimited.num_threads = threads;
         auto reference = engine.Check(q, unlimited);
         ASSERT_TRUE(reference.ok()) << text;

@@ -5,17 +5,20 @@
 
 #include "analysis/analyzer.h"
 #include "core/dcsat.h"
+#include "query/compiled_query.h"
 #include "query/parser.h"
 #include "util/rng.h"
 
 namespace bcdb {
 namespace {
 
-// Differential harness for the classified dispatch: for every instance and
-// constraint, DcSatEngine::Check(q, report) must be bit-identical — decided,
-// satisfied, witness — to the legacy runtime-gated Check(q), and
-// verdict-identical to the pure general search (tractable fragments
-// disabled). Classification only routes, it never re-decides.
+// Differential harness for the one decision path: for every instance and
+// constraint, DcSatEngine::Check(q) — which classifies q itself, once per
+// compiled query — must be bit-identical (decided, satisfied, witness,
+// algorithm_used) to CheckPrepared(q, compiled, Analyze(q)), the
+// report-carrying path the monitor uses, and verdict-identical to the
+// general search kAuto falls back to, requested explicitly. Classification
+// only routes, it never re-decides.
 
 BlockchainDatabase MakeInstance(std::uint64_t seed, bool keys, bool inds) {
   Xoshiro256 rng(seed);
@@ -117,48 +120,45 @@ TEST_P(DispatchDifferentialTest, ClassifiedMatchesLegacyAndGeneral) {
       AnalysisReport report = engine.Analyze(*q);
       ASSERT_TRUE(report.ok()) << report.ErrorSummary();
 
-      auto classified = engine.Check(*q, report);
-      ASSERT_TRUE(classified.ok());
-      auto legacy = engine.Check(*q);
-      ASSERT_TRUE(legacy.ok());
+      auto checked = engine.Check(*q);
+      ASSERT_TRUE(checked.ok());
+      auto compiled = CompiledQuery::Compile(*q, &db.database());
+      ASSERT_TRUE(compiled.ok());
+      auto prepared = engine.CheckPrepared(*q, *compiled, report);
+      ASSERT_TRUE(prepared.ok());
       DcSatOptions general_options;
-      general_options.use_tractable_fragments = false;
+      general_options.algorithm = GeneralSearchAlgorithm(*q, report.analysis);
       auto general = engine.Check(*q, general_options);
       ASSERT_TRUE(general.ok());
 
-      // Bit-identity against the legacy runtime-gated path: same routing,
-      // so the same verdict AND the same witness world. The one allowed
-      // divergence is the trivially-unsat short-circuit, which skips even
-      // the pre-check the legacy path used to reach the same answer.
-      EXPECT_EQ(classified->decided, legacy->decided);
-      EXPECT_EQ(classified->satisfied, legacy->satisfied);
-      EXPECT_EQ(classified->witness, legacy->witness);
-      if (report.tractability == TractabilityClass::kTriviallyUnsat) {
-        EXPECT_EQ(classified->stats.algorithm_used, DcSatAlgorithm::kStatic);
-        EXPECT_TRUE(classified->satisfied);
-      } else {
-        EXPECT_EQ(classified->stats.algorithm_used,
-                  legacy->stats.algorithm_used);
-      }
+      // Bit-identity between the cached class and the analyzer's: same
+      // routing, so the same verdict AND the same witness world.
+      EXPECT_EQ(checked->decided, prepared->decided);
+      EXPECT_EQ(checked->satisfied, prepared->satisfied);
+      EXPECT_EQ(checked->witness, prepared->witness);
+      EXPECT_EQ(checked->stats.algorithm_used,
+                prepared->stats.algorithm_used);
 
       // Verdict-identity against the pure general search (the oracle-grade
       // reference): the fragments and the classifier may only change how
       // the answer is computed, never the answer.
-      EXPECT_EQ(classified->decided, general->decided);
-      EXPECT_EQ(classified->satisfied, general->satisfied);
-      EXPECT_EQ(classified->witness.has_value(),
-                general->witness.has_value());
+      EXPECT_EQ(checked->decided, general->decided);
+      EXPECT_EQ(checked->satisfied, general->satisfied);
+      EXPECT_EQ(checked->witness.has_value(), general->witness.has_value());
 
       // Classification sanity: PTIME classes must actually take the
-      // tractable path, and the mixed class must never try it.
+      // tractable path, the mixed class must never try it, and a trivially
+      // unsatisfiable body never touches data.
       if (report.tractability == TractabilityClass::kPtimeFdOnly ||
           report.tractability == TractabilityClass::kPtimeIndOnly) {
-        EXPECT_EQ(classified->stats.algorithm_used,
-                  DcSatAlgorithm::kTractable);
+        EXPECT_EQ(checked->stats.algorithm_used, DcSatAlgorithm::kTractable);
       }
       if (report.tractability == TractabilityClass::kCoNpMixed) {
-        EXPECT_NE(classified->stats.algorithm_used,
-                  DcSatAlgorithm::kTractable);
+        EXPECT_NE(checked->stats.algorithm_used, DcSatAlgorithm::kTractable);
+      }
+      if (report.tractability == TractabilityClass::kTriviallyUnsat) {
+        EXPECT_EQ(checked->stats.algorithm_used, DcSatAlgorithm::kStatic);
+        EXPECT_TRUE(checked->satisfied);
       }
     }
   }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "query/compiled_query.h"
 #include "query/parser.h"
 #include "relational/database.h"
@@ -189,6 +192,15 @@ TEST_F(EvalTest, SumIsBagSemantics) {
   Edge(1, 2, 10);
   Edge(1, 3, 10);
   EXPECT_TRUE(Eval("[q(sum(w)) :- Edge(1, y, w)] = 20"));
+}
+
+TEST_F(EvalTest, SumPromotesToRealOnInt64Overflow) {
+  // The int64 sum of these amounts wraps to a negative number; the
+  // accumulator must continue in floating point instead.
+  Edge(1, 2, std::numeric_limits<std::int64_t>::max());
+  Edge(1, 3, 10);
+  EXPECT_FALSE(Eval("[q(sum(w)) :- Edge(1, y, w)] < 0"));
+  EXPECT_TRUE(Eval("[q(sum(w)) :- Edge(1, y, w)] > 0"));
 }
 
 TEST_F(EvalTest, CountDistinctAggregate) {

@@ -126,10 +126,13 @@ void DigestChecks(DcSatEngine& engine, Digest& digest) {
   DcSatOptions search_options;  // Force the clique search everywhere.
   search_options.use_precheck = false;
   search_options.use_covers = false;
-  search_options.use_tractable_fragments = false;
   for (const char* text : kEngineQueries) {
     auto q = ParseDenialConstraint(text);
     ASSERT_TRUE(q.ok()) << text;
+    // Requested explicitly, the general search kAuto resolves to never
+    // tries a tractable fragment.
+    search_options.algorithm = GeneralSearchAlgorithm(
+        *q, AnalyzeQuery(*q, engine.db().catalog()));
     for (const DcSatOptions& options : {default_options, search_options}) {
       auto result = engine.Check(*q, options);
       ASSERT_TRUE(result.ok()) << text;

@@ -124,10 +124,13 @@ void ExpectEngineEquivalence(DcSatEngine& incremental, BlockchainDatabase& db,
   DcSatOptions search_options;  // Force the clique search everywhere.
   search_options.use_precheck = false;
   search_options.use_covers = false;
-  search_options.use_tractable_fragments = false;
   for (const char* text : kEngineQueries) {
     auto q = ParseDenialConstraint(text);
     ASSERT_TRUE(q.ok()) << text;
+    // Requested explicitly, the general search kAuto resolves to never
+    // tries a tractable fragment.
+    search_options.algorithm = GeneralSearchAlgorithm(
+        *q, AnalyzeQuery(*q, incremental.db().catalog()));
     for (const DcSatOptions& options : {default_options, search_options}) {
       auto inc = incremental.Check(*q, options);
       auto scr = scratch.Check(*q, options);

@@ -272,8 +272,9 @@ TEST(ParallelMonitorTest, ConcurrentCheckPreparedCallersAgree) {
   ASSERT_TRUE(q.ok());
   auto compiled = CompiledQuery::Compile(*q, &db.database());
   ASSERT_TRUE(compiled.ok());
+  const AnalysisReport report = engine.Analyze(*q);
 
-  auto serial = engine.CheckPrepared(*q, *compiled);
+  auto serial = engine.CheckPrepared(*q, *compiled, report);
   ASSERT_TRUE(serial.ok());
 
   std::atomic<int> mismatches{0};
@@ -281,7 +282,7 @@ TEST(ParallelMonitorTest, ConcurrentCheckPreparedCallersAgree) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 10; ++i) {
-        auto result = engine.CheckPrepared(*q, *compiled);
+        auto result = engine.CheckPrepared(*q, *compiled, report);
         if (!result.ok() || result->satisfied != serial->satisfied ||
             result->witness != serial->witness) {
           mismatches.fetch_add(1);
@@ -301,14 +302,15 @@ TEST(ParallelMonitorTest, CheckPreparedRejectsStaleCaches) {
   ASSERT_TRUE(q.ok());
   auto compiled = CompiledQuery::Compile(*q, &db.database());
   ASSERT_TRUE(compiled.ok());
-  ASSERT_TRUE(engine.CheckPrepared(*q, *compiled).ok());
+  const AnalysisReport report = engine.Analyze(*q);
+  ASSERT_TRUE(engine.CheckPrepared(*q, *compiled, report).ok());
 
   ASSERT_TRUE(db.DiscardPending(0).ok());  // Mutation → caches stale.
-  EXPECT_FALSE(engine.CheckPrepared(*q, *compiled).ok());
+  EXPECT_FALSE(engine.CheckPrepared(*q, *compiled, report).ok());
   engine.PrepareSteadyState();
   auto fresh = CompiledQuery::Compile(*q, &db.database());
   ASSERT_TRUE(fresh.ok());
-  EXPECT_TRUE(engine.CheckPrepared(*q, *fresh).ok());
+  EXPECT_TRUE(engine.CheckPrepared(*q, *fresh, report).ok());
 }
 
 }  // namespace

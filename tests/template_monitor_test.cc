@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "core/monitor.h"
+#include "query/analysis.h"
+#include "query/compiled_query.h"
 #include "query/parser.h"
 #include "query/template.h"
 #include "running_example.h"
@@ -24,6 +26,24 @@ ConstraintTemplate T(const std::string& text) {
   auto tmpl = ConstraintTemplate::Parse(text);
   EXPECT_TRUE(tmpl.ok()) << tmpl.status();
   return *tmpl;
+}
+
+void ExpectSameStats(const DcSatStats& a, const DcSatStats& b) {
+  EXPECT_EQ(a.algorithm_used, b.algorithm_used);
+  EXPECT_EQ(a.precheck_decided, b.precheck_decided);
+  EXPECT_EQ(a.num_pending, b.num_pending);
+  EXPECT_EQ(a.num_valid_nodes, b.num_valid_nodes);
+  EXPECT_EQ(a.fd_conflict_pairs, b.fd_conflict_pairs);
+  EXPECT_EQ(a.num_components, b.num_components);
+  EXPECT_EQ(a.num_components_covered, b.num_components_covered);
+  EXPECT_EQ(a.components_completed, b.components_completed);
+  EXPECT_EQ(a.num_cliques, b.num_cliques);
+  EXPECT_EQ(a.num_worlds_evaluated, b.num_worlds_evaluated);
+  EXPECT_EQ(a.budget_expired, b.budget_expired);
+  EXPECT_EQ(a.threads_used, b.threads_used);
+  EXPECT_EQ(a.components_parallel, b.components_parallel);
+  EXPECT_EQ(a.cancelled_tasks, b.cancelled_tasks);
+  EXPECT_EQ(a.steady_cache_hit, b.steady_cache_hit);
 }
 
 // --- Template type ------------------------------------------------------
@@ -476,6 +496,50 @@ TEST(TemplateMonitorTest, BatchingOffMatchesOnAcrossChurn) {
   ASSERT_TRUE(on_db.DiscardPending(2).ok());
   ASSERT_TRUE(off_db.DiscardPending(2).ok());
   compare("after T3 evicted");
+}
+
+// --- Batch evaluator ----------------------------------------------------
+
+TEST(TemplateBatchTest, ThreadCountLeavesOutcomesAndStatsUnchanged) {
+  // The batch visitor settles shared per-binding state, so the survivor
+  // search always runs on one worker: asking for four must change nothing.
+  BlockchainDatabase db = MakeRunningExample();
+  DcSatEngine engine(&db);
+  engine.PrepareSteadyState();
+  std::vector<Tuple> bindings;
+  for (const char* pk : {"U8Pk", "U3Pk", "U9Pk", "U5Pk", "U4Pk", "U8Pk"}) {
+    bindings.push_back(Tuple({Value::Str(pk)}));
+  }
+  // Connected (OptDCSat-style components) and disconnected (one component).
+  const char* kTemplates[] = {
+      "q() :- TxOut(t, s, $pk, a)",
+      "q() :- TxIn(pt, ps, $pk, a, nt, sg), TxOut(u, v, w, b)",
+  };
+  BudgetLimits tight;
+  tight.max_cliques = 1;
+  for (const char* text : kTemplates) {
+    const DenialConstraint generalized = T(text).Generalized();
+    auto compiled = CompiledQuery::Compile(generalized, &db.database());
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    auto equalities = TemplateEqualitiesFromQuery(generalized, db.catalog());
+    ASSERT_TRUE(equalities.ok()) << equalities.status();
+    for (const BudgetLimits& budget : {BudgetLimits{}, tight}) {
+      SCOPED_TRACE(std::string(text) +
+                   (budget.unlimited() ? "" : " (max_cliques=1)"));
+      DcSatOptions serial;
+      serial.budget = budget;
+      DcSatOptions parallel = serial;
+      parallel.num_threads = 4;
+      auto one = engine.CheckTemplateBatch(*compiled, *equalities, bindings,
+                                           serial);
+      auto four = engine.CheckTemplateBatch(*compiled, *equalities, bindings,
+                                            parallel);
+      ASSERT_TRUE(one.ok()) << one.status();
+      ASSERT_TRUE(four.ok()) << four.status();
+      EXPECT_EQ(one->outcomes, four->outcomes);
+      ExpectSameStats(one->stats, four->stats);
+    }
+  }
 }
 
 }  // namespace

@@ -143,8 +143,9 @@ TEST_P(TractableTest, FragmentsCanBeDisabled) {
   DcSatEngine engine(&db);
   auto q = ParseDenialConstraint("q() :- R(x, y), S(x, y)");
   ASSERT_TRUE(q.ok());
+  // An explicitly requested general search never tries a fragment.
   DcSatOptions options;
-  options.use_tractable_fragments = false;
+  options.algorithm = DcSatAlgorithm::kOpt;
   auto general = engine.Check(*q, options);
   ASSERT_TRUE(general.ok());
   EXPECT_NE(general->stats.algorithm_used, DcSatAlgorithm::kTractable);
