@@ -1,5 +1,5 @@
 // Template fleet: register ONE constraint template, bind many members, and
-// watch Poll decide the whole class with a single shared batch check.
+// watch Poll decide them all through the class's one compiled plan.
 //
 // The monitor's registration API is template-first (DESIGN.md §13):
 //
@@ -10,10 +10,11 @@
 // classes of their own, deduplicated by α-renamed skeleton + footprint
 // (RegisterTemplate classes stay distinct — a label names exactly the fleet
 // you bound to it). Below: one registered class with four bound members,
-// plus two ground Adds that collapse onto one shared Add-class. Each class
-// costs one compiled query + one component decomposition + one clique
-// enumeration per poll, whatever its member count (see bench_monitor_fanout
-// for the 10^5/10^6-member numbers).
+// plus two ground Adds that collapse onto one shared Add-class. A class
+// compiles its plan once, at registration; each poll probes every member's
+// binding through it over R and R ∪ T, and only a member neither probe
+// settles compiles and searches its own grounded constraint (see
+// bench_monitor_fanout for the 10^5/10^6-member numbers).
 //
 // Run: ./build/examples/template_fleet
 
@@ -39,9 +40,11 @@ void Report(const ConstraintMonitor& monitor,
                 change.template_label.c_str(), change.binding_summary.c_str());
   }
   const ConstraintMonitor::PollStats& stats = monitor.poll_stats();
-  std::printf("  [classes=%zu, batch checks so far=%zu, members batched=%zu]\n",
+  std::printf("  [classes=%zu, class evaluations so far=%zu, members "
+              "through class plans=%zu, member searches=%zu]\n",
               monitor.num_classes(), stats.classes_evaluated,
-              stats.constraints_batched);
+              stats.constraints_batched,
+              stats.compile_cache_hits + stats.compile_cache_misses);
 }
 
 }  // namespace
@@ -91,7 +94,7 @@ int main() {
   }
   // Ground Adds of the same shape canonicalize onto ONE shared Add-class:
   // each constant is extracted into a binding and the α-renamed skeletons
-  // match, so these two members ride one batch check too.
+  // match, so these two members share one class plan too.
   for (const auto& [label, pk] :
        {std::pair{"dan-paid", "'DanPk'"}, std::pair{"eve-paid", "'EvePk'"}}) {
     auto ground = ParseDenialConstraint(std::string("q() :- TxOut(t, s, ") +
@@ -101,7 +104,7 @@ int main() {
     }
   }
 
-  std::printf("initial poll (2 classes, 6 members, 2 batch checks):\n");
+  std::printf("initial poll (2 classes, 6 members):\n");
   auto changes = monitor.Poll();
   if (!changes.ok()) return 1;
   Report(monitor, *changes);

@@ -161,7 +161,8 @@ struct TemplateAnalysis {
   /// class facts; otherwise it analyzes a dummy-typed instance, which is
   /// only good for admission (its errors are binding-independent).
   AnalysisReport report;
-  /// Admitted for the shared batch evaluator (projectable and error-free).
+  /// Projectable, with an error-free generalized query: a monitor may
+  /// settle the class's members by answer passes over Generalized().
   bool batchable = false;
   /// The isomorphism-class key: canonical α-renamed skeleton plus the
   /// IND-closed footprint. Two registrations with equal keys share all

@@ -20,7 +20,7 @@ struct LintedConstraint {
   AnalysisReport report;
   /// Template lines ($name placeholders) are analyzed class-level
   /// (AnalyzeTemplate): the report describes the whole template class, and
-  /// the fields below carry its batch admission and canonicalization key.
+  /// the fields below carry its batchability and canonicalization key.
   bool is_template = false;
   bool batchable = false;
   std::size_t num_params = 0;

@@ -72,6 +72,7 @@ StatusOr<std::vector<Tuple>> CertainAnswers(DcSatEngine& engine,
   StatusOr<CompiledQuery> compiled =
       CompiledQuery::Compile(q, &db.database());
   if (!compiled.ok()) return compiled.status();
+  BCDB_RETURN_IF_ERROR(compiled->RequireGround());
 
   const QueryAnalysis analysis = AnalyzeQuery(q, db.catalog());
   if (analysis.monotone) {
@@ -115,6 +116,7 @@ StatusOr<std::vector<Tuple>> PossibleAnswers(DcSatEngine& engine,
   StatusOr<CompiledQuery> compiled =
       CompiledQuery::Compile(q, &db.database());
   if (!compiled.ok()) return compiled.status();
+  BCDB_RETURN_IF_ERROR(compiled->RequireGround());
 
   const QueryAnalysis analysis = AnalyzeQuery(q, db.catalog());
   if (analysis.monotone) {

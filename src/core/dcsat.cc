@@ -10,7 +10,6 @@
 #include "core/possible_worlds.h"
 #include "core/tractable.h"
 #include "query/analysis.h"
-#include "util/flat_table.h"
 #include "util/stopwatch.h"
 
 namespace bcdb {
@@ -264,14 +263,14 @@ std::shared_ptr<ThreadPool> DcSatEngine::PoolFor(
 
 StatusOr<const DcSatEngine::CompiledCacheEntry*>
 DcSatEngine::LookupOrCompile(const DenialConstraint& q) {
-  const std::uint64_t version = db_->version();
   std::string text = q.ToString();
   for (const CompiledCacheEntry& entry : compiled_cache_) {
-    if (entry.version == version && entry.text == text) return &entry;
+    if (entry.text == text) return &entry;
   }
   StatusOr<CompiledQuery> compiled =
       CompiledQuery::Compile(q, &db_->database());
   if (!compiled.ok()) return compiled.status();
+  BCDB_RETURN_IF_ERROR(compiled->RequireGround());
   // The class needs only the catalog, the integrity constraints and the
   // structural analysis the compiler already derived — not AnalyzeConstraint,
   // which would compile q a second time.
@@ -284,7 +283,7 @@ DcSatEngine::LookupOrCompile(const DenialConstraint& q) {
     compiled_cache_.erase(compiled_cache_.begin());
   }
   compiled_cache_.push_back(CompiledCacheEntry{
-      std::move(text), version,
+      std::move(text),
       std::make_shared<const CompiledQuery>(std::move(*compiled)), klass});
   return &compiled_cache_.back();
 }
@@ -456,11 +455,10 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
   result.stats.graph_seconds = graph_watch.ElapsedSeconds();
 
   // --- Clique search: the first violating world decides. ---
-  result.witness = SearchComponents(
-      components, opt && options.use_covers ? &compiled : nullptr,
-      options.num_threads, budget, options.use_pivot,
-      [&](const WorldView& world) { return compiled.Evaluate(world); },
-      result.stats);
+  result.witness =
+      SearchComponents(components, compiled, opt && options.use_covers,
+                       options.num_threads, budget, options.use_pivot,
+                       result.stats);
   result.satisfied = !result.witness.has_value();
   if (result.satisfied && result.stats.budget_expired) {
     // No counterexample found and parts of the search were skipped: the
@@ -490,9 +488,8 @@ std::vector<std::vector<PendingId>> DcSatEngine::Decompose(
 
 std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
     const std::vector<std::vector<PendingId>>& components,
-    const CompiledQuery* covers, std::size_t num_threads,
-    const Budget* budget, bool use_pivot, const WorldVisitor& visit,
-    DcSatStats& stats) const {
+    const CompiledQuery& query, bool use_covers, std::size_t num_threads,
+    const Budget* budget, bool use_pivot, DcSatStats& stats) const {
   // What one scan over a contiguous run of components produced.
   struct Tally {
     std::size_t covered = 0;
@@ -521,12 +518,12 @@ std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
         continue;
       }
       const std::vector<PendingId>& component = components[index];
-      if (covers != nullptr) {
+      if (use_covers) {
         WorldView cover_view = db_->BaseView();
         for (PendingId id : component) {
           cover_view.Activate(static_cast<TupleOwner>(id));
         }
-        if (!covers->CoversConstants(cover_view)) {
+        if (!query.CoversConstants(cover_view)) {
           ++tally.completed;
           continue;
         }
@@ -555,7 +552,7 @@ std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
             }
             const WorldView world = GetMaximal(*db_, clique);
             ++tally.worlds;
-            if (!visit(world)) return true;
+            if (!query.Evaluate(world)) return true;
             stopped = true;
             tally.stop_world = WitnessOf(world);
             if (cancel != nullptr) cancel->CancelRanksAbove(index);
@@ -567,9 +564,9 @@ std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
         ++tally.cancelled;
         continue;
       }
-      // stopped_early without a visitor stop means a budget charge ended the
-      // enumeration (the expiry-probe stop is flagged directly); either way
-      // the component did not finish.
+      // stopped_early without a violating world means a budget charge ended
+      // the enumeration (the expiry-probe stop is flagged directly); either
+      // way the component did not finish.
       if (clique_stats.budget_expired ||
           (clique_stats.stopped_early && !stopped)) {
         tally.expired = true;
@@ -645,170 +642,6 @@ std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
   stats.threads_used = pool->num_threads();
   stats.components_parallel = components.size();
   return stop_world;
-}
-
-TemplateBindingIndex TemplateBindingIndex::Build(
-    const std::vector<Tuple>& bindings) {
-  TemplateBindingIndex index;
-  index.slot_of.reserve(bindings.size());
-  index.slots.reserve(bindings.size());
-  for (const Tuple& binding : bindings) {
-    auto [it, inserted] = index.slot_of.try_emplace(binding, index.num_unique);
-    if (inserted) ++index.num_unique;
-    index.slots.push_back(it->second);
-  }
-  return index;
-}
-
-StatusOr<TemplateBatchResult> DcSatEngine::CheckTemplateBatch(
-    const CompiledQuery& generalized,
-    const std::vector<EqualityConstraint>& template_equalities,
-    const std::vector<Tuple>& bindings, const DcSatOptions& options) const {
-  return CheckTemplateBatch(generalized, template_equalities, bindings,
-                            TemplateBindingIndex::Build(bindings), options);
-}
-
-StatusOr<TemplateBatchResult> DcSatEngine::CheckTemplateBatch(
-    const CompiledQuery& generalized,
-    const std::vector<EqualityConstraint>& template_equalities,
-    const std::vector<Tuple>& bindings, const TemplateBindingIndex& index,
-    const DcSatOptions& options) const {
-  Stopwatch total_watch;
-  if (cached_version_ != db_->version() || !fd_graph_.has_value()) {
-    return Status::Internal(
-        "CheckTemplateBatch requires fresh steady-state caches; call "
-        "PrepareSteadyState after the last database mutation");
-  }
-  if (!generalized.has_head()) {
-    return Status::InvalidArgument(
-        "CheckTemplateBatch needs an answer-producing generalized query "
-        "(template parameters projected into the head)");
-  }
-  const QueryAnalysis& analysis = generalized.analysis();
-  if (!analysis.monotone) {
-    return Status::InvalidArgument(
-        "CheckTemplateBatch requires a monotone template class (" +
-        analysis.monotone_reason + ")");
-  }
-
-  TemplateBatchResult result;
-  result.outcomes.assign(bindings.size(), TemplateBatchOutcome::kUndecided);
-  result.stats.steady_cache_hit = true;
-  result.stats.num_pending = db_->PendingIds().size();
-  result.stats.threads_used = 1;
-
-  // Duplicate bindings share one slot (and hence one evaluation).
-  const auto& slot_of = index.slot_of;
-  const std::size_t num_unique = index.num_unique;
-  std::vector<TemplateBatchOutcome> outcome(num_unique,
-                                            TemplateBatchOutcome::kUndecided);
-  std::vector<bool> settled(num_unique, false);
-  std::size_t unsettled = num_unique;
-  auto settle = [&](std::size_t slot, TemplateBatchOutcome verdict) {
-    if (settled[slot]) return;
-    settled[slot] = true;
-    outcome[slot] = verdict;
-    --unsettled;
-  };
-
-  std::optional<Budget> budget_storage;
-  const Budget* budget = nullptr;
-  if (!options.budget.unlimited()) {
-    budget_storage.emplace(options.budget);
-    budget = &*budget_storage;
-  }
-
-  // --- Phase H: answers over R alone. A binding answered by the current
-  // state has already happened — the per-member equivalent of the base-world
-  // probe, shared across the whole class.
-  if (unsettled > 0) {
-    ++result.stats.num_worlds_evaluated;
-    generalized.EnumerateAnswers(db_->BaseView(), [&](const Tuple& answer) {
-      auto it = slot_of.find(answer);
-      if (it != slot_of.end()) settle(it->second, TemplateBatchOutcome::kHappened);
-      return unsettled > 0;
-    });
-  }
-
-  // --- Phase P: answers over R ∪ T. Monotonicity makes this elimination
-  // exact: a binding with no satisfying assignment even when every pending
-  // transaction is active has none in any possible world (the shared
-  // equivalent of the per-member pre-check).
-  std::vector<bool> alive(num_unique, false);
-  if (unsettled > 0) {
-    std::size_t alive_unsettled = 0;
-    ++result.stats.num_worlds_evaluated;
-    generalized.EnumerateAnswers(
-        db_->PendingUnionView(), [&](const Tuple& answer) {
-          auto it = slot_of.find(answer);
-          if (it != slot_of.end() && !settled[it->second] &&
-              !alive[it->second]) {
-            alive[it->second] = true;
-            ++alive_unsettled;
-          }
-          return alive_unsettled < unsettled;
-        });
-    for (std::size_t slot = 0; slot < num_unique; ++slot) {
-      if (!settled[slot] && !alive[slot]) {
-        settle(slot, TemplateBatchOutcome::kImpossible);
-      }
-    }
-  }
-
-  // --- Survivors: one shared component decomposition and clique
-  // enumeration. Every maximal world evaluated marks all the bindings it
-  // answers, so each additional member costs one hash lookup per answer.
-  if (unsettled > 0) {
-    Stopwatch graph_watch;
-    result.stats.num_valid_nodes = fd_graph_->valid_nodes().Count();
-    result.stats.fd_conflict_pairs = fd_graph_->num_conflict_pairs();
-
-    // Θ_I ∪ Θ_template components when the generalized query is connected
-    // (the class analogue of OptDCSat); otherwise one all-valid-nodes
-    // component (NaiveDCSat). `template_equalities` is coarser than every
-    // member's Θ_q, so any member's support stays within one component.
-    const bool opt = analysis.connected;
-    const std::vector<std::vector<PendingId>> components =
-        Decompose(opt ? &template_equalities : nullptr, /*scratch=*/nullptr);
-    result.stats.algorithm_used =
-        opt ? DcSatAlgorithm::kOpt : DcSatAlgorithm::kNaive;
-    result.stats.num_components = components.size();
-    result.stats.graph_seconds = graph_watch.ElapsedSeconds();
-
-    // The generalized query carries only the class's literal constants
-    // (parameters are variables), so its cover filter drops a subset of
-    // what any member's own probe would drop — sound for every binding.
-    // One worker: the visitor mutates the shared settle state.
-    SearchComponents(
-        components, opt && options.use_covers ? &generalized : nullptr,
-        /*num_threads=*/1, budget, options.use_pivot,
-        [&](const WorldView& world) {
-          generalized.EnumerateAnswers(world, [&](const Tuple& answer) {
-            auto it = slot_of.find(answer);
-            if (it != slot_of.end()) {
-              settle(it->second, TemplateBatchOutcome::kPossible);
-            }
-            return unsettled > 0;
-          });
-          return unsettled == 0;  // Stop once every binding is settled.
-        },
-        result.stats);
-
-    if (!result.stats.budget_expired) {
-      // The enumeration ran to completion (or every binding settled): any
-      // remaining survivor was answered by no maximal world, so no possible
-      // world satisfies it.
-      for (std::size_t slot = 0; slot < num_unique; ++slot) {
-        if (!settled[slot]) settle(slot, TemplateBatchOutcome::kImpossible);
-      }
-    }
-  }
-
-  for (std::size_t i = 0; i < bindings.size(); ++i) {
-    result.outcomes[i] = outcome[index.slots[i]];
-  }
-  result.stats.total_seconds = total_watch.ElapsedSeconds();
-  return result;
 }
 
 }  // namespace bcdb

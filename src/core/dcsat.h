@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -11,7 +10,6 @@
 
 #include "analysis/analyzer.h"
 #include "core/blockchain_db.h"
-#include "util/flat_table.h"
 #include "core/fd_graph.h"
 #include "core/ind_graph.h"
 #include "query/ast.h"
@@ -182,41 +180,6 @@ struct DcSatResult {
   DcSatStats stats;
 };
 
-/// Per-binding verdict of one CheckTemplateBatch call.
-enum class TemplateBatchOutcome {
-  /// The grounded constraint already holds over the current state R alone.
-  kHappened,
-  /// Some possible world satisfies the grounded constraint (but not R).
-  kPossible,
-  /// No possible world satisfies the grounded constraint: D |= ¬q_b.
-  kImpossible,
-  /// The shared budget expired before this binding settled.
-  kUndecided,
-};
-
-struct TemplateBatchResult {
-  /// One outcome per input binding, in input order (duplicates allowed;
-  /// they share one evaluation and receive identical outcomes).
-  std::vector<TemplateBatchOutcome> outcomes;
-  DcSatStats stats;
-};
-
-/// Reusable dedup index over one class's binding list. At 10^5+ members the
-/// dominant batch cost is re-hashing every binding tuple per call; a caller
-/// holding a stable member list builds this once and passes it to
-/// CheckTemplateBatch on every poll, reducing per-member setup to an array
-/// read. Only valid for the exact binding vector it was built from —
-/// rebuild whenever that list changes.
-struct TemplateBindingIndex {
-  /// Unique binding -> evaluation slot in [0, num_unique).
-  FlatIdMap<Tuple, std::size_t, TupleHash, TupleEq> slot_of;
-  /// Input position -> evaluation slot (duplicates share a slot).
-  std::vector<std::size_t> slots;
-  std::size_t num_unique = 0;
-
-  static TemplateBindingIndex Build(const std::vector<Tuple>& bindings);
-};
-
 /// Decides denial-constraint satisfaction over one blockchain database,
 /// owning the steady-state structures of paper Section 6.3: the
 /// fd-transaction graph, the Θ_I part of the ind-graph components, and the
@@ -269,45 +232,6 @@ class DcSatEngine {
   /// every check, so the class stays data-independent).
   AnalysisReport Analyze(const DenialConstraint& q) const;
 
-  /// Batch evaluation of one template class (paper Section 6 machinery run
-  /// once per class instead of once per constraint): `generalized` is the
-  /// class's generalized query — template parameters projected into head
-  /// variables, compiled against the current database — and each `bindings`
-  /// entry is one member's parameter tuple (interned ValueIds, in the
-  /// template's parameter order). One answer enumeration over R classifies
-  /// kHappened, one over R ∪ T eliminates the impossible (the query is
-  /// monotone by admission), and one shared Θ_I ∪ Θ_template component
-  /// decomposition plus clique enumeration decides the survivors — each
-  /// evaluated world marks every binding it answers, so per-binding work is
-  /// one hash lookup at the leaves. The survivor search is the same
-  /// component-search driver Check uses, run on one worker.
-  /// `template_equalities` must come from TemplateEqualitiesFromQuery on
-  /// the generalized query (coarser than any member's Θ_q, which keeps the
-  /// shared decomposition sound for every binding). Outcomes are
-  /// bit-identical to running the serial grounded check per member under
-  /// unlimited budgets.
-  ///
-  /// Same contract as CheckPrepared: requires fresh steady-state caches
-  /// (Internal otherwise), const, callable concurrently for different
-  /// classes as long as `options.num_threads` == 1 and the database is not
-  /// mutated. The budget is shared across the whole class; bindings still
-  /// unsettled at expiry come back kUndecided.
-  StatusOr<TemplateBatchResult> CheckTemplateBatch(
-      const CompiledQuery& generalized,
-      const std::vector<EqualityConstraint>& template_equalities,
-      const std::vector<Tuple>& bindings, const DcSatOptions& options) const;
-
-  /// As above, with the binding dedup index prebuilt by the caller
-  /// (TemplateBindingIndex::Build over the same `bindings` vector). This is
-  /// the steady-state polling entry point: the index survives across polls
-  /// while the member list is unchanged, so the batch pays no per-member
-  /// hashing on the way in or out.
-  StatusOr<TemplateBatchResult> CheckTemplateBatch(
-      const CompiledQuery& generalized,
-      const std::vector<EqualityConstraint>& template_equalities,
-      const std::vector<Tuple>& bindings, const TemplateBindingIndex& index,
-      const DcSatOptions& options) const;
-
   /// Forces cache (re)construction; returns the fd graph for inspection.
   const FdGraph& PrepareSteadyState();
 
@@ -319,13 +243,13 @@ class DcSatEngine {
   /// Capacity of the compiled-query cache (FIFO eviction beyond it).
   static constexpr std::size_t kCompiledCacheCapacity = 32;
 
-  /// Compiled-query cache for Check. Monitors, pollers and benchmark
-  /// harnesses re-check the same constraints over an unchanged database;
-  /// recompiling per check (plan construction, structural analysis, Θ_q
-  /// derivation, static classification) is pure overhead there. Keyed by
-  /// query text and database version — conservative, since plans are
-  /// structural, but cover probes and size hints are only validated against
-  /// the version they compiled at.
+  /// Compiled-query cache for Check. Pollers and benchmark harnesses
+  /// re-check the same constraints; recompiling per check (plan
+  /// construction, structural analysis, Θ_q derivation, static
+  /// classification) is pure overhead there. Keyed by query text alone:
+  /// plans and classes depend only on the query's structure, so one entry
+  /// stays valid across database mutations (see CompiledQuery). Fails on a
+  /// query with unbound parameters.
   ///
   /// Entries are shared-ownership: the returned query stays valid for as
   /// long as the caller holds the pointer, across arbitrary later compiles,
@@ -363,17 +287,12 @@ class DcSatEngine {
       const std::vector<EqualityConstraint>* equalities,
       UnionFind* scratch) const;
 
-  /// Receives each maximal world the clique search builds; returns true to
-  /// stop the search. Called concurrently when the search has several
-  /// workers.
-  using WorldVisitor = std::function<bool(const WorldView&)>;
-
-  /// The component-search driver shared by every clique-search path: per
-  /// component, the cover filter (`covers`' CoversConstants; none when
-  /// null), ChargeComponent, Bron–Kerbosch over the component with
-  /// ChargeClique/ChargeWorld per clique, GetMaximal, then `visit`. Returns
-  /// the active pending ids of the world whose visit stopped the search — the
-  /// first such world of the lowest stopping component — or nullopt.
+  /// The component search of the Naive and Opt paths: per component, the
+  /// cover filter (`query`'s CoversConstants, when `use_covers`),
+  /// ChargeComponent, Bron–Kerbosch over the component with
+  /// ChargeClique/ChargeWorld per clique, GetMaximal, then `query` over the
+  /// maximal world. Returns the active pending ids of the first world that
+  /// satisfies `query` in the lowest such component, or nullopt.
   /// Accumulates the coverage, completion, clique, world and cancellation
   /// counts into `stats` and sets `stats.budget_expired` when `budget` (may
   /// be null) ended some component early. `num_threads` as in DcSatOptions:
@@ -382,9 +301,8 @@ class DcSatEngine {
   /// engine pool, and a stop cancels only higher-index components.
   std::optional<std::vector<PendingId>> SearchComponents(
       const std::vector<std::vector<PendingId>>& components,
-      const CompiledQuery* covers, std::size_t num_threads,
-      const Budget* budget, bool use_pivot, const WorldVisitor& visit,
-      DcSatStats& stats) const;
+      const CompiledQuery& query, bool use_covers, std::size_t num_threads,
+      const Budget* budget, bool use_pivot, DcSatStats& stats) const;
 
   void RefreshCaches();
   /// Patches fd_graph_/theta_i_ from the mutation events since
@@ -414,7 +332,6 @@ class DcSatEngine {
   /// callers may still hold.
   struct CompiledCacheEntry {
     std::string text;
-    std::uint64_t version;
     std::shared_ptr<const CompiledQuery> compiled;
     /// The query's static class, computed once when it compiled.
     TractabilityClass klass;

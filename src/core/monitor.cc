@@ -8,7 +8,6 @@
 #include "query/analysis.h"
 #include "query/compiled_query.h"
 #include "query/parser.h"
-#include "util/union_find.h"
 
 namespace bcdb {
 
@@ -19,20 +18,6 @@ namespace {
 /// never resolve against the wrong one.
 std::atomic<std::uint64_t> g_monitor_uid BCDB_LOCK_FREE(
     "relaxed fetch_add id mint; uniqueness is all that matters") {1};
-
-ConstraintMonitor::Verdict FromOutcome(TemplateBatchOutcome outcome) {
-  switch (outcome) {
-    case TemplateBatchOutcome::kHappened:
-      return ConstraintMonitor::Verdict::kHappened;
-    case TemplateBatchOutcome::kPossible:
-      return ConstraintMonitor::Verdict::kPossible;
-    case TemplateBatchOutcome::kImpossible:
-      return ConstraintMonitor::Verdict::kImpossible;
-    case TemplateBatchOutcome::kUndecided:
-      return ConstraintMonitor::Verdict::kUndecided;
-  }
-  return ConstraintMonitor::Verdict::kUndecided;
-}
 
 }  // namespace
 
@@ -86,10 +71,20 @@ std::string ConstraintMonitor::BindingSummary(const Tuple& binding) {
   return binding.ToString();
 }
 
-std::size_t ConstraintMonitor::CreateClass(std::string label,
-                                           ConstraintTemplate tmpl,
-                                           TemplateAnalysis analysis) {
+StatusOr<std::size_t> ConstraintMonitor::CreateClass(
+    std::string label, ConstraintTemplate tmpl, TemplateAnalysis analysis) {
   TemplateClass cls;
+  // Plans depend only on the query's structure, so each is compiled once
+  // here and serves every later poll whatever the database does.
+  StatusOr<CompiledQuery> plan =
+      CompiledQuery::Compile(tmpl.constraint(), &db_->database());
+  if (!plan.ok()) return plan.status();
+  cls.plan = std::move(*plan);
+  if (analysis.batchable) {
+    StatusOr<CompiledQuery> generalized =
+        CompiledQuery::Compile(tmpl.Generalized(), &db_->database());
+    if (generalized.ok()) cls.generalized = std::move(*generalized);
+  }
   cls.label = std::move(label);
   cls.key = std::move(analysis.class_key);
   // The dirty filter keys on the analyzer's IND-closed footprint: the
@@ -99,20 +94,7 @@ std::size_t ConstraintMonitor::CreateClass(std::string label,
   // R churn even though the constraint never mentions R.
   cls.relation_ids = analysis.report.footprint;
   cls.always_dirty = !analysis.report.analysis.monotone;
-  cls.batchable = analysis.batchable;
   cls.report = std::move(analysis.report);
-  if (cls.batchable) {
-    cls.generalized = tmpl.Generalized();
-    StatusOr<std::vector<EqualityConstraint>> equalities =
-        TemplateEqualitiesFromQuery(cls.generalized, db_->database().catalog());
-    if (equalities.ok()) {
-      cls.template_equalities = std::move(*equalities);
-    } else {
-      // Admission should have caught anything that trips equality
-      // derivation; fall back to per-member evaluation rather than fail.
-      cls.batchable = false;
-    }
-  }
   cls.tmpl = std::move(tmpl);
   classes_.push_back(std::move(cls));
   return classes_.size() - 1;
@@ -121,9 +103,15 @@ std::size_t ConstraintMonitor::CreateClass(std::string label,
 MonitorHandle ConstraintMonitor::AppendEntry(Entry entry) {
   const std::size_t slot = entries_.size();
   TemplateClass& cls = classes_[entry.class_id];
-  cls.members.push_back(slot);
-  ++cls.live_members;
-  ++cls.members_version;
+  if (cls.generalized.has_value()) {
+    entry.unique_slot =
+        cls.unique_of.try_emplace(entry.binding, cls.unique_of.size())
+            .first->second;
+    if (entry.unique_slot == cls.live_per_unique.size()) {
+      cls.live_per_unique.push_back(0);
+    }
+    if (cls.live_per_unique[entry.unique_slot]++ == 0) ++cls.unique_live;
+  }
   entries_.push_back(std::move(entry));
   ++live_count_;
   return MonitorHandle(slot, uid_);
@@ -145,10 +133,10 @@ StatusOr<MonitorHandle> ConstraintMonitor::Add(std::string label,
 
   // Canonicalize into (template, binding): constants become parameters, and
   // the α-renamed skeleton plus IND-closed footprint keys the class — a
-  // million structurally identical Adds land in one class and, when batch
-  // admitted, cost one shared check per poll. The grounded footprint equals
-  // the class footprint (relations are binding-independent), so the key can
-  // be built without re-running the template analyzer on every Add.
+  // million structurally identical Adds land in one class and share its
+  // compiled plan. The grounded footprint equals the class footprint
+  // (relations are binding-independent), so the key can be built without
+  // re-running the template analyzer on every Add.
   StatusOr<CanonicalizedConstraint> canon = ConstraintTemplate::Canonicalize(q);
   if (!canon.ok()) return canon.status();
   std::string key = canon->tmpl.CanonicalSkeleton() + "#fp:";
@@ -165,8 +153,10 @@ StatusOr<MonitorHandle> ConstraintMonitor::Add(std::string label,
     TemplateAnalysis analysis =
         AnalyzeTemplate(canon->tmpl, db_->database(), db_->constraints());
     std::string class_label = canon->tmpl.CanonicalSkeleton();
-    class_id = CreateClass(std::move(class_label), std::move(canon->tmpl),
-                           std::move(analysis));
+    StatusOr<std::size_t> created = CreateClass(
+        std::move(class_label), std::move(canon->tmpl), std::move(analysis));
+    if (!created.ok()) return created.status();
+    class_id = *created;
     class_by_key_.emplace(std::move(key), class_id);
   }
 
@@ -174,8 +164,8 @@ StatusOr<MonitorHandle> ConstraintMonitor::Add(std::string label,
   entry.class_id = class_id;
   entry.label = std::move(label);
   entry.binding = Tuple(canon->binding);
-  entry.q = std::move(q);
-  entry.report = std::move(report);
+  entry.grounded = std::make_unique<Grounded>(
+      Grounded{std::move(q), std::move(report), std::nullopt});
   return AppendEntry(std::move(entry));
 }
 
@@ -196,9 +186,10 @@ StatusOr<TemplateHandle> ConstraintMonitor::RegisterTemplate(
                                    "' rejected by static analysis: " +
                                    analysis.report.ErrorSummary());
   }
-  const std::size_t class_id =
+  StatusOr<std::size_t> class_id =
       CreateClass(std::move(label), std::move(tmpl), std::move(analysis));
-  return TemplateHandle(class_id, uid_);
+  if (!class_id.ok()) return class_id.status();
+  return TemplateHandle(*class_id, uid_);
 }
 
 StatusOr<TemplateHandle> ConstraintMonitor::RegisterTemplate(
@@ -218,67 +209,37 @@ StatusOr<MonitorHandle> ConstraintMonitor::Bind(
             : "invalid template handle");
   }
   const TemplateClass& cls = classes_[tmpl.value()];
-  if (binding.size() != cls.tmpl.num_params()) {
-    return Status::InvalidArgument(
-        "binding has " + std::to_string(binding.size()) +
-        " values but template '" + cls.label + "' has " +
-        std::to_string(cls.tmpl.num_params()) + " parameters");
-  }
-
   Entry entry;
   entry.class_id = tmpl.value();
   entry.binding = Tuple(binding);
+  // The class plan applies the grounded compiler's type rule, so a binding
+  // the instantiated constraint would be rejected for fails here, not at
+  // its first search.
+  BCDB_RETURN_IF_ERROR(cls.plan->ValidateBinding(entry.binding));
   entry.label = cls.label + BindingSummary(entry.binding);
-  if (cls.batchable && options_.enable_template_batching) {
-    // Batch members skip per-member grounding; mirror the grounded
-    // compiler's constant type check so a bad binding is rejected here,
-    // not silently never matched at the leaves.
-    const Catalog& catalog = db_->database().catalog();
-    const DenialConstraint& q = cls.tmpl.constraint();
-    for (std::size_t p = 0; p < cls.tmpl.param_sites().size(); ++p) {
-      for (const ParamSite& site : cls.tmpl.param_sites()[p]) {
-        if (site.kind != ParamSite::Kind::kPositiveAtom) continue;
-        const Atom& atom = q.positive_atoms[site.element_index];
-        StatusOr<std::size_t> rel_id = catalog.RelationId(atom.relation);
-        if (!rel_id.ok()) continue;  // Admission already vetted the schema.
-        const RelationSchema& schema = catalog.schema(*rel_id);
-        if (site.arg_index >= schema.arity()) continue;
-        const Value& v = binding[p];
-        const ValueType expected = schema.attribute(site.arg_index).type;
-        const bool numeric_ok =
-            v.IsNumeric() && (expected == ValueType::kInt ||
-                              expected == ValueType::kReal);
-        if (v.type() != expected && !numeric_ok) {
-          return Status::InvalidArgument(
-              "binding value " + v.ToString() + " for parameter '$" +
-              cls.tmpl.param_names()[p] + "' has wrong type (expected " +
-              ValueTypeToString(expected) + " at position " +
-              std::to_string(site.arg_index) + " of atom " + atom.ToString() +
-              ")");
-        }
-      }
-    }
-  } else {
-    // Per-member evaluation needs the grounded machinery up front; this
-    // also gives Bind the same full-analysis rejection surface as Add.
-    BCDB_RETURN_IF_ERROR(GroundEntry(entry));
-  }
   return AppendEntry(std::move(entry));
 }
 
 Status ConstraintMonitor::GroundEntry(Entry& entry) {
-  const TemplateClass& cls = classes_[entry.class_id];
-  StatusOr<DenialConstraint> grounded =
-      cls.tmpl.Instantiate(entry.binding.values());
-  if (!grounded.ok()) return grounded.status();
-  AnalysisReport report = engine_.Analyze(*grounded);
-  if (!report.ok()) {
-    return Status::InvalidArgument(
-        "binding " + BindingSummary(entry.binding) + " for template '" +
-        cls.label + "' rejected by static analysis: " + report.ErrorSummary());
+  if (entry.grounded == nullptr) {
+    const TemplateClass& cls = classes_[entry.class_id];
+    StatusOr<DenialConstraint> grounded =
+        cls.tmpl.Instantiate(entry.binding.values());
+    if (!grounded.ok()) return grounded.status();
+    AnalysisReport report = engine_.Analyze(*grounded);
+    if (!report.ok()) {
+      return Status::InvalidArgument(
+          "binding " + BindingSummary(entry.binding) + " for template '" +
+          cls.label + "' rejected by static analysis: " +
+          report.ErrorSummary());
+    }
+    entry.grounded = std::make_unique<Grounded>(
+        Grounded{*std::move(grounded), std::move(report), std::nullopt});
   }
-  entry.q = *std::move(grounded);
-  entry.report = std::move(report);
+  StatusOr<CompiledQuery> compiled =
+      CompiledQuery::Compile(entry.grounded->q, &db_->database());
+  if (!compiled.ok()) return compiled.status();
+  entry.grounded->compiled = std::move(*compiled);
   return Status::OK();
 }
 
@@ -300,11 +261,12 @@ Status ConstraintMonitor::Remove(MonitorHandle handle) {
   }
   entry.removed = true;
   entry.verdict = Verdict::kUnknown;
-  entry.q.reset();
-  entry.report.reset();
-  entry.compiled.reset();
-  --classes_[entry.class_id].live_members;
-  ++classes_[entry.class_id].members_version;
+  entry.grounded.reset();
+  TemplateClass& cls = classes_[entry.class_id];
+  if (cls.generalized.has_value() &&
+      --cls.live_per_unique[entry.unique_slot] == 0) {
+    --cls.unique_live;
+  }
   --live_count_;
   return Status::OK();
 }
@@ -339,15 +301,77 @@ void ConstraintMonitor::AbsorbValidityDiff(const DynamicBitset& valid) {
   prev_valid_ = valid;
 }
 
-StatusOr<ConstraintMonitor::Verdict> ConstraintMonitor::EvaluateEntry(
-    const Entry& entry, const DcSatOptions& options) const {
-  // Happened? Evaluate over the current state only.
-  if (entry.compiled->Evaluate(db_->BaseView())) return Verdict::kHappened;
-  StatusOr<DcSatResult> result =
-      engine_.CheckPrepared(*entry.q, *entry.compiled, *entry.report, options);
-  if (!result.ok()) return result.status();
-  if (!result->decided) return Verdict::kUndecided;
-  return result->satisfied ? Verdict::kImpossible : Verdict::kPossible;
+void ConstraintMonitor::SettleByAnswers(const TemplateClass& cls,
+                                        const std::vector<std::size_t>& slots,
+                                        const Entry* entries,
+                                        const WorldView& base,
+                                        const WorldView* pending_union,
+                                        std::vector<Verdict>& verdicts) {
+  // Per distinct binding: not selected, open, answered over R, or answered
+  // over R ∪ T. A pass stops once no open binding is left to answer.
+  enum : char { kIdle, kOpen, kAnsweredOverBase, kAnsweredOverUnion };
+  std::vector<char> state(cls.live_per_unique.size(), kIdle);
+  std::size_t open = 0;
+  for (std::size_t slot : slots) {
+    char& s = state[entries[slot].unique_slot];
+    if (s == kIdle) {
+      s = kOpen;
+      ++open;
+    }
+  }
+  auto answer_pass = [&](const WorldView& view, char answered) {
+    if (open == 0) return;
+    cls.generalized->EnumerateAnswers(view, [&](const Tuple& answer) {
+      auto it = cls.unique_of.find(answer);
+      if (it != cls.unique_of.end() && state[it->second] == kOpen) {
+        state[it->second] = answered;
+        --open;
+      }
+      return open > 0;
+    });
+  };
+  answer_pass(base, kAnsweredOverBase);
+  if (pending_union != nullptr) answer_pass(*pending_union, kAnsweredOverUnion);
+  for (std::size_t slot : slots) {
+    const char s = state[entries[slot].unique_slot];
+    if (s == kAnsweredOverBase) {
+      verdicts[slot] = Verdict::kHappened;
+    } else if (s == kOpen && pending_union != nullptr) {
+      verdicts[slot] = Verdict::kImpossible;
+    }
+  }
+}
+
+bool ConstraintMonitor::FanOut(std::size_t n, std::size_t width,
+                               const std::function<void(std::size_t)>& task) {
+  if (std::min(width, n) <= 1) {
+    for (std::size_t i = 0; i < n; ++i) task(i);
+    return false;
+  }
+  // The pool is sized once to the requested width and reused across polls:
+  // only the number of submitted tasks tracks the dirty count, which
+  // fluctuates every poll in steady state.
+  if (pool_ == nullptr || pool_->num_threads() != width) {
+    pool_ = std::make_shared<ThreadPool>(width);
+  }
+  std::vector<std::future<void>> futures;
+  futures.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    futures.push_back(pool_->Submit([&task, i] { task(i); }));
+  }
+  // Join every future before an exception can propagate: rethrowing from
+  // the first get() while sibling tasks still reference the caller's
+  // stack-local state would be use-after-scope UB.
+  std::exception_ptr first_error;
+  for (std::future<void>& future : futures) {
+    try {
+      future.get();
+    } catch (...) {
+      if (first_error == nullptr) first_error = std::current_exception();
+    }
+  }
+  if (first_error != nullptr) std::rethrow_exception(first_error);
+  return true;
 }
 
 StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
@@ -356,18 +380,10 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
   ++poll_stats_.polls;
 
   // Phase 1 (single-threaded): refresh the engine's steady-state caches
-  // (incrementally when the mutation-delta path is eligible), settle the
-  // dirty-relation set, and compile the standing queries that will run.
-  // Compilation is what lazily builds hash indexes in the storage layer, so
-  // doing it all here leaves the parallel phase below strictly read-only.
+  // (incrementally when the mutation-delta path is eligible) and settle the
+  // dirty-relation set.
   const FdGraph& fd_graph = engine_.PrepareSteadyState();
   if (options_.dirty_tracking) AbsorbValidityDiff(fd_graph.valid_nodes());
-
-  // Batching only serves kAuto polls: an explicitly requested algorithm is
-  // honored exactly by grounding each member and running the per-member
-  // path (which validates the request against each instance).
-  const bool batching = options_.enable_template_batching &&
-                        options.algorithm == DcSatAlgorithm::kAuto;
 
   // The caller's explicit budget wins over the monitor's default and
   // applies to every entry; the monitor *default* only covers entries the
@@ -419,220 +435,119 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
     }
   }
 
-  // Group the selected members into evaluation tasks: one shared task per
-  // batch-admitted class (however many members), one task per remaining
-  // member. `items` are indices into to_evaluate.
-  //
-  // The worker lambda below runs on pool threads while this thread keeps
-  // the monitor lock held, so workers must never touch the guarded tables
-  // directly. Each task therefore carries an immutable view — pointers to
-  // the class's compiled query/equalities/binding cache (stable: nothing
-  // mutates classes_/entries_ until every worker has joined) plus its
-  // output slots — all resolved here under the lock.
-  struct PollTask {
-    bool batch = false;
-    std::size_t class_id = 0;
-    std::vector<std::size_t> items;
-    // Batch tasks: the resolved batch inputs. `index` is non-null iff the
-    // task evaluates through the class's cached binding list + dedup index
-    // (full live membership — the steady state) instead of a fresh gather
-    // (see TemplateClass::cached_bindings).
-    const CompiledQuery* compiled = nullptr;
-    const std::vector<EqualityConstraint>* equalities = nullptr;
-    const std::vector<Tuple>* bindings = nullptr;
-    const TemplateBindingIndex* index = nullptr;
-    std::vector<Tuple> gathered_bindings;  // Backing store when not cached.
-    std::vector<std::size_t> slots;  // Verdict slot per batch outcome.
-    // Single tasks: the entry to evaluate and its verdict slot.
-    const Entry* entry = nullptr;
-    std::size_t slot = 0;
+  // Phase 2: settle what the class plans can. One probe task per dirty
+  // class — answer passes for a projectable class with more distinct
+  // bindings than its generalized plan's driving relation has tuples,
+  // member-by-member probes (split across the workers) otherwise. Workers
+  // read entries through `entry_table` and classes through task pointers,
+  // both resolved here under the lock, which this thread holds until every
+  // worker has joined; verdicts are keyed by entry slot, and kUnknown after
+  // this phase marks a survivor.
+  const WorldView base = db_->BaseView();
+  const WorldView pending_union = db_->PendingUnionView();
+  const std::size_t width = ThreadPool::EffectiveThreads(options.num_threads);
+  const Entry* entry_table = entries_.data();
+  struct ProbeTask {
+    const TemplateClass* cls;
+    bool answer_passes;
+    std::vector<std::size_t> slots;
   };
-  std::vector<PollTask> tasks;
-  std::map<std::size_t, std::size_t> batch_task_of;
-  for (std::size_t i = 0; i < to_evaluate.size(); ++i) {
-    const Entry& entry = entries_[to_evaluate[i]];
-    const TemplateClass& cls = classes_[entry.class_id];
-    if (batching && cls.batchable) {
-      auto [it, inserted] = batch_task_of.emplace(entry.class_id, tasks.size());
-      if (inserted) {
-        tasks.push_back(
-            PollTask{.batch = true, .class_id = entry.class_id, .items = {}});
-      }
-      tasks[it->second].items.push_back(i);
-    } else {
-      tasks.push_back(
-          PollTask{.batch = false, .class_id = entry.class_id, .items = {i}});
+  constexpr std::size_t kNoTask = ~std::size_t{0};
+  std::vector<ProbeTask> tasks;
+  std::vector<std::size_t> task_of(classes_.size(), kNoTask);
+  std::size_t classes_batched = 0;
+  std::size_t members_batched = 0;
+  for (std::size_t slot : to_evaluate) {
+    const std::size_t class_id = entries_[slot].class_id;
+    const TemplateClass& cls = classes_[class_id];
+    if (task_of[class_id] == kNoTask) {
+      task_of[class_id] = tasks.size();
+      const bool answer_passes =
+          cls.generalized.has_value() &&
+          cls.unique_live > cls.generalized->driving_tuples();
+      tasks.push_back(ProbeTask{&cls, answer_passes, {}});
+      if (cls.generalized.has_value()) ++classes_batched;
+    }
+    tasks[task_of[class_id]].slots.push_back(slot);
+    if (cls.generalized.has_value()) ++members_batched;
+  }
+  for (std::size_t t = 0, n = tasks.size(); t < n; ++t) {
+    if (tasks[t].answer_passes) continue;
+    const std::size_t chunk = (tasks[t].slots.size() + width - 1) / width;
+    while (tasks[t].slots.size() > chunk) {
+      std::vector<std::size_t>& slots = tasks[t].slots;
+      std::vector<std::size_t> rest(slots.end() - chunk, slots.end());
+      slots.resize(slots.size() - chunk);
+      tasks.push_back(ProbeTask{tasks[t].cls, false, std::move(rest)});
     }
   }
-
-  // Compile (and, for members falling back to per-member evaluation,
-  // ground) everything that will run, and resolve each task's immutable
-  // worker view. Batch classes compile the generalized query once per
-  // database version; singles keep their own per-version compiled form.
-  const std::uint64_t version = db_->version();
-  for (PollTask& task : tasks) {
-    if (task.batch) {
-      TemplateClass& cls = classes_[task.class_id];
-      // The binding cache serves full-membership selections only — the
-      // steady state. A strict subset (some members backing off) keeps the
-      // cache intact for later polls but evaluates off a fresh gather.
-      if (task.items.size() == cls.live_members) {
-        if (cls.cached_members_version != cls.members_version) {
-          cls.cached_bindings.clear();
-          cls.cached_slots.clear();
-          cls.cached_bindings.reserve(cls.live_members);
-          cls.cached_slots.reserve(cls.live_members);
-          for (std::size_t slot : cls.members) {
-            const Entry& member = entries_[slot];
-            if (member.removed) continue;
-            cls.cached_bindings.push_back(member.binding);
-            cls.cached_slots.push_back(slot);
-          }
-          cls.cached_index = TemplateBindingIndex::Build(cls.cached_bindings);
-          cls.cached_members_version = cls.members_version;
-        }
-        task.bindings = &cls.cached_bindings;
-        task.index = &cls.cached_index;
-        task.slots = cls.cached_slots;
-      } else {
-        task.gathered_bindings.reserve(task.items.size());
-        task.slots.reserve(task.items.size());
-        for (std::size_t i : task.items) {
-          task.gathered_bindings.push_back(entries_[to_evaluate[i]].binding);
-          task.slots.push_back(to_evaluate[i]);
-        }
-        task.bindings = &task.gathered_bindings;
-      }
-      task.equalities = &cls.template_equalities;
-      if (cls.compiled.has_value() && cls.compiled_version == version) {
-        ++poll_stats_.compile_cache_hits;
-      } else {
-        StatusOr<CompiledQuery> compiled =
-            CompiledQuery::Compile(cls.generalized, &db_->database());
-        if (!compiled.ok()) return compiled.status();
-        cls.compiled = std::move(*compiled);
-        cls.compiled_version = version;
-        ++poll_stats_.compile_cache_misses;
-      }
-      task.compiled = &*cls.compiled;
-    } else {
-      Entry& entry = entries_[to_evaluate[task.items[0]]];
-      if (!entry.q.has_value()) {
-        // A batch member of a batchable class, selected while an explicit
-        // algorithm is in force: materialize its grounded form now.
-        BCDB_RETURN_IF_ERROR(GroundEntry(entry));
-      }
-      if (entry.compiled.has_value() && entry.compiled_version == version) {
-        ++poll_stats_.compile_cache_hits;
-      } else {
-        StatusOr<CompiledQuery> compiled =
-            CompiledQuery::Compile(*entry.q, &db_->database());
-        if (!compiled.ok()) return compiled.status();
-        entry.compiled = std::move(*compiled);
-        entry.compiled_version = version;
-        ++poll_stats_.compile_cache_misses;
-      }
-      task.entry = &entry;
-      task.slot = to_evaluate[task.items[0]];
-    }
-  }
-
-  // Per-task check options: serial (num_threads = 1 — with several standing
-  // classes the class-level fan-out already saturates the workers, and the
-  // engine's component pool is not re-entrant), with the escalated budget.
-  // A batch task shares one budget across the class, scaled by the largest
-  // participating member's escalation factor.
-  std::vector<DcSatOptions> task_options(tasks.size(), options);
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    task_options[t].num_threads = 1;
-    double scale = 1.0;
-    const AnalysisReport* report;
-    if (tasks[t].batch) {
-      report = &classes_[tasks[t].class_id].report;
-      for (std::size_t i : tasks[t].items) {
-        scale = std::max(scale, entries_[to_evaluate[i]].budget_scale);
-      }
-    } else {
-      const Entry& entry = entries_[to_evaluate[tasks[t].items[0]]];
-      report = &*entry.report;
-      scale = entry.budget_scale;
-    }
-    const BudgetLimits base_budget = base_budget_for(*report);
-    task_options[t].budget =
-        scale > 1.0 ? base_budget.Scaled(scale) : base_budget;
-  }
-
-  // Phase 2: evaluate every task over the shared read-only snapshot. The
-  // pool is sized once to the requested width and reused across polls —
-  // only the number of submitted tasks tracks the dirty count, which
-  // fluctuates every poll in steady state.
-  // Verdicts are keyed by entry slot: a cached batch task reports outcomes
-  // in its cached member order, which is a permutation of its selected
-  // items — slot indexing makes the two meet without a per-poll remap.
   std::vector<Verdict> verdicts(entries_.size(), Verdict::kUnknown);
-  std::vector<Status> statuses(tasks.size());
-  // Workers read only the task's resolved view (plus the locals above and
-  // the engine) — never the guarded tables, which stay under the monitor
-  // lock this thread holds until the join below.
-  auto run_task = [&](std::size_t t) {
-    const PollTask& task = tasks[t];
-    if (task.batch) {
-      StatusOr<TemplateBatchResult> result =
-          task.index != nullptr
-              ? engine_.CheckTemplateBatch(*task.compiled, *task.equalities,
-                                           *task.bindings, *task.index,
-                                           task_options[t])
-              : engine_.CheckTemplateBatch(*task.compiled, *task.equalities,
-                                           *task.bindings, task_options[t]);
-      if (!result.ok()) {
-        statuses[t] = result.status();
-        return;
-      }
-      for (std::size_t j = 0; j < task.slots.size(); ++j) {
-        verdicts[task.slots[j]] = FromOutcome(result->outcomes[j]);
-      }
-    } else {
-      StatusOr<Verdict> verdict = EvaluateEntry(*task.entry, task_options[t]);
-      if (verdict.ok()) {
-        verdicts[task.slot] = *verdict;
-      } else {
-        statuses[t] = verdict.status();
+  bool fanned_out = FanOut(tasks.size(), width, [&](std::size_t t) {
+    const TemplateClass& cls = *tasks[t].cls;
+    const WorldView* precheck =
+        options.use_precheck && !cls.always_dirty ? &pending_union : nullptr;
+    if (tasks[t].answer_passes) {
+      SettleByAnswers(cls, tasks[t].slots, entry_table, base, precheck,
+                      verdicts);
+      return;
+    }
+    for (std::size_t slot : tasks[t].slots) {
+      const Tuple& binding = entry_table[slot].binding;
+      if (cls.plan->Evaluate(base, binding)) {
+        verdicts[slot] = Verdict::kHappened;
+      } else if (precheck != nullptr &&
+                 !cls.plan->Evaluate(*precheck, binding)) {
+        verdicts[slot] = Verdict::kImpossible;
       }
     }
-  };
-  const std::size_t pool_width =
-      ThreadPool::EffectiveThreads(options.num_threads);
-  const std::size_t num_workers =
-      tasks.empty() ? 1 : std::min(pool_width, tasks.size());
-  if (num_workers > 1) {
-    if (pool_ == nullptr || pool_->num_threads() != pool_width) {
-      pool_ = std::make_shared<ThreadPool>(pool_width);
+  });
+
+  // Phase 3 (single-threaded): ground the survivors. Compiling builds hash
+  // indexes in the storage layer, which is not thread-safe, so it happens
+  // here between the fan-outs; a member compiles once and keeps its plan.
+  std::vector<std::size_t> survivors;
+  for (std::size_t slot : to_evaluate) {
+    if (verdicts[slot] == Verdict::kUnknown) survivors.push_back(slot);
+  }
+  for (std::size_t slot : survivors) {
+    Entry& entry = entries_[slot];
+    if (entry.grounded != nullptr && entry.grounded->compiled.has_value()) {
+      ++poll_stats_.compile_cache_hits;
+      continue;
     }
-    std::vector<std::future<void>> futures;
-    futures.reserve(tasks.size());
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      futures.push_back(pool_->Submit([&run_task, t] { run_task(t); }));
-    }
-    // Join every future before an exception can propagate: rethrowing from
-    // the first get() while sibling tasks still reference the stack-local
-    // verdicts/statuses vectors would be use-after-scope UB.
-    std::exception_ptr first_error;
-    for (std::future<void>& future : futures) {
-      try {
-        future.get();
-      } catch (...) {
-        if (first_error == nullptr) first_error = std::current_exception();
-      }
-    }
-    if (first_error != nullptr) std::rethrow_exception(first_error);
-    poll_stats_.threads_used = pool_->num_threads();
-    poll_stats_.constraints_parallel += to_evaluate.size();
-  } else {
-    for (std::size_t t = 0; t < tasks.size(); ++t) run_task(t);
-    poll_stats_.threads_used = 1;
+    BCDB_RETURN_IF_ERROR(GroundEntry(entry));
+    ++poll_stats_.compile_cache_misses;
   }
 
-  // Phase 3 (single-threaded): every status is checked before any verdict
+  // Phase 4: each survivor's own search, serial inside (num_threads = 1 —
+  // the member fan-out already saturates the workers, and the engine's
+  // component pool is not re-entrant), under its escalated budget.
+  std::vector<Status> statuses(survivors.size());
+  fanned_out |= FanOut(survivors.size(), width, [&](std::size_t i) {
+    const Entry& entry = entry_table[survivors[i]];
+    DcSatOptions check = options;
+    check.num_threads = 1;
+    const Grounded& grounded = *entry.grounded;
+    const BudgetLimits base_budget = base_budget_for(grounded.report);
+    check.budget = entry.budget_scale > 1.0
+                       ? base_budget.Scaled(entry.budget_scale)
+                       : base_budget;
+    StatusOr<DcSatResult> result =
+        engine_.CheckPrepared(grounded.q, *grounded.compiled, grounded.report,
+                              check);
+    if (!result.ok()) {
+      statuses[i] = result.status();
+    } else if (!result->decided) {
+      verdicts[survivors[i]] = Verdict::kUndecided;
+    } else {
+      verdicts[survivors[i]] =
+          result->satisfied ? Verdict::kImpossible : Verdict::kPossible;
+    }
+  });
+  poll_stats_.threads_used = width;
+  if (fanned_out) poll_stats_.constraints_parallel += to_evaluate.size();
+
+  // Phase 5 (single-threaded): every status is checked before any verdict
   // commits. Committing the leading entries and then erroring out would
   // swallow their transitions forever — the next poll sees the verdict
   // already updated and reports no Change. On error nothing commits and
@@ -640,16 +555,13 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
   for (const Status& status : statuses) {
     if (!status.ok()) return status;
   }
-  for (const PollTask& task : tasks) {
-    if (!task.batch) continue;
-    ++poll_stats_.classes_evaluated;
-    poll_stats_.constraints_batched += task.items.size();
-  }
+  poll_stats_.classes_evaluated += classes_batched;
+  poll_stats_.constraints_batched += members_batched;
   std::vector<Change> changes;
-  for (std::size_t i = 0; i < to_evaluate.size(); ++i) {
-    Entry& entry = entries_[to_evaluate[i]];
+  for (std::size_t slot : to_evaluate) {
+    Entry& entry = entries_[slot];
     ++poll_stats_.constraints_evaluated;
-    const Verdict verdict = verdicts[to_evaluate[i]];
+    const Verdict verdict = verdicts[slot];
     if (verdict == Verdict::kUndecided) {
       ++poll_stats_.undecided_verdicts;
       ++entry.undecided_streak;
@@ -676,7 +588,7 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
       entry.backoff_remaining = 0;
     }
     if (verdict != entry.verdict) {
-      changes.push_back(Change{MonitorHandle(to_evaluate[i], uid_),
+      changes.push_back(Change{MonitorHandle(slot, uid_),
                                entry.label, entry.verdict, verdict,
                                classes_[entry.class_id].label,
                                BindingSummary(entry.binding)});

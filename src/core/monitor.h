@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -15,6 +16,7 @@
 #include "query/template.h"
 #include "relational/tuple.h"
 #include "util/bitset.h"
+#include "util/flat_table.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -96,17 +98,6 @@ struct MonitorOptions {
   /// alter which tuple combinations are jointly possible) — and re-check
   /// on *any* mutation, skipping only fully quiescent polls.
   bool dirty_tracking = true;
-  /// Evaluate every batch-admitted template class with one shared check per
-  /// poll (DcSatEngine::CheckTemplateBatch) instead of one check per bound
-  /// member: one compiled query, one component decomposition, one clique
-  /// enumeration per class — per-member work shrinks to a hash lookup at the
-  /// leaves, so per-poll cost tracks the number of *classes*, not members.
-  /// Verdicts are identical to the per-member path (under unlimited budgets;
-  /// a budget is shared per class, so *which* members come back kUndecided
-  /// at expiry may differ). Polls that force an explicit algorithm
-  /// (options.algorithm != kAuto) fall back to per-member evaluation, which
-  /// honors the requested algorithm exactly.
-  bool enable_template_batching = true;
   /// Default per-constraint check budget applied by Poll whenever the
   /// caller's DcSatOptions leaves its own budget unlimited. With both
   /// unlimited (the default), checks run to completion exactly as before;
@@ -121,8 +112,7 @@ struct MonitorOptions {
   BudgetLimits budget;
   /// Escalation: each consecutive undecided verdict multiplies the entry's
   /// next budget by this factor (a later poll retries with more room), up
-  /// to max_budget_scale. 1 disables growth. A batched class runs under the
-  /// largest participating member's scale.
+  /// to max_budget_scale. 1 disables growth.
   double budget_growth = 2.0;
   /// Ceiling on the cumulative escalation factor.
   double max_budget_scale = 64.0;
@@ -146,18 +136,26 @@ struct MonitorOptions {
 /// class. Plain Add still accepts ground constraints and internally
 /// canonicalizes them — constants are extracted into a binding and the
 /// constant-free skeleton is hashed, so a million near-identical Adds
-/// collapse onto one class. Poll exploits the grouping: a batch-admitted
-/// class is decided by ONE shared check per poll regardless of how many
-/// members are bound (see MonitorOptions::enable_template_batching).
+/// collapse onto one class. What members of a class share is its compiled
+/// *class plan*: the template compiled once at registration, with each
+/// parameter a slot the member's binding fills (CompiledQuery).
 ///
-/// Poll evaluates independent constraint classes concurrently over a
-/// read-only snapshot: the engine's steady-state caches are refreshed once
+/// Poll decides every member with the same routine, over a read-only
+/// snapshot: the engine's steady-state caches are refreshed once
 /// (single-threaded, incrementally from the mutation-delta log when
-/// possible), every standing query is compiled once per database version
-/// (the compiled-query cache — steady-state polling stops paying
-/// compilation), only *dirty* constraints — those whose referenced
-/// relations intersect the transactions changed since the previous poll —
-/// are re-evaluated, and only then is the per-class work fanned out.
+/// possible), and only *dirty* members — those whose class footprint
+/// intersects the transactions changed since the previous poll — are
+/// re-evaluated:
+///   1. a "happened" probe: the class plan over R with the member's binding;
+///   2. for monotone classes, the pre-check probe over R ∪ T (false there
+///      means impossible in every world);
+///   3. only if neither settles it, the member's own grounded check
+///      (DcSatEngine::CheckPrepared with its own budget), compiled the first
+///      time the member gets this far and reused ever after.
+/// A projectable class with more distinct bindings than the relation its
+/// generalized plan starts from has stored tuples runs steps 1 and 2 set at
+/// a time instead: one answer enumeration over R and one over R ∪ T. The
+/// probes and the searches each fan out over a reusable worker pool.
 ///
 /// Thread safety: every public method serializes on one internal lock
 /// (LockRank::kMonitor), so concurrent Poll calls, registrations, and
@@ -197,17 +195,19 @@ class ConstraintMonitor {
   /// Cumulative counters for the steady-state behaviour of Poll.
   struct PollStats {
     std::size_t polls = 0;
-    std::size_t compile_cache_hits = 0;    // Query reused across polls.
-    std::size_t compile_cache_misses = 0;  // Compiled (version changed).
+    /// Searches that reused their member's grounded plan.
+    std::size_t compile_cache_hits = 0;
+    /// Grounded plans compiled: a member's first search.
+    std::size_t compile_cache_misses = 0;
     std::size_t constraints_evaluated = 0;  // Entries re-checked successfully.
     std::size_t constraints_skipped = 0;    // Entries clean — verdict kept.
-    std::size_t threads_used = 1;     // Last poll's worker-pool width.
-    std::size_t constraints_parallel = 0;  // Entries evaluated on the pool.
+    std::size_t threads_used = 1;  // Last poll's requested fan-out width.
+    std::size_t constraints_parallel = 0;  // Entries of polls that fanned out.
     std::size_t undecided_verdicts = 0;  // Checks whose budget expired.
     std::size_t budget_escalations = 0;  // Retries granted a larger budget.
     std::size_t backoff_skips = 0;  // Undecided entries sat out (backoff).
-    std::size_t classes_evaluated = 0;  // Shared batch checks run.
-    std::size_t constraints_batched = 0;  // Entries decided by batch checks.
+    std::size_t classes_evaluated = 0;  // Projectable classes evaluated.
+    std::size_t constraints_batched = 0;  // Their members evaluated.
   };
 
   /// `db` must outlive the monitor. The monitor subscribes to the
@@ -231,8 +231,7 @@ class ConstraintMonitor {
   /// Internally the constraint is canonicalized: every constant is
   /// extracted into a parameter binding and the constant-free skeleton
   /// (plus IND-closed footprint) keys a template class, so structurally
-  /// identical Adds share one class — and, when the class is batch
-  /// admitted, one shared check per poll.
+  /// identical Adds share one class and its compiled plan.
   StatusOr<MonitorHandle> Add(std::string label, DenialConstraint q);
 
   /// Convenience overload: parses `query_text` first, so callers with
@@ -240,11 +239,12 @@ class ConstraintMonitor {
   StatusOr<MonitorHandle> Add(std::string label, std::string_view query_text);
 
   /// Registers a constraint template — a constraint with `$name` constant
-  /// placeholders — as a new class. The template analyzer runs here:
-  /// binding-independent errors (unknown relation, arity mismatch, unsafe
-  /// variable, ...) fail the registration, and the class is admitted for
-  /// batch evaluation when the analysis proves it projectable (Boolean,
-  /// non-aggregate, positive, every parameter in some positive atom).
+  /// placeholders — as a new class and compiles its class plan. The
+  /// template analyzer runs here: binding-independent errors (unknown
+  /// relation, arity mismatch, unsafe variable, ...) fail the registration.
+  /// A class the analysis proves projectable (Boolean, non-aggregate,
+  /// positive, every parameter in some positive atom) also gets the
+  /// generalized plan its set-at-a-time answer passes run.
   /// Each call creates a distinct class, even for an identical template —
   /// the label names the class in Change records and introspection.
   StatusOr<TemplateHandle> RegisterTemplate(std::string label,
@@ -258,10 +258,11 @@ class ConstraintMonitor {
   /// Binds one member of a template class: `binding[i]` substitutes the
   /// template's `param_names()[i]`. The member behaves exactly like an Add
   /// of the instantiated constraint — own handle, own verdict, own Change
-  /// records — but is evaluated through the class's shared batch check when
-  /// the class is admitted. Fails with InvalidArgument on a handle from
+  /// records — but is probed through the class plan, and grounded only if
+  /// it reaches a search. Fails with InvalidArgument on a handle from
   /// another monitor, a binding of the wrong arity, or binding values whose
-  /// types the instantiated constraint would be rejected for.
+  /// types the instantiated constraint would be rejected for
+  /// (CompiledQuery::ValidateBinding).
   StatusOr<MonitorHandle> Bind(TemplateHandle tmpl,
                                const std::vector<Value>& binding);
 
@@ -309,11 +310,12 @@ class ConstraintMonitor {
     return entry != nullptr ? entry->label : std::string();
   }
 
-  /// The static analysis the entry was admitted under (classification,
-  /// footprint, diagnostics); nullptr for invalid or removed handles.
-  /// Add entries report their own grounded analysis; batch-evaluated
-  /// template members report the class-level analysis (binding-independent
-  /// by construction). The pointer borrows from the monitor and is valid
+  /// The static analysis of the entry (classification, footprint,
+  /// diagnostics); nullptr for invalid or removed handles. Add entries
+  /// report their own grounded analysis; bound template members report the
+  /// class-level analysis (binding-independent by construction) until their
+  /// first search grounds them, and their own from then on. The pointer
+  /// borrows from the monitor and is valid
   /// only until the next registration or removal (the tables may grow) —
   /// the same single-threaded introspection contract as before; do not
   /// cache it across mutating calls.
@@ -322,7 +324,7 @@ class ConstraintMonitor {
     MutexLock lock(mutex_);
     const Entry* entry = Find(handle);
     if (entry == nullptr) return nullptr;
-    if (entry->report.has_value()) return &*entry->report;
+    if (entry->grounded != nullptr) return &entry->grounded->report;
     return &classes_[entry->class_id].report;
   }
 
@@ -343,11 +345,12 @@ class ConstraintMonitor {
     return cls != nullptr ? &cls->report : nullptr;
   }
 
-  /// Whether the class is admitted for shared batch evaluation.
+  /// Whether the class is projectable: it has a generalized plan, so its
+  /// probes may run as set-at-a-time answer passes.
   bool template_batchable(TemplateHandle tmpl) const BCDB_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     const TemplateClass* cls = FindClass(tmpl);
-    return cls != nullptr && cls->batchable;
+    return cls != nullptr && cls->generalized.has_value();
   }
 
   /// The class's canonicalization key (α-renamed skeleton + IND-closed
@@ -361,10 +364,13 @@ class ConstraintMonitor {
   /// Re-evaluates the dirty standing constraints against the current
   /// database state and returns the transitions since the previous poll
   /// (first poll reports every constraint as a transition from kUnknown).
-  /// `options.num_threads` picks the cross-class fan-out width
-  /// (0 = hardware concurrency, 1 = serial); each class's own check runs
-  /// serially — with many standing classes, class-level parallelism
-  /// subsumes component-level parallelism.
+  /// `options.num_threads` picks the fan-out width of the probes and the
+  /// searches (0 = hardware concurrency, 1 = serial); each member's own
+  /// check runs serially — with many standing members, member-level
+  /// parallelism subsumes component-level parallelism. `options.algorithm`
+  /// applies to the searches, so an explicitly requested algorithm is
+  /// validated only for members that reach a search; members the probes
+  /// settle never run it.
   StatusOr<std::vector<Change>> Poll(const DcSatOptions& options = {});
 
   /// Snapshot of the cumulative poll counters, taken under the monitor
@@ -383,50 +389,48 @@ class ConstraintMonitor {
   const DcSatEngine& engine() const { return engine_; }
 
  private:
-  /// One template class: the unit of batch evaluation, dirty tracking, and
-  /// compiled-query caching. Add-created classes are deduplicated by `key`;
-  /// RegisterTemplate always creates a fresh class.
+  /// One template class: the unit of registration, dirty tracking, and plan
+  /// sharing. Add-created classes are deduplicated by `key`; RegisterTemplate
+  /// always creates a fresh class.
   struct TemplateClass {
     std::string label;
     ConstraintTemplate tmpl;
     /// Canonical skeleton + IND-closed footprint: the isomorphism key.
     std::string key;
-    /// Class-level analysis: the generalized query's report for batchable
+    /// Class-level analysis: the generalized query's report for projectable
     /// classes (monotonicity, connectivity, tractability, and footprint are
     /// binding-independent facts), a dummy-typed instance's otherwise.
     AnalysisReport report;
-    /// Admitted for the shared batch evaluator.
-    bool batchable = false;
+    /// The class plan: the template compiled once, parameters as slots.
+    std::optional<CompiledQuery> plan;
+    /// Projectable classes only: the generalized plan (parameters projected
+    /// into head variables) the set-at-a-time answer passes enumerate.
+    std::optional<CompiledQuery> generalized;
     /// The analyzer's IND-closed footprint — the dirty-filter key. A
     /// mutation in R can change the possible worlds of an S-tuple when
     /// S[x] ⊆ R[a] ties them together, so members over S must re-evaluate
     /// on R churn even though the constraint never mentions R.
     std::vector<std::size_t> relation_ids;
     /// Not proved monotone (class-level — monotonicity is structural, so
-    /// it holds for every binding): never skipped by the dirty filter.
+    /// it holds for every binding): never skipped by the dirty filter, and
+    /// never settled by the R ∪ T pre-check probe.
     bool always_dirty = false;
-    /// Entry slots ever bound to this class (including removed ones).
-    std::vector<std::size_t> members;
-    std::size_t live_members = 0;
-    // Batch machinery (batchable classes only): the generalized query —
-    // parameters projected into head variables — its template-level
-    // equality skeleton, and the per-version compiled form.
-    DenialConstraint generalized;
-    std::vector<EqualityConstraint> template_equalities;
+    /// Projectable classes only, maintained by Bind/Add/Remove: each
+    /// distinct binding ever bound -> its dense slot (Entry::unique_slot),
+    /// the live members per slot, and how many slots have any.
+    FlatIdMap<Tuple, std::size_t, TupleHash, TupleEq> unique_of;
+    std::vector<std::size_t> live_per_unique;
+    std::size_t unique_live = 0;
+  };
+
+  /// Grounded machinery for one member's own search: the instantiated
+  /// constraint and its analysis (Add computes both at registration) and
+  /// the compiled grounded plan — compiled by GroundEntry the first time
+  /// the member reaches a search, then kept.
+  struct Grounded {
+    DenialConstraint q;
+    AnalysisReport report;
     std::optional<CompiledQuery> compiled;
-    std::uint64_t compiled_version = ~std::uint64_t{0};
-    // Batch-poll cache: the live members' bindings, their entry slots, and
-    // the dedup index CheckTemplateBatch consumes. Membership changes (Bind
-    // / Remove) bump members_version; the cache is rebuilt lazily on the
-    // next poll that selects the full live membership — the steady state —
-    // making per-poll batch setup O(1) instead of re-copying and re-hashing
-    // every binding. Polls that select a strict subset (members backing
-    // off) bypass the cache and build their binding list ad hoc.
-    std::uint64_t members_version = 0;
-    std::uint64_t cached_members_version = ~std::uint64_t{0};
-    std::vector<Tuple> cached_bindings;
-    std::vector<std::size_t> cached_slots;  // Entry slot per cached binding.
-    TemplateBindingIndex cached_index;
   };
 
   /// One standing constraint: a (class, binding) pair.
@@ -436,6 +440,8 @@ class ConstraintMonitor {
     /// The member's parameter values (interned, template order); empty for
     /// parameterless constraints.
     Tuple binding;
+    /// Index of `binding` in the class's unique_of (projectable classes).
+    std::size_t unique_slot = 0;
     Verdict verdict = Verdict::kUnknown;
     bool removed = false;
     /// Budget escalation state (see MonitorOptions): consecutive undecided
@@ -444,15 +450,10 @@ class ConstraintMonitor {
     std::size_t undecided_streak = 0;
     double budget_scale = 1.0;
     std::size_t backoff_remaining = 0;
-    // Grounded machinery, used when the entry is evaluated individually
-    // (non-batchable class, batching disabled, or an explicit-algorithm
-    // poll): the instantiated constraint, its own analysis, and the
-    // per-version compiled form. Materialized eagerly by Add and by Bind
-    // into a non-batched class, lazily otherwise.
-    std::optional<DenialConstraint> q;
-    std::optional<AnalysisReport> report;
-    std::optional<CompiledQuery> compiled;
-    std::uint64_t compiled_version = ~std::uint64_t{0};
+    /// The member's own search machinery; null until Add registers it or
+    /// the member first reaches a search. Held out of line so the polls'
+    /// scans over the entry table stay compact at millions of members.
+    std::unique_ptr<Grounded> grounded;
   };
 
   /// The live entry behind `handle`, or nullptr. Handles minted by a
@@ -476,16 +477,37 @@ class ConstraintMonitor {
     return &classes_[tmpl.value()];
   }
 
-  /// Builds a TemplateClass from an analyzed template; returns its id.
-  std::size_t CreateClass(std::string label, ConstraintTemplate tmpl,
-                          TemplateAnalysis analysis) BCDB_REQUIRES(mutex_);
+  /// Builds a TemplateClass from an analyzed template and compiles its
+  /// plans; returns its id.
+  StatusOr<std::size_t> CreateClass(std::string label, ConstraintTemplate tmpl,
+                                    TemplateAnalysis analysis)
+      BCDB_REQUIRES(mutex_);
 
   /// Appends a member entry of `class_id`; returns its handle.
   MonitorHandle AppendEntry(Entry entry) BCDB_REQUIRES(mutex_);
 
-  /// Materializes the grounded machinery (instantiated constraint + its
-  /// analysis) for an entry that so far only existed as a class binding.
+  /// Materializes the grounded machinery for the member's own search: the
+  /// instantiated constraint and its analysis (unless Add already did) and
+  /// the compiled grounded plan.
   Status GroundEntry(Entry& entry) BCDB_REQUIRES(mutex_);
+
+  /// The set-at-a-time probes of a projectable class: settles the members
+  /// at `slots` (of `entries`) into `verdicts` from one answer enumeration of
+  /// the generalized plan over `base` (kHappened) and, when `pending_union`
+  /// is non-null, one over it (unanswered: kImpossible). Survivors keep
+  /// kUnknown.
+  static void SettleByAnswers(const TemplateClass& cls,
+                              const std::vector<std::size_t>& slots,
+                              const Entry* entries, const WorldView& base,
+                              const WorldView* pending_union,
+                              std::vector<Verdict>& verdicts);
+
+  /// Runs `task(0..n-1)`, on the pool when more than one worker of
+  /// `width` would be busy (the pool is created once at that width and
+  /// reused), inline otherwise. Returns whether it used the pool.
+  bool FanOut(std::size_t n, std::size_t width,
+              const std::function<void(std::size_t)>& task)
+      BCDB_REQUIRES(mutex_);
 
   /// "(v0, v1, ...)" display form of a binding tuple.
   static std::string BindingSummary(const Tuple& binding);
@@ -500,12 +522,6 @@ class ConstraintMonitor {
 
   /// Marks `relation_id` dirty, growing the bitset on demand.
   void MarkRelationDirty(std::size_t relation_id) BCDB_REQUIRES(mutex_);
-
-  /// Verdict of one entry over the current (cache-fresh) database state.
-  /// Thread-safe: touches only const state and the entry's compiled query.
-  /// Requires grounded machinery (see GroundEntry).
-  StatusOr<Verdict> EvaluateEntry(const Entry& entry,
-                                  const DcSatOptions& options) const;
 
   BlockchainDatabase* db_;
   MonitorOptions options_;

@@ -54,6 +54,7 @@ StatusOr<ViolationEstimate> EstimateViolationProbability(
   StatusOr<CompiledQuery> compiled =
       CompiledQuery::Compile(q, &db.database());
   if (!compiled.ok()) return compiled.status();
+  BCDB_RETURN_IF_ERROR(compiled->RequireGround());
 
   Xoshiro256 rng(seed);
   ViolationEstimate estimate;

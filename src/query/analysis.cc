@@ -1,8 +1,6 @@
 #include "query/analysis.h"
 
-#include <array>
 #include <map>
-#include <set>
 
 #include "util/union_find.h"
 
@@ -11,7 +9,9 @@ namespace bcdb {
 namespace {
 
 /// Assigns one node id per term equivalence class: variables merged by
-/// `=`-comparisons share a class; equal constant values share a class.
+/// `=`-comparisons share a class; equal constant values share a class. A
+/// template parameter is a variable named `$name` (its value is unknown, so
+/// it shares a class only with itself and what `=` merges it with).
 class TermClasses {
  public:
   explicit TermClasses(const DenialConstraint& q) {
@@ -41,18 +41,21 @@ class TermClasses {
 
   /// Node id of `term`; requires the term to occur in a positive atom.
   std::size_t NodeOf(const Term& term) const {
-    if (term.is_variable()) return var_ids_.at(term.name());
+    if (term.is_variable() || term.is_param()) return var_ids_.at(NameOf(term));
     return const_ids_.at(term.value());
   }
 
  private:
+  static std::string NameOf(const Term& term) {
+    return term.is_param() ? "$" + term.name() : term.name();
+  }
+
   void Intern(const Term& term) { (void)TryIntern(term); }
 
   int TryIntern(const Term& term) {
-    if (term.is_variable()) {
-      auto it = var_ids_.find(term.name());
-      if (it != var_ids_.end()) return static_cast<int>(it->second);
-      var_ids_.emplace(term.name(), next_id_);
+    if (term.is_variable() || term.is_param()) {
+      auto [it, inserted] = var_ids_.emplace(NameOf(term), next_id_);
+      if (!inserted) return static_cast<int>(it->second);
       return static_cast<int>(next_id_++);
     }
     auto it = const_ids_.find(term.value());
@@ -225,58 +228,6 @@ StatusOr<std::vector<EqualityConstraint>> EqualitiesFromQuery(
         }
       }
       if (!eq.lhs_positions.empty()) result.push_back(std::move(eq));
-    }
-  }
-  return result;
-}
-
-StatusOr<std::vector<EqualityConstraint>> TemplateEqualitiesFromQuery(
-    const DenialConstraint& generalized, const Catalog& catalog) {
-  TermClasses classes(generalized);
-  UnionFind uf = classes.BuildUnionFind();
-
-  std::vector<std::size_t> relation_ids(generalized.positive_atoms.size());
-  for (std::size_t a = 0; a < generalized.positive_atoms.size(); ++a) {
-    StatusOr<std::size_t> rel_id =
-        catalog.RelationId(generalized.positive_atoms[a].relation);
-    if (!rel_id.ok()) return rel_id.status();
-    relation_ids[a] = *rel_id;
-  }
-
-  // A class is groundable when some binding fixes its value: it contains a
-  // constant or a `$`-variable (a projected template parameter).
-  std::map<std::size_t, bool> groundable;
-  for (const Atom& atom : generalized.positive_atoms) {
-    for (const Term& term : atom.args) {
-      const std::size_t root = uf.Find(classes.NodeOf(term));
-      const bool fixed =
-          !term.is_variable() ||
-          (!term.name().empty() && term.name()[0] == '$');
-      groundable[root] = groundable[root] || fixed;
-    }
-  }
-
-  std::vector<EqualityConstraint> result;
-  std::set<std::array<std::size_t, 4>> seen;
-  for (std::size_t a = 0; a < generalized.positive_atoms.size(); ++a) {
-    for (std::size_t b = a + 1; b < generalized.positive_atoms.size(); ++b) {
-      const Atom& atom_a = generalized.positive_atoms[a];
-      const Atom& atom_b = generalized.positive_atoms[b];
-      for (std::size_t i = 0; i < atom_a.args.size(); ++i) {
-        const std::size_t class_a = uf.Find(classes.NodeOf(atom_a.args[i]));
-        for (std::size_t j = 0; j < atom_b.args.size(); ++j) {
-          const std::size_t class_b = uf.Find(classes.NodeOf(atom_b.args[j]));
-          const bool potentially_equal =
-              class_a == class_b ||
-              (groundable[class_a] && groundable[class_b]);
-          if (!potentially_equal) continue;
-          if (!seen.insert({relation_ids[a], relation_ids[b], i, j}).second) {
-            continue;
-          }
-          result.push_back(EqualityConstraint{relation_ids[a], relation_ids[b],
-                                              {i}, {j}});
-        }
-      }
     }
   }
   return result;

@@ -58,17 +58,6 @@ std::vector<EqualityConstraint> EqualitiesFromConstraints(
 StatusOr<std::vector<EqualityConstraint>> EqualitiesFromQuery(
     const DenialConstraint& q, const Catalog& catalog);
 
-/// Θ for a whole template class: `generalized` is a template's generalized
-/// query (parameters turned into `$`-prefixed variables). A term class is
-/// *groundable* if it contains a constant or a `$`-variable — i.e. some
-/// binding fixes its value. Two positions are potentially equal if their
-/// classes coincide, or both are groundable (some binding can make them
-/// coincide). Each potentially-equal pair is emitted as a single-position
-/// constraint, so the merged decomposition is coarser than (refined by)
-/// every per-binding Θ_{q_b} — sound for the monotone support argument.
-StatusOr<std::vector<EqualityConstraint>> TemplateEqualitiesFromQuery(
-    const DenialConstraint& generalized, const Catalog& catalog);
-
 }  // namespace bcdb
 
 #endif  // BCDB_QUERY_ANALYSIS_H_

@@ -12,11 +12,11 @@ namespace bcdb {
 /// A term in a query body: a named variable, a constant value, or a named
 /// constant placeholder (`$name`, a ConstraintTemplate parameter).
 ///
-/// Parameters are a *template-time* construct: ConstraintTemplate::Instantiate
-/// substitutes them with constants before compilation, and
-/// ConstraintTemplate::Generalized turns them into head variables for the
-/// batch evaluator. A raw parameter reaching CompiledQuery::Compile is an
-/// error ("bind it first"), so evaluation code never sees one.
+/// ConstraintTemplate::Instantiate substitutes parameters with constants,
+/// and ConstraintTemplate::Generalized turns them into head variables.
+/// CompiledQuery::Compile compiles a raw parameter to a slot that the
+/// binding passed to Evaluate fills; entry points that evaluate without a
+/// binding reject it ("bind it first").
 class Term {
  public:
   static Term Var(std::string name) {
@@ -128,8 +128,7 @@ struct AggregateSpec {
   ComparisonOp op = ComparisonOp::kGt;
   Value threshold;
   /// When set, the threshold is the template parameter `$threshold_param`
-  /// rather than the `threshold` constant. Must be substituted (via
-  /// ConstraintTemplate::Instantiate) before compilation.
+  /// rather than the `threshold` constant.
   std::optional<std::string> threshold_param;
 };
 

@@ -32,11 +32,26 @@ class VariableTable {
   }
 
   std::vector<std::string> names() const { return names_; }
+  std::size_t size() const { return names_.size(); }
 
  private:
   std::map<std::string, std::size_t> ids_;
   std::vector<std::string> names_;
 };
+
+/// The type rule for a constant (or a parameter's value) at attribute `i`:
+/// its own type, or any numeric value at a numeric attribute.
+bool FitsAttribute(const Value& v, const RelationSchema& schema,
+                   std::size_t i) {
+  const ValueType expected = schema.attribute(i).type;
+  return v.type() == expected ||
+         (v.IsNumeric() &&
+          (expected == ValueType::kInt || expected == ValueType::kReal));
+}
+
+bool IsConstant(const Term& term) {
+  return !term.is_variable() && !term.is_param();
+}
 
 Status ValidateAtomAgainstSchema(const Atom& atom, const RelationSchema& schema) {
   if (atom.args.size() != schema.arity()) {
@@ -46,16 +61,13 @@ Status ValidateAtomAgainstSchema(const Atom& atom, const RelationSchema& schema)
         " has arity " + std::to_string(schema.arity()));
   }
   for (std::size_t i = 0; i < atom.args.size(); ++i) {
-    if (atom.args[i].is_variable()) continue;
+    if (!IsConstant(atom.args[i])) continue;
     const Value& v = atom.args[i].value();
-    const ValueType expected = schema.attribute(i).type;
-    const bool numeric_ok = v.IsNumeric() && (expected == ValueType::kInt ||
-                                              expected == ValueType::kReal);
-    if (v.type() != expected && !numeric_ok) {
+    if (!FitsAttribute(v, schema, i)) {
       return Status::InvalidArgument(
           "constant " + v.ToString() + " at position " + std::to_string(i) +
           " of atom " + atom.ToString() + " has wrong type (expected " +
-          ValueTypeToString(expected) + ")");
+          ValueTypeToString(schema.attribute(i).type) + ")");
     }
   }
   return Status::OK();
@@ -75,38 +87,40 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
                                    "' has no positive atoms");
   }
 
-  // --- Reject unbound template parameters before anything else sees them. ---
-  {
-    const Term* param = nullptr;
-    auto scan = [&](const std::vector<Term>& terms) {
-      for (const Term& t : terms) {
-        if (t.is_param() && param == nullptr) param = &t;
-      }
-    };
-    for (const Atom& atom : q.positive_atoms) scan(atom.args);
-    for (const Atom& atom : q.negated_atoms) scan(atom.args);
-    for (const Comparison& cmp : q.comparisons) {
-      if (cmp.lhs.is_param() && param == nullptr) param = &cmp.lhs;
-      if (cmp.rhs.is_param() && param == nullptr) param = &cmp.rhs;
-    }
-    if (q.aggregate.has_value()) scan(q.aggregate->args);
-    std::string param_name;
-    if (param != nullptr) {
-      param_name = param->name();
-    } else if (q.aggregate.has_value() &&
-               q.aggregate->threshold_param.has_value()) {
-      param_name = *q.aggregate->threshold_param;
-    }
-    if (!param_name.empty()) {
-      return Status::InvalidArgument(
-          "unbound parameter '$" + param_name +
-          "' in query '" + q.name +
-          "'; bind it through a ConstraintTemplate before compiling");
+  // --- Parameter slots first, in ConstraintTemplate's parameter order. ---
+  VariableTable vars;
+  auto intern_param = [&](const Term& term) {
+    if (term.is_param()) vars.Intern("$" + term.name());
+  };
+  for (const std::vector<Atom>* atoms : {&q.positive_atoms, &q.negated_atoms}) {
+    for (const Atom& atom : *atoms) {
+      for (const Term& term : atom.args) intern_param(term);
     }
   }
+  for (const Comparison& cmp : q.comparisons) {
+    intern_param(cmp.lhs);
+    intern_param(cmp.rhs);
+  }
+  if (q.aggregate.has_value()) {
+    for (const Term& term : q.aggregate->args) intern_param(term);
+    if (q.aggregate->threshold_param.has_value()) {
+      result.agg_threshold_slot_ =
+          vars.Intern("$" + *q.aggregate->threshold_param);
+    }
+  }
+  result.num_params_ = vars.size();
 
   // --- Validate atoms and intern variables (positive atoms define them). ---
-  VariableTable vars;
+  // A parameter's type is checked per binding (ValidateBinding), so each
+  // atom site of one is recorded here.
+  auto record_param_sites = [&](const Atom& atom, std::size_t rel_id) {
+    for (std::size_t i = 0; i < atom.args.size(); ++i) {
+      if (!atom.args[i].is_param()) continue;
+      result.param_type_checks_.push_back(ParamTypeCheck{
+          *vars.Lookup("$" + atom.args[i].name()), rel_id, i,
+          atom.ToString()});
+    }
+  };
   std::vector<std::size_t> atom_relation_ids(q.positive_atoms.size());
   for (std::size_t a = 0; a < q.positive_atoms.size(); ++a) {
     const Atom& atom = q.positive_atoms[a];
@@ -115,15 +129,20 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
     BCDB_RETURN_IF_ERROR(
         ValidateAtomAgainstSchema(atom, catalog.schema(*rel_id)));
     atom_relation_ids[a] = *rel_id;
+    record_param_sites(atom, *rel_id);
     for (const Term& term : atom.args) {
       if (term.is_variable()) vars.Intern(term.name());
     }
   }
 
+  // Variables and parameters resolve to slots; constants are interned.
+  auto slot_of = [&](const Term& term) -> StatusOr<std::size_t> {
+    return vars.Lookup(term.is_param() ? "$" + term.name() : term.name());
+  };
   auto resolve_term = [&](const Term& term) -> StatusOr<Arg> {
     Arg arg;
-    if (term.is_variable()) {
-      StatusOr<std::size_t> id = vars.Lookup(term.name());
+    if (!IsConstant(term)) {
+      StatusOr<std::size_t> id = slot_of(term);
       if (!id.ok()) return id.status();
       arg.is_var = true;
       arg.var = *id;
@@ -145,6 +164,7 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
     if (!rel_id.ok()) return rel_id.status();
     BCDB_RETURN_IF_ERROR(
         ValidateAtomAgainstSchema(atom, catalog.schema(*rel_id)));
+    record_param_sites(atom, *rel_id);
     PendingNeg pending;
     pending.check.relation_id = *rel_id;
     for (const Term& term : atom.args) {
@@ -166,11 +186,18 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
     if (!lhs.ok()) return lhs.status();
     StatusOr<Arg> rhs = resolve_term(cmp.rhs);
     if (!rhs.ok()) return rhs.status();
-    if (!lhs->is_var && !rhs->is_var) {
+    if (IsConstant(cmp.lhs) && IsConstant(cmp.rhs)) {
       // Constant comparison: fold at compile time.
       if (!EvaluateComparison(lhs->constant, cmp.op, rhs->constant)) {
         result.always_false_ = true;
       }
+      continue;
+    }
+    if (!cmp.lhs.is_variable() && !cmp.rhs.is_variable()) {
+      // Parameters and constants only: folded once the binding is known,
+      // by the same value comparison the constant fold uses.
+      result.binding_checks_.push_back(
+          CmpCheck{std::move(*lhs), cmp.op, std::move(*rhs)});
       continue;
     }
     PendingCmp pending;
@@ -249,8 +276,10 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
   }
 
   // --- Greedy bound-first join order over the positive atoms. ---
+  // Parameter slots are bound before the first step, like constants.
   result.variable_names_ = vars.names();
   std::vector<bool> var_bound(result.variable_names_.size(), false);
+  std::fill(var_bound.begin(), var_bound.begin() + result.num_params_, true);
   std::vector<bool> atom_planned(q.positive_atoms.size(), false);
   std::vector<bool> cmp_attached(pending_cmps.size(), false);
   std::vector<bool> neg_attached(pending_negs.size(), false);
@@ -263,12 +292,7 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
       if (atom_planned[a]) continue;
       std::size_t score = 0;
       for (const Term& term : q.positive_atoms[a].args) {
-        if (!term.is_variable()) {
-          ++score;
-        } else {
-          StatusOr<std::size_t> id = vars.Lookup(term.name());
-          if (var_bound[*id]) ++score;
-        }
+        if (IsConstant(term) || var_bound[*slot_of(term)]) ++score;
       }
       if (best == q.positive_atoms.size() || score > best_score) {
         best = a;
@@ -284,11 +308,8 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
     std::vector<std::size_t> bound_positions;
     for (std::size_t i = 0; i < atom.args.size(); ++i) {
       const Term& term = atom.args[i];
-      if (!term.is_variable()) {
+      if (IsConstant(term) || var_bound[*slot_of(term)]) {
         bound_positions.push_back(i);
-      } else {
-        const std::size_t id = *vars.Lookup(term.name());
-        if (var_bound[id]) bound_positions.push_back(i);
       }
     }
     // bound_positions is sorted by construction (ascending i).
@@ -297,16 +318,7 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
       step.index_id =
           db->relation(step.relation_id).GetOrBuildIndex(bound_positions);
       for (std::size_t pos : bound_positions) {
-        const Term& term = atom.args[pos];
-        Arg arg;
-        if (term.is_variable()) {
-          arg.is_var = true;
-          arg.var = *vars.Lookup(term.name());
-        } else {
-          arg.constant = term.value();
-          arg.constant_id = ValuePool::Global().Intern(term.value());
-        }
-        step.key_args.push_back(std::move(arg));
+        step.key_args.push_back(*resolve_term(atom.args[pos]));
       }
     }
 
@@ -325,11 +337,11 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
       const Term& term = atom.args[i];
       ArgAction action;
       action.position = i;
-      if (!term.is_variable()) {
+      if (IsConstant(term)) {
         action.kind = ArgAction::kCheckConst;
         action.constant_id = ValuePool::Global().Intern(term.value());
       } else {
-        const std::size_t id = *vars.Lookup(term.name());
+        const std::size_t id = *slot_of(term);
         if (var_bound[id]) {
           action.kind = ArgAction::kCheckVar;
           action.var = id;
@@ -373,7 +385,7 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
     std::vector<std::size_t> const_positions;
     std::vector<Value> const_values;
     for (std::size_t i = 0; i < atom.args.size(); ++i) {
-      if (!atom.args[i].is_variable()) {
+      if (IsConstant(atom.args[i])) {
         const_positions.push_back(i);
         const_values.push_back(atom.args[i].value());
       }
@@ -404,6 +416,7 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
 /// Streaming aggregate accumulator over the satisfying-assignment bag.
 struct CompiledQuery::AggState {
   const CompiledQuery* query;
+  const Value* threshold;  // The constant or the bound parameter.
   std::int64_t count = 0;
   FlatIdSet<Tuple, TupleHash, TupleEq> distinct;
   bool sum_is_int = true;
@@ -463,8 +476,7 @@ struct CompiledQuery::AggState {
       }
     }
     return query->agg_early_exit_ && !Empty() &&
-           EvaluateComparison(Current(), query->agg_op_,
-                              query->agg_threshold_);
+           EvaluateComparison(Current(), query->agg_op_, *threshold);
   }
 
   bool Empty() const {
@@ -496,8 +508,7 @@ struct CompiledQuery::AggState {
   /// Final truth value: the empty bag evaluates to false (paper Section 5).
   bool Finalize() const {
     if (Empty()) return false;
-    return EvaluateComparison(Current(), query->agg_op_,
-                              query->agg_threshold_);
+    return EvaluateComparison(Current(), query->agg_op_, *threshold);
   }
 };
 
@@ -589,21 +600,72 @@ bool CompiledQuery::Search(std::size_t step_idx, const WorldView& view,
   return false;
 }
 
-std::size_t CompiledQuery::DistinctSetSizeHint() const {
-  if (steps_.empty()) return 0;
-  const std::size_t driving = db_->relation(steps_[0].relation_id).num_tuples();
-  return std::min<std::size_t>(driving, 4096);
+std::size_t CompiledQuery::driving_tuples() const {
+  return steps_.empty() ? 0
+                        : db_->relation(steps_[0].relation_id).num_tuples();
 }
 
-bool CompiledQuery::Evaluate(const WorldView& view) const {
+std::size_t CompiledQuery::DistinctSetSizeHint() const {
+  return std::min<std::size_t>(driving_tuples(), 4096);
+}
+
+Status CompiledQuery::RequireGround() const {
+  if (num_params_ == 0) return Status::OK();
+  return Status::InvalidArgument(
+      "unbound parameter '" + variable_names_[0] + "' in query '" +
+      source_.name + "'; bind it through a ConstraintTemplate first");
+}
+
+Status CompiledQuery::ValidateBinding(const Tuple& binding) const {
+  if (binding.arity() != num_params_) {
+    return Status::InvalidArgument(
+        "binding has " + std::to_string(binding.arity()) +
+        " values but the query has " + std::to_string(num_params_) +
+        " parameters");
+  }
+  for (const ParamTypeCheck& check : param_type_checks_) {
+    const RelationSchema& schema = db_->catalog().schema(check.relation_id);
+    const Value& v = binding.at(check.slot);
+    if (!FitsAttribute(v, schema, check.position)) {
+      return Status::InvalidArgument(
+          "binding value " + v.ToString() + " for parameter '" +
+          variable_names_[check.slot] + "' has wrong type (expected " +
+          ValueTypeToString(schema.attribute(check.position).type) +
+          " at position " + std::to_string(check.position) + " of atom " +
+          check.atom + ")");
+    }
+  }
+  return Status::OK();
+}
+
+bool CompiledQuery::BindParams(const Tuple& binding,
+                               std::vector<ValueId>& assignment) const {
+  if (binding.arity() != num_params_) return false;
+  std::copy(binding.ids(), binding.ids() + num_params_, assignment.begin());
+  for (const CmpCheck& cmp : binding_checks_) {
+    if (!EvaluateComparison(ResolveArgValue(cmp.lhs, assignment), cmp.op,
+                            ResolveArgValue(cmp.rhs, assignment))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool CompiledQuery::Evaluate(const WorldView& view,
+                             const Tuple& binding) const {
   if (always_false_) return false;
   std::vector<ValueId> assignment(num_variables(), kNullValueId);
+  if (!BindParams(binding, assignment)) return false;
   SearchContext context;
   if (!is_aggregate_) {
     return Search(0, view, assignment, context);
   }
   AggState agg;
   agg.query = this;
+  agg.threshold = agg_threshold_slot_.has_value()
+                      ? &ValuePool::Global().value(
+                            assignment[*agg_threshold_slot_])
+                      : &agg_threshold_;
   if (agg_fn_ == AggregateFunction::kCountDistinct) {
     agg.distinct.reserve(DistinctSetSizeHint());
   }
@@ -618,7 +680,7 @@ void CompiledQuery::EnumerateSupports(
     const WorldView& view,
     const std::function<bool(const std::vector<SupportEntry>&)>& callback)
     const {
-  if (always_false_ || is_aggregate_) return;
+  if (always_false_ || is_aggregate_ || num_params_ > 0) return;
   std::vector<ValueId> assignment(num_variables(), kNullValueId);
   std::vector<SupportEntry> support;
   support.reserve(steps_.size());
@@ -631,7 +693,7 @@ void CompiledQuery::EnumerateSupports(
 void CompiledQuery::EnumerateAnswers(
     const WorldView& view,
     const std::function<bool(const Tuple&)>& callback) const {
-  if (always_false_ || is_aggregate_) return;
+  if (always_false_ || is_aggregate_ || num_params_ > 0) return;
   std::vector<ValueId> assignment(num_variables(), kNullValueId);
   FlatIdSet<Tuple, TupleHash, TupleEq> seen;
   seen.reserve(DistinctSetSizeHint());
@@ -708,7 +770,10 @@ std::string CompiledQuery::ExplainPlan() const {
   if (is_aggregate_) {
     out += "  => " +
            std::string(AggregateFunctionToString(agg_fn_)) + " " +
-           ComparisonOpToString(agg_op_) + " " + agg_threshold_.ToString() +
+           ComparisonOpToString(agg_op_) + " " +
+           (agg_threshold_slot_.has_value()
+                ? variable_names_[*agg_threshold_slot_]
+                : agg_threshold_.ToString()) +
            (agg_early_exit_ ? " (early exit)" : "") + "\n";
   }
   return out;

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,20 @@ namespace bcdb {
 ///
 /// Compile once, then call Evaluate with many different world views — this
 /// is exactly the access pattern of the DCSat algorithms, which probe the
-/// same constraint over every maximal possible world.
+/// same constraint over every maximal possible world. A plan depends only on
+/// the query's structure, never on the data: the join order is chosen by how
+/// many positions each atom has bound, the relations maintain their indexes
+/// on insert (readers re-check visibility), and size hints read tuple counts
+/// when the query runs. So one plan stays valid across every later mutation
+/// of the database.
+///
+/// Template parameters (`$name` terms) compile to *parameter slots*:
+/// variables bound from the binding passed to Evaluate before the first join
+/// step. They count as bound when the join order and index keys are chosen,
+/// and may occur in positive and negated atoms, comparisons and an aggregate
+/// threshold. `Compile(t).Evaluate(view, b)` equals
+/// `Compile(t.Instantiate(b)).Evaluate(view)`; a ground query takes the empty
+/// binding.
 class CompiledQuery {
  public:
   /// Validates `q` against `db`'s catalog (atom arities, constant types,
@@ -30,19 +44,39 @@ class CompiledQuery {
   static StatusOr<CompiledQuery> Compile(const DenialConstraint& q,
                                          const Database* db);
 
+  /// Number of parameter slots; 0 for a ground query. Slot i is the i-th
+  /// distinct parameter by first occurrence over the positive atoms, negated
+  /// atoms, comparisons and aggregate threshold — ConstraintTemplate's
+  /// param_names() order — and variable_names()[i] is its `$`-prefixed name.
+  std::size_t num_params() const { return num_params_; }
+
+  /// OK for a ground query; InvalidArgument naming the first parameter
+  /// otherwise. For callers that evaluate without a binding.
+  Status RequireGround() const;
+
+  /// Rejects every binding the compile of the instantiated query would
+  /// reject: a wrong number of values, or a value whose type does not fit an
+  /// atom attribute it fills (the rule for constant terms).
+  Status ValidateBinding(const Tuple& binding) const;
+
   /// True iff `q` has a satisfying assignment over the tuples visible in
   /// `view` (for aggregate constraints: iff `α(B) θ c` holds, with the empty
   /// bag evaluating to false, matching the paper's SQL-like semantics).
-  bool Evaluate(const WorldView& view) const;
+  /// `binding` fills the parameter slots in order; false when its arity is
+  /// not num_params().
+  bool Evaluate(const WorldView& view, const Tuple& binding) const;
+  bool Evaluate(const WorldView& view) const { return Evaluate(view, Tuple()); }
 
   /// True iff every positive atom's constants are covered by some tuple
-  /// visible in `view` (the Covers(R, T, q) test of OptDCSat).
+  /// visible in `view` (the Covers(R, T, q) test of OptDCSat). Parameter
+  /// positions are not probed.
   bool CoversConstants(const WorldView& view) const;
 
-  /// For answer-producing queries (non-empty head): invokes `callback` once
-  /// per *distinct* head-projection of a satisfying assignment, in discovery
-  /// order. Return false from the callback to stop early. No-op for
-  /// aggregate queries (which have no head).
+  /// For answer-producing ground queries (non-empty head): invokes
+  /// `callback` once per *distinct* head-projection of a satisfying
+  /// assignment, in discovery order. Return false from the callback to stop
+  /// early. No-op for aggregate queries (which have no head) and for queries
+  /// with parameters.
   void EnumerateAnswers(const WorldView& view,
                         const std::function<bool(const Tuple&)>& callback) const;
 
@@ -57,7 +91,7 @@ class CompiledQuery {
     TupleId tuple_id;
   };
 
-  /// For non-aggregate queries: invokes `callback` once per satisfying
+  /// For ground non-aggregate queries: invokes `callback` once per satisfying
   /// assignment with the tuples matched by the positive atoms (in plan
   /// order). Return false to stop. Used by the tractable-fragment DCSat
   /// fast paths, which must reason about *who contributed* each tuple.
@@ -97,6 +131,10 @@ class CompiledQuery {
     return aggregate_arg_non_negative_;
   }
 
+  /// Stored tuples (visible or not) of the relation the plan's first step
+  /// scans or probes — what one answer enumeration reads at least once.
+  std::size_t driving_tuples() const;
+
  private:
   /// A term resolved to either a constant or a variable slot. Constants are
   /// interned at compile time so evaluation compares ids, never values.
@@ -125,6 +163,14 @@ class CompiledQuery {
   struct NegCheck {
     std::size_t relation_id;
     std::vector<Arg> args;
+  };
+
+  /// One parameter occurrence in an atom, for ValidateBinding's type rule.
+  struct ParamTypeCheck {
+    std::size_t slot;
+    std::size_t relation_id;
+    std::size_t position;
+    std::string atom;  // Rendered, for the error message.
   };
 
   /// One positive atom in plan order.
@@ -178,6 +224,11 @@ class CompiledQuery {
                       : arg.constant;
   }
 
+  /// Copies `binding` into the parameter slots of `assignment` and runs the
+  /// comparisons that involve no variable; false when either fails.
+  bool BindParams(const Tuple& binding,
+                  std::vector<ValueId>& assignment) const;
+
   bool MatchCandidate(const Step& step, TupleId id, const WorldView& view,
                       std::vector<ValueId>& assignment,
                       SearchContext& context) const;
@@ -199,6 +250,9 @@ class CompiledQuery {
   std::vector<Step> steps_;
   std::vector<CoverProbe> cover_probes_;
   bool always_false_ = false;  // A constant comparison failed at compile time.
+  std::size_t num_params_ = 0;  // Slots 0..num_params_-1 of the assignment.
+  std::vector<ParamTypeCheck> param_type_checks_;
+  std::vector<CmpCheck> binding_checks_;  // Comparisons over params/constants.
 
   // Aggregate plan.
   bool is_aggregate_ = false;
@@ -206,6 +260,7 @@ class CompiledQuery {
   std::vector<std::size_t> agg_vars_;
   ComparisonOp agg_op_ = ComparisonOp::kGt;
   Value agg_threshold_;
+  std::optional<std::size_t> agg_threshold_slot_;  // A parameter threshold.
   bool agg_early_exit_ = false;
   bool aggregate_arg_non_negative_ = false;
 };

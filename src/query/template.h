@@ -74,9 +74,10 @@ class ConstraintTemplate {
   /// equal skeletons iff they are isomorphic up to naming.
   std::string CanonicalSkeleton() const;
 
-  /// Whether the class can be batch-evaluated by projecting parameters into
-  /// head variables: Boolean, non-aggregate, no negated atoms, at least one
-  /// parameter, and every parameter occurs in some positive atom.
+  /// Whether the parameters can be projected into head variables, so one
+  /// answer enumeration of Generalized() settles many bindings at once:
+  /// Boolean, non-aggregate, no negated atoms, at least one parameter, and
+  /// every parameter occurs in some positive atom.
   bool projectable() const { return projectable_; }
 
   /// The parameterized constraint with every parameter `p` replaced by a

@@ -98,7 +98,8 @@ bool DecodeEvent(ByteReader* in, MutationEvent* event) {
   if (!in->ReadU8(&kind) || kind >= kNumMutationKinds) return false;
   event->kind = static_cast<MutationKind>(kind);
   if (!in->ReadU64(&event->seq) || !in->ReadU64(&event->version) ||
-      !in->ReadU64(&pending_id) || !in->ReadU32(&num_relations)) {
+      !in->ReadU64(&pending_id) ||
+      !in->ReadCount(/*min_elem_bytes=*/4, &num_relations)) {
     return false;
   }
   event->pending_id = static_cast<PendingId>(pending_id);
@@ -358,7 +359,7 @@ Status RestoreSnapshot(std::string_view payload, std::uint64_t db_version,
   // Dictionary: intern every persisted value into the process-wide pool,
   // mapping dense disk ids to whatever in-memory ids this process uses.
   std::uint32_t dict_size;
-  if (!in.ReadU32(&dict_size)) {
+  if (!in.ReadCount(/*min_elem_bytes=*/1, &dict_size)) {
     return Status::InvalidArgument("snapshot: truncated dictionary header");
   }
   std::vector<ValueId> dict;
@@ -386,8 +387,9 @@ Status RestoreSnapshot(std::string_view payload, std::uint64_t db_version,
   };
   std::vector<std::vector<TupleRecord>> relations(num_relations);
   for (std::uint32_t r = 0; r < num_relations; ++r) {
+    // A tuple record is at least its arity and owner-count fields.
     std::uint64_t num_tuples;
-    if (!in.ReadU64(&num_tuples)) {
+    if (!in.ReadCount(/*min_elem_bytes=*/4, &num_tuples)) {
       return Status::InvalidArgument("snapshot: truncated relation header");
     }
     relations[r].reserve(num_tuples);
@@ -396,7 +398,8 @@ Status RestoreSnapshot(std::string_view payload, std::uint64_t db_version,
       std::uint16_t num_owners;
       // Peek arity via the shared tuple decoder: re-frame manually since
       // owners follow the id cells.
-      if (!in.ReadU16(&arity_probe) || !in.ReadU16(&num_owners)) {
+      if (!in.ReadU16(&arity_probe) ||
+          !in.ReadCount(/*min_elem_bytes=*/4, &num_owners)) {
         return Status::InvalidArgument("snapshot: truncated tuple record");
       }
       TupleRecord record;
@@ -424,8 +427,10 @@ Status RestoreSnapshot(std::string_view payload, std::uint64_t db_version,
     BlockchainDatabase::PendingState state;
     std::vector<std::size_t> relation_ids;
   };
+  // A pending slot is at least its state, label length, item count and
+  // footprint count fields.
   std::uint32_t num_pending;
-  if (!in.ReadU32(&num_pending)) {
+  if (!in.ReadCount(/*min_elem_bytes=*/13, &num_pending)) {
     return Status::InvalidArgument("snapshot: truncated pending header");
   }
   std::vector<PendingRecord> pending;

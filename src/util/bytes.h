@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace bcdb {
 
@@ -132,15 +133,25 @@ class ByteReader {
     return true;
   }
 
-  /// Reads a u32 element count and rejects it when `count` elements of at
-  /// least `min_elem_bytes` each could not fit in the remaining bytes, so
-  /// a decoder may reserve() from the count without trusting the input.
-  bool ReadCount(std::size_t min_elem_bytes, std::uint32_t* count) {
-    std::uint32_t n;
-    if (!ReadU32(&n)) return false;
-    if (static_cast<std::uint64_t>(n) * min_elem_bytes > remaining()) {
-      return false;
+  /// Reads an element count (u16, u32 or u64, as `Count` says) and rejects
+  /// it when `count` elements of at least `min_elem_bytes` (>= 1) each could
+  /// not fit in the remaining bytes, so a decoder may reserve() or resize()
+  /// from the count without trusting the input.
+  template <typename Count>
+  bool ReadCount(std::size_t min_elem_bytes, Count* count) {
+    static_assert(std::is_same_v<Count, std::uint16_t> ||
+                  std::is_same_v<Count, std::uint32_t> ||
+                  std::is_same_v<Count, std::uint64_t>);
+    Count n;
+    bool ok;
+    if constexpr (sizeof(Count) == 2) {
+      ok = ReadU16(&n);
+    } else if constexpr (sizeof(Count) == 4) {
+      ok = ReadU32(&n);
+    } else {
+      ok = ReadU64(&n);
     }
+    if (!ok || n > remaining() / min_elem_bytes) return false;
     *count = n;
     return true;
   }

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include "core/monitor.h"
+#include "grounded_reference.h"
 #include "query/parser.h"
 #include "running_example.h"
 
 namespace bcdb {
 namespace {
 
+using testing_fixtures::GroundedVerdict;
 using testing_fixtures::MakeRunningExample;
 using Verdict = ConstraintMonitor::Verdict;
 
@@ -273,28 +275,32 @@ TEST(ConstraintMonitorTest, PoolWidthStableAcrossDirtyCounts) {
     ASSERT_TRUE(db->AddPending(r_txn).ok());
   }
 
-  // Per-member fan-out is what sizes the pool; template batching would
-  // collapse the six entries into two class tasks, so it is disabled here.
-  MonitorOptions no_batching;
-  no_batching.enable_template_batching = false;
-  ConstraintMonitor monitor(&*db, no_batching);
+  ConstraintMonitor monitor(&*db);
+  DcSatEngine reference(&*db);
+  std::vector<std::pair<MonitorHandle, DenialConstraint>> members;
+  auto add = [&](const std::string& label, const std::string& text) {
+    auto handle = monitor.Add(label, Q(text));
+    ASSERT_TRUE(handle.ok()) << handle.status();
+    members.emplace_back(*handle, Q(text));
+  };
   for (int c = 0; c < 4; ++c) {
-    ASSERT_TRUE(monitor
-                    .Add("r" + std::to_string(c),
-                         Q("q() :- R(x, " + std::to_string(c) + ")"))
-                    .ok());
+    add("r" + std::to_string(c), "q() :- R(x, " + std::to_string(c) + ")");
   }
   for (int c = 0; c < 2; ++c) {
-    ASSERT_TRUE(monitor
-                    .Add("s" + std::to_string(c),
-                         Q("q() :- S(" + std::to_string(c) + ", y)"))
-                    .ok());
+    add("s" + std::to_string(c), "q() :- S(" + std::to_string(c) + ", y)");
   }
+  auto expect_grounded = [&](const char* when) {
+    for (const auto& [handle, q] : members) {
+      EXPECT_EQ(monitor.verdict(handle), GroundedVerdict(*db, reference, q))
+          << when << ": " << monitor.label(handle);
+    }
+  };
 
   DcSatOptions four_threads;
   four_threads.num_threads = 4;
   ASSERT_TRUE(monitor.Poll(four_threads).ok());  // 6 dirty entries.
   EXPECT_EQ(monitor.poll_stats().threads_used, 4u);
+  expect_grounded("first poll");
 
   // Mutate S only: just the two S entries go dirty (no IND couples S to
   // R), yet the pool keeps its requested width.
@@ -304,6 +310,7 @@ TEST(ConstraintMonitorTest, PoolWidthStableAcrossDirtyCounts) {
   ASSERT_TRUE(monitor.Poll(four_threads).ok());
   EXPECT_EQ(monitor.poll_stats().threads_used, 4u);
   EXPECT_EQ(monitor.poll_stats().constraints_skipped, 4u);
+  expect_grounded("after the S mutation");
 }
 
 // Regression: poll_stats()/verdict()/label() used to hand out references

@@ -6,6 +6,8 @@
 
 #include "storage/crc32c.h"
 #include "storage/record_codec.h"
+#include "storage/segment.h"
+#include "storage/wal.h"
 #include "storage_test_util.h"
 
 namespace bcdb {
@@ -366,6 +368,105 @@ TEST(SnapshotCodecTest, CorruptPayloadsAreRejected) {
   auto db = BlockchainDatabase::Create(MakeTestCatalog(), ConstraintSet{});
   ASSERT_TRUE(db.ok());
   EXPECT_FALSE(RestoreSnapshot(payload + "junk", 1, 1, &*db).ok());
+}
+
+// --- Hostile counts -----------------------------------------------------
+//
+// Each decoder count that sizes an allocation goes through
+// ByteReader::ReadCount, so a count larger than the rest of the record could
+// hold fails with a Status instead of reserving (and aborting on) gigabytes.
+// Every payload below travels in a record whose checksum is valid, so the
+// decoder — not the framing — is what must reject it.
+
+/// `payload` written as one WAL record and scanned back checksum-verified.
+std::string ThroughWal(const std::string& payload) {
+  storage_test::ScratchDir dir;
+  const std::string path = dir.Sub("wal");
+  auto writer = storage::WalWriter::Open(path, storage::SyncPolicy::kGroup);
+  EXPECT_TRUE(writer.ok()) << writer.status();
+  EXPECT_TRUE(writer->Append(payload).ok());
+  EXPECT_TRUE(writer->Close().ok());
+  auto scan = storage::ScanWal(path);
+  EXPECT_TRUE(scan.ok()) << scan.status();
+  EXPECT_EQ(scan->records.size(), 1u);
+  EXPECT_FALSE(scan->tail_corrupt);
+  return scan->records.empty() ? std::string() : scan->records[0];
+}
+
+/// `payload` written as a checkpoint segment and read back CRC-validated.
+std::string ThroughSegment(const std::string& payload) {
+  storage_test::ScratchDir dir;
+  const std::string path = dir.Sub("segment");
+  storage::SegmentHeader header;
+  header.schema_fingerprint = SchemaFingerprint(MakeTestCatalog());
+  header.payload_size = payload.size();
+  EXPECT_TRUE(storage::WriteSegment(path, header, payload).ok());
+  auto contents = storage::ReadSegment(path);
+  EXPECT_TRUE(contents.ok()) << contents.status();
+  return contents.ok() ? contents->payload : std::string();
+}
+
+/// Restores `payload` (after a segment round trip) into a fresh database.
+Status RestoreHostile(const std::string& payload) {
+  auto db = BlockchainDatabase::Create(MakeTestCatalog(), ConstraintSet{});
+  EXPECT_TRUE(db.ok());
+  return RestoreSnapshot(ThroughSegment(payload), 1, 1, &*db);
+}
+
+constexpr std::uint32_t kHugeCount = 0xFFFFFFFFu;
+
+TEST(HostileCountTest, WalEventRelationCountIsRejected) {
+  std::string payload;
+  AppendU8(&payload, 0);   // kind
+  AppendU64(&payload, 1);  // seq
+  AppendU64(&payload, 1);  // version
+  AppendU64(&payload, 0);  // pending id
+  AppendU32(&payload, kHugeCount);  // relation ids that follow
+  auto decoded = DecodeMutation(ThroughWal(payload), MakeTestCatalog());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(HostileCountTest, SnapshotDictionarySizeIsRejected) {
+  std::string payload;
+  AppendU32(&payload, kHugeCount);
+  const Status status = RestoreHostile(payload);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(HostileCountTest, SnapshotTupleCountIsRejected) {
+  std::string payload;
+  AppendU32(&payload, 0);  // Empty dictionary.
+  AppendU32(&payload, 2);  // R and S.
+  AppendU64(&payload, std::uint64_t{1} << 60);
+  const Status status = RestoreHostile(payload);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(HostileCountTest, SnapshotOwnerCountIsRejected) {
+  std::string payload;
+  AppendU32(&payload, 0);  // Empty dictionary.
+  AppendU32(&payload, 2);  // R and S.
+  AppendU64(&payload, 1);  // One tuple record in R...
+  AppendU16(&payload, 0);  // ...of arity 0...
+  AppendU16(&payload, 0xFFFF);  // ...claiming 65535 owners and holding none.
+  const Status status = RestoreHostile(payload);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(HostileCountTest, SnapshotPendingCountIsRejected) {
+  std::string payload;
+  AppendU32(&payload, 0);  // Empty dictionary.
+  AppendU32(&payload, 2);  // R and S, both empty.
+  AppendU64(&payload, 0);
+  AppendU64(&payload, 0);
+  AppendU32(&payload, kHugeCount);
+  const Status status = RestoreHostile(payload);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -1,25 +1,29 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/monitor.h"
+#include "grounded_reference.h"
 #include "query/parser.h"
 #include "util/rng.h"
 
 namespace bcdb {
 namespace {
 
-// Differential harness for template batching: a monitor with
-// enable_template_batching on must report verdicts identical to one with it
-// off (the per-member grounded path) for the same registrations over the
-// same database history — across registration styles (RegisterTemplate+Bind
-// fleets, plain Adds that canonicalize into shared classes, non-batchable
-// templates), churn (apply/discard/add-pending), and member removal. Under
-// unlimited budgets the batch evaluator is a pure optimization; any verdict
+// Differential harness for the monitor's shared class plans: every member's
+// verdict must equal the grounded reference — the member's constraint
+// instantiated, compiled and decided from scratch (q over R, else
+// DcSatEngine::Check) — over the same database history, across
+// registration styles (RegisterTemplate+Bind fleets, plain Adds that
+// canonicalize into shared classes, non-projectable templates), churn
+// (apply/discard/add-pending), and member removal. Under unlimited budgets
+// the probes and answer passes are pure optimizations; any verdict
 // divergence is a bug.
 
+using testing_fixtures::GroundedVerdict;
 using Verdict = ConstraintMonitor::Verdict;
 
 DenialConstraint Q(const std::string& text) {
@@ -92,56 +96,55 @@ constexpr Config kConfigs[] = {
     {"mixed", true, true},
 };
 
-// One monitor per evaluation mode, registered identically.
-struct Pair {
-  BlockchainDatabase batched_db;
-  BlockchainDatabase grounded_db;
-  ConstraintMonitor batched;
-  ConstraintMonitor grounded;
-  // Parallel handle arrays: member i means the same registration in both.
-  std::vector<MonitorHandle> batched_handles;
-  std::vector<MonitorHandle> grounded_handles;
+// One monitor over one database, plus how to decide each member from
+// scratch: its template and binding, or its ground constraint.
+struct Harness {
+  BlockchainDatabase db;
+  ConstraintMonitor monitor;
+  DcSatEngine reference;
+  // Parallel arrays: member i's handle, its grounded constraint, its name.
+  std::vector<MonitorHandle> handles;
+  std::vector<DenialConstraint> grounded;
   std::vector<std::string> names;
 
-  Pair(std::uint64_t seed, const Config& config)
-      : batched_db(MakeInstance(seed, config.keys, config.inds)),
-        grounded_db(MakeInstance(seed, config.keys, config.inds)),
-        batched(&batched_db),
-        grounded(&grounded_db, NoBatching()) {}
+  Harness(std::uint64_t seed, const Config& config)
+      : db(MakeInstance(seed, config.keys, config.inds)),
+        monitor(&db),
+        reference(&db) {}
 
-  static MonitorOptions NoBatching() {
-    MonitorOptions options;
-    options.enable_template_batching = false;
-    return options;
-  }
-
-  void BindBoth(TemplateHandle bt, TemplateHandle gt,
-                const std::vector<Value>& binding, const std::string& name) {
-    auto b = batched.Bind(bt, binding);
-    auto g = grounded.Bind(gt, binding);
-    ASSERT_TRUE(b.ok()) << name << ": " << b.status();
-    ASSERT_TRUE(g.ok()) << name << ": " << g.status();
-    batched_handles.push_back(*b);
-    grounded_handles.push_back(*g);
+  void Bind(TemplateHandle tmpl, const std::string& text,
+            const std::vector<Value>& binding, const std::string& name) {
+    auto handle = monitor.Bind(tmpl, binding);
+    ASSERT_TRUE(handle.ok()) << name << ": " << handle.status();
+    auto parsed = ConstraintTemplate::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    auto q = parsed->Instantiate(binding);
+    ASSERT_TRUE(q.ok()) << q.status();
+    handles.push_back(*handle);
+    grounded.push_back(*q);
     names.push_back(name);
   }
 
-  void AddBoth(const std::string& label, const std::string& text) {
-    auto b = batched.Add(label, Q(text));
-    auto g = grounded.Add(label, Q(text));
-    ASSERT_TRUE(b.ok()) << label << ": " << b.status();
-    ASSERT_TRUE(g.ok()) << label << ": " << g.status();
-    batched_handles.push_back(*b);
-    grounded_handles.push_back(*g);
+  void Add(const std::string& label, const std::string& text) {
+    auto handle = monitor.Add(label, Q(text));
+    ASSERT_TRUE(handle.ok()) << label << ": " << handle.status();
+    handles.push_back(*handle);
+    grounded.push_back(Q(text));
     names.push_back(label);
   }
 
+  void Remove(std::size_t i) {
+    ASSERT_TRUE(monitor.Remove(handles[i]).ok());
+    handles.erase(handles.begin() + static_cast<std::ptrdiff_t>(i));
+    grounded.erase(grounded.begin() + static_cast<std::ptrdiff_t>(i));
+    names.erase(names.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+
   void PollAndCompare(const char* when) {
-    ASSERT_TRUE(batched.Poll().ok()) << when;
-    ASSERT_TRUE(grounded.Poll().ok()) << when;
-    for (std::size_t i = 0; i < batched_handles.size(); ++i) {
-      EXPECT_EQ(batched.verdict(batched_handles[i]),
-                grounded.verdict(grounded_handles[i]))
+    ASSERT_TRUE(monitor.Poll().ok()) << when;
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+      EXPECT_EQ(monitor.verdict(handles[i]),
+                GroundedVerdict(db, reference, grounded[i]))
           << when << ": " << names[i];
     }
   }
@@ -156,83 +159,64 @@ TEST_P(TemplateDifferentialTest, BatchedMatchesGroundedAcrossChurn) {
                  std::to_string(GetParam()));
     const std::uint64_t seed =
         GetParam() * 7 + (config.keys ? 1 : 0) + (config.inds ? 2 : 0);
-    Pair pair(seed, config);
+    Harness h(seed, config);
 
     // Fleet 1: single-param template over R's key column.
-    auto bt1 = pair.batched.RegisterTemplate("watch-a", "q() :- R($a, y)");
-    auto gt1 = pair.grounded.RegisterTemplate("watch-a", "q() :- R($a, y)");
-    ASSERT_TRUE(bt1.ok());
-    ASSERT_TRUE(gt1.ok());
+    const char* watch = "q() :- R($a, y)";
+    auto t1 = h.monitor.RegisterTemplate("watch-a", watch);
+    ASSERT_TRUE(t1.ok());
     for (std::int64_t a = 0; a < 5; ++a) {
-      pair.BindBoth(*bt1, *gt1, {Value::Int(a)},
-                    "watch-a(" + std::to_string(a) + ")");
+      h.Bind(*t1, watch, {Value::Int(a)},
+             "watch-a(" + std::to_string(a) + ")");
     }
 
     // Fleet 2: two-param join template (CoNP-mixed under IND configs).
-    auto bt2 =
-        pair.batched.RegisterTemplate("join", "q() :- R(x, $b), S(x, $c)");
-    auto gt2 =
-        pair.grounded.RegisterTemplate("join", "q() :- R(x, $b), S(x, $c)");
-    ASSERT_TRUE(bt2.ok());
-    ASSERT_TRUE(gt2.ok());
+    const char* join = "q() :- R(x, $b), S(x, $c)";
+    auto t2 = h.monitor.RegisterTemplate("join", join);
+    ASSERT_TRUE(t2.ok());
     for (std::int64_t b = 0; b < 3; ++b) {
       for (std::int64_t c = 0; c < 3; ++c) {
-        pair.BindBoth(*bt2, *gt2, {Value::Int(b), Value::Int(c)},
-                      "join(" + std::to_string(b) + "," + std::to_string(c) +
-                          ")");
+        h.Bind(*t2, join, {Value::Int(b), Value::Int(c)},
+               "join(" + std::to_string(b) + "," + std::to_string(c) + ")");
       }
     }
 
-    // Fleet 3: a non-batchable template ($t only in a comparison) exercises
-    // the grounded fallback inside the batching-enabled monitor.
-    auto bt3 = pair.batched.RegisterTemplate(
-        "gt", "q() :- S(x, y), R(x, b), b > $t");
-    auto gt3 = pair.grounded.RegisterTemplate(
-        "gt", "q() :- S(x, y), R(x, b), b > $t");
-    ASSERT_TRUE(bt3.ok());
-    ASSERT_TRUE(gt3.ok());
-    EXPECT_FALSE(pair.batched.template_batchable(*bt3));
+    // Fleet 3: a non-projectable template ($t only in a comparison) is
+    // probed member by member, never by answer passes.
+    const char* gt = "q() :- S(x, y), R(x, b), b > $t";
+    auto t3 = h.monitor.RegisterTemplate("gt", gt);
+    ASSERT_TRUE(t3.ok());
+    EXPECT_FALSE(h.monitor.template_batchable(*t3));
     for (std::int64_t t = 0; t < 2; ++t) {
-      pair.BindBoth(*bt3, *gt3, {Value::Int(t)},
-                    "gt(" + std::to_string(t) + ")");
+      h.Bind(*t3, gt, {Value::Int(t)}, "gt(" + std::to_string(t) + ")");
     }
 
-    // Plain Adds: same-skeleton constants collapse onto one implicit class
-    // in the batched monitor; an aggregate stays per-member everywhere.
-    pair.AddBoth("r0", "q() :- R(0, y)");
-    pair.AddBoth("r1", "q() :- R(1, y)");
-    pair.AddBoth("count-s", "[q(count()) :- S(x, y)] > 2");
+    // Plain Adds: same-skeleton constants collapse onto one implicit class;
+    // an aggregate gets a class of its own.
+    h.Add("r0", "q() :- R(0, y)");
+    h.Add("r1", "q() :- R(1, y)");
+    h.Add("count-s", "[q(count()) :- S(x, y)] > 2");
     if (HasFatalFailure()) return;
 
-    pair.PollAndCompare("initial");
+    h.PollAndCompare("initial");
 
-    // Churn: the same mutation sequence on both databases. The instances
-    // are identical, so success/failure must agree; verdicts are compared
-    // after every step either way.
-    Status applied_b = pair.batched_db.ApplyPending(0);
-    Status applied_g = pair.grounded_db.ApplyPending(0);
-    EXPECT_EQ(applied_b.ok(), applied_g.ok());
-    pair.PollAndCompare("after apply P0");
+    // Churn, with verdicts compared after every step whether or not the
+    // mutation succeeds.
+    (void)h.db.ApplyPending(0);
+    h.PollAndCompare("after apply P0");
 
-    // Remove one member of the watch-a fleet from both monitors; its
-    // siblings (same class) must keep evaluating identically.
-    ASSERT_TRUE(pair.batched.Remove(pair.batched_handles[2]).ok());
-    ASSERT_TRUE(pair.grounded.Remove(pair.grounded_handles[2]).ok());
-    pair.batched_handles.erase(pair.batched_handles.begin() + 2);
-    pair.grounded_handles.erase(pair.grounded_handles.begin() + 2);
-    pair.names.erase(pair.names.begin() + 2);
+    // Remove one member of the watch-a fleet; its siblings (same class)
+    // must keep evaluating correctly.
+    h.Remove(2);
 
     Transaction extra("extra");
     extra.Add("R", Tuple({Value::Int(2), Value::Int(2)}));
     extra.Add("S", Tuple({Value::Int(2), Value::Int(1)}));
-    ASSERT_TRUE(pair.batched_db.AddPending(extra).ok());
-    ASSERT_TRUE(pair.grounded_db.AddPending(extra).ok());
-    pair.PollAndCompare("after remove + add pending");
+    ASSERT_TRUE(h.db.AddPending(extra).ok());
+    h.PollAndCompare("after remove + add pending");
 
-    Status discarded_b = pair.batched_db.DiscardPending(1);
-    Status discarded_g = pair.grounded_db.DiscardPending(1);
-    EXPECT_EQ(discarded_b.ok(), discarded_g.ok());
-    pair.PollAndCompare("after discard P1");
+    (void)h.db.DiscardPending(1);
+    h.PollAndCompare("after discard P1");
   }
 }
 
@@ -276,7 +260,7 @@ BlockchainDatabase MakeMixedConflictLadder(std::size_t k) {
   return std::move(*db);
 }
 
-// A budget-starved batch check may answer kUndecided, but a *decided*
+// A budget-starved member check may answer kUndecided, but a *decided*
 // verdict it reports must match the unlimited reference, and escalation
 // must eventually decide every member.
 TEST(TemplateBudgetDifferentialTest, BatchNeverLiesUnderBudgetAndEscalates) {
@@ -285,35 +269,48 @@ TEST(TemplateBudgetDifferentialTest, BatchNeverLiesUnderBudgetAndEscalates) {
 
   BlockchainDatabase budgeted_db = MakeMixedConflictLadder(3);
   MonitorOptions options;
-  // One world per check: any single maximal world contains at most one of
-  // R(0,0) / R(0,1), so the three surviving bindings cannot all settle —
-  // work-based, deterministic expiry.
+  // One world per check — work-based, deterministic expiry. A "cell"
+  // member's own search finds its tuple in the first world it builds, but a
+  // "rival" member needs both worlds of its component, one per side of the
+  // R(a, 0) / R(a, 1) conflict, to prove that no world holds both.
   options.budget.max_worlds = 1;
   options.budget_growth = 4.0;
   ConstraintMonitor budgeted(&budgeted_db, options);
 
-  auto ref_tmpl = reference.RegisterTemplate("cell", "q() :- R($a, $b)");
-  auto bud_tmpl = budgeted.RegisterTemplate("cell", "q() :- R($a, $b)");
-  ASSERT_TRUE(ref_tmpl.ok());
-  ASSERT_TRUE(bud_tmpl.ok());
-  ASSERT_TRUE(budgeted.template_batchable(*bud_tmpl));
-
-  const std::vector<std::vector<Value>> bindings = {
-      {Value::Int(0), Value::Int(0)},
-      {Value::Int(0), Value::Int(1)},
-      {Value::Int(1), Value::Int(0)},
-      {Value::Int(9), Value::Int(9)},
+  struct Member {
+    const char* label;
+    const char* text;
+    std::vector<Value> binding;
   };
+  const std::vector<Member> members = {
+      {"cell", "q() :- R($a, $b)", {Value::Int(0), Value::Int(0)}},
+      {"cell", "q() :- R($a, $b)", {Value::Int(0), Value::Int(1)}},
+      {"cell", "q() :- R($a, $b)", {Value::Int(1), Value::Int(0)}},
+      {"cell", "q() :- R($a, $b)", {Value::Int(9), Value::Int(9)}},
+      {"rival", "q() :- R($a, x), R($a, y), x != y", {Value::Int(0)}},
+      {"rival", "q() :- R($a, x), R($a, y), x != y", {Value::Int(2)}},
+  };
+  std::map<std::string, std::pair<TemplateHandle, TemplateHandle>> classes;
   std::vector<MonitorHandle> ref_handles;
   std::vector<MonitorHandle> bud_handles;
-  for (const auto& binding : bindings) {
-    auto r = reference.Bind(*ref_tmpl, binding);
-    auto b = budgeted.Bind(*bud_tmpl, binding);
+  for (const Member& member : members) {
+    auto it = classes.find(member.label);
+    if (it == classes.end()) {
+      auto ref_tmpl = reference.RegisterTemplate(member.label, member.text);
+      auto bud_tmpl = budgeted.RegisterTemplate(member.label, member.text);
+      ASSERT_TRUE(ref_tmpl.ok());
+      ASSERT_TRUE(bud_tmpl.ok());
+      it = classes.emplace(member.label, std::make_pair(*ref_tmpl, *bud_tmpl))
+               .first;
+    }
+    auto r = reference.Bind(it->second.first, member.binding);
+    auto b = budgeted.Bind(it->second.second, member.binding);
     ASSERT_TRUE(r.ok());
     ASSERT_TRUE(b.ok());
     ref_handles.push_back(*r);
     bud_handles.push_back(*b);
   }
+  ASSERT_TRUE(budgeted.template_batchable(classes.at("cell").second));
   ASSERT_TRUE(reference.Poll().ok());
   for (MonitorHandle handle : ref_handles) {
     ASSERT_NE(reference.verdict(handle), Verdict::kUndecided);
@@ -323,23 +320,23 @@ TEST(TemplateBudgetDifferentialTest, BatchNeverLiesUnderBudgetAndEscalates) {
   for (int poll = 0; poll < 10 && !all_decided; ++poll) {
     ASSERT_TRUE(budgeted.Poll().ok());
     all_decided = true;
-    for (std::size_t i = 0; i < bindings.size(); ++i) {
+    for (std::size_t i = 0; i < members.size(); ++i) {
       const Verdict got = budgeted.verdict(bud_handles[i]);
       if (got == Verdict::kUndecided) {
         all_decided = false;
         continue;
       }
       // Decided under budget pressure: must agree with the reference.
-      EXPECT_EQ(got, reference.verdict(ref_handles[i])) << "binding " << i;
+      EXPECT_EQ(got, reference.verdict(ref_handles[i])) << "member " << i;
     }
   }
   EXPECT_TRUE(all_decided);
   EXPECT_GT(budgeted.poll_stats().undecided_verdicts, 0u);
   EXPECT_GT(budgeted.poll_stats().budget_escalations, 0u);
-  for (std::size_t i = 0; i < bindings.size(); ++i) {
+  for (std::size_t i = 0; i < members.size(); ++i) {
     EXPECT_EQ(budgeted.verdict(bud_handles[i]),
               reference.verdict(ref_handles[i]))
-        << "binding " << i;
+        << "member " << i;
   }
 }
 

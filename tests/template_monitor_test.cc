@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "core/monitor.h"
-#include "query/analysis.h"
+#include "grounded_reference.h"
 #include "query/compiled_query.h"
 #include "query/parser.h"
 #include "query/template.h"
@@ -13,6 +13,7 @@
 namespace bcdb {
 namespace {
 
+using testing_fixtures::GroundedVerdict;
 using testing_fixtures::MakeRunningExample;
 using Verdict = ConstraintMonitor::Verdict;
 
@@ -26,24 +27,6 @@ ConstraintTemplate T(const std::string& text) {
   auto tmpl = ConstraintTemplate::Parse(text);
   EXPECT_TRUE(tmpl.ok()) << tmpl.status();
   return *tmpl;
-}
-
-void ExpectSameStats(const DcSatStats& a, const DcSatStats& b) {
-  EXPECT_EQ(a.algorithm_used, b.algorithm_used);
-  EXPECT_EQ(a.precheck_decided, b.precheck_decided);
-  EXPECT_EQ(a.num_pending, b.num_pending);
-  EXPECT_EQ(a.num_valid_nodes, b.num_valid_nodes);
-  EXPECT_EQ(a.fd_conflict_pairs, b.fd_conflict_pairs);
-  EXPECT_EQ(a.num_components, b.num_components);
-  EXPECT_EQ(a.num_components_covered, b.num_components_covered);
-  EXPECT_EQ(a.components_completed, b.components_completed);
-  EXPECT_EQ(a.num_cliques, b.num_cliques);
-  EXPECT_EQ(a.num_worlds_evaluated, b.num_worlds_evaluated);
-  EXPECT_EQ(a.budget_expired, b.budget_expired);
-  EXPECT_EQ(a.threads_used, b.threads_used);
-  EXPECT_EQ(a.components_parallel, b.components_parallel);
-  EXPECT_EQ(a.cancelled_tasks, b.cancelled_tasks);
-  EXPECT_EQ(a.steady_cache_hit, b.steady_cache_hit);
 }
 
 // --- Template type ------------------------------------------------------
@@ -251,7 +234,7 @@ TEST(TemplateMonitorTest, AddCanonicalizationSharesClasses) {
   EXPECT_EQ(monitor.num_classes(), 3u);
 
   ASSERT_TRUE(monitor.Poll().ok());
-  // The three same-class Adds ran as one shared batch check.
+  // The three same-class Adds ran through one shared class plan.
   EXPECT_GE(monitor.poll_stats().classes_evaluated, 1u);
   EXPECT_GE(monitor.poll_stats().constraints_batched, 3u);
 }
@@ -306,7 +289,7 @@ TEST(TemplateMonitorTest, BaseRemovalDirtiesBatchClass) {
   EXPECT_EQ(monitor.verdict(*u9), Verdict::kHappened);
 
   // The retraction dirties the class through the shared footprint; the
-  // whole batch re-runs and only the affected member transitions.
+  // whole class re-runs and only the affected member transitions.
   ASSERT_TRUE(db.RemoveCurrent("TxOut", row).ok());
   const auto classes_before = monitor.poll_stats().classes_evaluated;
   const auto batched_before = monitor.poll_stats().constraints_batched;
@@ -322,8 +305,8 @@ TEST(TemplateMonitorTest, BaseRemovalDirtiesBatchClass) {
 
 TEST(TemplateMonitorTest, RemovalPollRefreshesBatchMembership) {
   // A base removal dirties the class; the re-run must pick up membership
-  // changes made since the cached batch was built (members_version), not
-  // replay the stale binding list.
+  // changes made since the previous poll (the removed binding's slot in the
+  // class's binding map goes dead), not replay a stale member list.
   BlockchainDatabase db = MakeRunningExample();
   ConstraintMonitor monitor(&db);
   auto tmpl = monitor.RegisterTemplate("watch", "q() :- TxOut(t, s, $pk, a)");
@@ -335,7 +318,7 @@ TEST(TemplateMonitorTest, RemovalPollRefreshesBatchMembership) {
   const Tuple row({Value::Int(99), Value::Int(1), Value::Str("U9Pk"),
                    Value::Int(1)});
   ASSERT_TRUE(db.InsertCurrent("TxOut", row).ok());
-  ASSERT_TRUE(monitor.Poll().ok());  // Caches the two-member batch.
+  ASSERT_TRUE(monitor.Poll().ok());  // Evaluates the two-member class.
 
   // Unbind one member, retract its row, and bind a fresh member before the
   // next poll.
@@ -348,8 +331,8 @@ TEST(TemplateMonitorTest, RemovalPollRefreshesBatchMembership) {
   ASSERT_TRUE(monitor.Poll().ok());
   EXPECT_EQ(monitor.verdict(*u5), Verdict::kPossible);
   EXPECT_EQ(monitor.verdict(*u3), Verdict::kHappened);
-  // Exactly the surviving + new member ran through the batch — the removed
-  // binding is gone from the refreshed member list.
+  // Exactly the surviving + new member ran through the class plan — the
+  // removed binding is gone from the selection.
   EXPECT_EQ(monitor.poll_stats().constraints_batched - batched_before, 2u);
 }
 
@@ -419,31 +402,60 @@ TEST(TemplateMonitorTest, TransitionsFlowThroughBatchPath) {
   EXPECT_EQ((*changes)[0].after, Verdict::kImpossible);
 }
 
-TEST(TemplateMonitorTest, ExplicitAlgorithmPollFallsBackToPerMember) {
+TEST(TemplateMonitorTest, ExplicitAlgorithmAppliesOnlyToSearches) {
   BlockchainDatabase db = MakeRunningExample();
   ConstraintMonitor monitor(&db);
-  auto tmpl = monitor.RegisterTemplate("watch", "q() :- TxOut(t, s, $pk, a)");
-  ASSERT_TRUE(tmpl.ok());
-  auto u8 = monitor.Bind(*tmpl, {Value::Str("U8Pk")});
-  auto u9 = monitor.Bind(*tmpl, {Value::Str("U9Pk")});
-  ASSERT_TRUE(u8.ok());
-  ASSERT_TRUE(u9.ok());
-
-  // An explicitly requested algorithm is honored per member (the batch
-  // evaluator only serves kAuto), grounding batch members on demand.
   DcSatOptions opt_only;
   opt_only.algorithm = DcSatAlgorithm::kOpt;
+
+  // A connected template: the requested search decides the member the
+  // probes leave open, and the probes settle the rest.
+  auto watch = monitor.RegisterTemplate("watch", "q() :- TxOut(t, s, $pk, a)");
+  ASSERT_TRUE(watch.ok());
+  auto u8 = monitor.Bind(*watch, {Value::Str("U8Pk")});
+  auto u9 = monitor.Bind(*watch, {Value::Str("U9Pk")});
+  ASSERT_TRUE(u8.ok());
+  ASSERT_TRUE(u9.ok());
   ASSERT_TRUE(monitor.Poll(opt_only).ok());
   EXPECT_EQ(monitor.verdict(*u8), Verdict::kPossible);
   EXPECT_EQ(monitor.verdict(*u9), Verdict::kImpossible);
-  EXPECT_EQ(monitor.poll_stats().classes_evaluated, 0u);
+
+  // A disconnected template, for which OptDCSat is unsound. Members the
+  // probes settle never run the requested search, so the poll succeeds...
+  const char* pair_text = "q() :- TxOut(t, s, $pk, a), TxIn(u, v, w, b, n, g)";
+  auto pair = monitor.RegisterTemplate("pair", pair_text);
+  ASSERT_TRUE(pair.ok());
+  auto u3_pair = monitor.Bind(*pair, {Value::Str("U3Pk")});
+  auto u9_pair = monitor.Bind(*pair, {Value::Str("U9Pk")});
+  ASSERT_TRUE(u3_pair.ok());
+  ASSERT_TRUE(u9_pair.ok());
+  ASSERT_TRUE(monitor.Poll(opt_only).ok());
+  EXPECT_EQ(monitor.verdict(*u3_pair), Verdict::kHappened);
+  EXPECT_EQ(monitor.verdict(*u9_pair), Verdict::kImpossible);
+
+  // ...while a member that reaches a search validates the request, and the
+  // failed poll commits nothing.
+  auto u8_pair = monitor.Bind(*pair, {Value::Str("U8Pk")});
+  ASSERT_TRUE(u8_pair.ok());
+  auto rejected = monitor.Poll(opt_only);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("connected"), std::string::npos);
+  EXPECT_EQ(monitor.verdict(*u8_pair), Verdict::kUnknown);
+
+  DcSatEngine reference(&db);
+  ASSERT_TRUE(monitor.Poll().ok());
+  auto tmpl = ConstraintTemplate::Parse(pair_text);
+  ASSERT_TRUE(tmpl.ok());
+  EXPECT_EQ(monitor.verdict(*u8_pair),
+            GroundedVerdict(db, reference, *tmpl, {Value::Str("U8Pk")}));
 }
 
 TEST(TemplateMonitorTest, NonBatchableTemplateUsesGroundedPath) {
   BlockchainDatabase db = MakeRunningExample();
   ConstraintMonitor monitor(&db);
-  // $floor only occurs in a comparison: not projectable, so members run
-  // the per-member grounded path even with batching enabled.
+  // $floor only occurs in a comparison: not projectable, so its members
+  // are probed one by one through the class plan, never by answer passes.
   auto tmpl = monitor.RegisterTemplate(
       "big", "q() :- TxOut(t, s, p, a), a > $floor");
   ASSERT_TRUE(tmpl.ok());
@@ -458,88 +470,38 @@ TEST(TemplateMonitorTest, NonBatchableTemplateUsesGroundedPath) {
   EXPECT_EQ(monitor.poll_stats().classes_evaluated, 0u);
 }
 
-TEST(TemplateMonitorTest, BatchingOffMatchesOnAcrossChurn) {
-  BlockchainDatabase on_db = MakeRunningExample();
-  BlockchainDatabase off_db = MakeRunningExample();
-  MonitorOptions off_options;
-  off_options.enable_template_batching = false;
-  ConstraintMonitor on(&on_db);
-  ConstraintMonitor off(&off_db, off_options);
+TEST(TemplateMonitorTest, MembersMatchGroundedReferenceAcrossChurn) {
+  BlockchainDatabase db = MakeRunningExample();
+  ConstraintMonitor monitor(&db);
+  DcSatEngine reference(&db);
+  const char* text = "q() :- TxOut(t, s, $pk, a)";
+  auto tmpl = monitor.RegisterTemplate("watch", text);
+  ASSERT_TRUE(tmpl.ok());
+  auto parsed = ConstraintTemplate::Parse(text);
+  ASSERT_TRUE(parsed.ok());
 
-  std::vector<MonitorHandle> on_handles;
-  std::vector<MonitorHandle> off_handles;
-  auto on_tmpl = on.RegisterTemplate("watch", "q() :- TxOut(t, s, $pk, a)");
-  auto off_tmpl = off.RegisterTemplate("watch", "q() :- TxOut(t, s, $pk, a)");
-  ASSERT_TRUE(on_tmpl.ok());
-  ASSERT_TRUE(off_tmpl.ok());
+  std::vector<MonitorHandle> handles;
+  std::vector<std::vector<Value>> bindings;
   for (const char* pk : {"U1Pk", "U2Pk", "U4Pk", "U5Pk", "U7Pk", "U8Pk"}) {
-    auto a = on.Bind(*on_tmpl, {Value::Str(pk)});
-    auto b = off.Bind(*off_tmpl, {Value::Str(pk)});
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    on_handles.push_back(*a);
-    off_handles.push_back(*b);
+    bindings.push_back({Value::Str(pk)});
+    auto handle = monitor.Bind(*tmpl, bindings.back());
+    ASSERT_TRUE(handle.ok());
+    handles.push_back(*handle);
   }
 
   auto compare = [&](const char* when) {
-    ASSERT_TRUE(on.Poll().ok());
-    ASSERT_TRUE(off.Poll().ok());
-    for (std::size_t i = 0; i < on_handles.size(); ++i) {
-      EXPECT_EQ(on.verdict(on_handles[i]), off.verdict(off_handles[i]))
+    ASSERT_TRUE(monitor.Poll().ok());
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+      EXPECT_EQ(monitor.verdict(handles[i]),
+                GroundedVerdict(db, reference, *parsed, bindings[i]))
           << when << " member " << i;
     }
   };
   compare("initial");
-  ASSERT_TRUE(on_db.ApplyPending(0).ok());
-  ASSERT_TRUE(off_db.ApplyPending(0).ok());
+  ASSERT_TRUE(db.ApplyPending(0).ok());
   compare("after T1 confirms");
-  ASSERT_TRUE(on_db.DiscardPending(2).ok());
-  ASSERT_TRUE(off_db.DiscardPending(2).ok());
+  ASSERT_TRUE(db.DiscardPending(2).ok());
   compare("after T3 evicted");
-}
-
-// --- Batch evaluator ----------------------------------------------------
-
-TEST(TemplateBatchTest, ThreadCountLeavesOutcomesAndStatsUnchanged) {
-  // The batch visitor settles shared per-binding state, so the survivor
-  // search always runs on one worker: asking for four must change nothing.
-  BlockchainDatabase db = MakeRunningExample();
-  DcSatEngine engine(&db);
-  engine.PrepareSteadyState();
-  std::vector<Tuple> bindings;
-  for (const char* pk : {"U8Pk", "U3Pk", "U9Pk", "U5Pk", "U4Pk", "U8Pk"}) {
-    bindings.push_back(Tuple({Value::Str(pk)}));
-  }
-  // Connected (OptDCSat-style components) and disconnected (one component).
-  const char* kTemplates[] = {
-      "q() :- TxOut(t, s, $pk, a)",
-      "q() :- TxIn(pt, ps, $pk, a, nt, sg), TxOut(u, v, w, b)",
-  };
-  BudgetLimits tight;
-  tight.max_cliques = 1;
-  for (const char* text : kTemplates) {
-    const DenialConstraint generalized = T(text).Generalized();
-    auto compiled = CompiledQuery::Compile(generalized, &db.database());
-    ASSERT_TRUE(compiled.ok()) << compiled.status();
-    auto equalities = TemplateEqualitiesFromQuery(generalized, db.catalog());
-    ASSERT_TRUE(equalities.ok()) << equalities.status();
-    for (const BudgetLimits& budget : {BudgetLimits{}, tight}) {
-      SCOPED_TRACE(std::string(text) +
-                   (budget.unlimited() ? "" : " (max_cliques=1)"));
-      DcSatOptions serial;
-      serial.budget = budget;
-      DcSatOptions parallel = serial;
-      parallel.num_threads = 4;
-      auto one = engine.CheckTemplateBatch(*compiled, *equalities, bindings,
-                                           serial);
-      auto four = engine.CheckTemplateBatch(*compiled, *equalities, bindings,
-                                            parallel);
-      ASSERT_TRUE(one.ok()) << one.status();
-      ASSERT_TRUE(four.ok()) << four.status();
-      EXPECT_EQ(one->outcomes, four->outcomes);
-      ExpectSameStats(one->stats, four->stats);
-    }
-  }
 }
 
 }  // namespace
