@@ -40,11 +40,7 @@ Status Blockchain::ValidateTransaction(
           "witness does not satisfy the output script of " + input.pubkey);
     }
   }
-  for (const TxOutput& output : tx.outputs()) {
-    if (output.amount < 0) {
-      return Status::ConstraintViolation("negative output amount");
-    }
-  }
+  BCDB_RETURN_IF_ERROR(CheckAmounts(tx));
   if (!tx.is_coinbase() && tx.Fee() < 0) {
     return Status::ConstraintViolation("outputs exceed inputs");
   }
@@ -71,10 +67,13 @@ Status Blockchain::AppendBlock(const Block& block) {
         return Status::ConstraintViolation(
             "coinbase must be the first transaction of the block");
       }
+      BCDB_RETURN_IF_ERROR(CheckAmounts(tx));
       coinbase = &tx;
     } else {
       BCDB_RETURN_IF_ERROR(ValidateTransaction(tx, available));
-      fees += tx.Fee();
+      if (!AddAmount(tx.Fee(), &fees)) {
+        return Status::ConstraintViolation("block fees exceed kMaxMoney");
+      }
     }
     if (confirmed_txids_.count(tx.txid()) > 0) {
       return Status::AlreadyExists("transaction " + std::to_string(tx.txid()) +

@@ -52,6 +52,7 @@ Status Mempool::Add(const Blockchain& chain, BitcoinTransaction tx) {
           "witness does not satisfy the output script of " + input.pubkey);
     }
   }
+  BCDB_RETURN_IF_ERROR(CheckAmounts(tx));
   if (tx.Fee() < 0) {
     return Status::ConstraintViolation("outputs exceed inputs");
   }
@@ -177,8 +178,11 @@ StatusOr<std::vector<TxId>> Mempool::ReplaceByFee(const Blockchain& chain,
   for (const BitcoinTransaction& resident : transactions_) {
     for (const TxInput& input : resident.inputs()) {
       if (claimed.count(input.prev) > 0) {
-        if (conflicts.insert(resident.txid()).second) {
-          displaced_fees += resident.Fee();
+        if (conflicts.insert(resident.txid()).second &&
+            !AddAmount(resident.Fee(), &displaced_fees)) {
+          // No replacement can pay more than kMaxMoney.
+          return Status::ConstraintViolation(
+              "displaced fees exceed kMaxMoney");
         }
         break;
       }

@@ -27,20 +27,60 @@ BitcoinTransaction BitcoinTransaction::Coinbase(const std::string& miner_pubkey,
   return tx;
 }
 
-Satoshi BitcoinTransaction::InputTotal() const {
+namespace {
+
+/// Sum of the items' amounts, wrapping on overflow (defined behaviour,
+/// unlike a signed `+=`).
+template <typename Items>
+Satoshi WrappingTotal(const Items& items) {
   Satoshi total = 0;
-  for (const TxInput& input : inputs_) total += input.amount;
+  for (const auto& item : items) {
+    __builtin_add_overflow(total, item.amount, &total);
+  }
   return total;
+}
+
+/// Whether every amount and the running total stay within [0, kMaxMoney].
+template <typename Items>
+bool AmountsInRange(const Items& items) {
+  Satoshi total = 0;
+  for (const auto& item : items) {
+    if (!AddAmount(item.amount, &total)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+bool AddAmount(Satoshi amount, Satoshi* total) {
+  return amount >= 0 && !__builtin_add_overflow(*total, amount, total) &&
+         *total <= kMaxMoney;
+}
+
+Status CheckAmounts(const BitcoinTransaction& tx) {
+  if (!AmountsInRange(tx.inputs())) {
+    return Status::ConstraintViolation(
+        "input amount or input total outside [0, kMaxMoney]");
+  }
+  if (!AmountsInRange(tx.outputs())) {
+    return Status::ConstraintViolation(
+        "output amount or output total outside [0, kMaxMoney]");
+  }
+  return Status::OK();
+}
+
+Satoshi BitcoinTransaction::InputTotal() const {
+  return WrappingTotal(inputs_);
 }
 
 Satoshi BitcoinTransaction::OutputTotal() const {
-  Satoshi total = 0;
-  for (const TxOutput& output : outputs_) total += output.amount;
-  return total;
+  return WrappingTotal(outputs_);
 }
 
 Satoshi BitcoinTransaction::Fee() const {
-  return is_coinbase() ? 0 : InputTotal() - OutputTotal();
+  Satoshi fee = 0;
+  if (!is_coinbase()) __builtin_sub_overflow(InputTotal(), OutputTotal(), &fee);
+  return fee;
 }
 
 std::string BitcoinTransaction::Serialize() const {

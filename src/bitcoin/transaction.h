@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "util/hash.h"
+#include "util/status.h"
 
 namespace bcdb {
 namespace bitcoin {
@@ -14,6 +15,15 @@ namespace bitcoin {
 /// Amounts are integer satoshis; 1 bitcoin = 10^8 satoshi.
 using Satoshi = std::int64_t;
 inline constexpr Satoshi kCoin = 100'000'000;
+
+/// The most any amount, or any sum of amounts, may be: the 21 million coin
+/// supply. Bounding every amount and every sum by it keeps fee arithmetic
+/// far from int64 overflow.
+inline constexpr Satoshi kMaxMoney = 21'000'000 * kCoin;
+
+/// Adds `amount` to `*total`. False when `amount` is negative or the sum
+/// overflows or exceeds kMaxMoney (`*total` is then meaningless).
+bool AddAmount(Satoshi amount, Satoshi* total);
 
 /// Compact 63-bit transaction id (derived from the SHA-256 of the
 /// serialized transaction; stored as the txId / prevTxId / newTxId columns
@@ -81,6 +91,8 @@ class BitcoinTransaction {
   const std::vector<TxOutput>& outputs() const { return outputs_; }
   bool is_coinbase() const { return inputs_.empty(); }
 
+  /// Totals and fee wrap instead of overflowing; they are exact for every
+  /// transaction CheckAmounts accepts.
   Satoshi InputTotal() const;
   Satoshi OutputTotal() const;
   /// InputTotal - OutputTotal; the miner's incentive. 0 for coinbases.
@@ -95,6 +107,12 @@ class BitcoinTransaction {
   std::uint64_t salt_ = 0;  // Coinbase height salt.
   TxId txid_ = 0;
 };
+
+/// The amount rule of both validators (Blockchain::ValidateTransaction and
+/// Mempool::Add; the chain also applies it to coinbases): every input and
+/// output amount lies in [0, kMaxMoney], and so do the input total and the
+/// output total.
+Status CheckAmounts(const BitcoinTransaction& tx);
 
 }  // namespace bitcoin
 }  // namespace bcdb

@@ -10,22 +10,7 @@ BlockchainDatabase::BlockchainDatabase(Catalog catalog,
       constraints_(std::make_unique<ConstraintSet>(std::move(constraints))),
       checker_(std::make_unique<ConstraintChecker>(db_.get(),
                                                    constraints_.get())),
-      mutation_log_(std::make_unique<MutationLog>()),
-      listeners_(std::make_unique<ListenerRegistry>()) {}
-
-MutationListenerId BlockchainDatabase::AddMutationListener(
-    MutationListener listener) {
-  MutexLock lock(listeners_->mutex);
-  listeners_->listeners.push_back(std::move(listener));
-  return listeners_->listeners.size() - 1;
-}
-
-void BlockchainDatabase::RemoveMutationListener(MutationListenerId id) {
-  MutexLock lock(listeners_->mutex);
-  if (id < listeners_->listeners.size()) {
-    listeners_->listeners[id] = nullptr;
-  }
-}
+      mutation_log_(std::make_unique<MutationLog>()) {}
 
 void BlockchainDatabase::Publish(MutationKind kind, PendingId id,
                                  std::vector<std::size_t> relation_ids,
@@ -39,28 +24,7 @@ void BlockchainDatabase::Publish(MutationKind kind, PendingId id,
   event.relation_ids = std::move(relation_ids);
   event.tuple = std::move(event_tuple);
   mutation_log_->Append(event);
-  // The durability sink runs first: the write-ahead record must exist
-  // before any listener can act on (and externalize) the mutation.
   if (durability_sink_ != nullptr) durability_sink_->Persist(event, payload);
-  // By index with the size snapshotted up front, invoking a copy with the
-  // registry unlocked: a callback may register or remove listeners, which
-  // reallocates or overwrites the vector (references into it would dangle,
-  // even under the running callback itself) and re-acquires the registry
-  // lock. A listener registered mid-publish starts with the next event; one
-  // removed mid-publish may still receive this one.
-  std::size_t num_listeners;
-  {
-    MutexLock lock(listeners_->mutex);
-    num_listeners = listeners_->listeners.size();
-  }
-  for (std::size_t i = 0; i < num_listeners; ++i) {
-    MutationListener listener;
-    {
-      MutexLock lock(listeners_->mutex);
-      listener = listeners_->listeners[i];
-    }
-    if (listener) listener(event);
-  }
 }
 
 StatusOr<BlockchainDatabase> BlockchainDatabase::Create(
@@ -184,7 +148,7 @@ Status BlockchainDatabase::ApplyPending(PendingId id) {
   // must describe the transaction as it was registered, independent of what
   // the promote/drop loops below do to per-relation state. (Teardown does
   // not touch pending_relations_ today, but the capture-then-mutate order
-  // is the invariant listeners rely on, so make it structural.)
+  // is the invariant log consumers rely on, so make it structural.)
   std::vector<std::size_t> event_relations = pending_relations_[id];
   for (std::size_t r = 0; r < db_->num_relations(); ++r) {
     db_->relation(r).PromoteOwner(static_cast<TupleOwner>(id));

@@ -2,7 +2,6 @@
 #define BCDB_CORE_BLOCKCHAIN_DB_H_
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -13,19 +12,9 @@
 #include "core/transaction.h"
 #include "relational/database.h"
 #include "relational/world_view.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace bcdb {
-
-/// Callback invoked synchronously after every database mutation, with the
-/// event just appended to the mutation log. Listeners must not mutate the
-/// database from inside the callback. Registering or removing listeners
-/// from inside the callback is safe: a listener added mid-publish first
-/// sees the *next* event, one removed mid-publish may still see this one.
-using MutationListener = std::function<void(const MutationEvent&)>;
-using MutationListenerId = std::size_t;
 
 /// What a MutationEvent does not carry but a durable log must: the payload
 /// needed to replay the mutation against a recovered database. Pointers
@@ -40,11 +29,10 @@ struct MutationPayload {
 };
 
 /// Write-ahead hook of the durable storage backend (src/storage). Attached
-/// sinks observe every successful mutation synchronously — before regular
-/// listeners — together with the replay payload. Persist must not mutate
-/// the database; errors are latched inside the sink (mutations never fail
-/// for durability reasons) and surface through the sink's own status/sync
-/// API.
+/// sinks observe every successful mutation synchronously, together with the
+/// replay payload. Persist must not mutate the database; errors are latched
+/// inside the sink (mutations never fail for durability reasons) and
+/// surface through the sink's own status/sync API.
 class DurabilitySink {
  public:
   virtual ~DurabilitySink() = default;
@@ -60,9 +48,9 @@ class DurabilitySink {
 /// Mutations bump a version counter and append a typed MutationEvent to the
 /// mutation log, so that derived steady-state structures (the
 /// fd-transaction graph, Θ_I components, per-constraint verdicts) can be
-/// maintained incrementally instead of rebuilt from scratch. Consumers
-/// either pull deltas from `mutations()` with a seq cursor, or register a
-/// push listener with AddMutationListener.
+/// maintained incrementally instead of rebuilt from scratch. The log is the
+/// only way deltas leave the database: every consumer keeps its own seq
+/// cursor and pulls from `mutations()`.
 class BlockchainDatabase {
  public:
   /// Lifecycle of a pending-transaction slot. Slots are never reused:
@@ -176,15 +164,9 @@ class BlockchainDatabase {
   /// (kForeignCursor flags a cursor that never came from this log).
   const MutationLog& mutations() const { return *mutation_log_; }
 
-  /// Registers a push listener notified synchronously after every mutation.
-  /// Returns an id for RemoveMutationListener. Listener slots are never
-  /// reused.
-  MutationListenerId AddMutationListener(MutationListener listener);
-  void RemoveMutationListener(MutationListenerId id);
-
   /// Attaches the write-ahead durability sink, which observes every
-  /// subsequent mutation (with its replay payload) before any regular
-  /// listener. At most one sink may be attached; pass nullptr to detach.
+  /// subsequent mutation (with its replay payload) as it is published. At
+  /// most one sink may be attached; pass nullptr to detach.
   void AttachDurabilitySink(DurabilitySink* sink) { durability_sink_ = sink; }
   DurabilitySink* durability_sink() const { return durability_sink_; }
 
@@ -209,10 +191,10 @@ class BlockchainDatabase {
  private:
   BlockchainDatabase(Catalog catalog, ConstraintSet constraints);
 
-  /// Appends the event (stamping the post-mutation version), hands it to
-  /// the durability sink (if attached) with its replay payload, and
-  /// notifies listeners. `event_tuple` is the base tuple the event carries
-  /// (kCurrentInserted / kCurrentRemoved only; empty otherwise).
+  /// Appends the event (stamping the post-mutation version) and hands it to
+  /// the durability sink (if attached) with its replay payload.
+  /// `event_tuple` is the base tuple the event carries (kCurrentInserted /
+  /// kCurrentRemoved only; empty otherwise).
   void Publish(MutationKind kind, PendingId id,
                std::vector<std::size_t> relation_ids,
                const MutationPayload& payload = MutationPayload{},
@@ -227,21 +209,6 @@ class BlockchainDatabase {
   std::vector<std::vector<std::size_t>> pending_relations_;
   std::uint64_t version_ = 0;
   std::unique_ptr<MutationLog> mutation_log_;
-  /// Listener slots behind their own lock (and behind unique_ptr so the
-  /// database stays movable despite the non-movable Mutex). Publish copies
-  /// each listener out under the lock and invokes it unlocked, so callbacks
-  /// may re-enter Add/RemoveMutationListener. The lock is a near-top leaf
-  /// (kMutationListeners = 75): mutations may run under caller locks (the
-  /// durable store's during WAL replay), and snapshotting a listener must
-  /// rank above all of them. The *callback* runs with this lock dropped,
-  /// but under whatever the mutating caller still holds — so a mutation
-  /// with a monitor attached must not hold locks at or above kMonitor.
-  struct ListenerRegistry {
-    Mutex mutex{LockRank::kMutationListeners};
-    /// Slot per listener id; removed listeners leave an empty function.
-    std::vector<MutationListener> listeners BCDB_GUARDED_BY(mutex);
-  };
-  std::unique_ptr<ListenerRegistry> listeners_;
   /// Non-owning write-ahead hook; nullptr when the database is volatile.
   DurabilitySink* durability_sink_ = nullptr;
 };

@@ -1,8 +1,6 @@
 #include "core/dcsat.h"
 
 #include <algorithm>
-#include <exception>
-#include <future>
 
 #include "core/bron_kerbosch.h"
 #include "core/get_maximal.h"
@@ -57,14 +55,10 @@ const FdGraph& DcSatEngine::PrepareSteadyState() {
 
 void DcSatEngine::RefreshCaches() {
   last_refresh_ = SteadyStateRefresh{};
-  if (cached_version_ == db_->version() && fd_graph_.has_value()) {
-    ++cache_hits_;
-    return;
-  }
-  ++cache_misses_;
+  if (cached_version_ == db_->version() && fd_graph_.has_value()) return;
   last_refresh_.refreshed = true;
   if (!TryIncrementalRefresh()) {
-    fd_graph_.emplace(*db_, /*track_mutations=*/steady_options_.incremental);
+    fd_graph_.emplace(*db_);
     theta_i_.Rebuild(*db_, EqualitiesFromConstraints(db_->constraints()),
                      fd_graph_->valid_nodes());
     last_refresh_.full_rebuild = true;
@@ -75,10 +69,7 @@ void DcSatEngine::RefreshCaches() {
 }
 
 bool DcSatEngine::TryIncrementalRefresh() {
-  if (!steady_options_.incremental || !fd_graph_.has_value() ||
-      !fd_graph_->tracking_mutations()) {
-    return false;
-  }
+  if (!fd_graph_.has_value()) return false;
   std::vector<MutationEvent> events;
   if (db_->mutations().ReadSince(consumed_seq_, &events) !=
       MutationLog::ReadResult::kOk) {
@@ -88,7 +79,7 @@ bool DcSatEngine::TryIncrementalRefresh() {
     ++steady_stats_.fallbacks_missed_events;
     return false;
   }
-  if (events.size() > steady_options_.max_delta_events) {
+  if (events.size() > kMaxDeltaEvents) {
     ++steady_stats_.fallbacks_batch_too_large;
     return false;
   }
@@ -136,107 +127,66 @@ bool DcSatEngine::TryIncrementalRefresh() {
   // re-probe exactly the still-invalid pending transactions touching the
   // event's relations against the final base. Pairwise pending/pending
   // conflicts never depend on R at all.
+  //
+  // The fd graph reports every node that joined or left the valid set;
+  // exactly those are forwarded to Θ_I.
   bool removed_nodes = false;
-
-  // Re-checks every invalid-but-still-pending transaction whose footprint
-  // meets `rids`; AddPendingNode runs the full base-consistency probe, so a
-  // node that stays inconsistent for another reason stays out.
-  auto revalidate_touching = [&](const std::vector<std::size_t>& rids) {
-    for (PendingId id = 0; id < db_->num_pending(); ++id) {
-      if (!db_->IsPending(id)) continue;
-      const DynamicBitset& valid = fd_graph_->valid_nodes();
-      if (id < valid.size() && valid.Test(id)) continue;
-      bool touches = false;
-      for (std::size_t rid : db_->PendingRelations(id)) {
-        if (std::find(rids.begin(), rids.end(), rid) != rids.end()) {
-          touches = true;
-          break;
-        }
-      }
-      if (touches && fd_graph_->AddPendingNode(id)) {
-        theta_i_.AddNode(id);
-        last_refresh_.revalidated.push_back(id);
-      }
+  auto leave = [&](const std::vector<PendingId>& nodes) {
+    for (PendingId node : nodes) theta_i_.RemoveNode(node);
+    removed_nodes |= !nodes.empty();
+  };
+  auto revalidate = [&](const std::vector<std::size_t>& relation_ids) {
+    for (PendingId node : fd_graph_->RevalidateTouching(relation_ids)) {
+      theta_i_.AddNode(node);
+      last_refresh_.revalidated.push_back(node);
     }
   };
+  std::vector<PendingId>& cascade = last_refresh_.cascade_invalidated;
 
   for (const MutationEvent& event : events) {
     switch (event.kind) {
-      case MutationKind::kPendingAdded: {
+      case MutationKind::kPendingAdded:
         theta_i_.GrowTo(db_->num_pending());
-        // An earlier kCurrentRemoved/kPendingRestored in this batch may have
-        // already integrated this node (revalidation replays against the
-        // final database state, which includes it); Θ_I membership is not
-        // idempotent, so skip the double add.
-        const DynamicBitset& valid = fd_graph_->valid_nodes();
-        if (event.pending_id < valid.size() && valid.Test(event.pending_id)) {
-          break;
-        }
+        // False as well when an earlier revalidation in this batch (which
+        // replays against the final database state) already integrated it.
         if (fd_graph_->AddPendingNode(event.pending_id)) {
           theta_i_.AddNode(event.pending_id);
         }
         break;
-      }
-      case MutationKind::kPendingDiscarded: {
-        const DynamicBitset& valid = fd_graph_->valid_nodes();
-        const bool was_valid =
-            event.pending_id < valid.size() && valid.Test(event.pending_id);
-        fd_graph_->RemovePendingNode(event.pending_id);
-        if (was_valid) {
-          theta_i_.RemoveNode(event.pending_id);
-          removed_nodes = true;
+      case MutationKind::kPendingDiscarded:
+        if (fd_graph_->RemovePendingNode(event.pending_id)) {
+          leave({event.pending_id});
         }
         break;
-      }
       case MutationKind::kPendingApplied: {
-        const DynamicBitset& valid = fd_graph_->valid_nodes();
-        const bool was_valid =
-            event.pending_id < valid.size() && valid.Test(event.pending_id);
-        const std::vector<PendingId> cascade =
+        const std::vector<PendingId> left =
             fd_graph_->ApplyPendingNode(event.pending_id);
-        if (was_valid) {
-          theta_i_.RemoveNode(event.pending_id);
-          removed_nodes = true;
+        leave(left);
+        if (!left.empty()) {
+          cascade.insert(cascade.end(), left.begin() + 1, left.end());
         }
-        for (PendingId node : cascade) {
-          theta_i_.RemoveNode(node);
-          removed_nodes = true;
-        }
-        last_refresh_.cascade_invalidated.insert(
-            last_refresh_.cascade_invalidated.end(), cascade.begin(),
-            cascade.end());
         break;
       }
       case MutationKind::kCurrentInserted: {
         const std::vector<PendingId> invalidated = fd_graph_->InsertBaseTuple(
             event.relation_ids.front(), event.tuple);
-        for (PendingId node : invalidated) {
-          theta_i_.RemoveNode(node);
-          removed_nodes = true;
-        }
-        last_refresh_.cascade_invalidated.insert(
-            last_refresh_.cascade_invalidated.end(), invalidated.begin(),
-            invalidated.end());
+        leave(invalidated);
+        cascade.insert(cascade.end(), invalidated.begin(), invalidated.end());
         break;
       }
       case MutationKind::kCurrentRemoved:
-        revalidate_touching(event.relation_ids);
+        revalidate(event.relation_ids);
         break;
-      case MutationKind::kPendingRestored: {
+      case MutationKind::kPendingRestored:
         // The restored transaction itself first (its tuples left R and are
         // pending again), then the nodes its base departure may have
         // revalidated — any FD-conflictor shares the FD's relation, so the
-        // footprint filter covers the whole former cascade. Skip the node if
-        // an earlier event's revalidation already integrated it.
-        const DynamicBitset& valid = fd_graph_->valid_nodes();
-        const bool already =
-            event.pending_id < valid.size() && valid.Test(event.pending_id);
-        if (!already && fd_graph_->AddPendingNode(event.pending_id)) {
+        // footprint filter covers the whole former cascade.
+        if (fd_graph_->AddPendingNode(event.pending_id)) {
           theta_i_.AddNode(event.pending_id);
         }
-        revalidate_touching(event.relation_ids);
+        revalidate(event.relation_ids);
         break;
-      }
     }
   }
   // A union-find cannot split, so removals leave it too coarse; one replay
@@ -609,34 +559,18 @@ std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
   const std::size_t chunk_size =
       (components.size() + num_chunks - 1) / num_chunks;
   CancellationToken cancel;
-  std::vector<Tally> tallies(num_chunks);
+  std::vector<Tally> tallies((components.size() + chunk_size - 1) /
+                             chunk_size);
 
   // The pool is sized to the *requested* width, not min(width, work): the
   // per-check fan-out only decides how many chunks are submitted, so the
   // pool survives fluctuating component counts unchanged.
   std::shared_ptr<ThreadPool> pool = PoolFor(width);
-  std::vector<std::future<void>> futures;
-  futures.reserve(num_chunks);
-  for (std::size_t chunk = 0; chunk * chunk_size < components.size();
-       ++chunk) {
+  pool->RunAndJoin(tallies.size(), [&](std::size_t chunk) {
     const std::size_t begin = chunk * chunk_size;
-    const std::size_t end = std::min(begin + chunk_size, components.size());
-    futures.push_back(pool->Submit(
-        [&, chunk, begin, end] { scan(begin, end, &cancel, tallies[chunk]); }));
-  }
-  // Join every future before any error can propagate: a task that threw
-  // (e.g. bad_alloc) surfaces via future.get(), and rethrowing while
-  // sibling tasks still reference the stack-local tallies/cancel state
-  // would be use-after-scope UB.
-  std::exception_ptr first_error;
-  for (std::future<void>& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (first_error == nullptr) first_error = std::current_exception();
-    }
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+    scan(begin, std::min(begin + chunk_size, components.size()), &cancel,
+         tallies[chunk]);
+  });
 
   for (Tally& tally : tallies) merge(tally);
   stats.threads_used = pool->num_threads();

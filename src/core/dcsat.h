@@ -95,27 +95,13 @@ struct DcSatOptions {
   BudgetLimits budget;
 };
 
-/// How the engine keeps its steady-state structures (paper Section 6.3)
-/// fresh across mempool mutations.
-struct SteadyStateOptions {
-  /// Consume the database's mutation-delta log and patch the fd graph and
-  /// Θ_I components in place, instead of rebuilding them on every version
-  /// change. The maintained structures are bit-identical to a from-scratch
-  /// build (differential-tested), so this is purely a performance knob.
-  bool incremental = true;
-  /// Fall back to a full rebuild when more than this many mutation events
-  /// accumulated since the last refresh — beyond some churn volume, replay
-  /// costs more than reconstruction.
-  std::size_t max_delta_events = 256;
-};
-
 /// Cumulative refresh behaviour; how often the delta path engaged and why
 /// it ever fell back to full rebuilds.
 struct SteadyStateStats {
   std::size_t full_rebuilds = 0;
   std::size_t incremental_batches = 0;
   std::size_t incremental_events = 0;  // Mutation events applied as deltas.
-  std::size_t fallbacks_batch_too_large = 0;  // > max_delta_events pending.
+  std::size_t fallbacks_batch_too_large = 0;  // > kMaxDeltaEvents pending.
   std::size_t fallbacks_missed_events = 0;    // Mutation log trimmed past us.
   /// A base-state event (kCurrentInserted / kCurrentRemoved) arrived without
   /// its tuple payload, so the determinant-bucket probes cannot run. The
@@ -184,17 +170,19 @@ struct DcSatResult {
 /// owning the steady-state structures of paper Section 6.3: the
 /// fd-transaction graph, the Θ_I part of the ind-graph components, and the
 /// per-transaction validity bits. Caches are keyed on the database version;
-/// after mutations they are patched from the database's mutation-delta log
-/// (see SteadyStateOptions) — including direct base-state inserts,
-/// retractions and reorg restores — or, when a delta batch is too large,
-/// the log was trimmed past the engine's cursor, or one batch both
-/// integrated and applied a transaction, rebuilt from scratch.
+/// after mutations they are always patched from the database's mutation
+/// log — including direct base-state inserts, retractions and reorg
+/// restores — and rebuilt from scratch only when the batch holds more than
+/// kMaxDeltaEvents events, the log was trimmed past the engine's cursor, or
+/// one batch both integrated and applied a transaction.
 class DcSatEngine {
  public:
+  /// A refresh replays at most this many mutation events; beyond it, replay
+  /// costs more than reconstruction and the caches are rebuilt.
+  static constexpr std::size_t kMaxDeltaEvents = 256;
+
   /// `db` must outlive the engine.
-  explicit DcSatEngine(const BlockchainDatabase* db,
-                       SteadyStateOptions steady_options = {})
-      : db_(db), steady_options_(steady_options) {}
+  explicit DcSatEngine(const BlockchainDatabase* db) : db_(db) {}
 
   const BlockchainDatabase& db() const { return *db_; }
 
@@ -235,11 +223,6 @@ class DcSatEngine {
   /// Forces cache (re)construction; returns the fd graph for inspection.
   const FdGraph& PrepareSteadyState();
 
-  /// Cumulative steady-state cache behaviour across Check /
-  /// PrepareSteadyState calls (a hit = the database version was unchanged).
-  std::size_t steady_cache_hits() const { return cache_hits_; }
-  std::size_t steady_cache_misses() const { return cache_misses_; }
-
   /// Capacity of the compiled-query cache (FIFO eviction beyond it).
   static constexpr std::size_t kCompiledCacheCapacity = 32;
 
@@ -259,9 +242,6 @@ class DcSatEngine {
   StatusOr<std::shared_ptr<const CompiledQuery>> GetOrCompile(
       const DenialConstraint& q);
 
-  const SteadyStateOptions& steady_state_options() const {
-    return steady_options_;
-  }
   const SteadyStateStats& steady_state_stats() const { return steady_stats_; }
   /// Describes the most recent cache refresh attempt (reset by every Check /
   /// PrepareSteadyState; `refreshed` is false after a version cache hit).
@@ -308,15 +288,13 @@ class DcSatEngine {
   /// Patches fd_graph_/theta_i_ from the mutation events since
   /// consumed_seq_. Returns false — leaving the caches untouched, all
   /// eligibility checks run before the first mutation — when the delta path
-  /// is ineligible (disabled, untracked graph, trimmed log, oversized
-  /// batch, a payload-less base-state event, or an add-or-restore+apply of
-  /// one transaction within the batch, whose cascade replay would be
-  /// unsound).
+  /// is ineligible (no graph yet, trimmed log, oversized batch, a
+  /// payload-less base-state event, or an add-or-restore+apply of one
+  /// transaction within the batch, whose cascade replay would be unsound).
   bool TryIncrementalRefresh();
   std::shared_ptr<ThreadPool> PoolFor(std::size_t num_workers) const;
 
   const BlockchainDatabase* db_;
-  SteadyStateOptions steady_options_;
   std::uint64_t cached_version_ = ~std::uint64_t{0};
   /// Mutation-log position up to which the caches have been maintained.
   std::uint64_t consumed_seq_ = 0;
@@ -340,8 +318,6 @@ class DcSatEngine {
   StatusOr<const CompiledCacheEntry*> LookupOrCompile(
       const DenialConstraint& q);
   std::vector<CompiledCacheEntry> compiled_cache_;
-  std::size_t cache_hits_ = 0;
-  std::size_t cache_misses_ = 0;
   // The only internally-synchronized state of the engine: PoolFor is called
   // from const Check paths that may race only with each other. Everything
   // above (fd_graph_, theta_i_, compiled_cache_, the stats) is externally

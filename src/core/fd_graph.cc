@@ -4,13 +4,12 @@
 
 namespace bcdb {
 
-FdGraph::FdGraph(const BlockchainDatabase& db, bool track_mutations)
+FdGraph::FdGraph(const BlockchainDatabase& db)
     : db_(&db),
       graph_(db.num_pending()),
       valid_nodes_(db.num_pending()),
-      tracked_(track_mutations) {
+      footprints_(db.num_pending()) {
   const ConstraintChecker& checker = db.checker();
-
   for (PendingId id : db.PendingIds()) {
     if (checker.FdConsistentWithBase(static_cast<TupleOwner>(id))) {
       valid_nodes_.Set(id);
@@ -18,47 +17,20 @@ FdGraph::FdGraph(const BlockchainDatabase& db, bool track_mutations)
   }
   graph_.MakeCompleteOver(valid_nodes_);
 
-  // For every FD, bucket the determinant projections of all valid pending
-  // tuples; transactions in one bucket with differing dependents conflict.
+  // Cardinality is known up front — one bucket entry per valid pending
+  // tuple of the FD's relation; pre-sizing avoids every rehash of the
+  // inserts below.
   const std::vector<FunctionalDependency>& fds = db.constraints().fds();
   fd_buckets_.resize(fds.size());
-  if (tracked_) footprints_.resize(db.num_pending());
   for (std::size_t ord = 0; ord < fds.size(); ++ord) {
-    const FunctionalDependency& fd = fds[ord];
-    const Relation& rel = db.database().relation(fd.relation_id());
-    FdBuckets& buckets = fd_buckets_[ord];
-    // Cardinality is known up front — one entry per valid pending tuple of
-    // this relation; pre-sizing avoids every rehash of the build loop.
+    const Relation& rel = db.database().relation(fds[ord].relation_id());
     std::size_t expected = 0;
     valid_nodes_.ForEach([&](std::size_t id) {
       expected += rel.TuplesOwnedBy(static_cast<TupleOwner>(id)).size();
     });
-    buckets.reserve(expected);
-    valid_nodes_.ForEach([&](std::size_t id) {
-      for (TupleId tuple_id : rel.TuplesOwnedBy(static_cast<TupleOwner>(id))) {
-        const Tuple& t = rel.tuple(tuple_id);
-        Tuple key = t.Project(fd.lhs());
-        if (tracked_) footprints_[id].emplace_back(ord, key);
-        buckets[std::move(key)].push_back(BucketEntry{id, t.Project(fd.rhs())});
-      }
-    });
-    for (const auto& [key, entries] : buckets) {
-      if (entries.size() < 2) continue;
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        for (std::size_t j = i + 1; j < entries.size(); ++j) {
-          if (entries[i].txn == entries[j].txn) continue;
-          if (entries[i].dependent != entries[j].dependent &&
-              graph_.HasEdge(entries[i].txn, entries[j].txn)) {
-            graph_.RemoveEdge(entries[i].txn, entries[j].txn);
-            ++num_conflict_pairs_;
-          }
-        }
-      }
-    }
+    fd_buckets_[ord].reserve(expected);
   }
-  // The buckets exist only to serve the incremental mutators; an untracked
-  // graph frees them.
-  if (!tracked_) fd_buckets_.clear();
+  valid_nodes_.ForEach([&](std::size_t id) { ProbeAndBucket(id); });
 }
 
 bool FdGraph::AddPendingNode(PendingId id) {
@@ -70,7 +42,7 @@ bool FdGraph::AddPendingNode(PendingId id) {
   // edge pass would resurrect its removed conflict edges, and the bucket
   // probe would then strip them again while incrementing
   // num_conflict_pairs_ a second time.
-  if (id < valid_nodes_.size() && valid_nodes_.Test(id)) return true;
+  if (id < n && valid_nodes_.Test(id)) return false;
   if (!db_->IsPending(id) ||
       !db_->checker().FdConsistentWithBase(static_cast<TupleOwner>(id))) {
     // Invalid nodes carry no edges and no bucket entries — exactly how a
@@ -109,8 +81,8 @@ void FdGraph::ProbeAndBucket(PendingId id) {
   }
 }
 
-void FdGraph::DetachNode(PendingId id) {
-  if (id >= valid_nodes_.size() || !valid_nodes_.Test(id)) return;
+bool FdGraph::DetachNode(PendingId id) {
+  if (id >= valid_nodes_.size() || !valid_nodes_.Test(id)) return false;
   // Conflicts involving a valid node are exactly its valid non-neighbours:
   // the graph is complete over valid nodes minus the conflict pairs.
   const std::size_t degree = graph_.Neighbors(id).Count();
@@ -128,9 +100,10 @@ void FdGraph::DetachNode(PendingId id) {
     if (bucket.empty()) fd_buckets_[ord].erase(it);
   }
   footprints_[id].clear();
+  return true;
 }
 
-void FdGraph::RemovePendingNode(PendingId id) { DetachNode(id); }
+bool FdGraph::RemovePendingNode(PendingId id) { return DetachNode(id); }
 
 std::vector<PendingId> FdGraph::InsertBaseTuple(std::size_t relation_id,
                                                 const Tuple& tuple) {
@@ -157,19 +130,36 @@ std::vector<PendingId> FdGraph::InsertBaseTuple(std::size_t relation_id,
 }
 
 std::vector<PendingId> FdGraph::ApplyPendingNode(PendingId id) {
-  std::vector<PendingId> cascade;
-  if (id < valid_nodes_.size() && valid_nodes_.Test(id)) {
-    // The applied transaction's tuples joined R, so a still-pending node is
-    // base-consistent iff it was and did not conflict with `id` — conflicts
-    // are exactly the valid non-neighbours.
-    DynamicBitset conflicted = valid_nodes_;
-    conflicted -= graph_.Neighbors(id);
-    conflicted.Reset(id);
-    cascade = conflicted.ToVector();
+  if (id >= valid_nodes_.size() || !valid_nodes_.Test(id)) return {};
+  // The applied transaction's tuples joined R, so a still-pending node is
+  // base-consistent iff it was and did not conflict with `id` — conflicts
+  // are exactly the valid non-neighbours.
+  DynamicBitset conflicted = valid_nodes_;
+  conflicted -= graph_.Neighbors(id);
+  conflicted.Reset(id);
+  std::vector<PendingId> left{id};
+  conflicted.ForEach([&](std::size_t j) { left.push_back(j); });
+  for (PendingId node : left) DetachNode(node);
+  return left;
+}
+
+std::vector<PendingId> FdGraph::RevalidateTouching(
+    const std::vector<std::size_t>& relation_ids) {
+  std::vector<PendingId> joined;
+  for (PendingId id = 0; id < db_->num_pending(); ++id) {
+    if (!db_->IsPending(id) ||
+        (id < valid_nodes_.size() && valid_nodes_.Test(id))) {
+      continue;
+    }
+    const std::vector<std::size_t>& footprint = db_->PendingRelations(id);
+    const bool touches =
+        std::any_of(footprint.begin(), footprint.end(), [&](std::size_t rid) {
+          return std::find(relation_ids.begin(), relation_ids.end(), rid) !=
+                 relation_ids.end();
+        });
+    if (touches && AddPendingNode(id)) joined.push_back(id);
   }
-  DetachNode(id);
-  for (PendingId j : cascade) DetachNode(j);
-  return cascade;
+  return joined;
 }
 
 }  // namespace bcdb

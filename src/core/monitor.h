@@ -87,17 +87,6 @@ class TemplateHandle {
 };
 
 struct MonitorOptions {
-  /// Steady-state maintenance policy for the embedded DcSatEngine.
-  SteadyStateOptions steady;
-  /// Track which relations the database mutations touched (via the
-  /// mutation-delta subscription) and have Poll skip constraints whose
-  /// referenced relations are untouched — their verdicts cannot have
-  /// changed. Constraints not proved monotone are exempt from the
-  /// per-relation filter — their verdict may shift even when no referenced
-  /// relation changes directly (a conflict in an unrelated relation can
-  /// alter which tuple combinations are jointly possible) — and re-check
-  /// on *any* mutation, skipping only fully quiescent polls.
-  bool dirty_tracking = true;
   /// Default per-constraint check budget applied by Poll whenever the
   /// caller's DcSatOptions leaves its own budget unlimited. With both
   /// unlimited (the default), checks run to completion exactly as before;
@@ -142,10 +131,17 @@ struct MonitorOptions {
 ///
 /// Poll decides every member with the same routine, over a read-only
 /// snapshot: the engine's steady-state caches are refreshed once
-/// (single-threaded, incrementally from the mutation-delta log when
-/// possible), and only *dirty* members — those whose class footprint
-/// intersects the transactions changed since the previous poll — are
-/// re-evaluated:
+/// (single-threaded, incrementally from the mutation log when possible),
+/// and only *dirty* members are re-evaluated. Dirtiness comes from the
+/// monitor's own cursor into the database's mutation log: Poll reads the
+/// events since the previous poll and marks the relations they touched
+/// (plus those of transactions whose validity flipped); a class is dirty
+/// when its IND-closed footprint meets a marked relation, or — for a class
+/// not proved monotone, which any mutation may flip — when any event
+/// arrived at all. A cursor the log has trimmed past (more than
+/// MutationLog::kDefaultCapacity events between polls) makes every class
+/// dirty. The marks persist until a poll commits. Dirty members are then
+/// decided by:
 ///   1. a "happened" probe: the class plan over R with the member's binding;
 ///   2. for monotone classes, the pre-check probe over R ∪ T (false there
 ///      means impossible in every world);
@@ -210,12 +206,10 @@ class ConstraintMonitor {
     std::size_t constraints_batched = 0;  // Their members evaluated.
   };
 
-  /// `db` must outlive the monitor. The monitor subscribes to the
-  /// database's mutation events for the dirty-constraint bookkeeping and
-  /// unsubscribes on destruction.
+  /// `db` must outlive the monitor. The monitor's mutation-log cursor
+  /// starts at the log's end: the first poll evaluates every member anyway.
   explicit ConstraintMonitor(BlockchainDatabase* db,
                              MonitorOptions options = {});
-  ~ConstraintMonitor();
 
   ConstraintMonitor(const ConstraintMonitor&) = delete;
   ConstraintMonitor& operator=(const ConstraintMonitor&) = delete;
@@ -515,6 +509,11 @@ class ConstraintMonitor {
   /// Whether any of the class's footprint relations was dirtied.
   bool ClassIsDirty(const TemplateClass& cls) const BCDB_REQUIRES(mutex_);
 
+  /// Reads the mutation log from log_cursor_ to its end, folding each
+  /// event's relations into dirty_relations_ (all relations when the log
+  /// was trimmed past the cursor), and advances the cursor.
+  void AbsorbMutations() BCDB_REQUIRES(mutex_);
+
   /// Folds the relations of transactions whose validity changed since the
   /// previous poll into dirty_relations_ (covers cascade invalidations the
   /// mutation events alone cannot attribute), then snapshots the bits.
@@ -543,7 +542,8 @@ class ConstraintMonitor {
   std::map<std::string, std::size_t> class_by_key_ BCDB_GUARDED_BY(mutex_);
   std::vector<Entry> entries_ BCDB_GUARDED_BY(mutex_);
   std::size_t live_count_ BCDB_GUARDED_BY(mutex_) = 0;
-  MutationListenerId listener_id_ = 0;
+  /// Seq of the first mutation-log event no poll has read yet.
+  std::uint64_t log_cursor_ BCDB_GUARDED_BY(mutex_);
   /// Relations touched by mutations since the last completed poll.
   DynamicBitset dirty_relations_ BCDB_GUARDED_BY(mutex_);
   /// Any mutation event at all since the last completed poll — the dirty

@@ -1,7 +1,10 @@
 #include "core/possible_worlds.h"
 
+#include <algorithm>
 #include <deque>
 #include <unordered_set>
+
+#include "core/get_maximal.h"
 
 namespace bcdb {
 
@@ -15,27 +18,14 @@ struct BitsetHash {
 
 bool IsPossibleWorld(const BlockchainDatabase& db,
                      const std::vector<PendingId>& subset) {
+  // Checked first: GetMaximal may only see ids of live pending slots.
   for (PendingId id : subset) {
     if (!db.IsPending(id)) return false;
   }
-  WorldView view = db.BaseView();
-  std::vector<PendingId> remaining = subset;
-  bool progressed = true;
-  while (!remaining.empty() && progressed) {
-    progressed = false;
-    for (std::size_t i = 0; i < remaining.size();) {
-      const TupleOwner owner = static_cast<TupleOwner>(remaining[i]);
-      if (db.checker().CanAppendOwner(view, owner)) {
-        view.Activate(owner);
-        remaining[i] = remaining.back();
-        remaining.pop_back();
-        progressed = true;
-      } else {
-        ++i;
-      }
-    }
-  }
-  return remaining.empty();
+  const WorldView world = GetMaximal(db, subset);
+  return std::all_of(subset.begin(), subset.end(), [&](PendingId id) {
+    return world.IsActive(static_cast<TupleOwner>(id));
+  });
 }
 
 StatusOr<std::vector<WorldView>> EnumeratePossibleWorlds(

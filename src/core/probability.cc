@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/get_maximal.h"
 #include "query/compiled_query.h"
 #include "util/rng.h"
 
@@ -14,35 +15,15 @@ WorldView SampleWorld(const BlockchainDatabase& db,
   for (std::size_t i = order.size(); i > 1; --i) {
     std::swap(order[i - 1], order[rng.NextBelow(i)]);
   }
-  WorldView world = db.BaseView();
-  bool progressed = true;
   std::vector<PendingId> offered;
   offered.reserve(order.size());
   for (PendingId id : order) {
     if (rng.NextBool(model.ProbabilityOf(id))) offered.push_back(id);
   }
-  // Append offered transactions greedily; re-sweep so that dependants whose
-  // parents appear later in arrival order still make it (nodes retry their
-  // mempool every block).
-  while (progressed) {
-    progressed = false;
-    for (std::size_t i = 0; i < offered.size();) {
-      const TupleOwner owner = static_cast<TupleOwner>(offered[i]);
-      if (!world.IsActive(owner) &&
-          db.checker().CanAppendOwner(world, owner)) {
-        world.Activate(owner);
-        offered[i] = offered.back();
-        offered.pop_back();
-        progressed = true;
-      } else if (world.IsActive(owner)) {
-        offered[i] = offered.back();
-        offered.pop_back();
-      } else {
-        ++i;
-      }
-    }
-  }
-  return world;
+  // Append offered transactions greedily; GetMaximal's re-sweeps let
+  // dependants whose parents appear later in arrival order still make it
+  // (nodes retry their mempool every block).
+  return GetMaximal(db, offered);
 }
 
 StatusOr<ViolationEstimate> EstimateViolationProbability(

@@ -9,8 +9,6 @@ namespace bcdb {
 
 const char* LockRankName(LockRank rank) {
   switch (rank) {
-    case LockRank::kMutationListeners:
-      return "kMutationListeners";
     case LockRank::kMonitor:
       return "kMonitor";
     case LockRank::kDurableStore:

@@ -39,13 +39,6 @@ enum class LockRank : int {
   kThreadPoolQueue = 60,
   /// ThreadPool's sleep/wake lock, taken after a queue lock in Submit.
   kThreadPoolWake = 70,
-  /// BlockchainDatabase's mutation-listener registry. Near the top: it is
-  /// only ever held to snapshot one listener out of the vector — never
-  /// across the callback, which runs with the registry lock dropped — so
-  /// it is a leaf that must rank above any lock a mutating caller may
-  /// already hold (DurableStore::Recover replays WAL records into the
-  /// database while holding kDurableStore).
-  kMutationListeners = 75,
   /// ValuePool's intern table. Highest: interning happens at the leaves of
   /// every path (query compilation, tuple construction) under any caller
   /// lock, and itself calls out to nothing.

@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include <exception>
+
 #include "util/mutex.h"
 
 namespace bcdb {
@@ -40,6 +42,24 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
   }
   wake_cv_.NotifyOne();
   return future;
+}
+
+void ThreadPool::RunAndJoin(std::size_t n,
+                            const std::function<void(std::size_t)>& task) {
+  std::vector<std::future<void>> futures;
+  futures.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    futures.push_back(Submit([&task, i] { task(i); }));
+  }
+  std::exception_ptr first_error;
+  for (std::future<void>& future : futures) {
+    try {
+      future.get();
+    } catch (...) {
+      if (first_error == nullptr) first_error = std::current_exception();
+    }
+  }
+  if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
 bool ThreadPool::TryPop(std::size_t worker_index,
@@ -96,11 +116,6 @@ std::size_t ThreadPool::HardwareConcurrency() {
 
 std::size_t ThreadPool::EffectiveThreads(std::size_t requested) {
   return requested == 0 ? HardwareConcurrency() : requested;
-}
-
-ThreadPool& ThreadPool::Shared() {
-  static ThreadPool pool(HardwareConcurrency());
-  return pool;
 }
 
 }  // namespace bcdb

@@ -17,22 +17,17 @@
 namespace bcdb {
 
 /// Cooperative cancellation shared between the submitter and in-flight pool
-/// tasks. Two modes compose:
-///
-/// * `RequestStop()` — cancel every observer.
-/// * `CancelRanksAbove(r)` — cancel observers whose rank is *greater* than
-///   `r`, leaving lower ranks running. This is the determinism rule of the
-///   parallel DCSat component search: when component `r` finds a violating
-///   world, components with larger indices become irrelevant (the lowest
-///   violating index wins), but smaller indices must run to completion
-///   because the serial algorithm would have reported one of *them* first.
+/// tasks: `CancelRanksAbove(r)` cancels observers whose rank is *greater*
+/// than `r`, leaving lower ranks running. This is the determinism rule of
+/// the parallel DCSat component search: when component `r` finds a
+/// violating world, components with larger indices become irrelevant (the
+/// lowest violating index wins), but smaller indices must run to completion
+/// because the serial algorithm would have reported one of *them* first.
 ///
 /// Tasks poll `ShouldStop(rank)` at convenient preemption points; the token
 /// never interrupts anything by force.
 class CancellationToken {
  public:
-  void RequestStop() { stop_.store(true, std::memory_order_relaxed); }
-
   /// Lowers the rank limit to `rank` (monotone: limits only ever decrease).
   void CancelRanksAbove(std::size_t rank) {
     std::size_t current = rank_limit_.load(std::memory_order_relaxed);
@@ -42,8 +37,7 @@ class CancellationToken {
   }
 
   bool ShouldStop(std::size_t rank = 0) const {
-    return stop_.load(std::memory_order_relaxed) ||
-           rank > rank_limit_.load(std::memory_order_relaxed);
+    return rank > rank_limit_.load(std::memory_order_relaxed);
   }
 
   /// Lowest rank passed to CancelRanksAbove so far (SIZE_MAX if none).
@@ -52,9 +46,6 @@ class CancellationToken {
   }
 
  private:
-  std::atomic<bool> stop_ BCDB_LOCK_FREE(
-      "monotone flag; relaxed is enough because cancellation is advisory —"
-      " observers only ever poll it") {false};
   std::atomic<std::size_t> rank_limit_ BCDB_LOCK_FREE(
       "monotone-decreasing watermark maintained by a relaxed CAS loop;"
       " readers tolerate staleness (a late cancel only wastes work)") {
@@ -86,15 +77,19 @@ class ThreadPool {
   /// Enqueues `task`; the future resolves when it finishes.
   std::future<void> Submit(std::function<void()> task);
 
+  /// Runs `task(0)` .. `task(n - 1)` as `n` pool tasks and waits for all of
+  /// them. Every task is joined before an error propagates — tasks usually
+  /// reference the caller's stack, so rethrowing while siblings still run
+  /// would be use-after-scope — and then the first task's exception (in
+  /// index order) is rethrown.
+  void RunAndJoin(std::size_t n, const std::function<void(std::size_t)>& task);
+
   /// std::thread::hardware_concurrency with a floor of 1.
   static std::size_t HardwareConcurrency();
 
   /// Resolves the DcSatOptions::num_threads convention: 0 → hardware
   /// concurrency, anything else → itself.
   static std::size_t EffectiveThreads(std::size_t requested);
-
-  /// Process-wide pool sized to the hardware, for callers without their own.
-  static ThreadPool& Shared();
 
  private:
   /// One worker's deque. All WorkerQueue mutexes share kThreadPoolQueue:

@@ -3,12 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bitcoin/block_file.h"
+#include "bitcoin/chain.h"
 #include "bitcoin/generator.h"
 #include "bitcoin/to_relational.h"
 #include "storage/durable_store.h"
@@ -91,6 +93,32 @@ TEST(BlockFileTest, LoadValidatesLikeALiveChain) {
   ASSERT_TRUE(
       WriteBlockFile(path, {chain[2], chain[1], chain[3]}).ok());
   EXPECT_FALSE(LoadNode({path}).ok());
+}
+
+TEST(BlockFileTest, OverflowingOutputsFailWithStatus) {
+  // A spend whose two outputs sit near INT64_MAX: summing them unchecked is
+  // signed-overflow UB. Loading must fail with a Status instead.
+  const BitcoinTransaction coinbase =
+      BitcoinTransaction::Coinbase("AlicePk", bitcoin::kBlockReward, 1);
+  const Block first(1, bitcoin::Blockchain().tip().hash(), {coinbase});
+  constexpr bitcoin::Satoshi kHuge =
+      std::numeric_limits<bitcoin::Satoshi>::max() - 1;
+  const BitcoinTransaction spend(
+      {bitcoin::TxInput{bitcoin::OutPoint{coinbase.txid(), 1}, "AlicePk",
+                        bitcoin::kBlockReward,
+                        bitcoin::SignatureFor("AlicePk")}},
+      {bitcoin::TxOutput{"BobPk", kHuge}, bitcoin::TxOutput{"BobPk", kHuge}});
+  const Block second(
+      2, first.hash(),
+      {BitcoinTransaction::Coinbase("MinerPk", bitcoin::kBlockReward, 2),
+       spend});
+
+  ScratchDir dir;
+  const std::string path = dir.Sub("overflow.dat");
+  ASSERT_TRUE(WriteBlockFile(path, {first, second}).ok());
+  StatusOr<SimulatedNode> loaded = LoadNode({path});
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kConstraintViolation);
 }
 
 TEST(BlockFileTest, LoadSpansMultipleFilesInOrder) {

@@ -132,10 +132,11 @@ TEST(BlockchainDatabaseTest, RemoveCurrentRetractsOnlyBaseOwnership) {
   EXPECT_TRUE(db.database().relation(*txout_id).ContainsVisible(row, db.BaseView()));
 
   std::vector<MutationEvent> seen;
-  db.AddMutationListener(
-      [&](const MutationEvent& event) { seen.push_back(event); });
+  const std::uint64_t cursor = db.mutations().end_seq();
   const std::uint64_t version_before = db.version();
   ASSERT_TRUE(db.RemoveCurrent("TxOut", row).ok());
+  ASSERT_EQ(db.mutations().ReadSince(cursor, &seen),
+            MutationLog::ReadResult::kOk);
   EXPECT_GT(db.version(), version_before);
   EXPECT_FALSE(db.database().relation(*txout_id).ContainsVisible(row, db.BaseView()));
   ASSERT_EQ(seen.size(), 1u);
@@ -153,6 +154,9 @@ TEST(BlockchainDatabaseTest, RemoveCurrentRetractsOnlyBaseOwnership) {
                 .code(),
             StatusCode::kNotFound);
   EXPECT_FALSE(db.RemoveCurrent("Nope", row).ok());
+  seen.clear();
+  ASSERT_EQ(db.mutations().ReadSince(cursor, &seen),
+            MutationLog::ReadResult::kOk);
   EXPECT_EQ(seen.size(), 1u);
 }
 
@@ -187,9 +191,10 @@ TEST(BlockchainDatabaseTest, UnapplyPendingRoundTripsThroughApplied) {
   EXPECT_FALSE(db.IsPending(0));
 
   std::vector<MutationEvent> seen;
-  db.AddMutationListener(
-      [&](const MutationEvent& event) { seen.push_back(event); });
+  const std::uint64_t cursor = db.mutations().end_seq();
   ASSERT_TRUE(db.UnapplyPending(0).ok());
+  ASSERT_EQ(db.mutations().ReadSince(cursor, &seen),
+            MutationLog::ReadResult::kOk);
   EXPECT_TRUE(db.IsPending(0));
   EXPECT_EQ(db.pending_state(0), BlockchainDatabase::PendingState::kPending);
   ASSERT_EQ(seen.size(), 1u);
@@ -241,11 +246,11 @@ TEST(BlockchainDatabaseTest, LabelsAreAccessible) {
 
 TEST(BlockchainDatabaseTest, ListenersSeeRegistrationTimeFootprints) {
   // Regression: Apply/DiscardPending built their event's relation_ids
-  // *after* tearing down the slot's tuples, so listeners of a discarded
+  // *after* tearing down the slot's tuples, so log readers of a discarded
   // slot could observe an empty (or partial) footprint and skip
   // invalidating affected relations. The footprint in the event must be
-  // the registration-time one, and the database state visible inside the
-  // callback must already reflect the completed mutation.
+  // the registration-time one, and the database state visible when the
+  // event is read must already reflect the completed mutation.
   BlockchainDatabase db = MakeRunningExample();
   const std::vector<std::size_t> apply_footprint = db.PendingRelations(0);
   const std::vector<std::size_t> discard_footprint = db.PendingRelations(3);
@@ -254,13 +259,24 @@ TEST(BlockchainDatabaseTest, ListenersSeeRegistrationTimeFootprints) {
 
   std::vector<MutationEvent> seen;
   std::vector<BlockchainDatabase::PendingState> state_at_callback;
-  db.AddMutationListener([&](const MutationEvent& event) {
-    seen.push_back(event);
-    state_at_callback.push_back(db.pending_state(event.pending_id));
-  });
+  std::uint64_t cursor = db.mutations().end_seq();
+  // Reads the events published since the previous read, as a log consumer
+  // polling right after each mutation does.
+  auto read_new_events = [&] {
+    std::vector<MutationEvent> events;
+    ASSERT_EQ(db.mutations().ReadSince(cursor, &events),
+              MutationLog::ReadResult::kOk);
+    for (const MutationEvent& event : events) {
+      seen.push_back(event);
+      state_at_callback.push_back(db.pending_state(event.pending_id));
+    }
+    cursor = db.mutations().end_seq();
+  };
 
   ASSERT_TRUE(db.ApplyPending(0).ok());
+  read_new_events();
   ASSERT_TRUE(db.DiscardPending(3).ok());
+  read_new_events();
 
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0].kind, MutationKind::kPendingApplied);

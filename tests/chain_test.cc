@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "bitcoin/chain.h"
 
 namespace bcdb {
@@ -119,6 +121,30 @@ TEST_F(ChainTest, RejectsExcessiveCoinbase) {
       "MinerPk", kBlockReward + 1, chain_.height() + 1);
   EXPECT_EQ(chain_.MineAndAppend({greedy}).code(),
             StatusCode::kConstraintViolation);
+}
+
+TEST_F(ChainTest, RejectsOverflowingCoinbase) {
+  // Two outputs near INT64_MAX: their int64 sum wraps negative, which an
+  // unchecked total would have waved through under the subsidy cap.
+  constexpr Satoshi kHuge = std::numeric_limits<Satoshi>::max() - 1;
+  BitcoinTransaction overflowing({}, {TxOutput{"MinerPk", kHuge},
+                                      TxOutput{"MinerPk", kHuge}});
+  ASSERT_TRUE(overflowing.is_coinbase());
+  EXPECT_EQ(chain_.MineAndAppend({overflowing}).code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(chain_.height(), 0u);
+}
+
+TEST_F(ChainTest, RejectsNegativeOutputAmount) {
+  // A negative output would inflate the fee the coinbase may claim.
+  BitcoinTransaction cb = MineCoinbaseTo("AlicePk");
+  BitcoinTransaction negative(
+      {TxInput{OutPoint{cb.txid(), 1}, "AlicePk", kBlockReward,
+               SignatureFor("AlicePk")}},
+      {TxOutput{"BobPk", kCoin}, TxOutput{"AlicePk", -kCoin}});
+  EXPECT_EQ(chain_.MineAndAppend({negative}).code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(chain_.height(), 1u);
 }
 
 TEST_F(ChainTest, CoinbaseMayCollectFees) {

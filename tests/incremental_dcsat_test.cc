@@ -95,18 +95,12 @@ const char* kMonitorQueries[] = {
     "q() :- S(3, y)",
 };
 
-SteadyStateOptions ScratchOptions() {
-  SteadyStateOptions options;
-  options.incremental = false;
-  return options;
-}
-
 /// The maintained steady-state structures vs a from-scratch build: same
 /// validity bits, same adjacency, same conflict count, and — for every
 /// query under two option sets — the same full result.
 void ExpectEngineEquivalence(DcSatEngine& incremental, BlockchainDatabase& db,
                              const std::string& context) {
-  DcSatEngine scratch(&db, ScratchOptions());
+  DcSatEngine scratch(&db);  // Built from scratch on first use.
   const FdGraph& inc_graph = incremental.PrepareSteadyState();
   const FdGraph& scr_graph = scratch.PrepareSteadyState();
 
@@ -167,8 +161,7 @@ void ExpectMonitorEquivalence(ConstraintMonitor& monitor,
                               BlockchainDatabase& db,
                               const std::string& context) {
   ASSERT_TRUE(monitor.Poll().ok()) << context;
-  ConstraintMonitor fresh(&db, MonitorOptions{.steady = ScratchOptions(),
-                                              .dirty_tracking = false});
+  ConstraintMonitor fresh(&db);  // First poll evaluates every member.
   std::vector<MonitorHandle> fresh_handles;
   for (const char* text : kMonitorQueries) {
     auto handle = fresh.Add(text, text);
@@ -327,12 +320,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalBatchedDcSatTest,
 TEST(IncrementalFallbackTest, OversizedBatchFallsBackToFullRebuild) {
   Xoshiro256 rng(7);
   BlockchainDatabase db = MakeInstance(rng, true);
-  SteadyStateOptions options;
-  options.max_delta_events = 1;
-  DcSatEngine engine(&db, options);
+  DcSatEngine engine(&db);
   engine.PrepareSteadyState();
 
-  for (std::size_t i = 0; i < 3; ++i) {
+  for (std::size_t i = 0; i < DcSatEngine::kMaxDeltaEvents + 1; ++i) {
     ASSERT_TRUE(db.AddPending(RandomTxn(rng, i)).ok());
   }
   engine.PrepareSteadyState();
@@ -342,7 +333,8 @@ TEST(IncrementalFallbackTest, OversizedBatchFallsBackToFullRebuild) {
   ExpectEngineEquivalence(engine, db, "oversized batch");
 
   // A single follow-up mutation fits the budget again.
-  ASSERT_TRUE(db.AddPending(RandomTxn(rng, 3)).ok());
+  ASSERT_TRUE(
+      db.AddPending(RandomTxn(rng, DcSatEngine::kMaxDeltaEvents + 1)).ok());
   engine.PrepareSteadyState();
   EXPECT_EQ(engine.steady_state_stats().incremental_batches, 1u);
   EXPECT_FALSE(engine.last_refresh().full_rebuild);
@@ -380,20 +372,56 @@ TEST(IncrementalFallbackTest, TrimmedLogFallsBackToFullRebuild) {
   engine.PrepareSteadyState();
 
   // Blow past the mutation log's retention window; the engine's cursor is
-  // trimmed out and the delta path must refuse to patch.
-  SteadyStateOptions greedy;
-  greedy.max_delta_events = MutationLog::kDefaultCapacity + 64;
-  DcSatEngine greedy_engine(&db, greedy);
-  greedy_engine.PrepareSteadyState();
+  // trimmed out and the delta path must refuse to patch (the trimmed log is
+  // detected before the batch size is).
   for (std::size_t i = 0; i < MutationLog::kDefaultCapacity + 8; ++i) {
     Transaction txn("Bulk" + std::to_string(i));
     txn.Add("S", Tuple({Value::Int(static_cast<std::int64_t>(i)),
                         Value::Int(1)}));
     ASSERT_TRUE(db.AddPending(txn).ok());
   }
-  greedy_engine.PrepareSteadyState();
-  EXPECT_EQ(greedy_engine.steady_state_stats().fallbacks_missed_events, 1u);
-  EXPECT_TRUE(greedy_engine.last_refresh().full_rebuild);
+  engine.PrepareSteadyState();
+  EXPECT_EQ(engine.steady_state_stats().fallbacks_missed_events, 1u);
+  EXPECT_EQ(engine.steady_state_stats().fallbacks_batch_too_large, 0u);
+  EXPECT_TRUE(engine.last_refresh().full_rebuild);
+}
+
+TEST(IncrementalMonitorTest, TrimmedLogBetweenPollsDirtiesEveryClass) {
+  // More mutations between two polls than the log retains: the monitor's
+  // cursor is trimmed out, so it cannot tell which relations changed and
+  // must re-evaluate every member — including those over R, which this
+  // S-only churn never touches but whose verdicts a skip would keep.
+  for (bool with_ind : {false, true}) {
+    Xoshiro256 rng(17 + (with_ind ? 1 : 0));
+    BlockchainDatabase db = MakeInstance(rng, with_ind);
+    ConstraintMonitor monitor(&db);
+    std::vector<MonitorHandle> handles;
+    for (const char* text : kMonitorQueries) {
+      auto handle = monitor.Add(text, text);
+      ASSERT_TRUE(handle.ok()) << text;
+      handles.push_back(*handle);
+    }
+    ASSERT_TRUE(db.AddPending(RandomTxn(rng, 0)).ok());
+    ExpectMonitorEquivalence(monitor, handles, db, "before the bulk");
+
+    for (std::size_t i = 0; i < MutationLog::kDefaultCapacity + 8; ++i) {
+      Transaction txn("Bulk" + std::to_string(i));
+      txn.Add("S", Tuple({Value::Int(static_cast<std::int64_t>(i % 7)),
+                          Value::Int(static_cast<std::int64_t>(i % 3))}));
+      auto id = db.AddPending(txn);
+      ASSERT_TRUE(id.ok());
+      if (i % 2 == 1) {
+        ASSERT_TRUE(db.DiscardPending(*id).ok());
+      }
+    }
+    const std::size_t skipped_before =
+        monitor.poll_stats().constraints_skipped;
+    ExpectMonitorEquivalence(monitor, handles, db,
+                             "after the bulk, ind " + std::to_string(with_ind));
+    EXPECT_EQ(monitor.poll_stats().constraints_skipped, skipped_before);
+    EXPECT_EQ(monitor.engine().steady_state_stats().fallbacks_missed_events,
+              1u);
+  }
 }
 
 TEST(IncrementalFallbackTest, SameBatchAddApplyFallsBackToFullRebuild) {

@@ -99,15 +99,9 @@ const char* kMonitorQueries[] = {
     "q() :- S(3, y)",
 };
 
-SteadyStateOptions ScratchOptions() {
-  SteadyStateOptions options;
-  options.incremental = false;
-  return options;
-}
-
 void ExpectEngineEquivalence(DcSatEngine& incremental, BlockchainDatabase& db,
                              const std::string& context) {
-  DcSatEngine scratch(&db, ScratchOptions());
+  DcSatEngine scratch(&db);  // Built from scratch on first use.
   const FdGraph& inc_graph = incremental.PrepareSteadyState();
   const FdGraph& scr_graph = scratch.PrepareSteadyState();
 
@@ -159,8 +153,7 @@ void ExpectMonitorEquivalence(ConstraintMonitor& monitor,
                               BlockchainDatabase& db,
                               const std::string& context) {
   ASSERT_TRUE(monitor.Poll().ok()) << context;
-  ConstraintMonitor fresh(&db, MonitorOptions{.steady = ScratchOptions(),
-                                              .dirty_tracking = false});
+  ConstraintMonitor fresh(&db);  // First poll evaluates every member.
   std::vector<MonitorHandle> fresh_handles;
   for (const char* text : kMonitorQueries) {
     auto handle = fresh.Add(text, text);

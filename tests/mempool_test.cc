@@ -40,6 +40,17 @@ TEST_F(MempoolTest, AcceptsValidSpendOfChainUtxo) {
   EXPECT_EQ(mempool_.size(), 1u);
 }
 
+TEST_F(MempoolTest, RejectsNegativeOutputAmount) {
+  // The chain rejects a negative output, so the mempool must too: it would
+  // otherwise hold a transaction no block can ever include.
+  BitcoinTransaction negative(
+      {TxInput{alice_utxo_, "AlicePk", kBlockReward, SignatureFor("AlicePk")}},
+      {TxOutput{"BobPk", kCoin}, TxOutput{"AlicePk", -kCoin}});
+  EXPECT_EQ(mempool_.Add(chain_, negative).code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(mempool_.size(), 0u);
+}
+
 TEST_F(MempoolTest, AcceptsDependencyChains) {
   BitcoinTransaction parent =
       Payment(alice_utxo_, "AlicePk", kBlockReward, "BobPk", kCoin);

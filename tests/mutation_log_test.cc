@@ -100,7 +100,7 @@ TEST(MutationLogTest, ZeroCapacityClampsToOne) {
 }
 
 /// End-to-end: the database records every mutation kind with the touched
-/// relations, and push listeners observe the same stream.
+/// relations in its log, the one stream every consumer reads.
 class DatabaseMutationsTest : public ::testing::Test {
  protected:
   static BlockchainDatabase MakeDb() {
@@ -175,63 +175,6 @@ TEST_F(DatabaseMutationsTest, RecordsEveryMutationKind) {
   // reason about the slot) while the slot itself is retired.
   EXPECT_FALSE(db.IsPending(*doomed_id));
   EXPECT_EQ(db.PendingRelations(*doomed_id), std::vector<std::size_t>{s_id});
-}
-
-TEST_F(DatabaseMutationsTest, ListenersObserveAndUnsubscribe) {
-  BlockchainDatabase db = MakeDb();
-  std::vector<MutationKind> seen_a;
-  std::vector<MutationKind> seen_b;
-  const MutationListenerId a = db.AddMutationListener(
-      [&](const MutationEvent& event) { seen_a.push_back(event.kind); });
-  const MutationListenerId b = db.AddMutationListener(
-      [&](const MutationEvent& event) { seen_b.push_back(event.kind); });
-
-  Transaction txn("t");
-  txn.Add("R", Tuple({Value::Int(1)}));
-  auto id = db.AddPending(txn);
-  ASSERT_TRUE(id.ok());
-  db.RemoveMutationListener(a);
-  ASSERT_TRUE(db.DiscardPending(*id).ok());
-  db.RemoveMutationListener(b);
-  ASSERT_TRUE(db.InsertCurrent("R", Tuple({Value::Int(2)})).ok());
-
-  EXPECT_EQ(seen_a, std::vector<MutationKind>{MutationKind::kPendingAdded});
-  EXPECT_EQ(seen_b, (std::vector<MutationKind>{MutationKind::kPendingAdded,
-                                               MutationKind::kPendingDiscarded}));
-}
-
-TEST_F(DatabaseMutationsTest, ListenerMayRegisterAndRemoveFromCallback) {
-  // Registering or removing listeners from inside a callback reallocates or
-  // overwrites the listener vector while Publish is iterating it; the loop
-  // must survive that, a listener registered mid-publish first sees the
-  // *next* event, and a self-removing listener finishes its current call.
-  BlockchainDatabase db = MakeDb();
-  std::vector<MutationKind> outer_seen;
-  std::vector<MutationKind> inner_seen;
-  MutationListenerId outer = 0;
-  bool registered = false;
-  outer = db.AddMutationListener([&](const MutationEvent& event) {
-    outer_seen.push_back(event.kind);
-    if (!registered) {
-      registered = true;
-      // Enough registrations to force a reallocation under the loop.
-      for (int i = 0; i < 64; ++i) db.AddMutationListener(nullptr);
-      db.AddMutationListener([&](const MutationEvent& inner_event) {
-        inner_seen.push_back(inner_event.kind);
-      });
-      db.RemoveMutationListener(outer);
-    }
-  });
-
-  Transaction txn("t");
-  txn.Add("R", Tuple({Value::Int(1)}));
-  auto id = db.AddPending(txn);
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(db.DiscardPending(*id).ok());
-
-  EXPECT_EQ(outer_seen, std::vector<MutationKind>{MutationKind::kPendingAdded});
-  EXPECT_EQ(inner_seen,
-            std::vector<MutationKind>{MutationKind::kPendingDiscarded});
 }
 
 // Exhaustive over the enum: every kind below kNumMutationKinds must map to

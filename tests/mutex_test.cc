@@ -10,8 +10,6 @@ namespace bcdb {
 namespace {
 
 TEST(LockRankTest, NamesCoverEveryRank) {
-  EXPECT_STREQ(LockRankName(LockRank::kMutationListeners),
-               "kMutationListeners");
   EXPECT_STREQ(LockRankName(LockRank::kMonitor), "kMonitor");
   EXPECT_STREQ(LockRankName(LockRank::kDurableStore), "kDurableStore");
   EXPECT_STREQ(LockRankName(LockRank::kMutationLog), "kMutationLog");

@@ -5,6 +5,8 @@
 #include <cstddef>
 #include <future>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -97,13 +99,29 @@ TEST(ThreadPoolTest, EffectiveThreadsConvention) {
   EXPECT_GE(ThreadPool::HardwareConcurrency(), 1u);
 }
 
-TEST(ThreadPoolTest, SharedPoolIsUsableSingleton) {
-  ThreadPool& shared = ThreadPool::Shared();
-  EXPECT_EQ(&shared, &ThreadPool::Shared());
-  EXPECT_EQ(shared.num_threads(), ThreadPool::HardwareConcurrency());
-  std::atomic<bool> ran{false};
-  shared.Submit([&] { ran.store(true); }).get();
-  EXPECT_TRUE(ran.load());
+TEST(ThreadPoolTest, RunAndJoinRunsEveryIndexOnce) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> runs(40);
+  pool.RunAndJoin(runs.size(), [&](std::size_t i) { runs[i].fetch_add(1); });
+  for (const std::atomic<int>& count : runs) EXPECT_EQ(count.load(), 1);
+  pool.RunAndJoin(0, [](std::size_t) { FAIL() << "no task expected"; });
+}
+
+TEST(ThreadPoolTest, RunAndJoinJoinsAllBeforeRethrowingFirstError) {
+  // Every task finishes before the error surfaces (the tasks reference this
+  // frame), and the lowest-index failure is the one rethrown.
+  ThreadPool pool(2);
+  std::atomic<int> finished{0};
+  try {
+    pool.RunAndJoin(8, [&](std::size_t i) {
+      finished.fetch_add(1);
+      if (i == 2 || i == 5) throw std::runtime_error(std::to_string(i));
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "2");
+  }
+  EXPECT_EQ(finished.load(), 8);
 }
 
 TEST(CancellationTokenTest, FreshTokenStopsNothing) {
@@ -112,13 +130,6 @@ TEST(CancellationTokenTest, FreshTokenStopsNothing) {
   EXPECT_FALSE(token.ShouldStop(0));
   EXPECT_FALSE(token.ShouldStop(SIZE_MAX - 1));
   EXPECT_EQ(token.rank_limit(), SIZE_MAX);
-}
-
-TEST(CancellationTokenTest, RequestStopCancelsEveryRank) {
-  CancellationToken token;
-  token.RequestStop();
-  EXPECT_TRUE(token.ShouldStop(0));
-  EXPECT_TRUE(token.ShouldStop(123));
 }
 
 TEST(CancellationTokenTest, CancelRanksAboveLeavesLowerRanksRunning) {
