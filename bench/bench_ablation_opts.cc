@@ -8,6 +8,9 @@
 // without the pre-check a satisfied constraint must enumerate every maximal
 // clique, which is exponential in the number of contradictions — the
 // ablation demonstrates exactly that cliff without taking hours.
+//
+// Pass --smoke (or BCDB_BENCH_SMOKE=1) to run only the small-set rows, a
+// seconds-scale run for CI.
 
 #include "bench_common.h"
 
@@ -24,9 +27,12 @@ int main(int argc, char** argv) {
     return options;
   };
 
+  const bool smoke = ApplySmokeFlag(&argc, argv);
+
   // --- Unsatisfied qp3 on the default dataset. ---
-  auto data = Prepare(DefaultDataset());
-  {
+  std::unique_ptr<PreparedDataset> data;
+  if (!smoke) {
+    data = Prepare(DefaultDataset());
     DcSatEngine* engine = data->engine.get();
     const bitcoin::WorkloadMetadata& meta = data->metadata;
     const DenialConstraint qp3 = PathUnsat(meta, 3);

@@ -72,7 +72,7 @@ void BM_FirstMaximalClique(benchmark::State& state) {
   const bcdb::FdGraph graph(*g_data->db);
   for (auto _ : state) {
     std::size_t size = 0;
-    bcdb::EnumerateMaximalCliques(graph.graph(), graph.valid_nodes(),
+    bcdb::EnumerateMaximalCliques(graph.conflict_lists(), graph.valid_nodes(),
                                   /*use_pivot=*/true,
                                   [&](const std::vector<std::size_t>& clique) {
                                     size = clique.size();

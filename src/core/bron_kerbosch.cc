@@ -1,14 +1,17 @@
 #include "core/bron_kerbosch.h"
 
+#include <deque>
+#include <limits>
+
 namespace bcdb {
 
 namespace {
 
 class Enumerator {
  public:
-  Enumerator(const BitGraph& graph, bool use_pivot,
+  Enumerator(const ConflictLists& conflicts, bool use_pivot,
              const CliqueCallback& callback, const Budget* budget)
-      : graph_(graph),
+      : conflicts_(conflicts),
         use_pivot_(use_pivot),
         callback_(callback),
         budget_(budget) {}
@@ -16,79 +19,167 @@ class Enumerator {
   CliqueEnumerationStats Run(const DynamicBitset& subset) {
     DynamicBitset p = subset;
     DynamicBitset x(subset.size());
-    Expand(p, x);
+    Expand(p, x, 0);
     return stats_;
   }
 
  private:
-  /// Returns false if the callback requested an early stop.
-  bool Expand(DynamicBitset& p, DynamicBitset& x) {
-    // Cooperative preemption point: one probe per expansion keeps the
-    // worst-case overshoot after expiry to a single recursion step.
-    if (budget_ != nullptr && budget_->Expired()) {
-      stats_.stopped_early = true;
-      stats_.budget_expired = true;
-      return false;
-    }
-    ++stats_.recursive_calls;
-    if (p.None() && x.None()) {
-      ++stats_.cliques_reported;
-      if (!callback_(current_)) {
-        stats_.stopped_early = true;
-        return false;
-      }
-      return true;
-    }
+  /// Scratch of one branching depth, reused by every call at that depth:
+  /// the call's branch list and its children's P and X.
+  struct Level {
+    std::vector<std::size_t> candidates;
+    DynamicBitset p;
+    DynamicBitset x;
+  };
 
-    // Candidates to branch on: P, or P \ N(pivot) with Tomita pivoting.
-    DynamicBitset candidates = p;
-    if (use_pivot_) {
-      // Pivot u ∈ P ∪ X maximizing |P ∩ N(u)| minimizes branching.
-      std::size_t best_u = p.size();
-      std::size_t best_score = 0;
-      auto consider = [&](std::size_t u) {
-        const std::size_t score = p.IntersectionCount(graph_.Neighbors(u));
-        if (best_u == p.size() || score > best_score) {
-          best_u = u;
-          best_score = score;
-        }
-      };
-      p.ForEach(consider);
-      x.ForEach(consider);
-      if (best_u != p.size()) candidates -= graph_.Neighbors(best_u);
-    }
-
-    bool keep_going = true;
-    candidates.ForEach([&](std::size_t v) {
-      if (!keep_going) return;
-      if (!p.Test(v)) return;  // Removed by an earlier iteration.
-      current_.push_back(v);
-      DynamicBitset next_p = p & graph_.Neighbors(v);
-      DynamicBitset next_x = x & graph_.Neighbors(v);
-      keep_going = Expand(next_p, next_x);
-      current_.pop_back();
-      p.Reset(v);
-      x.Set(v);
-    });
+  /// Returns false if the callback or the budget stopped the enumeration.
+  bool Expand(DynamicBitset& p, DynamicBitset& x, std::size_t depth) {
+    const std::size_t clique_size = current_.size();
+    const bool keep_going = ExpandFrom(p, x, depth);
+    current_.resize(clique_size);
     return keep_going;
   }
 
-  const BitGraph& graph_;
+  /// One Bron–Kerbosch call. `p` and `x` are dead once it returns, so a
+  /// call with a single branch descends into it in place (the next loop
+  /// iteration is that child's call) — the long first-clique descent of a
+  /// near-complete graph then copies no sets at all.
+  bool ExpandFrom(DynamicBitset& p, DynamicBitset& x, std::size_t depth) {
+    if (levels_.size() == depth) levels_.emplace_back();
+    Level& level = levels_[depth];
+    for (;;) {
+      // Cooperative preemption point: one probe per call keeps the
+      // worst-case overshoot after expiry to a single recursion step.
+      if (budget_ != nullptr && budget_->Expired()) {
+        stats_.stopped_early = true;
+        stats_.budget_expired = true;
+        return false;
+      }
+      ++stats_.recursive_calls;
+      if (p.None() && x.None()) {
+        ++stats_.cliques_reported;
+        if (!callback_(current_)) {
+          stats_.stopped_early = true;
+          return false;
+        }
+        return true;
+      }
+
+      if (!use_pivot_) {
+        // Plain Bron–Kerbosch branches on all of P, ascending. A branch
+        // removes only its own vertex from P, so P itself can be walked.
+        for (std::size_t v = p.FindFirst(); v < p.size();
+             v = p.FindNext(v + 1)) {
+          if (!Branch(p, x, v, level, depth)) return false;
+        }
+        return true;
+      }
+      Candidates(p, x, level.candidates);
+      if (level.candidates.size() == 1) {
+        const std::size_t v = level.candidates.front();
+        current_.push_back(v);
+        KeepNeighbors(p, v);
+        KeepNeighbors(x, v);
+        continue;
+      }
+      for (std::size_t v : level.candidates) {
+        if (!Branch(p, x, v, level, depth)) return false;
+      }
+      return true;
+    }
+  }
+
+  /// Recurses into P ∩ N(v), X ∩ N(v), then moves v from P to X.
+  bool Branch(DynamicBitset& p, DynamicBitset& x, std::size_t v, Level& level,
+              std::size_t depth) {
+    current_.push_back(v);
+    level.p = p;
+    KeepNeighbors(level.p, v);
+    level.x = x;
+    KeepNeighbors(level.x, v);
+    if (!Expand(level.p, level.x, depth + 1)) return false;
+    current_.pop_back();
+    p.Reset(v);
+    x.Set(v);
+    return true;
+  }
+
+  /// Fills `out` with the vertices Tomita pivoting branches on, ascending:
+  /// P \ N(pivot).
+  void Candidates(const DynamicBitset& p, const DynamicBitset& x,
+                  std::vector<std::size_t>& out) const {
+    out.clear();
+    // The pivot maximizes |P ∩ N(u)| = |P| − key(u), where
+    // key(u) = |P ∩ C(u)| + [u ∈ P]; the first strict optimum over P
+    // ascending, then X ascending, wins. An x ∈ X with key 0 beats every
+    // vertex of P (whose keys are ≥ 1) and leaves nothing to branch on.
+    for (std::size_t u = x.FindFirst(); u < x.size(); u = x.FindNext(u + 1)) {
+      if (ConflictsIn(p, u) == 0) return;
+    }
+    std::size_t pivot = p.size();
+    std::size_t best_key = std::numeric_limits<std::size_t>::max();
+    for (std::size_t u = p.FindFirst(); u < p.size(); u = p.FindNext(u + 1)) {
+      const std::size_t key = ConflictsIn(p, u) + 1;
+      if (key < best_key) {
+        pivot = u;
+        best_key = key;
+        if (key == 1) break;  // No vertex of P ∪ X can do better.
+      }
+    }
+    if (best_key > 1) {
+      for (std::size_t u = x.FindFirst(); u < x.size();
+           u = x.FindNext(u + 1)) {
+        const std::size_t key = ConflictsIn(p, u);
+        if (key < best_key) {
+          pivot = u;
+          best_key = key;
+        }
+      }
+    }
+    // P \ N(pivot) = P ∩ ({pivot} ∪ C(pivot)), merged ascending.
+    bool pivot_pending = p.Test(pivot);
+    for (std::size_t w : conflicts_[pivot]) {
+      if (pivot_pending && pivot < w) {
+        out.push_back(pivot);
+        pivot_pending = false;
+      }
+      if (p.Test(w)) out.push_back(w);
+    }
+    if (pivot_pending) out.push_back(pivot);
+  }
+
+  /// |P ∩ C(u)|.
+  std::size_t ConflictsIn(const DynamicBitset& p, std::size_t u) const {
+    std::size_t count = 0;
+    for (std::size_t w : conflicts_[u]) count += p.Test(w) ? 1 : 0;
+    return count;
+  }
+
+  /// s := s ∩ N(v) = s \ C(v) \ {v}.
+  void KeepNeighbors(DynamicBitset& s, std::size_t v) const {
+    for (std::size_t w : conflicts_[v]) s.Reset(w);
+    s.Reset(v);
+  }
+
+  const ConflictLists& conflicts_;
   const bool use_pivot_;
   const CliqueCallback& callback_;
   const Budget* budget_;
   std::vector<std::size_t> current_;
+  /// Indexed by branching depth; a deque, so a deeper frame's emplace_back
+  /// never moves the Level a shallower frame is iterating.
+  std::deque<Level> levels_;
   CliqueEnumerationStats stats_;
 };
 
 }  // namespace
 
-CliqueEnumerationStats EnumerateMaximalCliques(const BitGraph& graph,
+CliqueEnumerationStats EnumerateMaximalCliques(const ConflictLists& conflicts,
                                                const DynamicBitset& subset,
                                                bool use_pivot,
                                                const CliqueCallback& callback,
                                                const Budget* budget) {
-  Enumerator enumerator(graph, use_pivot, callback, budget);
+  Enumerator enumerator(conflicts, use_pivot, callback, budget);
   return enumerator.Run(subset);
 }
 

@@ -106,8 +106,8 @@ bool DcSatEngine::TryIncrementalRefresh() {
       // add/restore replays against the post-apply database (IsPending is
       // already false), so the node is never integrated, and the apply's
       // cascade — the still-pending FD-conflictors it invalidates — would
-      // be computed from the absent node's edges and come up empty, leaving
-      // those conflictors marked valid where a from-scratch build
+      // be computed from the absent node's conflicts and come up empty,
+      // leaving those conflictors marked valid where a from-scratch build
       // invalidates them. Rebuild.
       ++steady_stats_.fallbacks_applied_in_batch;
       return false;
@@ -490,7 +490,7 @@ std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
       bool stopped = false;
       bool cancelled = false;
       const CliqueEnumerationStats clique_stats = EnumerateMaximalCliques(
-          fd_graph_->graph(), subset, use_pivot,
+          fd_graph_->conflict_lists(), subset, use_pivot,
           [&](const std::vector<std::size_t>& clique) {
             if (cancel != nullptr && cancel->ShouldStop(index)) {
               cancelled = true;

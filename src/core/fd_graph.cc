@@ -6,16 +6,18 @@ namespace bcdb {
 
 FdGraph::FdGraph(const BlockchainDatabase& db)
     : db_(&db),
-      graph_(db.num_pending()),
+      conflicts_(db.num_pending()),
       valid_nodes_(db.num_pending()),
+      invalid_pending_(db.num_pending()),
       footprints_(db.num_pending()) {
   const ConstraintChecker& checker = db.checker();
   for (PendingId id : db.PendingIds()) {
     if (checker.FdConsistentWithBase(static_cast<TupleOwner>(id))) {
       valid_nodes_.Set(id);
+    } else {
+      invalid_pending_.Set(id);
     }
   }
-  graph_.MakeCompleteOver(valid_nodes_);
 
   // Cardinality is known up front — one bucket entry per valid pending
   // tuple of the FD's relation; pre-sizing avoids every rehash of the
@@ -33,25 +35,41 @@ FdGraph::FdGraph(const BlockchainDatabase& db)
   valid_nodes_.ForEach([&](std::size_t id) { ProbeAndBucket(id); });
 }
 
-bool FdGraph::AddPendingNode(PendingId id) {
-  const std::size_t n = db_->num_pending();
-  graph_.Resize(n);
-  valid_nodes_.Resize(n);
-  footprints_.resize(n);
-  // Idempotent on an already-integrated node: re-running the complete-graph
-  // edge pass would resurrect its removed conflict edges, and the bucket
-  // probe would then strip them again while incrementing
-  // num_conflict_pairs_ a second time.
-  if (id < n && valid_nodes_.Test(id)) return false;
-  if (!db_->IsPending(id) ||
-      !db_->checker().FdConsistentWithBase(static_cast<TupleOwner>(id))) {
-    // Invalid nodes carry no edges and no bucket entries — exactly how a
-    // from-scratch build treats them.
+bool FdGraph::Adjacent(PendingId u, PendingId v) const {
+  if (u == v || u >= valid_nodes_.size() || v >= valid_nodes_.size() ||
+      !valid_nodes_.Test(u) || !valid_nodes_.Test(v)) {
     return false;
   }
-  valid_nodes_.ForEach([&](std::size_t v) {
-    if (v != id) graph_.AddEdge(id, v);
-  });
+  return !std::binary_search(conflicts_[u].begin(), conflicts_[u].end(), v);
+}
+
+void FdGraph::Grow() {
+  const std::size_t old_n = valid_nodes_.size();
+  const std::size_t n = db_->num_pending();
+  if (n <= old_n) return;
+  conflicts_.resize(n);
+  valid_nodes_.Resize(n);
+  invalid_pending_.Resize(n);
+  footprints_.resize(n);
+  for (PendingId id = old_n; id < n; ++id) invalid_pending_.Set(id);
+}
+
+bool FdGraph::AddPendingNode(PendingId id) {
+  Grow();
+  // Idempotent on an already-integrated node: a second probe would bucket
+  // its tuples twice.
+  if (id >= valid_nodes_.size() || valid_nodes_.Test(id)) return false;
+  if (!db_->IsPending(id)) {
+    invalid_pending_.Reset(id);
+    return false;
+  }
+  if (!db_->checker().FdConsistentWithBase(static_cast<TupleOwner>(id))) {
+    // Invalid nodes carry no conflicts and no bucket entries — exactly how
+    // a from-scratch build treats them.
+    invalid_pending_.Set(id);
+    return false;
+  }
+  invalid_pending_.Reset(id);
   valid_nodes_.Set(id);
   ProbeAndBucket(id);
   return true;
@@ -69,11 +87,14 @@ void FdGraph::ProbeAndBucket(PendingId id) {
       Tuple dependent = t.Project(fd.rhs());
       std::vector<BucketEntry>& bucket = buckets[key];
       for (const BucketEntry& entry : bucket) {
-        if (entry.txn != id && entry.dependent != dependent &&
-            graph_.HasEdge(entry.txn, id)) {
-          graph_.RemoveEdge(entry.txn, id);
-          ++num_conflict_pairs_;
-        }
+        if (entry.txn == id || entry.dependent == dependent) continue;
+        std::vector<PendingId>& mine = conflicts_[id];
+        auto at = std::lower_bound(mine.begin(), mine.end(), entry.txn);
+        if (at != mine.end() && *at == entry.txn) continue;  // Known pair.
+        mine.insert(at, entry.txn);
+        std::vector<PendingId>& theirs = conflicts_[entry.txn];
+        theirs.insert(std::lower_bound(theirs.begin(), theirs.end(), id), id);
+        ++num_conflict_pairs_;
       }
       footprints_[id].emplace_back(ord, key);
       bucket.push_back(BucketEntry{id, std::move(dependent)});
@@ -83,11 +104,12 @@ void FdGraph::ProbeAndBucket(PendingId id) {
 
 bool FdGraph::DetachNode(PendingId id) {
   if (id >= valid_nodes_.size() || !valid_nodes_.Test(id)) return false;
-  // Conflicts involving a valid node are exactly its valid non-neighbours:
-  // the graph is complete over valid nodes minus the conflict pairs.
-  const std::size_t degree = graph_.Neighbors(id).Count();
-  num_conflict_pairs_ -= (valid_nodes_.Count() - 1) - degree;
-  graph_.IsolateVertex(id);
+  num_conflict_pairs_ -= conflicts_[id].size();
+  for (PendingId partner : conflicts_[id]) {
+    std::vector<PendingId>& theirs = conflicts_[partner];
+    theirs.erase(std::lower_bound(theirs.begin(), theirs.end(), id));
+  }
+  conflicts_[id].clear();
   valid_nodes_.Reset(id);
   for (const auto& [ord, key] : footprints_[id]) {
     auto it = fd_buckets_[ord].find(key);
@@ -103,7 +125,11 @@ bool FdGraph::DetachNode(PendingId id) {
   return true;
 }
 
-bool FdGraph::RemovePendingNode(PendingId id) { return DetachNode(id); }
+bool FdGraph::RemovePendingNode(PendingId id) {
+  // A discarded node never returns, valid or not.
+  if (id < invalid_pending_.size()) invalid_pending_.Reset(id);
+  return DetachNode(id);
+}
 
 std::vector<PendingId> FdGraph::InsertBaseTuple(std::size_t relation_id,
                                                 const Tuple& tuple) {
@@ -125,30 +151,33 @@ std::vector<PendingId> FdGraph::InsertBaseTuple(std::size_t relation_id,
                     invalidated.end());
   // Detach after the probes: DetachNode erases bucket entries, which would
   // invalidate the iteration above.
-  for (PendingId id : invalidated) DetachNode(id);
+  for (PendingId id : invalidated) {
+    DetachNode(id);
+    invalid_pending_.Set(id);
+  }
   return invalidated;
 }
 
 std::vector<PendingId> FdGraph::ApplyPendingNode(PendingId id) {
+  if (id < invalid_pending_.size()) invalid_pending_.Reset(id);
   if (id >= valid_nodes_.size() || !valid_nodes_.Test(id)) return {};
   // The applied transaction's tuples joined R, so a still-pending node is
-  // base-consistent iff it was and did not conflict with `id` — conflicts
-  // are exactly the valid non-neighbours.
-  DynamicBitset conflicted = valid_nodes_;
-  conflicted -= graph_.Neighbors(id);
-  conflicted.Reset(id);
+  // base-consistent iff it was and did not conflict with `id`.
   std::vector<PendingId> left{id};
-  conflicted.ForEach([&](std::size_t j) { left.push_back(j); });
+  left.insert(left.end(), conflicts_[id].begin(), conflicts_[id].end());
   for (PendingId node : left) DetachNode(node);
+  for (std::size_t i = 1; i < left.size(); ++i) invalid_pending_.Set(left[i]);
   return left;
 }
 
 std::vector<PendingId> FdGraph::RevalidateTouching(
     const std::vector<std::size_t>& relation_ids) {
+  Grow();
   std::vector<PendingId> joined;
-  for (PendingId id = 0; id < db_->num_pending(); ++id) {
-    if (!db_->IsPending(id) ||
-        (id < valid_nodes_.size() && valid_nodes_.Test(id))) {
+  for (PendingId id = invalid_pending_.FindFirst();
+       id < invalid_pending_.size(); id = invalid_pending_.FindNext(id + 1)) {
+    if (!db_->IsPending(id)) {
+      invalid_pending_.Reset(id);  // Applied or discarded since.
       continue;
     }
     const std::vector<std::size_t>& footprint = db_->PendingRelations(id);

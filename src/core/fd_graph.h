@@ -5,8 +5,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/bit_graph.h"
 #include "core/blockchain_db.h"
+#include "core/bron_kerbosch.h"
 #include "relational/tuple.h"
 #include "util/bitset.h"
 #include "util/flat_table.h"
@@ -17,6 +17,10 @@ namespace bcdb {
 /// transactions, with an edge (T, T') iff T ∪ T' satisfies the functional
 /// dependencies. Every possible world is a clique of this graph.
 ///
+/// Only the complement is stored: each valid node's sorted conflict list.
+/// The graph is complete over the valid nodes minus those pairs, so its
+/// memory is O(n + conflicts) and an add touches no n-wide row.
+///
 /// Construction exploits that FD violations are *binary*: R ∪ T ∪ T' |= I_fd
 /// decomposes into (a) R ∪ T |= I_fd per transaction (the `valid_nodes`
 /// filter) and (b) T ∪ T' |= I_fd per pair. Pairs are found by hashing every
@@ -26,8 +30,8 @@ namespace bcdb {
 ///
 /// The graph keeps those determinant buckets alive, so it is maintained
 /// incrementally under mempool churn (paper Section 6.3): one AddPending /
-/// ApplyPending / DiscardPending mutates only the affected node's edges and
-/// bucket entries, instead of rebuilding everything. The build and the
+/// ApplyPending / DiscardPending mutates only the affected node's conflicts
+/// and bucket entries, instead of rebuilding everything. The build and the
 /// incremental add share one insert routine (ProbeAndBucket), so the
 /// maintained state is always bit-identical to a from-scratch build over the
 /// same database (the differential tests assert exactly this). Every
@@ -41,8 +45,19 @@ class FdGraph {
   /// (~one map entry per valid pending tuple).
   explicit FdGraph(const BlockchainDatabase& db);
 
-  /// Adjacency over the full pending-id space; only valid nodes carry edges.
-  const BitGraph& graph() const { return graph_; }
+  /// The valid nodes `v` FD-conflicts with, ascending. Empty for an invalid
+  /// node. `v` must be below valid_nodes().size().
+  const std::vector<PendingId>& conflicts(PendingId v) const {
+    return conflicts_[v];
+  }
+
+  /// Every node's conflict list, indexed by pending id — the form
+  /// EnumerateMaximalCliques searches.
+  const ConflictLists& conflict_lists() const { return conflicts_; }
+
+  /// Whether the edge (u, v) of G^fd_T exists: both valid, distinct and not
+  /// conflicting.
+  bool Adjacent(PendingId u, PendingId v) const;
 
   /// valid_nodes[i] = transaction i is still pending, internally consistent
   /// and FD-consistent with the current state (otherwise it can never be
@@ -56,15 +71,15 @@ class FdGraph {
   // --- Incremental maintenance. -------------------------------------------
 
   /// Integrates pending transaction `id` (kPendingAdded, or a revalidation):
-  /// validity check against the base state, edges to every other valid
-  /// node, conflict edges removed via determinant-bucket probes. Cost:
-  /// O(pending + own tuples), vs O(pending² / 64 + all tuples) for a
-  /// rebuild. Returns true iff the node newly joined the valid set — false
-  /// when it is invalid or was already integrated.
+  /// validity check against the base state, then determinant-bucket probes
+  /// that record its conflicts. Cost: O(own tuples + their bucket
+  /// entries), vs O(all tuples) for a rebuild. Returns true iff the node
+  /// newly joined the valid set — false when it is invalid or was already
+  /// integrated.
   bool AddPendingNode(PendingId id);
 
   /// Removes `id` from the graph (kPendingDiscarded): clears its validity,
-  /// edges and bucket entries. Remaining pairwise conflicts are untouched.
+  /// conflicts and bucket entries. Other pairwise conflicts are untouched.
   /// Returns whether `id` was valid (and so left the valid set).
   bool RemovePendingNode(PendingId id);
 
@@ -88,9 +103,10 @@ class FdGraph {
 
   /// Shrinking R (kCurrentRemoved, kPendingRestored) can only revalidate:
   /// re-runs AddPendingNode, in ascending id order, on every still-pending
-  /// invalid transaction whose footprint meets `relation_ids`. A node that
-  /// stays inconsistent for another reason stays out. Returns the nodes
-  /// that joined the valid set (ascending).
+  /// invalid transaction whose footprint meets `relation_ids` — including
+  /// ids the graph has not integrated yet. A node that stays inconsistent
+  /// for another reason stays out. Returns the nodes that joined the valid
+  /// set (ascending). Cost: O(invalid pending nodes), not O(pending).
   std::vector<PendingId> RevalidateTouching(
       const std::vector<std::size_t>& relation_ids);
 
@@ -106,20 +122,28 @@ class FdGraph {
   using FdBuckets =
       FlatIdMap<Tuple, std::vector<BucketEntry>, TupleHash, TupleEq>;
 
-  /// Clears `id`'s validity bit, edges, and bucket entries, keeping
-  /// num_conflict_pairs_ consistent with the remaining valid set. Returns
-  /// whether `id` was valid.
+  /// Clears `id`'s validity bit, conflicts (on both sides) and bucket
+  /// entries, keeping num_conflict_pairs_ consistent with the remaining
+  /// valid set. Returns whether `id` was valid.
   bool DetachNode(PendingId id);
 
   /// The one insert routine of the build and the incremental add: inserts
   /// valid node `id`'s determinant projections into the FD buckets,
-  /// removing a conflict edge for every bucket neighbour with a differing
-  /// dependent. `id` must already carry its edges to every valid node.
+  /// recording a conflict with every bucket neighbour that has a differing
+  /// dependent (once per pair).
   void ProbeAndBucket(PendingId id);
 
+  /// Extends the id space to the database's pending count; ids new to the
+  /// graph start out as revalidation candidates.
+  void Grow();
+
   const BlockchainDatabase* db_ = nullptr;
-  BitGraph graph_;
+  ConflictLists conflicts_;
   DynamicBitset valid_nodes_;
+  /// Revalidation candidates: every still-pending invalid node (ids the
+  /// graph has not integrated yet included). Bits of nodes that have since
+  /// left the pending set are dropped lazily by RevalidateTouching.
+  DynamicBitset invalid_pending_;
   std::size_t num_conflict_pairs_ = 0;
 
   /// Parallel to db constraints' fds(): determinant projection -> entries.

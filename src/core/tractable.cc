@@ -45,8 +45,8 @@ bool SupportRealizable(const Database& database, const FdGraph& fd_graph,
       bool compatible = true;
       for (TupleOwner prior : chosen) {
         if (prior != candidate &&
-            !fd_graph.graph().HasEdge(static_cast<std::size_t>(prior),
-                                      static_cast<std::size_t>(candidate))) {
+            !fd_graph.Adjacent(static_cast<PendingId>(prior),
+                               static_cast<PendingId>(candidate))) {
           compatible = false;
           break;
         }

@@ -125,7 +125,16 @@ TEST(FdGraphUnitTest, NoFdsMeansCompleteGraph) {
   FdGraph fd_graph(db);
   EXPECT_EQ(fd_graph.num_conflict_pairs(), 0u);
   EXPECT_EQ(fd_graph.valid_nodes().Count(), 3u);
-  EXPECT_EQ(fd_graph.graph().CountEdges(), 3u);  // K3.
+  // K3: every valid pair adjacent, v(v-1)/2 - conflicts edges.
+  std::size_t edges = 0;
+  for (PendingId u = 0; u < db.num_pending(); ++u) {
+    for (PendingId v = u + 1; v < db.num_pending(); ++v) {
+      edges += fd_graph.Adjacent(u, v) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(edges, 3u);
+  const std::size_t valid = fd_graph.valid_nodes().Count();
+  EXPECT_EQ(valid * (valid - 1) / 2 - fd_graph.num_conflict_pairs(), 3u);
 }
 
 TEST(FdGraphUnitTest, AppliedAndDiscardedExcluded) {
@@ -142,6 +151,85 @@ TEST(FdGraphUnitTest, AppliedAndDiscardedExcluded) {
   EXPECT_FALSE(fd_graph.valid_nodes().Test(*a));
   EXPECT_FALSE(fd_graph.valid_nodes().Test(*b));
   EXPECT_TRUE(fd_graph.valid_nodes().Test(*c));
+}
+
+/// One relation R(a, b) with key a; the base holds R(1, 0).
+BlockchainDatabase MakeKeyDb() {
+  Catalog catalog;
+  EXPECT_TRUE(catalog
+                  .AddRelation(RelationSchema(
+                      "R", {Attribute{"a", ValueType::kInt, false},
+                            Attribute{"b", ValueType::kInt, false}}))
+                  .ok());
+  ConstraintSet constraints;
+  auto key = FunctionalDependency::Key(catalog, "R", {"a"});
+  EXPECT_TRUE(key.ok());
+  constraints.AddFd(std::move(*key));
+  auto db =
+      BlockchainDatabase::Create(std::move(catalog), std::move(constraints));
+  EXPECT_TRUE(db.ok());
+  EXPECT_TRUE(db->InsertCurrent("R", Tuple({Value::Int(1), Value::Int(0)}))
+                  .ok());
+  return std::move(*db);
+}
+
+Transaction KeyRow(std::int64_t a, std::int64_t b) {
+  Transaction txn("r" + std::to_string(a) + "_" + std::to_string(b));
+  txn.Add("R", Tuple({Value::Int(a), Value::Int(b)}));
+  return txn;
+}
+
+TEST(FdGraphUnitTest, ConflictListsAreSortedAndSymmetric) {
+  BlockchainDatabase db = MakeKeyDb();
+  ASSERT_TRUE(db.AddPending(KeyRow(7, 1)).ok());  // 0
+  ASSERT_TRUE(db.AddPending(KeyRow(8, 1)).ok());  // 1
+  ASSERT_TRUE(db.AddPending(KeyRow(7, 2)).ok());  // 2
+  ASSERT_TRUE(db.AddPending(KeyRow(7, 3)).ok());  // 3
+  ASSERT_TRUE(db.AddPending(KeyRow(1, 5)).ok());  // 4: clashes with R(1, 0)
+  FdGraph fd_graph(db);
+  EXPECT_EQ(fd_graph.conflicts(0), (std::vector<PendingId>{2, 3}));
+  EXPECT_EQ(fd_graph.conflicts(2), (std::vector<PendingId>{0, 3}));
+  EXPECT_EQ(fd_graph.conflicts(3), (std::vector<PendingId>{0, 2}));
+  EXPECT_TRUE(fd_graph.conflicts(1).empty());
+  EXPECT_TRUE(fd_graph.conflicts(4).empty());  // Invalid: no conflicts.
+  EXPECT_EQ(fd_graph.num_conflict_pairs(), 3u);
+  EXPECT_TRUE(fd_graph.Adjacent(0, 1));
+  EXPECT_FALSE(fd_graph.Adjacent(0, 2));
+  EXPECT_FALSE(fd_graph.Adjacent(1, 1));
+  EXPECT_FALSE(fd_graph.Adjacent(1, 4));  // 4 is not a valid node.
+
+  // Applying 0 invalidates its conflictors, ascending, and unlinks them.
+  ASSERT_TRUE(db.ApplyPending(0).ok());
+  EXPECT_EQ(fd_graph.ApplyPendingNode(0), (std::vector<PendingId>{0, 2, 3}));
+  EXPECT_EQ(fd_graph.num_conflict_pairs(), 0u);
+  for (PendingId v = 0; v < db.num_pending(); ++v) {
+    EXPECT_TRUE(fd_graph.conflicts(v).empty()) << v;
+  }
+}
+
+TEST(FdGraphUnitTest, DiscardedInvalidNodeIsNeverRevalidated) {
+  BlockchainDatabase db = MakeKeyDb();
+  auto dropped = db.AddPending(KeyRow(1, 1));  // Invalid against R(1, 0).
+  auto kept = db.AddPending(KeyRow(1, 2));     // Invalid against R(1, 0).
+  ASSERT_TRUE(dropped.ok());
+  ASSERT_TRUE(kept.ok());
+  FdGraph fd_graph(db);
+  EXPECT_TRUE(fd_graph.valid_nodes().None());
+
+  ASSERT_TRUE(db.DiscardPending(*dropped).ok());
+  EXPECT_FALSE(fd_graph.RemovePendingNode(*dropped));
+  // A transaction the graph has not integrated yet is a candidate too.
+  auto fresh = db.AddPending(KeyRow(1, 3));
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(db.RemoveCurrent("R", Tuple({Value::Int(1), Value::Int(0)}))
+                  .ok());
+  EXPECT_EQ(fd_graph.RevalidateTouching(db.PendingRelations(*kept)),
+            (std::vector<PendingId>{*kept, *fresh}));
+  EXPECT_FALSE(fd_graph.valid_nodes().Test(*dropped));
+  EXPECT_EQ(fd_graph.conflicts(*kept), (std::vector<PendingId>{*fresh}));
+  EXPECT_FALSE(fd_graph.AddPendingNode(*fresh));  // Already integrated.
+  EXPECT_TRUE(fd_graph.RevalidateTouching(db.PendingRelations(*kept)).empty());
+  EXPECT_FALSE(fd_graph.valid_nodes().Test(*dropped));
 }
 
 TEST(NetworkUnitTest, OutOfOrderBlocksAreOrphanBufferedAndApplied) {

@@ -117,7 +117,7 @@ TEST_P(PaperPropertiesTest, WorldsAreFdGraphCliques) {
     for (std::size_t i = 0; i < members.size(); ++i) {
       EXPECT_TRUE(fd_graph.valid_nodes().Test(members[i]));
       for (std::size_t j = i + 1; j < members.size(); ++j) {
-        EXPECT_TRUE(fd_graph.graph().HasEdge(members[i], members[j]));
+        EXPECT_TRUE(fd_graph.Adjacent(members[i], members[j]));
       }
     }
   }

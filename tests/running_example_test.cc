@@ -29,11 +29,11 @@ TEST(RunningExampleTest, FdGraphMatchesFigure3) {
   EXPECT_EQ(fd_graph.valid_nodes().Count(), 5u);
   // G^fd_T is complete except T1–T5 (both spend output (2,2)).
   EXPECT_EQ(fd_graph.num_conflict_pairs(), 1u);
-  EXPECT_FALSE(fd_graph.graph().HasEdge(0, 4));
+  EXPECT_FALSE(fd_graph.Adjacent(0, 4));
   for (std::size_t i = 0; i < 5; ++i) {
     for (std::size_t j = i + 1; j < 5; ++j) {
       if (i == 0 && j == 4) continue;
-      EXPECT_TRUE(fd_graph.graph().HasEdge(i, j)) << i << "," << j;
+      EXPECT_TRUE(fd_graph.Adjacent(i, j)) << i << "," << j;
     }
   }
 }
