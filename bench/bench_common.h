@@ -184,7 +184,8 @@ inline DcSatResult CheckOrDie(DcSatEngine& engine, const DenialConstraint& q,
 }
 
 /// Registers one DCSat run as a google-benchmark timer with result counters
-/// (satisfied flag, worlds evaluated, cliques enumerated, components).
+/// (satisfied flag, worlds evaluated, cliques enumerated, components, Θ_q
+/// equalities merged).
 inline void RegisterDcSat(const std::string& name, DcSatEngine* engine,
                           DenialConstraint q, DcSatOptions options) {
   // One warm-up run so lazily-built hash indexes (the analogue of the
@@ -206,6 +207,8 @@ inline void RegisterDcSat(const std::string& name, DcSatEngine* engine,
             static_cast<double>(last.stats.num_cliques);
         state.counters["components"] =
             static_cast<double>(last.stats.num_components);
+        state.counters["theta_q_merged"] =
+            static_cast<double>(last.stats.theta_q_merged);
         state.counters["threads"] =
             static_cast<double>(last.stats.threads_used);
       })

@@ -2,6 +2,9 @@
 // query grows. Expected shape: runtime rises only slightly with query size
 // — query evaluation is a small share of the total; graph construction and
 // world materialization dominate.
+//
+// Pass --smoke (or BCDB_BENCH_SMOKE=1) to run the same rows on a small set
+// (S100, 300 pending), a seconds-scale run for CI.
 
 #include "bench_common.h"
 
@@ -11,8 +14,15 @@ int main(int argc, char** argv) {
   using namespace bcdb::workload;
 
   ApplyThreadFlag(&argc, argv);
+  const bool smoke = ApplySmokeFlag(&argc, argv);
 
-  auto data = Prepare(DefaultDataset());
+  DatasetSpec spec = DefaultDataset();
+  if (smoke) {
+    spec = WithPendingTotal(S100(), 300);
+    spec.params.num_contradictions = 6;
+    spec.name = "S100-small";
+  }
+  auto data = Prepare(spec);
   DcSatEngine* engine = data->engine.get();
   const bitcoin::WorkloadMetadata& meta = data->metadata;
 

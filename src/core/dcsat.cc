@@ -399,8 +399,9 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
   if (opt && !compiled.equalities_status().ok()) {
     return compiled.equalities_status();
   }
-  const std::vector<std::vector<PendingId>> components =
-      Decompose(opt ? &compiled.equalities() : nullptr, scratch);
+  const ComponentList components =
+      Decompose(opt ? &compiled.equalities() : nullptr, scratch,
+                &result.stats.theta_q_merged);
   result.stats.num_components = components.size();
   result.stats.graph_seconds = graph_watch.ElapsedSeconds();
 
@@ -420,26 +421,39 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
   return result;
 }
 
-std::vector<std::vector<PendingId>> DcSatEngine::Decompose(
-    const std::vector<EqualityConstraint>* equalities,
-    UnionFind* scratch) const {
+ComponentList DcSatEngine::Decompose(
+    const std::vector<EqualityConstraint>* theta_q, UnionFind* scratch,
+    std::size_t* theta_q_merged) const {
   const DynamicBitset& valid = fd_graph_->valid_nodes();
-  if (equalities == nullptr) {
-    std::vector<std::vector<PendingId>> components;
-    if (valid.Any()) components.push_back(valid.ToVector());
+  if (theta_q == nullptr) {
+    ComponentList components;
+    if (valid.Any()) {
+      components.members = valid.ToVector();
+      components.offsets.push_back(components.members.size());
+    }
     return components;
   }
+  // Θ_I is maintained over the same valid nodes, so a Θ_q equality that a
+  // Θ_I equality implies would only repeat unions already made.
+  std::vector<EqualityConstraint> merged;
+  for (const EqualityConstraint& eq : *theta_q) {
+    const bool implied = std::any_of(
+        theta_i_.equalities().begin(), theta_i_.equalities().end(),
+        [&](const EqualityConstraint& ind) { return Implies(ind, eq); });
+    if (!implied) merged.push_back(eq);
+  }
+  if (theta_q_merged != nullptr) *theta_q_merged = merged.size();
   UnionFind local{0};
   UnionFind& uf = scratch != nullptr ? *scratch : local;
   uf.CopyFrom(theta_i_.components());  // Θ_I precomputed; add the rest.
-  MergeEqualityComponents(*db_, *equalities, valid, uf);
+  MergeEqualityComponents(*db_, merged, valid, uf);
   return GroupComponents(valid, uf);
 }
 
 std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
-    const std::vector<std::vector<PendingId>>& components,
-    const CompiledQuery& query, bool use_covers, std::size_t num_threads,
-    const Budget* budget, bool use_pivot, DcSatStats& stats) const {
+    const ComponentList& components, const CompiledQuery& query,
+    bool use_covers, std::size_t num_threads, const Budget* budget,
+    bool use_pivot, DcSatStats& stats) const {
   // What one scan over a contiguous run of components produced.
   struct Tally {
     std::size_t covered = 0;
@@ -467,7 +481,7 @@ std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
         ++tally.cancelled;
         continue;
       }
-      const std::vector<PendingId>& component = components[index];
+      const std::span<const PendingId> component = components[index];
       if (use_covers) {
         WorldView cover_view = db_->BaseView();
         for (PendingId id : component) {

@@ -136,6 +136,9 @@ struct DcSatStats {
   std::size_t num_valid_nodes = 0;
   std::size_t fd_conflict_pairs = 0;
   std::size_t num_components = 0;          // Opt only.
+  /// Opt only: the Θ_q equalities Decompose merged onto Θ_I — those of the
+  /// compiled (non-redundant) Θ_q that no Θ_I equality implies.
+  std::size_t theta_q_merged = 0;
   std::size_t num_components_covered = 0;  // Opt only.
   /// Components whose search ran to completion (covered-and-searched or
   /// filtered by covers). With an expired budget this is how far the scan
@@ -223,6 +226,20 @@ class DcSatEngine {
   /// Forces cache (re)construction; returns the fd graph for inspection.
   const FdGraph& PrepareSteadyState();
 
+  /// The components the clique search runs over, from the current caches
+  /// (PrepareSteadyState or a Check must have run since the last database
+  /// mutation). With `theta_q` (OptDCSat): the components of the valid
+  /// nodes under Θ_I ∪ Θ_q, where only the Θ_q equalities no Θ_I equality
+  /// Implies are merged — the rest would repeat unions Θ_I already made —
+  /// and their count is stored in `*theta_q_merged` when it is non-null.
+  /// With null `theta_q` (NaiveDCSat): one component holding every valid
+  /// node, none when no node is valid. `scratch` (optional) is reused for
+  /// the union-find instead of allocating per call; concurrent callers pass
+  /// nullptr.
+  ComponentList Decompose(const std::vector<EqualityConstraint>* theta_q,
+                          UnionFind* scratch = nullptr,
+                          std::size_t* theta_q_merged = nullptr) const;
+
   /// Capacity of the compiled-query cache (FIFO eviction beyond it).
   static constexpr std::size_t kCompiledCacheCapacity = 32;
 
@@ -259,14 +276,6 @@ class DcSatEngine {
                                   bool cache_hit,
                                   const Stopwatch& total_watch) const;
 
-  /// The components the clique search runs over: the Θ_I ∪ `equalities`
-  /// components of the valid nodes (OptDCSat), or, when `equalities` is
-  /// null, one component holding every valid node (NaiveDCSat; none when no
-  /// node is valid). `scratch` as in CheckImpl.
-  std::vector<std::vector<PendingId>> Decompose(
-      const std::vector<EqualityConstraint>* equalities,
-      UnionFind* scratch) const;
-
   /// The component search of the Naive and Opt paths: per component, the
   /// cover filter (`query`'s CoversConstants, when `use_covers`),
   /// ChargeComponent, Bron–Kerbosch over the component with
@@ -280,7 +289,7 @@ class DcSatEngine {
   /// stop or expiry; N workers split the components into chunks on the
   /// engine pool, and a stop cancels only higher-index components.
   std::optional<std::vector<PendingId>> SearchComponents(
-      const std::vector<std::vector<PendingId>>& components,
+      const ComponentList& components,
       const CompiledQuery& query, bool use_covers, std::size_t num_threads,
       const Budget* budget, bool use_pivot, DcSatStats& stats) const;
 

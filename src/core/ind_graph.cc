@@ -85,24 +85,38 @@ void MergeEqualityComponents(const BlockchainDatabase& db,
   }
 }
 
-std::vector<std::vector<PendingId>> GroupComponents(const DynamicBitset& nodes,
-                                                    UnionFind& uf) {
+ComponentList GroupComponents(const DynamicBitset& nodes, UnionFind& uf) {
   // Union-find roots are dense pending ids, so group by direct array
   // indexing — no hashing. ForEach visits ids ascending, which makes each
-  // component's first-encountered member its smallest; appending components
+  // component's first-encountered member its smallest; numbering components
   // in first-encounter order therefore *is* the canonical order (ascending
   // smallest member, members ascending) that keeps the scan — and the
   // deterministic lowest-violating-component witness — independent of
-  // union-find history and of the table backend. No sort needed.
+  // union-find history and of the table backend. No sort needed: a counting
+  // pass sizes each component, a stable placement pass fills them.
   std::vector<std::uint32_t> slot_of_root(uf.num_elements(), 0);  // idx + 1.
-  std::vector<std::vector<PendingId>> components;
+  std::vector<std::uint32_t> slot_of_member;
+  slot_of_member.reserve(nodes.Count());
+  ComponentList components;
   nodes.ForEach([&](std::size_t id) {
     std::uint32_t& slot = slot_of_root[uf.Find(id)];
     if (slot == 0) {
-      components.emplace_back();
+      components.offsets.push_back(0);
       slot = static_cast<std::uint32_t>(components.size());
     }
-    components[slot - 1].push_back(id);
+    ++components.offsets[slot];
+    slot_of_member.push_back(slot - 1);
+  });
+  // Sizes → start offsets; `next` then walks each component's free slots.
+  for (std::size_t i = 1; i < components.offsets.size(); ++i) {
+    components.offsets[i] += components.offsets[i - 1];
+  }
+  std::vector<std::size_t> next(components.offsets.begin(),
+                                components.offsets.end() - 1);
+  components.members.resize(slot_of_member.size());
+  std::size_t member = 0;
+  nodes.ForEach([&](std::size_t id) {
+    components.members[next[slot_of_member[member++]]++] = id;
   });
   return components;
 }

@@ -2,6 +2,7 @@
 #define BCDB_CORE_IND_GRAPH_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/blockchain_db.h"
@@ -24,9 +25,27 @@ namespace bcdb {
 /// graph between left and right contributors, so if both sides are
 /// non-empty the whole bucket collapses into one component — giving exact
 /// components without materializing edges (near-linear instead of O(k²)).
+///
+/// Each constraint costs one pass over every tuple of its two relations, so
+/// callers pass only equalities that can change the partition: Θ_q arrives
+/// non-redundant from EqualitiesFromQuery, and DcSatEngine::Decompose drops
+/// the Θ_q equalities some Θ_I equality Implies before merging the rest
+/// onto the Θ_I components.
 void MergeEqualityComponents(const BlockchainDatabase& db,
                              const std::vector<EqualityConstraint>& equalities,
                              const DynamicBitset& nodes, UnionFind& uf);
+
+/// A partition of pending transactions into components, stored flat:
+/// component i is members[offsets[i], offsets[i + 1]).
+struct ComponentList {
+  std::vector<PendingId> members;
+  std::vector<std::size_t> offsets{0};
+
+  std::size_t size() const { return offsets.size() - 1; }
+  std::span<const PendingId> operator[](std::size_t i) const {
+    return {members.data() + offsets[i], offsets[i + 1] - offsets[i]};
+  }
+};
 
 /// Groups the transactions of `nodes` into connected components of the
 /// ind-q-transaction graph G^{q,ind}_T, given a union-find prepared by
@@ -36,8 +55,7 @@ void MergeEqualityComponents(const BlockchainDatabase& db,
 /// witness — does not depend on union-find history. An incrementally
 /// maintained Θ_I therefore yields bit-identical results to a from-scratch
 /// one.
-std::vector<std::vector<PendingId>> GroupComponents(const DynamicBitset& nodes,
-                                                    UnionFind& uf);
+ComponentList GroupComponents(const DynamicBitset& nodes, UnionFind& uf);
 
 /// The Θ_I half of the ind-graph components, maintained incrementally
 /// (paper Section 6.3). Holds the per-constraint projection buckets of
@@ -84,6 +102,11 @@ class EqualityComponents {
 
   /// The Θ_I components; one element per pending-id slot.
   const UnionFind& components() const { return uf_; }
+
+  /// The Θ_I equalities the components are maintained under.
+  const std::vector<EqualityConstraint>& equalities() const {
+    return equalities_;
+  }
 
  private:
   struct Bucket {

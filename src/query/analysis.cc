@@ -70,6 +70,22 @@ class TermClasses {
   std::size_t next_id_ = 0;
 };
 
+/// Is every (lhs, rhs) position pair of `sub`, swapped when `swap`, a pair
+/// of `super`?
+bool PairsSubset(const EqualityConstraint& sub, bool swap,
+                 const EqualityConstraint& super) {
+  for (std::size_t k = 0; k < sub.lhs_positions.size(); ++k) {
+    const std::size_t lhs = swap ? sub.rhs_positions[k] : sub.lhs_positions[k];
+    const std::size_t rhs = swap ? sub.lhs_positions[k] : sub.rhs_positions[k];
+    bool found = false;
+    for (std::size_t m = 0; m < super.lhs_positions.size() && !found; ++m) {
+      found = super.lhs_positions[m] == lhs && super.rhs_positions[m] == rhs;
+    }
+    if (!found) return false;
+  }
+  return true;
+}
+
 bool IsGe(ComparisonOp op) {
   return op == ComparisonOp::kGt || op == ComparisonOp::kGe;
 }
@@ -177,6 +193,18 @@ QueryAnalysis AnalyzeQuery(const DenialConstraint& q, const Catalog& catalog) {
   return result;
 }
 
+bool Implies(const EqualityConstraint& implier,
+             const EqualityConstraint& implied) {
+  if (implier.lhs_relation_id == implied.lhs_relation_id &&
+      implier.rhs_relation_id == implied.rhs_relation_id &&
+      PairsSubset(implier, /*swap=*/false, implied)) {
+    return true;
+  }
+  return implier.lhs_relation_id == implied.rhs_relation_id &&
+         implier.rhs_relation_id == implied.lhs_relation_id &&
+         PairsSubset(implier, /*swap=*/true, implied);
+}
+
 std::vector<EqualityConstraint> EqualitiesFromConstraints(
     const ConstraintSet& constraints) {
   std::vector<EqualityConstraint> result;
@@ -202,7 +230,7 @@ StatusOr<std::vector<EqualityConstraint>> EqualitiesFromQuery(
     relation_ids[a] = *rel_id;
   }
 
-  std::vector<EqualityConstraint> result;
+  std::vector<EqualityConstraint> pairwise;
   for (std::size_t a = 0; a < q.positive_atoms.size(); ++a) {
     for (std::size_t b = a + 1; b < q.positive_atoms.size(); ++b) {
       const Atom& atom_a = q.positive_atoms[a];
@@ -227,8 +255,22 @@ StatusOr<std::vector<EqualityConstraint>> EqualitiesFromQuery(
           }
         }
       }
-      if (!eq.lhs_positions.empty()) result.push_back(std::move(eq));
+      if (!eq.lhs_positions.empty()) pairwise.push_back(std::move(eq));
     }
+  }
+
+  // A k-atom path or star repeats a handful of positional equalities O(k²)
+  // times. Drop every equality another one implies strictly, and every one
+  // equivalent to an earlier one: implication is a preorder, so the first
+  // member of each minimal class survives and implies all that were dropped.
+  std::vector<EqualityConstraint> result;
+  for (std::size_t i = 0; i < pairwise.size(); ++i) {
+    bool redundant = false;
+    for (std::size_t j = 0; j < pairwise.size() && !redundant; ++j) {
+      redundant = j != i && Implies(pairwise[j], pairwise[i]) &&
+                  (j < i || !Implies(pairwise[i], pairwise[j]));
+    }
+    if (!redundant) result.push_back(pairwise[i]);
   }
   return result;
 }

@@ -47,14 +47,27 @@ struct EqualityConstraint {
   std::vector<std::size_t> rhs_positions;
 };
 
+/// Does `implier` connect every transaction pair that `implied` connects?
+/// True when both join the same relation pair and `implier`'s set of
+/// (lhs position, rhs position) pairs is a subset of `implied`'s, compared
+/// in both orientations (so a self-join also matches with the pairs
+/// swapped): every tuple pair satisfying `implied` then satisfies
+/// `implier`. Merging `implied` after `implier` changes no component.
+bool Implies(const EqualityConstraint& implier,
+             const EqualityConstraint& implied);
+
 /// Θ_I: one equality constraint per inclusion dependency.
 std::vector<EqualityConstraint> EqualitiesFromConstraints(
     const ConstraintSet& constraints);
 
 /// Θ_q: for every pair of positive atoms, the positional equalities implied
 /// by shared variables (after propagating `=`-comparisons through a
-/// union-find) and by shared constants. Fails on atoms that do not bind to
-/// the catalog.
+/// union-find) and by shared constants, as a non-redundant generating set:
+/// an equality that another one Implies is dropped, and of equalities that
+/// imply each other (the same pairs, perhaps written the other way round)
+/// only the first, in atom-pair order and orientation, is kept. Merging the
+/// result yields the same components as merging every pairwise equality.
+/// Fails on atoms that do not bind to the catalog.
 StatusOr<std::vector<EqualityConstraint>> EqualitiesFromQuery(
     const DenialConstraint& q, const Catalog& catalog);
 

@@ -1,6 +1,7 @@
 #include "workload/constraints.h"
 
 #include <cassert>
+#include <optional>
 
 #include "bitcoin/to_relational.h"
 
@@ -77,7 +78,8 @@ DenialConstraint MakeAggregateConstraint(const std::string& x,
   q.aggregate = AggregateSpec{AggregateFunction::kSum,
                               {V("a")},
                               ComparisonOp::kGe,
-                              Value::Int(n)};
+                              Value::Int(n),
+                              std::nullopt};
   return q;
 }
 
@@ -92,7 +94,8 @@ DenialConstraint MakeDistinctTransfersConstraint(const std::string& x,
   q.aggregate = AggregateSpec{AggregateFunction::kCountDistinct,
                               {V("ntx")},
                               ComparisonOp::kGe,
-                              Value::Int(n)};
+                              Value::Int(n),
+                              std::nullopt};
   return q;
 }
 

@@ -145,5 +145,90 @@ TEST(AnalysisTest, NoEqualitiesBetweenUnrelatedAtoms) {
   EXPECT_TRUE(equalities->empty());
 }
 
+// Θ_q is a non-redundant generating set: the cases below pin each rule of
+// the reduction. Relation ids: R = 0, S = 1, T = 2.
+
+std::vector<EqualityConstraint> ThetaQ(const std::string& text,
+                                       const Catalog& catalog) {
+  auto q = ParseDenialConstraint(text);
+  EXPECT_TRUE(q.ok()) << q.status();
+  auto equalities = EqualitiesFromQuery(*q, catalog);
+  EXPECT_TRUE(equalities.ok()) << equalities.status();
+  return *equalities;
+}
+
+void ExpectEquality(const EqualityConstraint& eq, std::size_t lhs_relation,
+                    std::vector<std::size_t> lhs_positions,
+                    std::size_t rhs_relation,
+                    std::vector<std::size_t> rhs_positions) {
+  EXPECT_EQ(eq.lhs_relation_id, lhs_relation);
+  EXPECT_EQ(eq.lhs_positions, lhs_positions);
+  EXPECT_EQ(eq.rhs_relation_id, rhs_relation);
+  EXPECT_EQ(eq.rhs_positions, rhs_positions);
+}
+
+TEST(AnalysisTest, ThetaQDropsExactDuplicate) {
+  // S–T1 and S–T2 both give S[0]=T[0]; T1–T2 gives T[0]=T[0].
+  const auto theta_q =
+      ThetaQ("q() :- S(x, y), T(x, v), T(x, w)", MakeCatalog());
+  ASSERT_EQ(theta_q.size(), 2u);
+  ExpectEquality(theta_q[0], 1, {0}, 2, {0});
+  ExpectEquality(theta_q[1], 2, {0}, 2, {0});
+}
+
+TEST(AnalysisTest, ThetaQDropsDuplicateInOppositeOrientation) {
+  // T–S2 gives T[0]=S[0], the first equality S[0]=T[0] written backwards.
+  const auto theta_q =
+      ThetaQ("q() :- S(x, y), T(x, v), S(x, w)", MakeCatalog());
+  ASSERT_EQ(theta_q.size(), 2u);
+  ExpectEquality(theta_q[0], 1, {0}, 2, {0});
+  ExpectEquality(theta_q[1], 1, {0}, 1, {0});
+}
+
+TEST(AnalysisTest, ThetaQDropsSelfJoinWithSwappedPairs) {
+  // S1–S2 gives S[1]=S[0]; S1–S3 gives S[0]=S[1], the same self-join with
+  // the pairs swapped; S2–S3 gives S[1]=S[0] again.
+  const auto theta_q =
+      ThetaQ("q() :- S(x, y), S(y, z), S(z, x)", MakeCatalog());
+  ASSERT_EQ(theta_q.size(), 1u);
+  ExpectEquality(theta_q[0], 1, {1}, 1, {0});
+}
+
+TEST(AnalysisTest, ThetaQDropsFinerEqualityInEitherOrder) {
+  // S[0,1]=T[0,1] is implied by S[0]=T[0], whether it comes first or last.
+  for (const char* text : {"q() :- S(x, y), T(x, y), T(x, w)",
+                           "q() :- S(x, y), T(x, w), T(x, y)"}) {
+    const auto theta_q = ThetaQ(text, MakeCatalog());
+    ASSERT_EQ(theta_q.size(), 2u) << text;
+    ExpectEquality(theta_q[0], 1, {0}, 2, {0});
+    ExpectEquality(theta_q[1], 2, {0}, 2, {0});
+  }
+}
+
+TEST(AnalysisTest, ThetaQKeepsFirstOccurrenceOrientation) {
+  // T1–S gives T[1]=S[0] first; S–T2 restates it as S[0]=T[1].
+  const auto theta_q =
+      ThetaQ("q() :- T(v, x), S(x, y), T(w, x)", MakeCatalog());
+  ASSERT_EQ(theta_q.size(), 2u);
+  ExpectEquality(theta_q[0], 2, {1}, 1, {0});
+  ExpectEquality(theta_q[1], 2, {1}, 2, {1});
+}
+
+TEST(AnalysisTest, ImpliesComparesPairSetsInBothOrientations) {
+  const EqualityConstraint s0_t0{1, 2, {0}, {0}};
+  const EqualityConstraint t0_s0{2, 1, {0}, {0}};
+  const EqualityConstraint s01_t10{1, 2, {0, 1}, {1, 0}};
+  const EqualityConstraint t10_s01{2, 1, {1, 0}, {0, 1}};
+  const EqualityConstraint s1_t1{1, 2, {1}, {1}};
+  EXPECT_TRUE(Implies(s0_t0, t0_s0));
+  EXPECT_TRUE(Implies(t0_s0, s0_t0));
+  EXPECT_TRUE(Implies(s01_t10, t10_s01));
+  EXPECT_FALSE(Implies(s0_t0, s01_t10));  // (0,0) is not a pair of it.
+  EXPECT_FALSE(Implies(s1_t1, s01_t10));
+  EXPECT_FALSE(Implies(s01_t10, s0_t0));  // Finer never implies coarser.
+  // Different relation pairs never imply each other.
+  EXPECT_FALSE(Implies(EqualityConstraint{0, 2, {0}, {0}}, s0_t0));
+}
+
 }  // namespace
 }  // namespace bcdb

@@ -162,10 +162,10 @@ TEST_P(PaperPropertiesTest, ComponentRestrictionPreservesWorlds) {
 
   auto worlds = EnumeratePossibleWorlds(db, 1u << 16);
   ASSERT_TRUE(worlds.ok());
-  for (const auto& component :
-       GroupComponents(fd_graph.valid_nodes(), uf)) {
-    const std::set<std::size_t> in_component(component.begin(),
-                                             component.end());
+  const ComponentList components = GroupComponents(fd_graph.valid_nodes(), uf);
+  for (std::size_t i = 0; i < components.size(); ++i) {
+    const std::set<std::size_t> in_component(components[i].begin(),
+                                             components[i].end());
     for (const WorldView& world : *worlds) {
       std::vector<PendingId> restricted;
       world.active_bits().ForEach([&](std::size_t id) {

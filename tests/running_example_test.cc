@@ -44,10 +44,11 @@ TEST(RunningExampleTest, IndComponentsMatchFigure3) {
   UnionFind uf(db.num_pending());
   MergeEqualityComponents(db, EqualitiesFromConstraints(db.constraints()),
                           fd_graph.valid_nodes(), uf);
-  auto components = GroupComponents(fd_graph.valid_nodes(), uf);
+  const ComponentList components = GroupComponents(fd_graph.valid_nodes(), uf);
   std::set<std::set<std::size_t>> sets;
-  for (auto& c : components) {
-    sets.insert(std::set<std::size_t>(c.begin(), c.end()));
+  for (std::size_t i = 0; i < components.size(); ++i) {
+    sets.insert(std::set<std::size_t>(components[i].begin(),
+                                      components[i].end()));
   }
   // Figure 3 (G^ind_T): {T1, T2, T3, T4} and {T5}.
   const std::set<std::set<std::size_t>> expected = {{0, 1, 2, 3}, {4}};
