@@ -1,6 +1,8 @@
 #include "core/dcsat.h"
 
 #include <algorithm>
+#include <memory>
+#include <utility>
 
 #include "core/bron_kerbosch.h"
 #include "core/get_maximal.h"
@@ -46,6 +48,46 @@ std::vector<PendingId> WitnessOf(const WorldView& view) {
   return ids;
 }
 
+/// The decomposition memo's key for a residual Θ_q: one flat record per
+/// equality — arity, then one side's relation and positions, then the
+/// other's — with the (lhs, rhs) position pairs sorted and the equality
+/// oriented so the smaller record wins, the records sorted. Neither the
+/// order of the equalities, nor that of an equality's position pairs, nor
+/// its orientation changes the partition they induce, so residuals that
+/// differ only there share one key.
+std::vector<std::size_t> CanonicalResidualKey(
+    const std::vector<EqualityConstraint>& residual) {
+  std::vector<std::vector<std::size_t>> records;
+  records.reserve(residual.size());
+  for (const EqualityConstraint& eq : residual) {
+    std::vector<std::pair<std::size_t, std::size_t>> pairs;
+    for (std::size_t i = 0; i < eq.lhs_positions.size(); ++i) {
+      pairs.emplace_back(eq.lhs_positions[i], eq.rhs_positions[i]);
+    }
+    auto record = [&](std::size_t first_relation,
+                      std::size_t second_relation) {
+      std::sort(pairs.begin(), pairs.end());
+      std::vector<std::size_t> out{pairs.size(), first_relation};
+      for (const auto& pair : pairs) out.push_back(pair.first);
+      out.push_back(second_relation);
+      for (const auto& pair : pairs) out.push_back(pair.second);
+      return out;
+    };
+    const std::vector<std::size_t> forward =
+        record(eq.lhs_relation_id, eq.rhs_relation_id);
+    for (auto& pair : pairs) std::swap(pair.first, pair.second);
+    const std::vector<std::size_t> backward =
+        record(eq.rhs_relation_id, eq.lhs_relation_id);
+    records.push_back(std::min(forward, backward));
+  }
+  std::sort(records.begin(), records.end());
+  std::vector<std::size_t> key;
+  for (const std::vector<std::size_t>& record : records) {
+    key.insert(key.end(), record.begin(), record.end());
+  }
+  return key;
+}
+
 }  // namespace
 
 const FdGraph& DcSatEngine::PrepareSteadyState() {
@@ -57,6 +99,11 @@ void DcSatEngine::RefreshCaches() {
   last_refresh_ = SteadyStateRefresh{};
   if (cached_version_ == db_->version() && fd_graph_.has_value()) return;
   last_refresh_.refreshed = true;
+  {
+    // Every memoized partition was derived from the caches patched below.
+    MutexLock lock(memo_mutex_);
+    memo_.clear();
+  }
   if (!TryIncrementalRefresh()) {
     fd_graph_.emplace(*db_);
     theta_i_.Rebuild(*db_, EqualitiesFromConstraints(db_->constraints()),
@@ -254,7 +301,7 @@ StatusOr<DcSatResult> DcSatEngine::Check(const DenialConstraint& q,
       cached_version_ == db_->version() && fd_graph_.has_value();
   RefreshCaches();
   return CheckImpl(q, *(*entry)->compiled, options, (*entry)->klass,
-                   &uf_scratch_, cache_hit, total_watch);
+                   cache_hit, total_watch);
 }
 
 StatusOr<DcSatResult> DcSatEngine::CheckPrepared(
@@ -271,7 +318,7 @@ StatusOr<DcSatResult> DcSatEngine::CheckPrepared(
         "PrepareSteadyState after the last database mutation");
   }
   return CheckImpl(q, compiled, options, report.tractability,
-                   /*scratch=*/nullptr, /*cache_hit=*/true, total_watch);
+                   /*cache_hit=*/true, total_watch);
 }
 
 AnalysisReport DcSatEngine::Analyze(const DenialConstraint& q) const {
@@ -285,8 +332,8 @@ AnalysisReport DcSatEngine::Analyze(const DenialConstraint& q) const {
 
 StatusOr<DcSatResult> DcSatEngine::CheckImpl(
     const DenialConstraint& q, const CompiledQuery& compiled,
-    const DcSatOptions& options, TractabilityClass klass, UnionFind* scratch,
-    bool cache_hit, const Stopwatch& total_watch) const {
+    const DcSatOptions& options, TractabilityClass klass, bool cache_hit,
+    const Stopwatch& total_watch) const {
   const QueryAnalysis& analysis = compiled.analysis();
   DcSatResult result;
   result.stats.steady_cache_hit = cache_hit;
@@ -399,15 +446,16 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
   if (opt && !compiled.equalities_status().ok()) {
     return compiled.equalities_status();
   }
-  const ComponentList components =
-      Decompose(opt ? &compiled.equalities() : nullptr, scratch,
-                &result.stats.theta_q_merged);
-  result.stats.num_components = components.size();
+  const std::shared_ptr<const ComponentList> components =
+      Decompose(opt ? &compiled.equalities() : nullptr,
+                &result.stats.theta_q_merged,
+                &result.stats.decomposition_reused);
+  result.stats.num_components = components->size();
   result.stats.graph_seconds = graph_watch.ElapsedSeconds();
 
   // --- Clique search: the first violating world decides. ---
   result.witness =
-      SearchComponents(components, compiled, opt && options.use_covers,
+      SearchComponents(*components, compiled, opt && options.use_covers,
                        options.num_threads, budget, options.use_pivot,
                        result.stats);
   result.satisfied = !result.witness.has_value();
@@ -421,15 +469,16 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
   return result;
 }
 
-ComponentList DcSatEngine::Decompose(
-    const std::vector<EqualityConstraint>* theta_q, UnionFind* scratch,
-    std::size_t* theta_q_merged) const {
+std::shared_ptr<const ComponentList> DcSatEngine::Decompose(
+    const std::vector<EqualityConstraint>* theta_q,
+    std::size_t* theta_q_merged, bool* reused) const {
+  if (reused != nullptr) *reused = false;
   const DynamicBitset& valid = fd_graph_->valid_nodes();
   if (theta_q == nullptr) {
-    ComponentList components;
+    auto components = std::make_shared<ComponentList>();
     if (valid.Any()) {
-      components.members = valid.ToVector();
-      components.offsets.push_back(components.members.size());
+      components->members = valid.ToVector();
+      components->offsets.push_back(components->members.size());
     }
     return components;
   }
@@ -443,11 +492,40 @@ ComponentList DcSatEngine::Decompose(
     if (!implied) merged.push_back(eq);
   }
   if (theta_q_merged != nullptr) *theta_q_merged = merged.size();
-  UnionFind local{0};
-  UnionFind& uf = scratch != nullptr ? *scratch : local;
-  uf.CopyFrom(theta_i_.components());  // Θ_I precomputed; add the rest.
+  std::vector<std::size_t> key = CanonicalResidualKey(merged);
+  {
+    MutexLock lock(memo_mutex_);
+    if (std::shared_ptr<const ComponentList> hit = MemoLookup(key)) {
+      if (reused != nullptr) *reused = true;
+      return hit;
+    }
+  }
+  // A miss merges outside the lock, so concurrent checks of other shapes
+  // (or of this one) never wait on it.
+  UnionFind uf = theta_i_.components();  // Θ_I precomputed; add the rest.
   MergeEqualityComponents(*db_, merged, valid, uf);
-  return GroupComponents(valid, uf);
+  auto components =
+      std::make_shared<const ComponentList>(GroupComponents(valid, uf));
+  MutexLock lock(memo_mutex_);
+  // A concurrent miss of the same shape may have stored its (identical)
+  // partition first; keep that one.
+  if (std::shared_ptr<const ComponentList> stored = MemoLookup(key)) {
+    return stored;
+  }
+  if (memo_.size() >= kDecompositionMemoCapacity) {
+    // Dropping the memo's reference leaves callers' partitions alive.
+    memo_.erase(memo_.begin());
+  }
+  memo_.push_back(MemoEntry{std::move(key), components});
+  return components;
+}
+
+std::shared_ptr<const ComponentList> DcSatEngine::MemoLookup(
+    const std::vector<std::size_t>& key) const {
+  for (const MemoEntry& entry : memo_) {
+    if (entry.key == key) return entry.components;
+  }
+  return nullptr;
 }
 
 std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(

@@ -20,7 +20,6 @@
 #include "util/stopwatch.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
-#include "util/union_find.h"
 
 namespace bcdb {
 
@@ -137,8 +136,13 @@ struct DcSatStats {
   std::size_t fd_conflict_pairs = 0;
   std::size_t num_components = 0;          // Opt only.
   /// Opt only: the Θ_q equalities Decompose merged onto Θ_I — those of the
-  /// compiled (non-redundant) Θ_q that no Θ_I equality implies.
+  /// compiled (non-redundant) Θ_q that no Θ_I equality implies. Reported
+  /// whether or not the partition came from the decomposition memo.
   std::size_t theta_q_merged = 0;
+  /// Opt only: the component partition came from the decomposition memo (a
+  /// check with the same residual Θ_q shape since the last cache refresh)
+  /// instead of a fresh merge.
+  bool decomposition_reused = false;
   std::size_t num_components_covered = 0;  // Opt only.
   /// Components whose search ran to completion (covered-and-searched or
   /// filtered by covers). With an expired budget this is how far the scan
@@ -212,7 +216,8 @@ class DcSatEngine {
   /// to have run since the last database mutation; fails with Internal
   /// otherwise. Many threads may call this simultaneously as long as each
   /// call uses `num_threads` == 1 (the engine-owned pool is not re-entrant)
-  /// and the database is not mutated concurrently.
+  /// and the database is not mutated concurrently. They share the
+  /// decomposition memo (see Decompose).
   StatusOr<DcSatResult> CheckPrepared(const DenialConstraint& q,
                                       const CompiledQuery& compiled,
                                       const AnalysisReport& report,
@@ -231,14 +236,20 @@ class DcSatEngine {
   /// mutation). With `theta_q` (OptDCSat): the components of the valid
   /// nodes under Θ_I ∪ Θ_q, where only the Θ_q equalities no Θ_I equality
   /// Implies are merged — the rest would repeat unions Θ_I already made —
-  /// and their count is stored in `*theta_q_merged` when it is non-null.
-  /// With null `theta_q` (NaiveDCSat): one component holding every valid
-  /// node, none when no node is valid. `scratch` (optional) is reused for
-  /// the union-find instead of allocating per call; concurrent callers pass
-  /// nullptr.
-  ComponentList Decompose(const std::vector<EqualityConstraint>* theta_q,
-                          UnionFind* scratch = nullptr,
-                          std::size_t* theta_q_merged = nullptr) const;
+  /// and their count (the residual's size) is stored in `*theta_q_merged`
+  /// when it is non-null. The partition depends only on that residual, not
+  /// on q's constants, so it is memoized per residual shape until the next
+  /// cache refresh (see kDecompositionMemoCapacity); `*reused`, when
+  /// non-null, says whether this call was answered from the memo. With null
+  /// `theta_q` (NaiveDCSat): one component holding every valid node, none
+  /// when no node is valid. Safe to call from concurrent const callers.
+  std::shared_ptr<const ComponentList> Decompose(
+      const std::vector<EqualityConstraint>* theta_q,
+      std::size_t* theta_q_merged = nullptr, bool* reused = nullptr) const;
+
+  /// Capacity of the decomposition memo (FIFO eviction beyond it). Each
+  /// entry holds one partition of the valid nodes, ~16 bytes per node.
+  static constexpr std::size_t kDecompositionMemoCapacity = 8;
 
   /// Capacity of the compiled-query cache (FIFO eviction beyond it).
   static constexpr std::size_t kCompiledCacheCapacity = 32;
@@ -266,14 +277,11 @@ class DcSatEngine {
 
  private:
   /// The whole decision procedure after compilation, against fresh caches,
-  /// routed on `klass` (the query's static class). `scratch` (optional) is
-  /// reused for the Θ_I ∪ Θ_q union-find instead of allocating per call;
-  /// concurrent callers pass nullptr.
+  /// routed on `klass` (the query's static class).
   StatusOr<DcSatResult> CheckImpl(const DenialConstraint& q,
                                   const CompiledQuery& compiled,
                                   const DcSatOptions& options,
-                                  TractabilityClass klass, UnionFind* scratch,
-                                  bool cache_hit,
+                                  TractabilityClass klass, bool cache_hit,
                                   const Stopwatch& total_watch) const;
 
   /// The component search of the Naive and Opt paths: per component, the
@@ -311,8 +319,6 @@ class DcSatEngine {
   EqualityComponents theta_i_;
   SteadyStateStats steady_stats_;
   SteadyStateRefresh last_refresh_;
-  // Scratch for the serial Check path only (never shared across threads).
-  UnionFind uf_scratch_{0};
   /// The compiled query is held behind shared_ptr so that cache slots have
   /// no address or lifetime coupling to the vector: growth, FIFO eviction
   /// and shuffles only move the controlling pointers, never the queries
@@ -327,14 +333,26 @@ class DcSatEngine {
   StatusOr<const CompiledCacheEntry*> LookupOrCompile(
       const DenialConstraint& q);
   std::vector<CompiledCacheEntry> compiled_cache_;
-  // The only internally-synchronized state of the engine: PoolFor is called
-  // from const Check paths that may race only with each other. Everything
-  // above (fd_graph_, theta_i_, compiled_cache_, the stats) is externally
-  // synchronized — a DcSatEngine belongs to one monitor/caller thread at a
-  // time, which ConstraintMonitor enforces by holding its own mutex_ across
-  // every engine call.
+  // The internally-synchronized state of the engine: the pool slot and the
+  // decomposition memo, both reached from const Check paths that may race
+  // only with each other. Everything above (fd_graph_, theta_i_,
+  // compiled_cache_, the stats) is externally synchronized — a DcSatEngine
+  // belongs to one monitor/caller thread at a time, which ConstraintMonitor
+  // enforces by holding its own mutex_ across every engine call.
   mutable Mutex pool_mutex_{LockRank::kEnginePool};
   mutable std::shared_ptr<ThreadPool> pool_ BCDB_GUARDED_BY(pool_mutex_);
+  /// One finished Θ_I ∪ residual-Θ_q partition, keyed by the residual in
+  /// canonical form (see Decompose). Valid only for the caches it was
+  /// derived from: every refreshing RefreshCaches clears the memo.
+  struct MemoEntry {
+    std::vector<std::size_t> key;
+    std::shared_ptr<const ComponentList> components;
+  };
+  mutable Mutex memo_mutex_{LockRank::kDecompositionMemo};
+  mutable std::vector<MemoEntry> memo_ BCDB_GUARDED_BY(memo_mutex_);
+  /// The memoized partition under `key`, or null.
+  std::shared_ptr<const ComponentList> MemoLookup(
+      const std::vector<std::size_t>& key) const BCDB_REQUIRES(memo_mutex_);
 };
 
 }  // namespace bcdb

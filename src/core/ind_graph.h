@@ -30,7 +30,9 @@ namespace bcdb {
 /// callers pass only equalities that can change the partition: Θ_q arrives
 /// non-redundant from EqualitiesFromQuery, and DcSatEngine::Decompose drops
 /// the Θ_q equalities some Θ_I equality Implies before merging the rest
-/// onto the Θ_I components.
+/// onto the Θ_I components. Decompose is the per-check caller, and only on
+/// a miss of its decomposition memo: a check whose residual Θ_q shape was
+/// decomposed since the last cache refresh reuses that partition.
 void MergeEqualityComponents(const BlockchainDatabase& db,
                              const std::vector<EqualityConstraint>& equalities,
                              const DynamicBitset& nodes, UnionFind& uf);

@@ -17,6 +17,8 @@ const char* LockRankName(LockRank rank) {
       return "kMutationLog";
     case LockRank::kEnginePool:
       return "kEnginePool";
+    case LockRank::kDecompositionMemo:
+      return "kDecompositionMemo";
     case LockRank::kThreadPoolQueue:
       return "kThreadPoolQueue";
     case LockRank::kThreadPoolWake:

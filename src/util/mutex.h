@@ -34,6 +34,9 @@ enum class LockRank : int {
   kMutationLog = 40,
   /// DcSatEngine's worker-pool slot (PoolFor).
   kEnginePool = 50,
+  /// DcSatEngine's decomposition memo: a lookup or an insert of one
+  /// finished component partition, calling out to nothing.
+  kDecompositionMemo = 55,
   /// One ThreadPool worker deque. Same-rank by design: own-queue pop and
   /// victim steal are strictly sequential, never nested.
   kThreadPoolQueue = 60,

@@ -34,14 +34,6 @@ class UnionFind {
     size_.resize(n, 1);
   }
 
-  /// Becomes a copy of `other`, reusing existing capacity. The OptDCSat hot
-  /// path re-seeds one scratch instance from the cached Θ_I components on
-  /// every check instead of allocating a fresh deep copy per query.
-  void CopyFrom(const UnionFind& other) {
-    parent_.assign(other.parent_.begin(), other.parent_.end());
-    size_.assign(other.size_.begin(), other.size_.end());
-  }
-
   /// Returns the representative of `x`'s set.
   std::size_t Find(std::size_t x) {
     while (parent_[x] != x) {

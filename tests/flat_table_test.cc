@@ -208,7 +208,9 @@ TEST(FlatTableDifferentialTest, MapMatchesUnorderedMapUnderChurn) {
           auto rit = ref.find(key);
           ASSERT_EQ(fit == flat.end(), rit == ref.end())
               << "seed " << seed << " op " << op << " key " << key;
-          if (fit != flat.end()) ASSERT_EQ(fit->second, rit->second);
+          if (fit != flat.end()) {
+            ASSERT_EQ(fit->second, rit->second);
+          }
           break;
         }
       }

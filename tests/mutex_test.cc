@@ -14,6 +14,8 @@ TEST(LockRankTest, NamesCoverEveryRank) {
   EXPECT_STREQ(LockRankName(LockRank::kDurableStore), "kDurableStore");
   EXPECT_STREQ(LockRankName(LockRank::kMutationLog), "kMutationLog");
   EXPECT_STREQ(LockRankName(LockRank::kEnginePool), "kEnginePool");
+  EXPECT_STREQ(LockRankName(LockRank::kDecompositionMemo),
+               "kDecompositionMemo");
   EXPECT_STREQ(LockRankName(LockRank::kThreadPoolQueue), "kThreadPoolQueue");
   EXPECT_STREQ(LockRankName(LockRank::kThreadPoolWake), "kThreadPoolWake");
   EXPECT_STREQ(LockRankName(LockRank::kValuePool), "kValuePool");

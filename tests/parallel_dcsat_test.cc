@@ -14,6 +14,7 @@
 #include "query/parser.h"
 #include "running_example.h"
 #include "util/rng.h"
+#include "workload/constraints.h"
 
 namespace bcdb {
 namespace {
@@ -305,6 +306,82 @@ TEST(ParallelMonitorTest, ConcurrentCheckPreparedCallersAgree) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(ParallelMonitorTest, ConcurrentDecompositionMemoMissesAndHitsAgree) {
+  // qp3- and qr3-shaped checks from many threads on a cold decomposition
+  // memo: the first checks of each shape miss concurrently and race to
+  // store, the rest hit. Every result must equal a serial check on a
+  // separate engine (the tsan job validates the memo's locking). Each round
+  // mutates the database first, so every round starts cold again.
+  BlockchainDatabase db = MakeRunningExample();
+  DcSatEngine engine(&db);
+  const DenialConstraint queries[] = {
+      workload::MakePathConstraint(3, "U2Pk", "U2Pk"),
+      workload::MakeStarConstraint(3, "U2Pk"),
+  };
+  DcSatOptions options;
+  options.algorithm = DcSatAlgorithm::kOpt;
+  options.use_precheck = false;  // Reach the decomposition.
+  const Tuple bump({Value::Int(90), Value::Int(1), Value::Str("U9Pk"),
+                    Value::Real(1)});
+  for (int round = 0; round < 3; ++round) {
+    if (round > 0) {
+      const Status status = round % 2 == 1
+                                ? db.InsertCurrent("TxOut", bump)
+                                : db.RemoveCurrent("TxOut", bump);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+    }
+    engine.PrepareSteadyState();
+    std::vector<CompiledQuery> compiled;
+    std::vector<AnalysisReport> reports;
+    std::vector<DcSatResult> serial;
+    DcSatEngine reference(&db);
+    reference.PrepareSteadyState();
+    for (const DenialConstraint& q : queries) {
+      auto query = CompiledQuery::Compile(q, &db.database());
+      ASSERT_TRUE(query.ok());
+      compiled.push_back(std::move(*query));
+      reports.push_back(engine.Analyze(q));
+      auto result =
+          reference.CheckPrepared(q, compiled.back(), reports.back(), options);
+      ASSERT_TRUE(result.ok());
+      serial.push_back(*result);
+    }
+    ASSERT_GT(serial[0].stats.num_components, 0u);
+    ASSERT_GT(serial[1].stats.num_components, 0u);
+
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < 10; ++i) {
+          const std::size_t k = static_cast<std::size_t>(t + i) % 2;
+          auto result =
+              engine.CheckPrepared(queries[k], compiled[k], reports[k],
+                                   options);
+          if (!result.ok() || result->satisfied != serial[k].satisfied ||
+              result->witness != serial[k].witness ||
+              result->stats.num_components != serial[k].stats.num_components ||
+              result->stats.theta_q_merged != serial[k].stats.theta_q_merged ||
+              result->stats.num_cliques != serial[k].stats.num_cliques ||
+              result->stats.num_worlds_evaluated !=
+                  serial[k].stats.num_worlds_evaluated) {
+            mismatches.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(mismatches.load(), 0) << "round " << round;
+    // Both shapes are memoized once the threads are done.
+    for (std::size_t k = 0; k < 2; ++k) {
+      auto again =
+          engine.CheckPrepared(queries[k], compiled[k], reports[k], options);
+      ASSERT_TRUE(again.ok());
+      EXPECT_TRUE(again->stats.decomposition_reused) << "round " << round;
+    }
+  }
 }
 
 TEST(ParallelMonitorTest, CheckPreparedRejectsStaleCaches) {

@@ -357,7 +357,7 @@ TEST(ThetaQReductionTest, DecomposeMatchesUnreducedMergeOnSeededInstances) {
           (*compiled)->equalities();
 
       std::size_t merged = 0;
-      const ComponentList actual = engine.Decompose(&theta_q, nullptr, &merged);
+      const ComponentList actual = *engine.Decompose(&theta_q, &merged);
       const ComponentList expected = OracleComponents(db, fd_graph, q);
       ++decompositions;
       ASSERT_EQ(actual.members, expected.members) << context;

@@ -155,7 +155,9 @@ TEST(ValuePoolTest, TupleOpsAgreeWithNaiveReferenceRandomized) {
     EXPECT_EQ(a.Compare(b) > 0, ref > 0);
     EXPECT_EQ(a == b, ref == 0);
     // Hash is a function of value equality.
-    if (ref == 0) EXPECT_EQ(a.Hash(), b.Hash());
+    if (ref == 0) {
+      EXPECT_EQ(a.Hash(), b.Hash());
+    }
 
     // Projection agrees with projecting the raw values.
     if (arity_a > 0) {
