@@ -197,6 +197,8 @@ inline void SetDcSatCounters(benchmark::State& state, const DcSatResult& last) {
       static_cast<double>(last.stats.theta_q_merged);
   state.counters["decomposition_reused"] =
       last.stats.decomposition_reused ? 1 : 0;
+  state.counters["maximal_probes"] =
+      static_cast<double>(last.stats.maximal_probes);
   state.counters["threads"] = static_cast<double>(last.stats.threads_used);
 }
 

@@ -7,6 +7,19 @@
 
 namespace bcdb {
 
+namespace {
+
+/// Whether tuple `id` of `rel` is visible in the world `view + {owner}`,
+/// without materializing that world.
+bool VisibleWith(const Relation& rel, TupleId id, const WorldView& view,
+                 TupleOwner owner) {
+  if (rel.IsVisible(id, view)) return true;
+  const std::vector<TupleOwner>& owners = rel.owners(id);
+  return std::find(owners.begin(), owners.end(), owner) != owners.end();
+}
+
+}  // namespace
+
 ConstraintChecker::ConstraintChecker(const Database* db,
                                      const ConstraintSet* constraints)
     : db_(db), constraints_(constraints) {
@@ -89,11 +102,9 @@ Status ConstraintChecker::CheckAll(const WorldView& view) const {
 
 bool ConstraintChecker::CanAppendOwner(const WorldView& view,
                                        TupleOwner owner) const {
-  WorldView extended = view;
-  extended.Activate(owner);
-  // FDs: every tuple contributed by `owner` must agree with all visible
-  // tuples sharing its determinant (including the owner's own tuples,
-  // which are visible in `extended`).
+  // FDs: every tuple contributed by `owner` must agree with all tuples
+  // sharing its determinant that are visible in `view + {owner}` (including
+  // the owner's own tuples).
   for (std::size_t i = 0; i < constraints_->fds().size(); ++i) {
     const FunctionalDependency& fd = constraints_->fds()[i];
     const Relation& rel = db_->relation(fd.relation_id());
@@ -101,13 +112,18 @@ bool ConstraintChecker::CanAppendOwner(const WorldView& view,
       const ProjectionKey key = rel.tuple(id).ProjectKey(fd.lhs());
       const Tuple dependent = rel.tuple(id).Project(fd.rhs());
       for (TupleId other : rel.IndexLookup(fd_index_ids_[i], key)) {
-        if (other == id || !rel.IsVisible(other, extended)) continue;
+        if (other == id || !VisibleWith(rel, other, view, owner)) continue;
         if (rel.tuple(other).Project(fd.rhs()) != dependent) return false;
       }
     }
   }
-  // INDs: new lhs tuples need a visible witness; existing visible tuples
-  // keep theirs (insertion never removes witnesses).
+  return IndsHoldOnAppend(view, owner);
+}
+
+bool ConstraintChecker::IndsHoldOnAppend(const WorldView& view,
+                                         TupleOwner owner) const {
+  // New lhs tuples need a witness visible in `view + {owner}`; existing
+  // visible tuples keep theirs (insertion never removes witnesses).
   for (std::size_t i = 0; i < constraints_->inds().size(); ++i) {
     const InclusionDependency& ind = constraints_->inds()[i];
     const IndPlan& plan = ind_plans_[i];
@@ -119,7 +135,7 @@ bool ConstraintChecker::CanAppendOwner(const WorldView& view,
           lhs_rel.tuple(id).ProjectKey(plan.permuted_lhs_positions);
       bool found = false;
       for (TupleId rhs_id : rhs_rel.IndexLookup(plan.rhs_index_id, key)) {
-        if (rhs_rel.IsVisible(rhs_id, extended)) {
+        if (VisibleWith(rhs_rel, rhs_id, view, owner)) {
           found = true;
           break;
         }

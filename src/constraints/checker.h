@@ -16,7 +16,8 @@ namespace bcdb {
 ///
 /// The checker prepares one hash index per FD determinant and per IND
 /// right-hand side at construction; all subsequent checks are lookups.
-/// The incremental check `CanAppendOwner` is the workhorse of `getMaximal`:
+/// The incremental check `CanAppendOwner` (and its IND half
+/// `IndsHoldOnAppend`, for clique members) is the workhorse of `getMaximal`:
 /// given a world that already satisfies `I`, it decides whether activating
 /// one more pending transaction preserves `I`, in time proportional to the
 /// transaction's size (not the database's).
@@ -38,7 +39,18 @@ class ConstraintChecker {
   /// appended tuples can only (a) collide on FD determinants — checked
   /// against all tuples visible in the extended world — or (b) require IND
   /// witnesses — which, for already-visible tuples, persist under insertion.
+  /// Reads `view` in place: a tuple counts as visible in the extended world
+  /// when it is visible in `view` or `owner` is among its owners.
   bool CanAppendOwner(const WorldView& view, TupleOwner owner) const;
+
+  /// The IND half of CanAppendOwner alone: assuming `view` satisfies `I`,
+  /// does every inclusion dependency still hold in `view + {owner}`? Equals
+  /// CanAppendOwner whenever the FDs are known to hold in the extended world
+  /// — e.g. when `view`'s pending owners and `owner` all lie in one clique
+  /// of G^fd_T: every member is FD-consistent with R, the members are
+  /// pairwise FD-consistent, and FD violations are binary, so every subset
+  /// of the clique is FD-consistent with R.
+  bool IndsHoldOnAppend(const WorldView& view, TupleOwner owner) const;
 
   /// Do the tuples of `a` and `b` together satisfy all FDs? This is the edge
   /// predicate of the fd-transaction graph G^fd_T (pairwise check only;

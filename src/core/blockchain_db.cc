@@ -205,6 +205,11 @@ std::vector<PendingId> BlockchainDatabase::PendingIds() const {
   return ids;
 }
 
+std::size_t BlockchainDatabase::CountPending() const {
+  return static_cast<std::size_t>(std::count(
+      pending_state_.begin(), pending_state_.end(), PendingState::kPending));
+}
+
 Status BlockchainDatabase::RestorePendingSlot(
     Transaction txn, PendingState state,
     std::vector<std::size_t> relation_ids) {

@@ -149,6 +149,9 @@ class BlockchainDatabase {
   /// All currently-pending ids (ascending).
   std::vector<PendingId> PendingIds() const;
 
+  /// PendingIds().size(), counted in place without building the list.
+  std::size_t CountPending() const;
+
   /// World view of the current state R only.
   WorldView BaseView() const { return db_->BaseView(); }
   /// World view of R plus all still-pending transactions (R ∪ T).

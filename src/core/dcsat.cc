@@ -104,6 +104,9 @@ void DcSatEngine::RefreshCaches() {
     MutexLock lock(memo_mutex_);
     memo_.clear();
   }
+  // Appendability to R depends on R and the pending set, both of which the
+  // mutations behind this refresh may have changed.
+  appendability_.Reset(db_->num_pending());
   if (!TryIncrementalRefresh()) {
     fd_graph_.emplace(*db_);
     theta_i_.Rebuild(*db_, EqualitiesFromConstraints(db_->constraints()),
@@ -346,7 +349,7 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
       // D |= ¬q vacuously — no data access at all. The general search
       // agrees: its R ∪ T pre-check evaluates q to false.
       result.stats.algorithm_used = DcSatAlgorithm::kStatic;
-      result.stats.num_pending = db_->PendingIds().size();
+      result.stats.num_pending = db_->CountPending();
       result.satisfied = true;
       result.stats.total_seconds = total_watch.ElapsedSeconds();
       return result;
@@ -378,7 +381,7 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
     }
   }
   result.stats.algorithm_used = algorithm;
-  result.stats.num_pending = db_->PendingIds().size();
+  result.stats.num_pending = db_->CountPending();
 
   // With limits set, one shared tracker is probed at every cooperative
   // preemption point below; with the default (unlimited) limits the pointer
@@ -538,6 +541,7 @@ std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
     std::size_t completed = 0;
     std::size_t cliques = 0;
     std::size_t worlds = 0;
+    std::size_t probes = 0;
     std::size_t cancelled = 0;
     bool expired = false;
     std::optional<std::vector<PendingId>> stop_world;
@@ -592,8 +596,11 @@ std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
                 (!budget->ChargeClique() || !budget->ChargeWorld())) {
               return false;  // Budget expired; unwind without evaluating.
             }
-            const WorldView world = GetMaximal(*db_, clique);
+            GetMaximalStats maximal_stats;
+            const WorldView world = GetMaximalOfClique(
+                *db_, *fd_graph_, appendability_, clique, &maximal_stats);
             ++tally.worlds;
+            tally.probes += maximal_stats.probes;
             if (!query.Evaluate(world)) return true;
             stopped = true;
             tally.stop_world = WitnessOf(world);
@@ -627,6 +634,7 @@ std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
     stats.components_completed += tally.completed;
     stats.num_cliques += tally.cliques;
     stats.num_worlds_evaluated += tally.worlds;
+    stats.maximal_probes += tally.probes;
     stats.cancelled_tasks += tally.cancelled;
     if (tally.expired) stats.budget_expired = true;
     if (!stop_world.has_value()) stop_world = std::move(tally.stop_world);

@@ -11,6 +11,7 @@
 #include "analysis/analyzer.h"
 #include "core/blockchain_db.h"
 #include "core/fd_graph.h"
+#include "core/get_maximal.h"
 #include "core/ind_graph.h"
 #include "query/ast.h"
 #include "query/compiled_query.h"
@@ -150,6 +151,11 @@ struct DcSatStats {
   std::size_t components_completed = 0;
   std::size_t num_cliques = 0;
   std::size_t num_worlds_evaluated = 0;
+  /// Appendability probes GetMaximal ran, summed over the check's worlds —
+  /// including those that filled slots of the engine's appendability-to-R
+  /// status, so a repeat check at one database version runs no more than
+  /// the first. A count of work, read from no clock.
+  std::size_t maximal_probes = 0;
   /// The check's BudgetLimits tripped (deadline or a work ceiling). The
   /// result is still decided if a violating world was found first.
   bool budget_expired = false;
@@ -175,13 +181,16 @@ struct DcSatResult {
 
 /// Decides denial-constraint satisfaction over one blockchain database,
 /// owning the steady-state structures of paper Section 6.3: the
-/// fd-transaction graph, the Θ_I part of the ind-graph components, and the
-/// per-transaction validity bits. Caches are keyed on the database version;
-/// after mutations they are always patched from the database's mutation
-/// log — including direct base-state inserts, retractions and reorg
-/// restores — and rebuilt from scratch only when the batch holds more than
-/// kMaxDeltaEvents events, the log was trimmed past the engine's cursor, or
-/// one batch both integrated and applied a transaction.
+/// fd-transaction graph, the Θ_I part of the ind-graph components, the
+/// per-transaction validity bits, and the per-transaction
+/// appendability-to-R status the clique search's GetMaximalOfClique reads
+/// (filled lazily, reset by every refreshing cache refresh). Caches are
+/// keyed on the database version; after mutations they are always patched
+/// from the database's mutation log — including direct base-state inserts,
+/// retractions and reorg restores — and rebuilt from scratch only when the
+/// batch holds more than kMaxDeltaEvents events, the log was trimmed past
+/// the engine's cursor, or one batch both integrated and applied a
+/// transaction.
 class DcSatEngine {
  public:
   /// A refresh replays at most this many mutation events; beyond it, replay
@@ -287,15 +296,16 @@ class DcSatEngine {
   /// The component search of the Naive and Opt paths: per component, the
   /// cover filter (`query`'s CoversConstants, when `use_covers`),
   /// ChargeComponent, Bron–Kerbosch over the component with
-  /// ChargeClique/ChargeWorld per clique, GetMaximal, then `query` over the
-  /// maximal world. Returns the active pending ids of the first world that
-  /// satisfies `query` in the lowest such component, or nullopt.
-  /// Accumulates the coverage, completion, clique, world and cancellation
-  /// counts into `stats` and sets `stats.budget_expired` when `budget` (may
-  /// be null) ended some component early. `num_threads` as in DcSatOptions:
-  /// one worker scans in order on the caller's thread and ends at the first
-  /// stop or expiry; N workers split the components into chunks on the
-  /// engine pool, and a stop cancels only higher-index components.
+  /// ChargeClique/ChargeWorld per clique, GetMaximalOfClique, then `query`
+  /// over the maximal world. Returns the active pending ids of the first
+  /// world that satisfies `query` in the lowest such component, or nullopt.
+  /// Accumulates the coverage, completion, clique, world, probe and
+  /// cancellation counts into `stats` and sets `stats.budget_expired` when
+  /// `budget` (may be null) ended some component early. `num_threads` as in
+  /// DcSatOptions: one worker scans in order on the caller's thread and ends
+  /// at the first stop or expiry; N workers split the components into
+  /// chunks on the engine pool, and a stop cancels only higher-index
+  /// components.
   std::optional<std::vector<PendingId>> SearchComponents(
       const ComponentList& components,
       const CompiledQuery& query, bool use_covers, std::size_t num_threads,
@@ -353,6 +363,11 @@ class DcSatEngine {
   /// The memoized partition under `key`, or null.
   std::shared_ptr<const ComponentList> MemoLookup(
       const std::vector<std::size_t>& key) const BCDB_REQUIRES(memo_mutex_);
+  /// Per pending slot, appendability to R (see BaseAppendability). Same
+  /// lifetime as the memo — every refreshing RefreshCaches resets it — but
+  /// lock-free: concurrent const checks fill it through atomic slots, and
+  /// a duplicated fill stores the same answer.
+  BaseAppendability appendability_;
 };
 
 }  // namespace bcdb

@@ -85,12 +85,14 @@ std::optional<DcSatResult> TryTractableDcSat(const BlockchainDatabase& db,
   }
   DcSatResult result;
   result.stats.algorithm_used = DcSatAlgorithm::kTractable;
-  result.stats.num_pending = db.PendingIds().size();
+  result.stats.num_pending = db.CountPending();
 
   // --- IND-only (or unconstrained): unique maximal world. ---
   if (klass == TractabilityClass::kPtimeIndOnly) {
-    const WorldView maximal = GetMaximal(db, db.PendingIds());
+    GetMaximalStats maximal_stats;
+    const WorldView maximal = GetMaximal(db, db.PendingIds(), &maximal_stats);
     result.stats.num_worlds_evaluated = 1;
+    result.stats.maximal_probes = maximal_stats.probes;
     result.satisfied = !compiled.Evaluate(maximal);
     if (!result.satisfied) result.witness = maximal.active_bits().ToVector();
     return result;

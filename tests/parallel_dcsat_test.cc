@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -380,6 +381,139 @@ TEST(ParallelMonitorTest, ConcurrentDecompositionMemoMissesAndHitsAgree) {
           engine.CheckPrepared(queries[k], compiled[k], reports[k], options);
       ASSERT_TRUE(again.ok());
       EXPECT_TRUE(again->stats.decomposition_reused) << "round " << round;
+    }
+  }
+}
+
+/// A G^fd with 8 maximal cliques of ~150 members each: base-witnessed,
+/// self-witnessed, parent-witnessed and dangling spends (IND S.x ⊆ R.a),
+/// plus 50 transactions on 3 contested R keys.
+BlockchainDatabase MakeAppendabilityInstance() {
+  Catalog catalog = MakeCatalog();
+  ConstraintSet constraints;
+  auto key = FunctionalDependency::Key(catalog, "R", {"a"});
+  EXPECT_TRUE(key.ok());
+  constraints.AddFd(std::move(*key));
+  auto ind = InclusionDependency::Create(catalog, "S", {"x"}, "R", {"a"});
+  EXPECT_TRUE(ind.ok());
+  constraints.AddInd(std::move(*ind));
+  auto db =
+      BlockchainDatabase::Create(std::move(catalog), std::move(constraints));
+  EXPECT_TRUE(db.ok());
+  for (std::int64_t a = 0; a < 100; ++a) {
+    EXPECT_TRUE(
+        db->InsertCurrent("R", Tuple({Value::Int(a), Value::Int(0)})).ok());
+  }
+  for (std::int64_t i = 0; i < 200; ++i) {
+    Transaction txn("P" + std::to_string(i));
+    auto spend = [&](std::int64_t x) {
+      txn.Add("S", Tuple({Value::Int(x), Value::Int(i)}));
+    };
+    switch (i % 4) {
+      case 0:
+        spend(i % 100);
+        break;
+      case 1:
+        txn.Add("R", Tuple({Value::Int(1000 + i), Value::Int(1)}));
+        spend(1000 + i);
+        break;
+      case 2:  // Spends the previous transaction's output, or nothing.
+        spend(i % 8 == 2 ? 1000 + i - 1 : 5000 + i);
+        break;
+      default:
+        txn.Add("R",
+                Tuple({Value::Int(2000 + i / 4 % 3), Value::Int(i / 12 % 2)}));
+        break;
+    }
+    EXPECT_TRUE(db->AddPending(txn).ok());
+  }
+  EXPECT_TRUE(db->ValidateCurrentState().ok());
+  return std::move(*db);
+}
+
+TEST(ParallelMonitorTest, ConcurrentAppendabilityFillAgrees) {
+  // Naive-routed checks from many threads, released together, on a cold
+  // appendability-to-R status: their clique searches fill the same slots
+  // at the same time (a benign race — both store one answer), later ones
+  // read them. Every result must equal a serial check on a separate engine
+  // (the tsan job validates the lock-free fill). Each round mutates the
+  // database first, so every round starts cold again.
+  BlockchainDatabase db = MakeAppendabilityInstance();
+  DcSatEngine engine(&db);
+  const DenialConstraint queries[] = {
+      *ParseDenialConstraint("q() :- R(x, 5)"),
+      *ParseDenialConstraint("q() :- S(x, y), R(x, 1)"),
+      *ParseDenialConstraint("[q(cntd(x)) :- S(x, y)] >= 1000"),
+  };
+  constexpr std::size_t kQueries = std::size(queries);
+  DcSatOptions options;
+  options.algorithm = DcSatAlgorithm::kNaive;
+  options.use_precheck = false;  // Reach the clique search.
+  const Tuple bump({Value::Int(500), Value::Int(0)});
+  for (int round = 0; round < 3; ++round) {
+    if (round > 0) {
+      const Status status = round % 2 == 1 ? db.InsertCurrent("R", bump)
+                                           : db.RemoveCurrent("R", bump);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+    }
+    engine.PrepareSteadyState();
+    std::vector<CompiledQuery> compiled;
+    std::vector<AnalysisReport> reports;
+    std::vector<DcSatResult> serial;
+    DcSatEngine reference(&db);
+    reference.PrepareSteadyState();
+    for (const DenialConstraint& q : queries) {
+      auto query = CompiledQuery::Compile(q, &db.database());
+      ASSERT_TRUE(query.ok());
+      compiled.push_back(std::move(*query));
+      reports.push_back(engine.Analyze(q));
+      auto result =
+          reference.CheckPrepared(q, compiled.back(), reports.back(), options);
+      ASSERT_TRUE(result.ok());
+      ASSERT_EQ(result->stats.algorithm_used, DcSatAlgorithm::kNaive);
+      serial.push_back(*result);
+    }
+    ASSERT_TRUE(serial[0].satisfied);  // Searches every clique.
+    ASSERT_EQ(serial[0].stats.num_cliques, 8u);
+    ASSERT_FALSE(serial[1].satisfied);
+
+    std::atomic<bool> go{false};
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        for (int i = 0; i < 6; ++i) {
+          const std::size_t k = static_cast<std::size_t>(t + i) % kQueries;
+          auto result =
+              engine.CheckPrepared(queries[k], compiled[k], reports[k],
+                                   options);
+          if (!result.ok() || result->satisfied != serial[k].satisfied ||
+              result->witness != serial[k].witness ||
+              result->stats.num_cliques != serial[k].stats.num_cliques ||
+              result->stats.num_worlds_evaluated !=
+                  serial[k].stats.num_worlds_evaluated) {
+            mismatches.fetch_add(1);
+          }
+        }
+      });
+    }
+    go.store(true);
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(mismatches.load(), 0) << "round " << round;
+    // Every slot the searches touch is filled once the threads are done:
+    // no check runs more probes than the serial one, and the query the
+    // reference engine checked first (on its cold status) runs fewer.
+    for (std::size_t k = 0; k < kQueries; ++k) {
+      auto again =
+          engine.CheckPrepared(queries[k], compiled[k], reports[k], options);
+      ASSERT_TRUE(again.ok());
+      EXPECT_LE(again->stats.maximal_probes, serial[k].stats.maximal_probes)
+          << "round " << round;
+      if (k == 0) {
+        EXPECT_LT(again->stats.maximal_probes, serial[k].stats.maximal_probes)
+            << "round " << round;
+      }
     }
   }
 }
