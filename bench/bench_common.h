@@ -20,36 +20,6 @@
 namespace bcdb {
 namespace bench {
 
-/// The DcSatOptions::num_threads value every registered benchmark runs with.
-/// Defaults to 1 (the serial reference path); set by --bcdb_threads=N on the
-/// command line or the BCDB_NUM_THREADS environment variable (0 = hardware
-/// concurrency).
-inline std::size_t& BenchNumThreads() {
-  static std::size_t num_threads = 1;
-  return num_threads;
-}
-
-/// Parses and strips the --bcdb_threads=N flag (google-benchmark rejects
-/// flags it doesn't know) and reads BCDB_NUM_THREADS. Call before
-/// benchmark::Initialize.
-inline void ApplyThreadFlag(int* argc, char** argv) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only, no setenv anywhere
-  if (const char* env = std::getenv("BCDB_NUM_THREADS")) {
-    BenchNumThreads() = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
-  }
-  constexpr const char kFlag[] = "--bcdb_threads=";
-  int out = 0;
-  for (int i = 0; i < *argc; ++i) {
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      BenchNumThreads() = static_cast<std::size_t>(
-          std::strtoul(argv[i] + sizeof(kFlag) - 1, nullptr, 10));
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-}
-
 /// Parses and strips the --smoke flag (also honours BCDB_BENCH_SMOKE=1):
 /// CI smoke runs shrink datasets/iterations to finish in seconds while
 /// still walking every code path the bench exercises.
@@ -185,7 +155,8 @@ inline DcSatResult CheckOrDie(DcSatEngine& engine, const DenialConstraint& q,
 
 /// The result counters of a registered DCSat run: satisfied flag, worlds
 /// evaluated, cliques enumerated, components, Θ_q equalities merged, whether
-/// the partition came from the decomposition memo, and the pool width.
+/// the partition came from the decomposition memo, and the appendability
+/// probes.
 inline void SetDcSatCounters(benchmark::State& state, const DcSatResult& last) {
   state.counters["satisfied"] = last.satisfied ? 1 : 0;
   state.counters["worlds"] =
@@ -199,7 +170,6 @@ inline void SetDcSatCounters(benchmark::State& state, const DcSatResult& last) {
       last.stats.decomposition_reused ? 1 : 0;
   state.counters["maximal_probes"] =
       static_cast<double>(last.stats.maximal_probes);
-  state.counters["threads"] = static_cast<double>(last.stats.threads_used);
 }
 
 /// Registers one DCSat run as a google-benchmark timer with result counters.
@@ -262,14 +232,12 @@ inline void RegisterDcSatCold(const std::string& name, PreparedDataset* data,
 inline DcSatOptions NaiveOptions() {
   DcSatOptions options;
   options.algorithm = DcSatAlgorithm::kNaive;
-  options.num_threads = BenchNumThreads();
   return options;
 }
 
 inline DcSatOptions OptOptions() {
   DcSatOptions options;
   options.algorithm = DcSatAlgorithm::kOpt;
-  options.num_threads = BenchNumThreads();
   return options;
 }
 

@@ -14,8 +14,6 @@ int main(int argc, char** argv) {
   using namespace bcdb::bench;
   using namespace bcdb::workload;
 
-  ApplyThreadFlag(&argc, argv);
-
   auto data = Prepare(DefaultDataset());
   DcSatEngine* engine = data->engine.get();
   const bitcoin::WorkloadMetadata& meta = data->metadata;

@@ -12,8 +12,6 @@ int main(int argc, char** argv) {
   using namespace bcdb::bench;
   using namespace bcdb::workload;
 
-  ApplyThreadFlag(&argc, argv);
-
   const std::size_t kPendingCounts[] = {1150, 2764, 3753, 5079, 7382};
   std::vector<std::unique_ptr<PreparedDataset>> datasets;
   for (std::size_t pending : kPendingCounts) {

@@ -12,8 +12,6 @@ int main(int argc, char** argv) {
   using namespace bcdb::bench;
   using namespace bcdb::workload;
 
-  ApplyThreadFlag(&argc, argv);
-
   std::vector<std::unique_ptr<PreparedDataset>> datasets;
   for (std::size_t contradictions : {10u, 20u, 30u, 40u, 50u}) {
     datasets.push_back(

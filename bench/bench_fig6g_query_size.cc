@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
   using namespace bcdb::bench;
   using namespace bcdb::workload;
 
-  ApplyThreadFlag(&argc, argv);
   const bool smoke = ApplySmokeFlag(&argc, argv);
 
   DatasetSpec spec = DefaultDataset();

@@ -16,8 +16,6 @@ int main(int argc, char** argv) {
   using namespace bcdb::bench;
   using namespace bcdb::workload;
 
-  ApplyThreadFlag(&argc, argv);
-
   std::vector<std::unique_ptr<PreparedDataset>> datasets;
   for (const DatasetSpec& base : AllDatasets()) {
     // "Each dataset contains approximately 3000 pending transactions."

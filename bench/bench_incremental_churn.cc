@@ -75,7 +75,6 @@ void ChurnStep(BlockchainDatabase& db, std::size_t step, PendingId* previous) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ApplyThreadFlag(&argc, argv);  // Accepted for uniformity; runs serial.
   const bool smoke = ApplySmokeFlag(&argc, argv);
   const std::size_t steps = smoke ? 8 : 60;
 

@@ -187,7 +187,6 @@ class LifecycleSchedule {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ApplyThreadFlag(&argc, argv);  // Accepted for uniformity; runs serial.
   const bool smoke = ApplySmokeFlag(&argc, argv);
 
   // Mainnet-shaped ratios, scaled to the dataset: arrivals roughly double

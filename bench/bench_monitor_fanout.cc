@@ -24,6 +24,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -36,6 +38,29 @@ namespace {
 
 using namespace bcdb;
 using namespace bcdb::bench;
+
+/// Parses and strips --bcdb_threads=N, after reading BCDB_NUM_THREADS: the
+/// polls' fan-out width (DcSatOptions::num_threads; 0 = hardware
+/// concurrency). Defaults to 1, serial polls.
+std::size_t ApplyThreadFlag(int* argc, char** argv) {
+  std::size_t threads = 1;
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only, no setenv anywhere
+  if (const char* env = std::getenv("BCDB_NUM_THREADS")) {
+    threads = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
+  }
+  constexpr const char kFlag[] = "--bcdb_threads=";
+  int out = 0;
+  for (int i = 0; i < *argc; ++i) {
+    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
+      threads = static_cast<std::size_t>(
+          std::strtoul(argv[i] + sizeof(kFlag) - 1, nullptr, 10));
+    } else {
+      argv[out++] = argv[i];
+    }
+  }
+  *argc = out;
+  return threads;
+}
 
 double Median(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
@@ -200,7 +225,7 @@ struct Run {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ApplyThreadFlag(&argc, argv);
+  const std::size_t threads = ApplyThreadFlag(&argc, argv);
   const bool smoke = ApplySmokeFlag(&argc, argv);
   const std::size_t polls = smoke ? 3 : 5;
 
@@ -231,7 +256,7 @@ int main(int argc, char** argv) {
   std::vector<Run> runs;
   std::int64_t next_key = 5'000'000;
   DcSatOptions poll_options;
-  poll_options.num_threads = BenchNumThreads();
+  poll_options.num_threads = threads;
   for (const Point& point : points) {
     {
       BlockchainDatabase db = MakeDatabase();
@@ -311,7 +336,7 @@ int main(int argc, char** argv) {
     row.dataset = run.shape + "_n" + std::to_string(run.n) +
                   (smoke ? "_smoke" : "");
     row.workload = run.batched ? "batched" : "per_constraint";
-    row.threads = BenchNumThreads() == 0 ? 0 : BenchNumThreads();
+    row.threads = threads;
     row.seconds = run.seconds;
     row.speedup = (baseline != nullptr && run.seconds > 0)
                       ? baseline->seconds / run.seconds

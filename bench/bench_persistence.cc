@@ -150,7 +150,6 @@ const char* PolicyName(SyncPolicy policy) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ApplyThreadFlag(&argc, argv);  // Accepted for uniformity; runs serial.
   const bool smoke = ApplySmokeFlag(&argc, argv);
   const std::size_t churn_steps = smoke ? 40 : 2000;
 

@@ -248,19 +248,6 @@ bool DcSatEngine::TryIncrementalRefresh() {
   return true;
 }
 
-std::shared_ptr<ThreadPool> DcSatEngine::PoolFor(
-    std::size_t num_workers) const {
-  // Callers pass the *requested* effective width (never the per-check
-  // min(threads, work items)), so in steady state the pool is created once
-  // and reused: recreating it per Check as the component count fluctuates
-  // is a thread create/join storm.
-  MutexLock lock(pool_mutex_);
-  if (pool_ == nullptr || pool_->num_threads() != num_workers) {
-    pool_ = std::make_shared<ThreadPool>(num_workers);
-  }
-  return pool_;
-}
-
 StatusOr<const DcSatEngine::CompiledCacheEntry*>
 DcSatEngine::LookupOrCompile(const DenialConstraint& q) {
   std::string text = q.ToString();
@@ -383,7 +370,7 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
   result.stats.algorithm_used = algorithm;
   result.stats.num_pending = db_->CountPending();
 
-  // With limits set, one shared tracker is probed at every cooperative
+  // With limits set, one tracker is probed at every cooperative
   // preemption point below; with the default (unlimited) limits the pointer
   // stays null and every search path is bit-identical to the unbudgeted
   // reference.
@@ -459,8 +446,7 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
   // --- Clique search: the first violating world decides. ---
   result.witness =
       SearchComponents(*components, compiled, opt && options.use_covers,
-                       options.num_threads, budget, options.use_pivot,
-                       result.stats);
+                       budget, options.use_pivot, result.stats);
   result.satisfied = !result.witness.has_value();
   if (result.satisfied && result.stats.budget_expired) {
     // No counterexample found and parts of the search were skipped: the
@@ -533,149 +519,67 @@ std::shared_ptr<const ComponentList> DcSatEngine::MemoLookup(
 
 std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
     const ComponentList& components, const CompiledQuery& query,
-    bool use_covers, std::size_t num_threads, const Budget* budget,
-    bool use_pivot, DcSatStats& stats) const {
-  // What one scan over a contiguous run of components produced.
-  struct Tally {
-    std::size_t covered = 0;
-    std::size_t completed = 0;
-    std::size_t cliques = 0;
-    std::size_t worlds = 0;
-    std::size_t probes = 0;
-    std::size_t cancelled = 0;
-    bool expired = false;
-    std::optional<std::vector<PendingId>> stop_world;
-  };
-
-  // Scans components [begin, end) in order. Budget expiry ends the scan
-  // (the budget latches, so the rest would only be marked expired too).
-  // Without a token (one worker) the first stop ends it as well; with one,
-  // a stop cancels the higher-index components through the token and the
-  // scan counts them as cancelled.
-  auto scan = [&](std::size_t begin, std::size_t end,
-                  CancellationToken* cancel, Tally& tally) {
-    for (std::size_t index = begin; index < end; ++index) {
-      if (budget != nullptr && budget->Expired()) {
-        tally.expired = true;
-        return;
-      }
-      if (cancel != nullptr && cancel->ShouldStop(index)) {
-        ++tally.cancelled;
-        continue;
-      }
-      const std::span<const PendingId> component = components[index];
-      if (use_covers) {
-        WorldView cover_view = db_->BaseView();
-        for (PendingId id : component) {
-          cover_view.Activate(static_cast<TupleOwner>(id));
-        }
-        if (!query.CoversConstants(cover_view)) {
-          ++tally.completed;
-          continue;
-        }
-      }
-      ++tally.covered;
-      if (budget != nullptr && !budget->ChargeComponent()) {
-        tally.expired = true;
-        return;
-      }
-
-      DynamicBitset subset(db_->num_pending());
-      for (PendingId id : component) subset.Set(id);
-
-      bool stopped = false;
-      bool cancelled = false;
-      const CliqueEnumerationStats clique_stats = EnumerateMaximalCliques(
-          fd_graph_->conflict_lists(), subset, use_pivot,
-          [&](const std::vector<std::size_t>& clique) {
-            if (cancel != nullptr && cancel->ShouldStop(index)) {
-              cancelled = true;
-              return false;
-            }
-            if (budget != nullptr &&
-                (!budget->ChargeClique() || !budget->ChargeWorld())) {
-              return false;  // Budget expired; unwind without evaluating.
-            }
-            GetMaximalStats maximal_stats;
-            const WorldView world = GetMaximalOfClique(
-                *db_, *fd_graph_, appendability_, clique, &maximal_stats);
-            ++tally.worlds;
-            tally.probes += maximal_stats.probes;
-            if (!query.Evaluate(world)) return true;
-            stopped = true;
-            tally.stop_world = WitnessOf(world);
-            if (cancel != nullptr) cancel->CancelRanksAbove(index);
-            return false;
-          },
-          budget);
-      tally.cliques += clique_stats.cliques_reported;
-      if (cancelled) {
-        ++tally.cancelled;
-        continue;
-      }
-      // stopped_early without a violating world means a budget charge ended
-      // the enumeration (the expiry-probe stop is flagged directly); either
-      // way the component did not finish.
-      if (clique_stats.budget_expired ||
-          (clique_stats.stopped_early && !stopped)) {
-        tally.expired = true;
-        return;
-      }
-      ++tally.completed;
-      if (stopped && cancel == nullptr) return;
+    bool use_covers, const Budget* budget, bool use_pivot,
+    DcSatStats& stats) const {
+  // Scans the components in index order. Budget expiry ends the scan (the
+  // budget latches, so the rest would only be marked expired too), and so
+  // does the first violating world.
+  for (std::size_t index = 0; index < components.size(); ++index) {
+    if (budget != nullptr && budget->Expired()) {
+      stats.budget_expired = true;
+      return std::nullopt;
     }
-  };
+    const std::span<const PendingId> component = components[index];
+    if (use_covers) {
+      WorldView cover_view = db_->BaseView();
+      for (PendingId id : component) {
+        cover_view.Activate(static_cast<TupleOwner>(id));
+      }
+      if (!query.CoversConstants(cover_view)) {
+        ++stats.components_completed;
+        continue;
+      }
+    }
+    ++stats.num_components_covered;
+    if (budget != nullptr && !budget->ChargeComponent()) {
+      stats.budget_expired = true;
+      return std::nullopt;
+    }
 
-  // Tallies are merged in component order, so the lowest stopping index
-  // supplies the stop world — what the in-order scan would have returned.
-  std::optional<std::vector<PendingId>> stop_world;
-  auto merge = [&](Tally& tally) {
-    stats.num_components_covered += tally.covered;
-    stats.components_completed += tally.completed;
-    stats.num_cliques += tally.cliques;
-    stats.num_worlds_evaluated += tally.worlds;
-    stats.maximal_probes += tally.probes;
-    stats.cancelled_tasks += tally.cancelled;
-    if (tally.expired) stats.budget_expired = true;
-    if (!stop_world.has_value()) stop_world = std::move(tally.stop_world);
-  };
+    DynamicBitset subset(db_->num_pending());
+    for (PendingId id : component) subset.Set(id);
 
-  const std::size_t width = ThreadPool::EffectiveThreads(num_threads);
-  if (std::min(width, components.size()) <= 1) {
-    Tally tally;
-    scan(0, components.size(), /*cancel=*/nullptr, tally);
-    merge(tally);
-    return stop_world;
+    std::optional<std::vector<PendingId>> stop_world;
+    const CliqueEnumerationStats clique_stats = EnumerateMaximalCliques(
+        fd_graph_->conflict_lists(), subset, use_pivot,
+        [&](const std::vector<std::size_t>& clique) {
+          if (budget != nullptr &&
+              (!budget->ChargeClique() || !budget->ChargeWorld())) {
+            return false;  // Budget expired; unwind without evaluating.
+          }
+          GetMaximalStats maximal_stats;
+          const WorldView world = GetMaximalOfClique(
+              *db_, *fd_graph_, appendability_, clique, &maximal_stats);
+          ++stats.num_worlds_evaluated;
+          stats.maximal_probes += maximal_stats.probes;
+          if (!query.Evaluate(world)) return true;
+          stop_world = WitnessOf(world);
+          return false;
+        },
+        budget);
+    stats.num_cliques += clique_stats.cliques_reported;
+    // stopped_early without a violating world means a budget charge ended
+    // the enumeration (the expiry-probe stop is flagged directly); either
+    // way the component did not finish.
+    if (clique_stats.budget_expired ||
+        (clique_stats.stopped_early && !stop_world.has_value())) {
+      stats.budget_expired = true;
+      return stop_world;
+    }
+    ++stats.components_completed;
+    if (stop_world.has_value()) return stop_world;
   }
-
-  // One task per contiguous chunk of components rather than per component:
-  // typical components are a handful of transactions, far below the pool's
-  // task overhead. A few chunks per worker keeps the stealing deques busy
-  // for load balancing without drowning in bookkeeping. Cancellation ranks
-  // stay per-*component*: a task may abandon a component only once a
-  // lower-index one has stopped, so chunking cannot change the result.
-  const std::size_t num_workers = std::min(width, components.size());
-  const std::size_t num_chunks = std::min(components.size(), num_workers * 8);
-  const std::size_t chunk_size =
-      (components.size() + num_chunks - 1) / num_chunks;
-  CancellationToken cancel;
-  std::vector<Tally> tallies((components.size() + chunk_size - 1) /
-                             chunk_size);
-
-  // The pool is sized to the *requested* width, not min(width, work): the
-  // per-check fan-out only decides how many chunks are submitted, so the
-  // pool survives fluctuating component counts unchanged.
-  std::shared_ptr<ThreadPool> pool = PoolFor(width);
-  pool->RunAndJoin(tallies.size(), [&](std::size_t chunk) {
-    const std::size_t begin = chunk * chunk_size;
-    scan(begin, std::min(begin + chunk_size, components.size()), &cancel,
-         tallies[chunk]);
-  });
-
-  for (Tally& tally : tallies) merge(tally);
-  stats.threads_used = pool->num_threads();
-  stats.components_parallel = components.size();
-  return stop_world;
+  return std::nullopt;
 }
 
 }  // namespace bcdb

@@ -20,7 +20,6 @@
 #include "util/status.h"
 #include "util/stopwatch.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace bcdb {
 
@@ -75,13 +74,10 @@ struct DcSatOptions {
   bool use_pivot = true;
   /// Exhaustive only: abort after this many worlds.
   std::size_t exhaustive_world_limit = 1u << 20;
-  /// Worker threads for the component-level clique search (and, via
-  /// ConstraintMonitor::Poll, for cross-constraint evaluation). 0 = hardware
-  /// concurrency; 1 = the serial reference, run on the caller's thread.
-  /// Results (satisfied, witness, clique counts) are identical at every
-  /// thread count: components are decided independently (Proposition 2) and
-  /// the lowest violating component index wins, matching the serial scan
-  /// order.
+  /// ConstraintMonitor::Poll only: the fan-out width of its probes and
+  /// per-constraint searches. 0 = hardware concurrency; 1 = serial, on the
+  /// caller's thread. Check and CheckPrepared ignore it: one check scans its
+  /// components serially, in index order, on the caller's thread.
   std::size_t num_threads = 1;
   /// Time/work ceiling for this check (DCSat is CoNP-complete for
   /// {key, ind} constraint sets — paper Theorem 1 — so adversarial mempool
@@ -159,9 +155,6 @@ struct DcSatStats {
   /// The check's BudgetLimits tripped (deadline or a work ceiling). The
   /// result is still decided if a violating world was found first.
   bool budget_expired = false;
-  std::size_t threads_used = 1;          // Worker-pool width (1 = serial).
-  std::size_t components_parallel = 0;   // Components dispatched as pool tasks.
-  std::size_t cancelled_tasks = 0;       // Tasks aborted by cooperative cancellation.
   bool steady_cache_hit = false;  // fd-graph/Θ_I caches were already fresh.
   double total_seconds = 0;
   double graph_seconds = 0;  // fd-graph + component construction.
@@ -223,10 +216,9 @@ class DcSatEngine {
   /// database's analysis of `q` (see Analyze); fails with InvalidArgument on
   /// a report carrying errors. Requires PrepareSteadyState (or any Check)
   /// to have run since the last database mutation; fails with Internal
-  /// otherwise. Many threads may call this simultaneously as long as each
-  /// call uses `num_threads` == 1 (the engine-owned pool is not re-entrant)
-  /// and the database is not mutated concurrently. They share the
-  /// decomposition memo (see Decompose).
+  /// otherwise. Many threads may call this simultaneously as long as the
+  /// database is not mutated concurrently. They share the decomposition
+  /// memo (see Decompose) and the appendability-to-R status.
   StatusOr<DcSatResult> CheckPrepared(const DenialConstraint& q,
                                       const CompiledQuery& compiled,
                                       const AnalysisReport& report,
@@ -299,17 +291,15 @@ class DcSatEngine {
   /// ChargeClique/ChargeWorld per clique, GetMaximalOfClique, then `query`
   /// over the maximal world. Returns the active pending ids of the first
   /// world that satisfies `query` in the lowest such component, or nullopt.
-  /// Accumulates the coverage, completion, clique, world, probe and
-  /// cancellation counts into `stats` and sets `stats.budget_expired` when
-  /// `budget` (may be null) ended some component early. `num_threads` as in
-  /// DcSatOptions: one worker scans in order on the caller's thread and ends
-  /// at the first stop or expiry; N workers split the components into
-  /// chunks on the engine pool, and a stop cancels only higher-index
-  /// components.
+  /// Scans the components in index order on the caller's thread and ends at
+  /// the first violating world or budget expiry. Accumulates the coverage,
+  /// completion, clique, world and probe counts into `stats` and sets
+  /// `stats.budget_expired` when `budget` (may be null) ended some
+  /// component early.
   std::optional<std::vector<PendingId>> SearchComponents(
-      const ComponentList& components,
-      const CompiledQuery& query, bool use_covers, std::size_t num_threads,
-      const Budget* budget, bool use_pivot, DcSatStats& stats) const;
+      const ComponentList& components, const CompiledQuery& query,
+      bool use_covers, const Budget* budget, bool use_pivot,
+      DcSatStats& stats) const;
 
   void RefreshCaches();
   /// Patches fd_graph_/theta_i_ from the mutation events since
@@ -319,7 +309,6 @@ class DcSatEngine {
   /// payload-less base-state event, or an add-or-restore+apply of one
   /// transaction within the batch, whose cascade replay would be unsound).
   bool TryIncrementalRefresh();
-  std::shared_ptr<ThreadPool> PoolFor(std::size_t num_workers) const;
 
   const BlockchainDatabase* db_;
   std::uint64_t cached_version_ = ~std::uint64_t{0};
@@ -343,14 +332,12 @@ class DcSatEngine {
   StatusOr<const CompiledCacheEntry*> LookupOrCompile(
       const DenialConstraint& q);
   std::vector<CompiledCacheEntry> compiled_cache_;
-  // The internally-synchronized state of the engine: the pool slot and the
-  // decomposition memo, both reached from const Check paths that may race
-  // only with each other. Everything above (fd_graph_, theta_i_,
-  // compiled_cache_, the stats) is externally synchronized — a DcSatEngine
-  // belongs to one monitor/caller thread at a time, which ConstraintMonitor
-  // enforces by holding its own mutex_ across every engine call.
-  mutable Mutex pool_mutex_{LockRank::kEnginePool};
-  mutable std::shared_ptr<ThreadPool> pool_ BCDB_GUARDED_BY(pool_mutex_);
+  // The internally-synchronized state of the engine: the decomposition
+  // memo, reached from const Check paths that may race only with each
+  // other. Everything above (fd_graph_, theta_i_, compiled_cache_, the
+  // stats) is externally synchronized — a DcSatEngine belongs to one
+  // monitor/caller thread at a time, which ConstraintMonitor enforces by
+  // holding its own mutex_ across every engine call.
   /// One finished Θ_I ∪ residual-Θ_q partition, keyed by the residual in
   /// canonical form (see Decompose). Valid only for the caches it was
   /// derived from: every refreshing RefreshCaches clears the memo.

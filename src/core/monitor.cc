@@ -513,14 +513,12 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
     ++poll_stats_.compile_cache_misses;
   }
 
-  // Phase 4: each survivor's own search, serial inside (num_threads = 1 —
-  // the member fan-out already saturates the workers, and the engine's
-  // component pool is not re-entrant), under its escalated budget.
+  // Phase 4: each survivor's own (serial) search, under its escalated
+  // budget.
   std::vector<Status> statuses(survivors.size());
   fanned_out |= FanOut(survivors.size(), width, [&](std::size_t i) {
     const Entry& entry = entry_table[survivors[i]];
     DcSatOptions check = options;
-    check.num_threads = 1;
     const Grounded& grounded = *entry.grounded;
     const BudgetLimits base_budget = base_budget_for(grounded.report);
     check.budget = entry.budget_scale > 1.0

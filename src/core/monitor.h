@@ -360,8 +360,7 @@ class ConstraintMonitor {
   /// (first poll reports every constraint as a transition from kUnknown).
   /// `options.num_threads` picks the fan-out width of the probes and the
   /// searches (0 = hardware concurrency, 1 = serial); each member's own
-  /// check runs serially — with many standing members, member-level
-  /// parallelism subsumes component-level parallelism. `options.algorithm`
+  /// check scans its components serially on its worker. `options.algorithm`
   /// applies to the searches, so an explicitly requested algorithm is
   /// validated only for members that reach a search; members the probes
   /// settle never run it.

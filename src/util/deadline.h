@@ -1,12 +1,9 @@
 #ifndef BCDB_UTIL_DEADLINE_H_
 #define BCDB_UTIL_DEADLINE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-
-#include "util/thread_annotations.h"
 
 namespace bcdb {
 
@@ -56,8 +53,8 @@ struct BudgetLimits {
   }
 };
 
-/// Runtime tracker for one check's BudgetLimits, shared by every worker the
-/// check fans out to (all members are atomics; charging is thread-safe).
+/// Runtime tracker for one check's BudgetLimits. A check runs on one thread,
+/// and so does its Budget: the accounting is plain counters.
 ///
 /// The deadline is enforced cooperatively: search loops call Expired() (or
 /// one of the Charge functions, which call it) at their preemption points —
@@ -87,24 +84,21 @@ class Budget {
   const BudgetLimits& limits() const { return limits_; }
 
   /// Cooperative preemption probe: true once the deadline or any work limit
-  /// has been exceeded. Cheap (one relaxed load) except for the amortized
-  /// clock poll.
+  /// has been exceeded. Cheap (one load) except for the amortized clock
+  /// poll.
   bool Expired() const {
-    if (expired_.load(std::memory_order_relaxed)) return true;
-    if (has_deadline_ &&
-        ticks_.fetch_add(1, std::memory_order_relaxed) %
-                kTicksPerClockPoll ==
-            0 &&
+    if (expired_) return true;
+    if (has_deadline_ && ticks_++ % kTicksPerClockPoll == 0 &&
         Clock::now() >= deadline_) {
-      expired_.store(true, std::memory_order_relaxed);
+      expired_ = true;
       return true;
     }
     return false;
   }
 
   // The Charge functions are const so read-only search paths can hold
-  // `const Budget*`: charging mutates only atomic accounting state and is
-  // thread-safe, never observable through the search's own data.
+  // `const Budget*`: charging mutates only the mutable accounting state,
+  // never observable through the search's own data.
   /// Charge one enumerated maximal clique; false once over budget.
   bool ChargeClique() const {
     return Charge(cliques_, limits_.max_cliques) && !Expired();
@@ -118,25 +112,18 @@ class Budget {
     return Charge(components_, limits_.max_components) && !Expired();
   }
 
-  std::size_t cliques_charged() const {
-    return cliques_.load(std::memory_order_relaxed);
-  }
-  std::size_t worlds_charged() const {
-    return worlds_.load(std::memory_order_relaxed);
-  }
-  std::size_t components_charged() const {
-    return components_.load(std::memory_order_relaxed);
-  }
+  std::size_t cliques_charged() const { return cliques_; }
+  std::size_t worlds_charged() const { return worlds_; }
+  std::size_t components_charged() const { return components_; }
 
  private:
   using Clock = std::chrono::steady_clock;
   static constexpr std::uint64_t kTicksPerClockPoll = 64;
 
-  bool Charge(std::atomic<std::size_t>& counter, std::size_t limit) const {
-    const std::size_t charged =
-        counter.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (limit != 0 && charged > limit) {
-      expired_.store(true, std::memory_order_relaxed);
+  bool Charge(std::size_t& counter, std::size_t limit) const {
+    ++counter;
+    if (limit != 0 && counter > limit) {
+      expired_ = true;
       return false;
     }
     return true;
@@ -145,22 +132,12 @@ class Budget {
   const BudgetLimits limits_;
   const bool has_deadline_;
   const Clock::time_point deadline_;
-  // All accounting is intentionally lock-free: Charge sits on the innermost
-  // search loops, shared by every worker of a fan-out check, and a mutex
-  // here would serialize the very parallelism the pool exists for.
-  mutable std::atomic<std::size_t> cliques_ BCDB_LOCK_FREE(
-      "relaxed fetch_add counter; the limit comparison tolerates a small"
-      " overshoot (several workers can each pass the limit once)") {0};
-  mutable std::atomic<std::size_t> worlds_ BCDB_LOCK_FREE(
-      "relaxed fetch_add counter; same overshoot tolerance as cliques_") {0};
-  mutable std::atomic<std::size_t> components_ BCDB_LOCK_FREE(
-      "relaxed fetch_add counter; same overshoot tolerance as cliques_") {0};
-  mutable std::atomic<std::uint64_t> ticks_ BCDB_LOCK_FREE(
-      "probe counter used only to amortize clock polls (every 64th probe);"
-      " no decision rides on its exact value") {0};
-  mutable std::atomic<bool> expired_ BCDB_LOCK_FREE(
-      "monotone latch: set-once-true, read relaxed on every probe; a worker"
-      " observing it late only does bounded extra work") {false};
+  mutable std::size_t cliques_ = 0;
+  mutable std::size_t worlds_ = 0;
+  mutable std::size_t components_ = 0;
+  /// Probes since construction; only amortizes the clock polls.
+  mutable std::uint64_t ticks_ = 0;
+  mutable bool expired_ = false;  // Latches: set once, never cleared.
 };
 
 }  // namespace bcdb

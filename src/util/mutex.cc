@@ -15,8 +15,6 @@ const char* LockRankName(LockRank rank) {
       return "kDurableStore";
     case LockRank::kMutationLog:
       return "kMutationLog";
-    case LockRank::kEnginePool:
-      return "kEnginePool";
     case LockRank::kDecompositionMemo:
       return "kDecompositionMemo";
     case LockRank::kThreadPoolQueue:

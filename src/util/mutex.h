@@ -32,8 +32,6 @@ enum class LockRank : int {
   kDurableStore = 30,
   /// MutationLog's retention window (append/read cursors).
   kMutationLog = 40,
-  /// DcSatEngine's worker-pool slot (PoolFor).
-  kEnginePool = 50,
   /// DcSatEngine's decomposition memo: a lookup or an insert of one
   /// finished component partition, calling out to nothing.
   kDecompositionMemo = 55,

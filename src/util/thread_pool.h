@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -16,53 +15,17 @@
 
 namespace bcdb {
 
-/// Cooperative cancellation shared between the submitter and in-flight pool
-/// tasks: `CancelRanksAbove(r)` cancels observers whose rank is *greater*
-/// than `r`, leaving lower ranks running. This is the determinism rule of
-/// the parallel DCSat component search: when component `r` finds a
-/// violating world, components with larger indices become irrelevant (the
-/// lowest violating index wins), but smaller indices must run to completion
-/// because the serial algorithm would have reported one of *them* first.
-///
-/// Tasks poll `ShouldStop(rank)` at convenient preemption points; the token
-/// never interrupts anything by force.
-class CancellationToken {
- public:
-  /// Lowers the rank limit to `rank` (monotone: limits only ever decrease).
-  void CancelRanksAbove(std::size_t rank) {
-    std::size_t current = rank_limit_.load(std::memory_order_relaxed);
-    while (rank < current && !rank_limit_.compare_exchange_weak(
-                                 current, rank, std::memory_order_relaxed)) {
-    }
-  }
-
-  bool ShouldStop(std::size_t rank = 0) const {
-    return rank > rank_limit_.load(std::memory_order_relaxed);
-  }
-
-  /// Lowest rank passed to CancelRanksAbove so far (SIZE_MAX if none).
-  std::size_t rank_limit() const {
-    return rank_limit_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::size_t> rank_limit_ BCDB_LOCK_FREE(
-      "monotone-decreasing watermark maintained by a relaxed CAS loop;"
-      " readers tolerate staleness (a late cancel only wastes work)") {
-      SIZE_MAX};
-};
-
 /// Fixed-size worker pool with per-worker task deques and work stealing.
 ///
 /// Submitted tasks are distributed round-robin across the worker deques; an
 /// idle worker first drains its own deque front-to-back, then steals from
 /// the *back* of a sibling's deque, so large task batches balance across
-/// workers even when component sizes are skewed (the DCSat case: one giant
-/// connected component next to hundreds of singletons).
+/// workers even when task costs are skewed (the ConstraintMonitor::Poll
+/// case: one member's search can cost thousands of times another's).
 ///
 /// Tasks must not block on other tasks of the same pool (no nested Submit +
-/// wait), which the DCSat/monitor callers respect by running nested checks
-/// serially. Destruction drains every queued task, then joins the workers.
+/// wait); the monitor's tasks run each member's check serially.
+/// Destruction drains every queued task, then joins the workers.
 class ThreadPool {
  public:
   /// `num_threads` == 0 is treated as 1.

@@ -159,27 +159,21 @@ TEST(DeadlineDcSatTest, CliqueCapReturnsUndecidedAndUnlimitedDecides) {
   DcSatOptions budgeted;
   budgeted.algorithm = DcSatAlgorithm::kOpt;
   budgeted.budget.max_cliques = 2;
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    budgeted.num_threads = threads;
-    auto result = engine.Check(q, budgeted);
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_FALSE(result->decided) << "threads=" << threads;
-    EXPECT_FALSE(result->satisfied);
-    EXPECT_TRUE(result->stats.budget_expired);
-    EXPECT_LT(result->stats.components_completed, result->stats.num_components);
-  }
+  auto result = engine.Check(q, budgeted);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result->decided);
+  EXPECT_FALSE(result->satisfied);
+  EXPECT_TRUE(result->stats.budget_expired);
+  EXPECT_LT(result->stats.components_completed, result->stats.num_components);
 
   DcSatOptions unlimited = budgeted;
   unlimited.budget = BudgetLimits{};
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    unlimited.num_threads = threads;
-    auto result = engine.Check(q, unlimited);
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_TRUE(result->decided);
-    EXPECT_TRUE(result->satisfied);
-    EXPECT_FALSE(result->stats.budget_expired);
-    EXPECT_EQ(result->stats.components_completed, result->stats.num_components);
-  }
+  result = engine.Check(q, unlimited);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->decided);
+  EXPECT_TRUE(result->satisfied);
+  EXPECT_FALSE(result->stats.budget_expired);
+  EXPECT_EQ(result->stats.components_completed, result->stats.num_components);
 }
 
 TEST(DeadlineDcSatTest, ComponentCapBoundsBreadth) {
@@ -266,43 +260,35 @@ TEST(DeadlineDcSatTest, HugeBudgetMatchesUnlimitedBitForBit) {
     DcSatEngine engine(&*db);
     for (const char* text : kQueries) {
       DenialConstraint q = Q(text);
-      for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        // Force the clique search: with an FD-only constraint set the
-        // tractable fragment would otherwise decide everything without
-        // ever consulting the budget.
-        DcSatOptions unlimited;
-        unlimited.algorithm = DcSatAlgorithm::kOpt;
-        unlimited.num_threads = threads;
-        auto reference = engine.Check(q, unlimited);
-        ASSERT_TRUE(reference.ok()) << text;
+      // Force the clique search: with an FD-only constraint set the
+      // tractable fragment would otherwise decide everything without ever
+      // consulting the budget.
+      DcSatOptions unlimited;
+      unlimited.algorithm = DcSatAlgorithm::kOpt;
+      auto reference = engine.Check(q, unlimited);
+      ASSERT_TRUE(reference.ok()) << text;
 
-        DcSatOptions huge = unlimited;
-        huge.budget.deadline_ms = 1e9;
-        huge.budget.max_cliques = std::size_t{1} << 60;
-        huge.budget.max_worlds = std::size_t{1} << 60;
-        huge.budget.max_components = std::size_t{1} << 60;
-        auto budgeted = engine.Check(q, huge);
-        ASSERT_TRUE(budgeted.ok()) << text;
+      DcSatOptions huge = unlimited;
+      huge.budget.deadline_ms = 1e9;
+      huge.budget.max_cliques = std::size_t{1} << 60;
+      huge.budget.max_worlds = std::size_t{1} << 60;
+      huge.budget.max_components = std::size_t{1} << 60;
+      auto budgeted = engine.Check(q, huge);
+      ASSERT_TRUE(budgeted.ok()) << text;
 
-        EXPECT_TRUE(budgeted->decided) << text;
-        EXPECT_EQ(budgeted->satisfied, reference->satisfied)
-            << text << " seed=" << seed << " threads=" << threads;
-        EXPECT_EQ(budgeted->witness, reference->witness) << text;
-        EXPECT_FALSE(budgeted->stats.budget_expired) << text;
-        if (threads == 1) {
-          // Work counts are deterministic only on the serial path (the
-          // parallel one cancels sibling components at racy points once a
-          // violation lands, budget or not).
-          EXPECT_EQ(budgeted->stats.num_cliques, reference->stats.num_cliques)
-              << text;
-          EXPECT_EQ(budgeted->stats.num_worlds_evaluated,
-                    reference->stats.num_worlds_evaluated)
-              << text;
-          EXPECT_EQ(budgeted->stats.components_completed,
-                    reference->stats.components_completed)
-              << text;
-        }
-      }
+      EXPECT_TRUE(budgeted->decided) << text;
+      EXPECT_EQ(budgeted->satisfied, reference->satisfied)
+          << text << " seed=" << seed;
+      EXPECT_EQ(budgeted->witness, reference->witness) << text;
+      EXPECT_FALSE(budgeted->stats.budget_expired) << text;
+      EXPECT_EQ(budgeted->stats.num_cliques, reference->stats.num_cliques)
+          << text;
+      EXPECT_EQ(budgeted->stats.num_worlds_evaluated,
+                reference->stats.num_worlds_evaluated)
+          << text;
+      EXPECT_EQ(budgeted->stats.components_completed,
+                reference->stats.components_completed)
+          << text;
     }
   }
 }

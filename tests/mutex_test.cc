@@ -13,7 +13,6 @@ TEST(LockRankTest, NamesCoverEveryRank) {
   EXPECT_STREQ(LockRankName(LockRank::kMonitor), "kMonitor");
   EXPECT_STREQ(LockRankName(LockRank::kDurableStore), "kDurableStore");
   EXPECT_STREQ(LockRankName(LockRank::kMutationLog), "kMutationLog");
-  EXPECT_STREQ(LockRankName(LockRank::kEnginePool), "kEnginePool");
   EXPECT_STREQ(LockRankName(LockRank::kDecompositionMemo),
                "kDecompositionMemo");
   EXPECT_STREQ(LockRankName(LockRank::kThreadPoolQueue), "kThreadPoolQueue");

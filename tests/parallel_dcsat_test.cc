@@ -24,10 +24,10 @@ using testing_fixtures::GroundedVerdict;
 using testing_fixtures::MakeRunningExample;
 using Verdict = ConstraintMonitor::Verdict;
 
-/// Randomized parallel/serial equivalence: the parallel component search
-/// must return the same `satisfied` flag AND the same witness as the serial
-/// reference at every thread count (the lowest-violating-component rule),
-/// and concurrent const-path callers must not interfere.
+/// DcSatOptions::num_threads is Poll's fan-out width only: a check scans its
+/// components serially whatever it says, so every thread count returns the
+/// same verdict, witness and work counters. Concurrent const-path callers
+/// and parallel polls must not interfere.
 
 Catalog MakeCatalog() {
   Catalog catalog;
@@ -101,80 +101,113 @@ const char* kConnectedMonotoneQueries[] = {
     "q() :- R(2, y), S(2, z)",
 };
 
+/// The serial reference first, then hardware concurrency and two widths.
+constexpr std::size_t kThreadCounts[] = {1, 0, 2, 8};
+
+/// Every verdict field and every non-timer DcSatStats field agree.
+void ExpectSameCheck(const DcSatResult& got, const DcSatResult& want,
+                     const std::string& context) {
+  EXPECT_EQ(got.decided, want.decided) << context;
+  EXPECT_EQ(got.satisfied, want.satisfied) << context;
+  EXPECT_EQ(got.witness, want.witness) << context;
+  const DcSatStats& g = got.stats;
+  const DcSatStats& w = want.stats;
+  EXPECT_EQ(g.algorithm_used, w.algorithm_used) << context;
+  EXPECT_EQ(g.precheck_decided, w.precheck_decided) << context;
+  EXPECT_EQ(g.num_pending, w.num_pending) << context;
+  EXPECT_EQ(g.num_valid_nodes, w.num_valid_nodes) << context;
+  EXPECT_EQ(g.fd_conflict_pairs, w.fd_conflict_pairs) << context;
+  EXPECT_EQ(g.num_components, w.num_components) << context;
+  EXPECT_EQ(g.theta_q_merged, w.theta_q_merged) << context;
+  EXPECT_EQ(g.decomposition_reused, w.decomposition_reused) << context;
+  EXPECT_EQ(g.num_components_covered, w.num_components_covered) << context;
+  EXPECT_EQ(g.components_completed, w.components_completed) << context;
+  EXPECT_EQ(g.num_cliques, w.num_cliques) << context;
+  EXPECT_EQ(g.num_worlds_evaluated, w.num_worlds_evaluated) << context;
+  EXPECT_EQ(g.maximal_probes, w.maximal_probes) << context;
+  EXPECT_EQ(g.budget_expired, w.budget_expired) << context;
+  EXPECT_EQ(g.steady_cache_hit, w.steady_cache_hit) << context;
+}
+
+/// Runs `options` over every connected monotone query, in order, on a fresh
+/// engine at each thread count, and compares each check with the serial one
+/// at the same position (so memo and appendability state match too).
+void ExpectThreadCountIgnored(const BlockchainDatabase& db,
+                              const DcSatOptions& options,
+                              const std::string& context) {
+  std::vector<DcSatResult> serial;
+  for (std::size_t threads : kThreadCounts) {
+    DcSatEngine engine(&db);
+    DcSatOptions at = options;
+    at.num_threads = threads;
+    std::size_t position = 0;
+    for (const char* text : kConnectedMonotoneQueries) {
+      auto q = ParseDenialConstraint(text);
+      ASSERT_TRUE(q.ok()) << text;
+      auto result = engine.Check(*q, at);
+      ASSERT_TRUE(result.ok()) << text;
+      if (threads == 1) {
+        serial.push_back(*result);
+        continue;
+      }
+      ExpectSameCheck(*result, serial[position++],
+                      context + " " + text +
+                          " threads=" + std::to_string(threads));
+    }
+  }
+}
+
 class ParallelDcSatTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ParallelDcSatTest, ParallelMatchesSerialIncludingWitness) {
   for (bool with_ind : {false, true}) {
     BlockchainDatabase db = MakeRandomInstance(GetParam(), with_ind);
+    const std::string context = "seed " + std::to_string(GetParam()) +
+                                " ind=" + std::to_string(with_ind);
+    // Covers off so several components actually get searched (with covers
+    // on, the constant-pinned queries collapse to one component).
+    DcSatOptions options;
+    options.algorithm = DcSatAlgorithm::kOpt;
+    options.use_covers = false;
+    ExpectThreadCountIgnored(db, options, context);
+
+    // Each witness denotes a genuine violating possible world.
     DcSatEngine engine(&db);
     for (const char* text : kConnectedMonotoneQueries) {
       auto q = ParseDenialConstraint(text);
       ASSERT_TRUE(q.ok()) << text;
-
-      // Disable covers so multiple components actually get searched (with
-      // covers on, constant-free queries already search everything, but the
-      // constant-pinned ones collapse to one component).
-      DcSatOptions serial;
-      serial.algorithm = DcSatAlgorithm::kOpt;
-      serial.use_covers = false;
-      serial.num_threads = 1;
-      auto serial_result = engine.Check(*q, serial);
-      ASSERT_TRUE(serial_result.ok()) << text;
-
-      for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-        DcSatOptions parallel = serial;
-        parallel.num_threads = threads;
-        auto parallel_result = engine.Check(*q, parallel);
-        ASSERT_TRUE(parallel_result.ok()) << text;
-
-        EXPECT_EQ(parallel_result->satisfied, serial_result->satisfied)
-            << text << " seed " << GetParam() << " ind=" << with_ind
-            << " threads=" << threads;
-        // The witness must be bit-identical, not merely valid: the lowest
-        // violating component wins regardless of task completion order.
-        EXPECT_EQ(parallel_result->witness.has_value(),
-                  serial_result->witness.has_value())
-            << text << " seed " << GetParam();
-        if (parallel_result->witness && serial_result->witness) {
-          EXPECT_EQ(*parallel_result->witness, *serial_result->witness)
-              << text << " seed " << GetParam() << " threads=" << threads;
-        }
-
-        // And it must denote a genuine violating possible world.
-        if (parallel_result->witness) {
-          EXPECT_TRUE(IsPossibleWorld(db, *parallel_result->witness)) << text;
-          WorldView world = db.BaseView();
-          for (PendingId id : *parallel_result->witness) {
-            world.Activate(static_cast<TupleOwner>(id));
-          }
-          auto compiled = CompiledQuery::Compile(*q, &db.database());
-          ASSERT_TRUE(compiled.ok());
-          EXPECT_TRUE(compiled->Evaluate(world)) << text;
-        }
+      auto result = engine.Check(*q, options);
+      ASSERT_TRUE(result.ok()) << text;
+      if (!result->witness) continue;
+      EXPECT_TRUE(IsPossibleWorld(db, *result->witness)) << text;
+      WorldView world = db.BaseView();
+      for (PendingId id : *result->witness) {
+        world.Activate(static_cast<TupleOwner>(id));
       }
+      auto compiled = CompiledQuery::Compile(*q, &db.database());
+      ASSERT_TRUE(compiled.ok());
+      EXPECT_TRUE(compiled->Evaluate(world)) << text;
     }
   }
 }
 
 TEST_P(ParallelDcSatTest, ThreadCountZeroMeansHardwareConcurrency) {
+  // Zero (hardware concurrency) and every other width leave a check as it
+  // is under the default routing, under Naive, and under a work budget
+  // that expires part-way (where `decided` is false on some queries).
   BlockchainDatabase db = MakeRandomInstance(GetParam(), true);
-  DcSatEngine engine(&db);
-  auto q = ParseDenialConstraint("q() :- R(x, y), S(x, z)");
-  ASSERT_TRUE(q.ok());
-
-  DcSatOptions serial;
-  serial.algorithm = DcSatAlgorithm::kOpt;
-  serial.use_covers = false;
-  serial.num_threads = 1;
-  auto serial_result = engine.Check(*q, serial);
-  ASSERT_TRUE(serial_result.ok());
-
-  DcSatOptions hw_options = serial;
-  hw_options.num_threads = 0;
-  auto auto_result = engine.Check(*q, hw_options);
-  ASSERT_TRUE(auto_result.ok());
-  EXPECT_EQ(auto_result->satisfied, serial_result->satisfied);
-  EXPECT_EQ(auto_result->witness, serial_result->witness);
+  const std::string context = "seed " + std::to_string(GetParam());
+  ExpectThreadCountIgnored(db, DcSatOptions{}, context + " auto");
+  DcSatOptions naive;
+  naive.algorithm = DcSatAlgorithm::kNaive;
+  naive.use_precheck = false;
+  ExpectThreadCountIgnored(db, naive, context + " naive");
+  DcSatOptions budgeted;
+  budgeted.algorithm = DcSatAlgorithm::kOpt;
+  budgeted.use_covers = false;
+  budgeted.use_precheck = false;
+  budgeted.budget.max_cliques = 2;
+  ExpectThreadCountIgnored(db, budgeted, context + " budgeted");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDcSatTest,

@@ -124,53 +124,5 @@ TEST(ThreadPoolTest, RunAndJoinJoinsAllBeforeRethrowingFirstError) {
   EXPECT_EQ(finished.load(), 8);
 }
 
-TEST(CancellationTokenTest, FreshTokenStopsNothing) {
-  CancellationToken token;
-  EXPECT_FALSE(token.ShouldStop());
-  EXPECT_FALSE(token.ShouldStop(0));
-  EXPECT_FALSE(token.ShouldStop(SIZE_MAX - 1));
-  EXPECT_EQ(token.rank_limit(), SIZE_MAX);
-}
-
-TEST(CancellationTokenTest, CancelRanksAboveLeavesLowerRanksRunning) {
-  CancellationToken token;
-  token.CancelRanksAbove(5);
-  EXPECT_FALSE(token.ShouldStop(0));
-  EXPECT_FALSE(token.ShouldStop(5));  // Rank 5 itself keeps running.
-  EXPECT_TRUE(token.ShouldStop(6));
-  EXPECT_TRUE(token.ShouldStop(100));
-}
-
-TEST(CancellationTokenTest, RankLimitIsMonotone) {
-  CancellationToken token;
-  token.CancelRanksAbove(10);
-  token.CancelRanksAbove(30);  // Higher rank must not raise the limit back.
-  EXPECT_EQ(token.rank_limit(), 10u);
-  EXPECT_TRUE(token.ShouldStop(11));
-  token.CancelRanksAbove(3);
-  EXPECT_EQ(token.rank_limit(), 3u);
-  EXPECT_FALSE(token.ShouldStop(3));
-  EXPECT_TRUE(token.ShouldStop(4));
-}
-
-TEST(CancellationTokenTest, ConcurrentCancelKeepsMinimum) {
-  // Many threads racing CancelRanksAbove must settle on the global minimum —
-  // the CAS loop in the token is exactly what makes the parallel DCSat
-  // witness deterministic.
-  constexpr std::size_t kThreads = 8;
-  constexpr std::size_t kRounds = 50;
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    CancellationToken token;
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back(
-          [&token, t] { token.CancelRanksAbove(t + 1); });
-    }
-    for (std::thread& thread : threads) thread.join();
-    EXPECT_EQ(token.rank_limit(), 1u);
-  }
-}
-
 }  // namespace
 }  // namespace bcdb
