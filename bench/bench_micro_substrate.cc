@@ -211,9 +211,7 @@ void BM_IndexProbeProjectionKey(benchmark::State& state) {
 // table vs a minimal robin-hood reference, over key distributions lifted from
 // the workload itself (dense tuple ids, projection keys of the txIn relation
 // with their real fan-in/skew). All backends share the engine's hash/equality
-// functors so only table mechanics differ. FlatHashMap is named directly —
-// not through the FlatIdMap alias — so the matrix stays meaningful even in a
-// BCDB_USE_STD_HASH build.
+// functors so only table mechanics differ.
 
 /// Reference robin-hood map: linear probing, power-of-two capacity, probe
 /// distances stored per slot, displacement on insert ("steal from the

@@ -7,6 +7,7 @@
 #include "query/analysis.h"
 #include "query/compiled_query.h"
 #include "query/parser.h"
+#include "util/parallel_for.h"
 
 namespace bcdb {
 
@@ -351,22 +352,6 @@ void ConstraintMonitor::SettleByAnswers(const TemplateClass& cls,
   }
 }
 
-bool ConstraintMonitor::FanOut(std::size_t n, std::size_t width,
-                               const std::function<void(std::size_t)>& task) {
-  if (std::min(width, n) <= 1) {
-    for (std::size_t i = 0; i < n; ++i) task(i);
-    return false;
-  }
-  // The pool is sized once to the requested width and reused across polls:
-  // only the number of submitted tasks tracks the dirty count, which
-  // fluctuates every poll in steady state.
-  if (pool_ == nullptr || pool_->num_threads() != width) {
-    pool_ = std::make_shared<ThreadPool>(width);
-  }
-  pool_->RunAndJoin(n, task);
-  return true;
-}
-
 StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
     const DcSatOptions& options) {
   MutexLock lock(mutex_);
@@ -432,14 +417,14 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
   // Phase 2: settle what the class plans can. One probe task per dirty
   // class — answer passes for a projectable class with more distinct
   // bindings than its generalized plan's driving relation has tuples,
-  // member-by-member probes (split across the workers) otherwise. Workers
-  // read entries through `entry_table` and classes through task pointers,
-  // both resolved here under the lock, which this thread holds until every
-  // worker has joined; verdicts are keyed by entry slot, and kUnknown after
-  // this phase marks a survivor.
+  // member-by-member probes (split into up to `width` tasks) otherwise.
+  // Tasks read entries through `entry_table` and classes through task
+  // pointers, both resolved here under the lock, which this thread holds
+  // until ParallelFor has joined its threads; verdicts are keyed by entry
+  // slot, and kUnknown after this phase marks a survivor.
   const WorldView base = db_->BaseView();
   const WorldView pending_union = db_->PendingUnionView();
-  const std::size_t width = ThreadPool::EffectiveThreads(options.num_threads);
+  const std::size_t width = EffectiveThreads(options.num_threads);
   const Entry* entry_table = entries_.data();
   struct ProbeTask {
     const TemplateClass* cls;
@@ -476,7 +461,7 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
     }
   }
   std::vector<Verdict> verdicts(entries_.size(), Verdict::kUnknown);
-  bool fanned_out = FanOut(tasks.size(), width, [&](std::size_t t) {
+  ParallelFor(tasks.size(), width, [&](std::size_t t) {
     const TemplateClass& cls = *tasks[t].cls;
     const WorldView* precheck =
         options.use_precheck && !cls.always_dirty ? &pending_union : nullptr;
@@ -516,7 +501,7 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
   // Phase 4: each survivor's own (serial) search, under its escalated
   // budget.
   std::vector<Status> statuses(survivors.size());
-  fanned_out |= FanOut(survivors.size(), width, [&](std::size_t i) {
+  ParallelFor(survivors.size(), width, [&](std::size_t i) {
     const Entry& entry = entry_table[survivors[i]];
     DcSatOptions check = options;
     const Grounded& grounded = *entry.grounded;
@@ -537,7 +522,9 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
     }
   });
   poll_stats_.threads_used = width;
-  if (fanned_out) poll_stats_.constraints_parallel += to_evaluate.size();
+  if (std::min(width, std::max(tasks.size(), survivors.size())) > 1) {
+    poll_stats_.constraints_parallel += to_evaluate.size();
+  }
 
   // Phase 5 (single-threaded): every status is checked before any verdict
   // commits. Committing the leading entries and then erroring out would

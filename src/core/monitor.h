@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -20,7 +19,6 @@
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace bcdb {
 
@@ -151,15 +149,17 @@ struct MonitorOptions {
 /// A projectable class with more distinct bindings than the relation its
 /// generalized plan starts from has stored tuples runs steps 1 and 2 set at
 /// a time instead: one answer enumeration over R and one over R ∪ T. The
-/// probes and the searches each fan out over a reusable worker pool.
+/// probes and the searches each fan out with ParallelFor: every poll starts
+/// its threads and joins them before its next phase, so a monitor between
+/// polls holds no threads.
 ///
 /// Thread safety: every public method serializes on one internal lock
 /// (LockRank::kMonitor), so concurrent Poll calls, registrations, and
 /// accessor reads (verdict/label/poll_stats) are safe — an accessor racing
 /// a Poll observes either the pre-poll or the committed post-poll state,
-/// never a torn one. The fan-out inside Poll hands each worker an
+/// never a torn one. The fan-out inside Poll hands each thread an
 /// immutable per-task view resolved under the lock, which the poll thread
-/// keeps held until every worker has joined.
+/// keeps held until every thread of the fan-out has joined.
 class ConstraintMonitor {
  public:
   enum class Verdict {
@@ -359,11 +359,13 @@ class ConstraintMonitor {
   /// database state and returns the transitions since the previous poll
   /// (first poll reports every constraint as a transition from kUnknown).
   /// `options.num_threads` picks the fan-out width of the probes and the
-  /// searches (0 = hardware concurrency, 1 = serial); each member's own
-  /// check scans its components serially on its worker. `options.algorithm`
-  /// applies to the searches, so an explicitly requested algorithm is
-  /// validated only for members that reach a search; members the probes
-  /// settle never run it.
+  /// searches (0 = hardware concurrency, 1 = serial on the calling thread):
+  /// each fan-out runs on the calling thread plus up to width - 1 threads it
+  /// starts and joins, every thread claiming the next unclaimed task, and
+  /// each member's own check scans its components serially on the thread
+  /// that claimed it. `options.algorithm` applies to the searches, so an
+  /// explicitly requested algorithm is validated only for members that
+  /// reach a search; members the probes settle never run it.
   StatusOr<std::vector<Change>> Poll(const DcSatOptions& options = {});
 
   /// Snapshot of the cumulative poll counters, taken under the monitor
@@ -495,13 +497,6 @@ class ConstraintMonitor {
                               const WorldView* pending_union,
                               std::vector<Verdict>& verdicts);
 
-  /// Runs `task(0..n-1)`, on the pool when more than one worker of
-  /// `width` would be busy (the pool is created once at that width and
-  /// reused), inline otherwise. Returns whether it used the pool.
-  bool FanOut(std::size_t n, std::size_t width,
-              const std::function<void(std::size_t)>& task)
-      BCDB_REQUIRES(mutex_);
-
   /// "(v0, v1, ...)" display form of a binding tuple.
   static std::string BindingSummary(const Tuple& binding);
 
@@ -533,6 +528,8 @@ class ConstraintMonitor {
   /// bookkeeping, and the poll machinery all move together (a poll reads
   /// the tables end to end), so finer locks would buy contention windows,
   /// not parallelism — the fan-out inside Poll is where the parallelism is.
+  /// Poll holds it across both fan-outs: their threads read the per-task
+  /// views it resolved and are joined before it is released.
   mutable Mutex mutex_{LockRank::kMonitor};
   std::vector<TemplateClass> classes_ BCDB_GUARDED_BY(mutex_);
   /// Canonicalization key -> class id, for the classes Add creates. Classes
@@ -551,7 +548,6 @@ class ConstraintMonitor {
   bool mutated_since_poll_ BCDB_GUARDED_BY(mutex_) = false;
   /// Engine validity bits as of the last poll, for cascade attribution.
   DynamicBitset prev_valid_ BCDB_GUARDED_BY(mutex_);
-  std::shared_ptr<ThreadPool> pool_ BCDB_GUARDED_BY(mutex_);
   PollStats poll_stats_ BCDB_GUARDED_BY(mutex_);
 };
 

@@ -25,12 +25,9 @@
 ///     pair accepts works (`ProjectionKey` probes against `Tuple` keys — the
 ///     transparent contract the id-keyed substrate established).
 ///
-/// `FlatIdMap` / `FlatIdSet` are the aliases the engine uses. Building with
-/// `-DBCDB_USE_STD_HASH=ON` points them back at `std::unordered_map` /
-/// `std::unordered_set` (same functors, same API subset) — the differential
-/// escape hatch that proves verdicts and witnesses are bit-identical across
-/// backends. Code therefore must not depend on iteration order; every
-/// consumer either canonicalizes (GroupComponents) or is order-insensitive.
+/// `FlatIdMap` / `FlatIdSet` are the aliases the engine uses. Code must not
+/// depend on their iteration order; every consumer either canonicalizes
+/// (GroupComponents) or is order-insensitive.
 ///
 /// Not thread-safe for writes. Concurrent read-only probes of a quiescent
 /// table are safe (no mutable state on the lookup path).
@@ -47,11 +44,6 @@
 #include <utility>
 
 #include "util/hash.h"
-
-#ifdef BCDB_USE_STD_HASH
-#include <unordered_map>
-#include <unordered_set>
-#endif
 
 // SSE2 group probing: 16 control bytes per compare via _mm_cmpeq_epi8.
 // Define BCDB_FLAT_TABLE_NO_SSE2 to force the portable SWAR path (used by
@@ -631,29 +623,14 @@ class FlatHashSet {
   Raw raw_;
 };
 
-#ifdef BCDB_USE_STD_HASH
-
-/// Escape hatch: the std::unordered containers with the same functors, for
-/// differential testing of verdict/witness bit-identity across backends.
-template <typename Key, typename Value, typename Hash = IdHash,
-          typename Eq = std::equal_to<>>
-using FlatIdMap = std::unordered_map<Key, Value, Hash, Eq>;
-
-template <typename Key, typename Hash = IdHash, typename Eq = std::equal_to<>>
-using FlatIdSet = std::unordered_set<Key, Hash, Eq>;
-
-#else
-
 /// The id-keyed hot-path table aliases the engine declares its containers
-/// with. See the file comment for the backend switch.
+/// with.
 template <typename Key, typename Value, typename Hash = IdHash,
           typename Eq = std::equal_to<>>
 using FlatIdMap = FlatHashMap<Key, Value, Hash, Eq>;
 
 template <typename Key, typename Hash = IdHash, typename Eq = std::equal_to<>>
 using FlatIdSet = FlatHashSet<Key, Hash, Eq>;
-
-#endif  // BCDB_USE_STD_HASH
 
 }  // namespace bcdb
 

@@ -17,10 +17,6 @@ const char* LockRankName(LockRank rank) {
       return "kMutationLog";
     case LockRank::kDecompositionMemo:
       return "kDecompositionMemo";
-    case LockRank::kThreadPoolQueue:
-      return "kThreadPoolQueue";
-    case LockRank::kThreadPoolWake:
-      return "kThreadPoolWake";
     case LockRank::kValuePool:
       return "kValuePool";
   }
@@ -39,9 +35,9 @@ struct HeldLock {
 // The calling thread's currently-held bcdb locks, in acquisition order.
 // Deliberately a trivially-destructible fixed-size array, NOT a vector: a
 // heap-backed thread_local registers a TLS destructor, and on glibc the
-// main thread's TLS destructors run *before* atexit handlers — so a
-// function-local-static pool (ThreadPool::Shared) locking its wake mutex
-// during exit teardown would push onto a freed buffer. POD storage also
+// main thread's TLS destructors run *before* atexit handlers — so any
+// function-local static that locks a bcdb Mutex in its destructor during
+// exit teardown would push onto a freed buffer. POD storage also
 // never allocates under a lock acquisition path, which would perturb the
 // very interleavings tsan is hunting.
 constexpr std::size_t kMaxHeldLocks = 16;

@@ -20,12 +20,13 @@ namespace bcdb {
 ///
 /// Ranks are spaced by 10 so a future lock can slot between two layers
 /// without renumbering. Two locks of the same rank must never be held
-/// together (the ThreadPool worker queues rely on this: work stealing
-/// locks its own queue and a victim's queue strictly one at a time).
+/// together: their relative order is undefined, so two threads could take
+/// them in opposite orders.
 enum class LockRank : int {
   /// ConstraintMonitor's entry-table lock — the outermost lock of a poll:
-  /// held across steady-state refresh (kMutationLog), task fan-out
-  /// (kThreadPoolQueue/Wake), and query compilation (kValuePool).
+  /// held across steady-state refresh (kMutationLog), query compilation
+  /// (kValuePool) and the poll's fan-out, whose threads take only the leaf
+  /// locks (kDecompositionMemo, kValuePool) on their own stacks.
   kMonitor = 20,
   /// DurableStore's WAL/stats lock. Below kMutationLog: a checkpoint
   /// holding it reads the database's mutation-log clock.
@@ -35,11 +36,6 @@ enum class LockRank : int {
   /// DcSatEngine's decomposition memo: a lookup or an insert of one
   /// finished component partition, calling out to nothing.
   kDecompositionMemo = 55,
-  /// One ThreadPool worker deque. Same-rank by design: own-queue pop and
-  /// victim steal are strictly sequential, never nested.
-  kThreadPoolQueue = 60,
-  /// ThreadPool's sleep/wake lock, taken after a queue lock in Submit.
-  kThreadPoolWake = 70,
   /// ValuePool's intern table. Highest: interning happens at the leaves of
   /// every path (query compilation, tuple construction) under any caller
   /// lock, and itself calls out to nothing.

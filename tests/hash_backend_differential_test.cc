@@ -1,14 +1,12 @@
-// Cross-backend bit-identity of DCSat verdicts and witnesses.
+// Golden-digest pin of DCSat verdicts and witnesses.
 //
-// The flat-table migration must not change any observable result: the same
-// program built with -DBCDB_USE_STD_HASH=ON (std::unordered containers) and
-// OFF (flat open-addressing tables) has to produce identical verdicts,
-// witnesses, and search statistics on identical inputs. This test runs a
-// 30-seed randomized end-to-end churn — AddPending / ApplyPending /
-// DiscardPending interleaved with engine checks and monitor polls — and
-// folds every observable into one 64-bit digest, compared against a golden
-// constant recorded from the flat-table build. CI runs the suite under both
-// backends; both matching the same constant proves bit-identity.
+// The flat open-addressing tables must not change any observable result:
+// verdicts, witnesses and search statistics on identical inputs are those
+// the std::unordered containers produced when both backends were built
+// and matched this digest. This test runs a 30-seed randomized end-to-end
+// churn — AddPending / ApplyPending / DiscardPending interleaved with
+// engine checks and monitor polls — and folds every observable into one
+// 64-bit digest, compared against that golden constant.
 //
 // The digest deliberately covers only backend-independent observables
 // (verdict booleans, witness PendingId sets, structural counts) — never
@@ -31,8 +29,8 @@
 namespace bcdb {
 namespace {
 
-/// Golden digest over all 30 seeds, recorded from the flat-table build.
-/// Must be reproduced bit-exactly by the BCDB_USE_STD_HASH=ON build.
+/// Golden digest over all 30 seeds, reproduced bit-exactly by the
+/// flat-table and the std::unordered builds alike.
 constexpr std::uint64_t kGoldenDigest = 0xaf4f02fa85061b3fULL;
 
 class Digest {

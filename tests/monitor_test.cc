@@ -248,10 +248,8 @@ TEST(ConstraintMonitorTest, FailedPollDoesNotCountEvaluations) {
   EXPECT_EQ(monitor.poll_stats().constraints_evaluated, 1u);
 }
 
-// The worker pool is sized once to the requested width and reused: the
-// number of *dirty* constraints fluctuates every poll in steady state, and
-// resizing the pool to min(width, dirty) would tear down and respawn
-// threads on every fluctuation.
+// threads_used reports the requested width, not min(width, dirty): the
+// number of *dirty* constraints fluctuates every poll in steady state.
 TEST(ConstraintMonitorTest, PoolWidthStableAcrossDirtyCounts) {
   Catalog catalog;
   ASSERT_TRUE(catalog
@@ -303,7 +301,7 @@ TEST(ConstraintMonitorTest, PoolWidthStableAcrossDirtyCounts) {
   expect_grounded("first poll");
 
   // Mutate S only: just the two S entries go dirty (no IND couples S to
-  // R), yet the pool keeps its requested width.
+  // R), yet the reported width stays the requested one.
   Transaction s_txn;
   s_txn.Add("S", Tuple({Value::Int(0), Value::Int(7)}));
   ASSERT_TRUE(db->AddPending(s_txn).ok());

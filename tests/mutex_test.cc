@@ -15,8 +15,6 @@ TEST(LockRankTest, NamesCoverEveryRank) {
   EXPECT_STREQ(LockRankName(LockRank::kMutationLog), "kMutationLog");
   EXPECT_STREQ(LockRankName(LockRank::kDecompositionMemo),
                "kDecompositionMemo");
-  EXPECT_STREQ(LockRankName(LockRank::kThreadPoolQueue), "kThreadPoolQueue");
-  EXPECT_STREQ(LockRankName(LockRank::kThreadPoolWake), "kThreadPoolWake");
   EXPECT_STREQ(LockRankName(LockRank::kValuePool), "kValuePool");
 }
 
@@ -129,8 +127,8 @@ void AcquireDescendingRanks() BCDB_NO_THREAD_SAFETY_ANALYSIS {
 }
 
 void AcquireSameRankTwice() BCDB_NO_THREAD_SAFETY_ANALYSIS {
-  Mutex a(LockRank::kThreadPoolQueue);
-  Mutex b(LockRank::kThreadPoolQueue);
+  Mutex a(LockRank::kMutationLog);
+  Mutex b(LockRank::kMutationLog);
   a.Lock();
   b.Lock();  // Same rank held together: forbidden (order is undefined).
 }

@@ -4,6 +4,7 @@
 #include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/dcsat.h"
@@ -14,6 +15,7 @@
 #include "query/compiled_query.h"
 #include "query/parser.h"
 #include "running_example.h"
+#include "util/parallel_for.h"
 #include "util/rng.h"
 #include "workload/constraints.h"
 
@@ -549,6 +551,164 @@ TEST(ParallelMonitorTest, ConcurrentAppendabilityFillAgrees) {
       }
     }
   }
+}
+
+/// R(a, b) keyed on a with S[x] ⊆ R[a] (so member checks are CoNP-mixed and
+/// run a search), three base R tuples, and pending double spends of R keys
+/// plus S spends of base, pending and missing keys.
+BlockchainDatabase MakeWidthInstance() {
+  Catalog catalog = MakeCatalog();
+  ConstraintSet constraints;
+  constraints.AddFd(*FunctionalDependency::Key(catalog, "R", {"a"}));
+  constraints.AddInd(
+      *InclusionDependency::Create(catalog, "S", {"x"}, "R", {"a"}));
+  auto db =
+      BlockchainDatabase::Create(std::move(catalog), std::move(constraints));
+  EXPECT_TRUE(db.ok());
+  for (std::int64_t a = 0; a < 3; ++a) {
+    EXPECT_TRUE(
+        db->InsertCurrent("R", Tuple({Value::Int(a), Value::Int(a)})).ok());
+  }
+  for (std::int64_t i = 0; i < 8; ++i) {
+    Transaction txn("P" + std::to_string(i));
+    txn.Add("R", Tuple({Value::Int(3 + i / 2), Value::Int(i % 4)}));
+    txn.Add("S", Tuple({Value::Int(i % 6), Value::Int(i)}));
+    EXPECT_TRUE(db->AddPending(txn).ok());
+  }
+  return std::move(*db);
+}
+
+/// Every PollStats field except the two that report the width itself.
+void ExpectSameWidthFreeStats(const ConstraintMonitor::PollStats& got,
+                              const ConstraintMonitor::PollStats& want,
+                              const std::string& context) {
+  EXPECT_EQ(got.polls, want.polls) << context;
+  EXPECT_EQ(got.compile_cache_hits, want.compile_cache_hits) << context;
+  EXPECT_EQ(got.compile_cache_misses, want.compile_cache_misses) << context;
+  EXPECT_EQ(got.constraints_evaluated, want.constraints_evaluated) << context;
+  EXPECT_EQ(got.constraints_skipped, want.constraints_skipped) << context;
+  EXPECT_EQ(got.undecided_verdicts, want.undecided_verdicts) << context;
+  EXPECT_EQ(got.budget_escalations, want.budget_escalations) << context;
+  EXPECT_EQ(got.backoff_skips, want.backoff_skips) << context;
+  EXPECT_EQ(got.classes_evaluated, want.classes_evaluated) << context;
+  EXPECT_EQ(got.constraints_batched, want.constraints_batched) << context;
+}
+
+TEST(ParallelMonitorTest, PollIsWidthInvariantAcrossChurn) {
+  // Two monitors over identical histories: one polls serially, the other
+  // alternates between width 4 and hardware concurrency. The fan-out may
+  // split the probe tasks differently, but every change and every counter
+  // that does not report the width must match.
+  BlockchainDatabase serial_db = MakeWidthInstance();
+  BlockchainDatabase wide_db = MakeWidthInstance();
+  // A one-world budget leaves some searches undecided, so the escalation
+  // and backoff counters take part in the comparison too.
+  MonitorOptions monitor_options;
+  monitor_options.budget.max_worlds = 1;
+  ConstraintMonitor serial(&serial_db, monitor_options);
+  ConstraintMonitor wide(&wide_db, monitor_options);
+
+  // Projectable, with more bindings than R has tuples: answer passes.
+  const char* cell = "q() :- R($a, $b)";
+  // Not projectable, so probed member by member; eight members split into
+  // chunks at width 4. Members true only over R ∪ T reach CheckPrepared.
+  const char* above = "q() :- S(x, y), R(x, b), b > $t";
+  // Projectable, but with fewer bindings than S has tuples: also probed
+  // member by member and split, yet still counted as one batched class.
+  const char* spend = "q() :- S($x, y)";
+  constexpr std::int64_t kCellKeys = 9;
+  constexpr std::int64_t kCellValues = 4;
+  for (ConstraintMonitor* monitor : {&serial, &wide}) {
+    auto cell_class = monitor->RegisterTemplate("cell", cell);
+    auto above_class = monitor->RegisterTemplate("above", above);
+    auto spend_class = monitor->RegisterTemplate("spend", spend);
+    ASSERT_TRUE(cell_class.ok() && above_class.ok() && spend_class.ok());
+    ASSERT_TRUE(monitor->template_batchable(*cell_class));
+    ASSERT_FALSE(monitor->template_batchable(*above_class));
+    ASSERT_TRUE(monitor->template_batchable(*spend_class));
+    for (std::int64_t a = 0; a < kCellKeys; ++a) {
+      for (std::int64_t b = 0; b < kCellValues; ++b) {
+        ASSERT_TRUE(
+            monitor->Bind(*cell_class, {Value::Int(a), Value::Int(b)}).ok());
+      }
+    }
+    for (std::int64_t t = 0; t < 8; ++t) {
+      ASSERT_TRUE(monitor->Bind(*above_class, {Value::Int(t)}).ok());
+    }
+    for (std::int64_t x = 0; x < 6; ++x) {
+      ASSERT_TRUE(monitor->Bind(*spend_class, {Value::Int(x)}).ok());
+    }
+    ASSERT_TRUE(monitor->Add("spend-2", Q("q() :- S(2, y)")).ok());
+  }
+  // The initial poll, then adds, applies, discards, unapplies and quiet
+  // polls (backoff retries only), each the same call on both databases.
+  enum Op { kQuiet, kAdd, kApply, kDiscard, kUnapply };
+  const std::pair<Op, PendingId> steps[] = {
+      {kQuiet, 0},   {kApply, 0},   {kAdd, 0},     {kDiscard, 1},
+      {kUnapply, 0}, {kApply, 2},   {kQuiet, 0},   {kAdd, 0},
+      {kApply, 0},   {kDiscard, 3}, {kUnapply, 2}, {kQuiet, 0},
+      {kApply, 2},   {kAdd, 0}};
+  const std::size_t wide_widths[] = {4, 0};
+  for (std::size_t step = 0; step < std::size(steps); ++step) {
+    const std::string context = "step " + std::to_string(step);
+    const auto [op, id] = steps[step];
+    auto mutate = [&](BlockchainDatabase& db) -> Status {
+      const auto key = static_cast<std::int64_t>(step);
+      Transaction txn("A" + std::to_string(step));
+      switch (op) {
+        case kQuiet:
+          return Status::OK();
+        case kAdd:
+          txn.Add("R", Tuple({Value::Int(10 + key), Value::Int(1)}));
+          txn.Add("S", Tuple({Value::Int(key % 6), Value::Int(9)}));
+          return db.AddPending(txn).status();
+        case kApply:
+          return db.ApplyPending(id);
+        case kDiscard:
+          return db.DiscardPending(id);
+        case kUnapply:
+          return db.UnapplyPending(id);
+      }
+      return Status::OK();
+    };
+    ASSERT_TRUE(mutate(serial_db).ok()) << context;
+    ASSERT_TRUE(mutate(wide_db).ok()) << context;
+    DcSatOptions serial_options;
+    serial_options.num_threads = 1;
+    DcSatOptions wide_options;
+    wide_options.num_threads = wide_widths[step % 2];
+    auto serial_changes = serial.Poll(serial_options);
+    auto wide_changes = wide.Poll(wide_options);
+    ASSERT_TRUE(serial_changes.ok()) << context << serial_changes.status();
+    ASSERT_TRUE(wide_changes.ok()) << context << wide_changes.status();
+    ASSERT_EQ(wide_changes->size(), serial_changes->size()) << context;
+    for (std::size_t i = 0; i < serial_changes->size(); ++i) {
+      const ConstraintMonitor::Change& want = (*serial_changes)[i];
+      const ConstraintMonitor::Change& got = (*wide_changes)[i];
+      EXPECT_EQ(got.handle.value(), want.handle.value()) << context;
+      EXPECT_EQ(got.label, want.label) << context;
+      EXPECT_EQ(got.before, want.before) << context;
+      EXPECT_EQ(got.after, want.after) << context;
+      EXPECT_EQ(got.template_label, want.template_label) << context;
+      EXPECT_EQ(got.binding_summary, want.binding_summary) << context;
+    }
+    ExpectSameWidthFreeStats(wide.poll_stats(), serial.poll_stats(), context);
+    EXPECT_EQ(serial.poll_stats().threads_used, 1u) << context;
+    EXPECT_EQ(serial.poll_stats().constraints_parallel, 0u) << context;
+    EXPECT_EQ(wide.poll_stats().threads_used,
+              EffectiveThreads(wide_options.num_threads))
+        << context;
+  }
+  // R only grows, so the cell class ran answer passes on every poll.
+  const std::size_t r_id = *serial_db.database().catalog().RelationId("R");
+  EXPECT_GT(static_cast<std::size_t>(kCellKeys * kCellValues),
+            serial_db.database().relation(r_id).num_tuples());
+  const ConstraintMonitor::PollStats stats = serial.poll_stats();
+  EXPECT_GT(stats.compile_cache_misses, 0u);
+  EXPECT_GT(stats.compile_cache_hits, 0u);
+  EXPECT_GT(stats.undecided_verdicts, 0u);
+  EXPECT_GT(stats.backoff_skips, 0u);
+  EXPECT_GT(wide.poll_stats().constraints_parallel, 0u);
 }
 
 TEST(ParallelMonitorTest, CheckPreparedRejectsStaleCaches) {
