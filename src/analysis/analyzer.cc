@@ -796,13 +796,18 @@ TemplateAnalysis AnalyzeTemplate(const ConstraintTemplate& tmpl,
     result.report = std::move(dummy_report);
   }
 
-  std::string key = tmpl.CanonicalSkeleton() + "#fp:";
-  for (std::size_t i = 0; i < result.report.footprint.size(); ++i) {
-    if (i > 0) key += ",";
-    key += std::to_string(result.report.footprint[i]);
-  }
-  result.class_key = std::move(key);
+  result.class_key = ClassKey(tmpl, result.report.footprint);
   return result;
+}
+
+std::string ClassKey(const ConstraintTemplate& tmpl,
+                     const std::vector<std::size_t>& footprint) {
+  std::string key = tmpl.CanonicalSkeleton() + "#fp:";
+  for (std::size_t i = 0; i < footprint.size(); ++i) {
+    if (i > 0) key += ",";
+    key += std::to_string(footprint[i]);
+  }
+  return key;
 }
 
 AnalysisReport AnalyzeConstraintText(std::string_view text, const Database& db,

@@ -180,6 +180,11 @@ TemplateAnalysis AnalyzeTemplate(const ConstraintTemplate& tmpl,
                                  const ConstraintSet& constraints,
                                  const AnalyzerOptions& options = {});
 
+/// The isomorphism-class key of `tmpl` over `footprint` (its IND-closed
+/// relation ids): TemplateAnalysis::class_key.
+std::string ClassKey(const ConstraintTemplate& tmpl,
+                     const std::vector<std::size_t>& footprint);
+
 /// The cheap classification core and the engine's only routing decision
 /// (DcSatEngine caches it per compiled query): no diagnostics, no
 /// base-state probe. `proved_unsat` comes from ProvedUnsatisfiable (or a

@@ -29,7 +29,7 @@ namespace bitcoin {
 /// from content and cross-checks. Loading replays everything through full
 /// chain/mempool validation (SimulatedNode::ReceiveBlock / Mempool::Add),
 /// so a block file that would not validate as a live history fails to
-/// load, exactly like the text snapshots in bitcoin/serialize.h.
+/// load.
 inline constexpr std::uint32_t kBlockFileMagic = 0xD9B4BEF9u;
 
 /// Serializes one block / transaction payload (no framing).

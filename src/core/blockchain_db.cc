@@ -48,21 +48,17 @@ StatusOr<BlockchainDatabase> BlockchainDatabase::Create(
 Status BlockchainDatabase::InsertCurrent(std::string_view relation,
                                          Tuple tuple) {
   StatusOr<std::size_t> relation_id = db_->RelationId(relation);
+  if (!relation_id.ok()) return relation_id.status();
   // The event (and durability sink) carry the tuple after the store has
   // consumed it; an id-array copy is cheap, and incremental engines probe
   // their determinant buckets with it instead of re-reading the store.
-  Tuple persisted = tuple;
-  Status status = db_->Insert(relation, std::move(tuple), kBaseOwner);
-  if (!status.ok()) return status;
+  Tuple event_tuple = tuple;
+  BCDB_RETURN_IF_ERROR(db_->Insert(*relation_id, std::move(tuple), kBaseOwner));
   ++version_;
-  MutationPayload payload;
-  payload.tuple = &persisted;
-  payload.relation_id = relation_id.ok() ? *relation_id : ~std::size_t{0};
   Publish(MutationKind::kCurrentInserted, kNoPendingId,
-          relation_id.ok() ? std::vector<std::size_t>{*relation_id}
-                           : std::vector<std::size_t>{},
-          payload, persisted);
-  return status;
+          std::vector<std::size_t>{*relation_id}, MutationPayload{},
+          std::move(event_tuple));
+  return Status::OK();
 }
 
 Status BlockchainDatabase::RemoveCurrent(std::string_view relation,
@@ -74,11 +70,8 @@ Status BlockchainDatabase::RemoveCurrent(std::string_view relation,
                             std::string(relation));
   }
   ++version_;
-  MutationPayload payload;
-  payload.tuple = &tuple;
-  payload.relation_id = *relation_id;
   Publish(MutationKind::kCurrentRemoved, kNoPendingId,
-          std::vector<std::size_t>{*relation_id}, payload, tuple);
+          std::vector<std::size_t>{*relation_id}, MutationPayload{}, tuple);
   return Status::OK();
 }
 

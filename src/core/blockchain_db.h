@@ -17,15 +17,13 @@
 namespace bcdb {
 
 /// What a MutationEvent does not carry but a durable log must: the payload
-/// needed to replay the mutation against a recovered database. Pointers
-/// borrow from the database and are valid only for the duration of the
-/// Persist call.
+/// needed to replay the mutation against a recovered database. The
+/// base-state kinds need none — their event carries its relation and tuple.
+/// The pointer borrows from the database and is valid only for the
+/// duration of the Persist call.
 struct MutationPayload {
   /// kPendingAdded: the full transaction just registered.
   const Transaction* txn = nullptr;
-  /// kCurrentInserted / kCurrentRemoved: the affected tuple and its relation.
-  const Tuple* tuple = nullptr;
-  std::size_t relation_id = ~std::size_t{0};
 };
 
 /// Write-ahead hook of the durable storage backend (src/storage). Attached

@@ -188,7 +188,6 @@ bool DcSatEngine::TryIncrementalRefresh() {
   auto revalidate = [&](const std::vector<std::size_t>& relation_ids) {
     for (PendingId node : fd_graph_->RevalidateTouching(relation_ids)) {
       theta_i_.AddNode(node);
-      last_refresh_.revalidated.push_back(node);
     }
   };
   std::vector<PendingId>& cascade = last_refresh_.cascade_invalidated;

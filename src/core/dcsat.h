@@ -120,9 +120,6 @@ struct SteadyStateRefresh {
   /// a transaction the delta batch applied, or with a tuple it inserted
   /// directly into the current state.
   std::vector<PendingId> cascade_invalidated;
-  /// Still-pending transactions that regained validity because the delta
-  /// batch shrank the current state (kCurrentRemoved / kPendingRestored).
-  std::vector<PendingId> revalidated;
 };
 
 struct DcSatStats {

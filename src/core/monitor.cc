@@ -150,11 +150,7 @@ StatusOr<MonitorHandle> ConstraintMonitor::Add(std::string label,
   // re-running the template analyzer on every Add.
   StatusOr<CanonicalizedConstraint> canon = ConstraintTemplate::Canonicalize(q);
   if (!canon.ok()) return canon.status();
-  std::string key = canon->tmpl.CanonicalSkeleton() + "#fp:";
-  for (std::size_t i = 0; i < report.footprint.size(); ++i) {
-    if (i > 0) key += ",";
-    key += std::to_string(report.footprint[i]);
-  }
+  std::string key = ClassKey(canon->tmpl, report.footprint);
 
   std::size_t class_id;
   auto it = class_by_key_.find(key);
@@ -544,11 +540,9 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
     if (verdict == Verdict::kUndecided) {
       ++poll_stats_.undecided_verdicts;
       ++entry.undecided_streak;
-      if (options_.budget_growth > 1.0 &&
-          entry.budget_scale < options_.max_budget_scale) {
-        entry.budget_scale = std::min(
-            entry.budget_scale * options_.budget_growth,
-            options_.max_budget_scale);
+      if (entry.budget_scale < kMaxBudgetScale) {
+        entry.budget_scale =
+            std::min(entry.budget_scale * kBudgetGrowth, kMaxBudgetScale);
         ++poll_stats_.budget_escalations;
       }
       // First retry is immediate (with the larger budget); repeat
@@ -559,7 +553,7 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
                     std::size_t{1}
                         << std::min<std::size_t>(entry.undecided_streak - 2,
                                                  20),
-                    options_.max_backoff_polls)
+                    kMaxBackoffPolls)
               : 0;
     } else {
       entry.undecided_streak = 0;

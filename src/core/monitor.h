@@ -95,19 +95,10 @@ struct MonitorOptions {
   /// (kPtimeFdOnly / kPtimeIndOnly / kTriviallyUnsat) are exempt from this
   /// *default* — their checks are polynomial, budgeting them only risks
   /// spurious kUndecided verdicts — while a budget set explicitly on the
-  /// Poll call still applies to every entry.
+  /// Poll call still applies to every entry. An entry that stays
+  /// undecided is retried on a fixed schedule (ConstraintMonitor's
+  /// kBudgetGrowth, kMaxBudgetScale and kMaxBackoffPolls).
   BudgetLimits budget;
-  /// Escalation: each consecutive undecided verdict multiplies the entry's
-  /// next budget by this factor (a later poll retries with more room), up
-  /// to max_budget_scale. 1 disables growth.
-  double budget_growth = 2.0;
-  /// Ceiling on the cumulative escalation factor.
-  double max_budget_scale = 64.0;
-  /// Exponential backoff for repeat offenders: after the k-th consecutive
-  /// undecided verdict the entry sits out min(2^(k-2), max_backoff_polls)
-  /// polls (none after the first — the first retry is immediate, with a
-  /// bigger budget) unless a mutation dirties it, which re-checks at once.
-  std::size_t max_backoff_polls = 8;
 };
 
 /// Tracks standing denial constraints over one blockchain database and
@@ -384,6 +375,17 @@ class ConstraintMonitor {
   const DcSatEngine& engine() const { return engine_; }
 
  private:
+  /// Budget escalation: each consecutive undecided verdict multiplies the
+  /// entry's next budget by kBudgetGrowth (a later poll retries with more
+  /// room), up to kMaxBudgetScale in total. Repeat offenders back off
+  /// exponentially: after the k-th consecutive undecided verdict the entry
+  /// sits out min(2^(k-2), kMaxBackoffPolls) polls (none after the first —
+  /// the first retry is immediate, with a bigger budget) unless a mutation
+  /// dirties it, which re-checks at once.
+  static constexpr double kBudgetGrowth = 2.0;
+  static constexpr double kMaxBudgetScale = 64.0;
+  static constexpr std::size_t kMaxBackoffPolls = 8;
+
   /// One template class: the unit of registration, dirty tracking, and plan
   /// sharing. Add-created classes are deduplicated by `key`; RegisterTemplate
   /// always creates a fresh class.
@@ -439,7 +441,7 @@ class ConstraintMonitor {
     std::size_t unique_slot = 0;
     Verdict verdict = Verdict::kUnknown;
     bool removed = false;
-    /// Budget escalation state (see MonitorOptions): consecutive undecided
+    /// Budget escalation state (see kBudgetGrowth): consecutive undecided
     /// verdicts, the cumulative budget multiplier the next check gets, and
     /// how many polls the entry still sits out before being retried.
     std::size_t undecided_streak = 0;

@@ -217,13 +217,13 @@ Status EncodeMutation(const MutationEvent& event,
     case MutationKind::kCurrentRemoved: {
       // Both base-state kinds are self-contained: relation plus full tuple
       // values, so replay never depends on surviving store contents.
-      if (payload.tuple == nullptr ||
-          payload.relation_id >= catalog.num_relations()) {
+      if (event.relation_ids.empty() ||
+          event.relation_ids.front() >= catalog.num_relations()) {
         return Status::InvalidArgument(
-            "base-state mutation carries no resolvable tuple payload");
+            "base-state mutation carries no resolvable relation");
       }
-      AppendU32(out, static_cast<std::uint32_t>(payload.relation_id));
-      EncodeTupleValues(out, *payload.tuple);
+      AppendU32(out, static_cast<std::uint32_t>(event.relation_ids.front()));
+      EncodeTupleValues(out, event.tuple);
       return Status::OK();
     }
     case MutationKind::kPendingApplied:

@@ -54,7 +54,8 @@ struct PersistedMutation {
 };
 
 /// Encodes one mutation (appending to `*out`). Fails if a payload
-/// transaction references a relation missing from `catalog`.
+/// transaction, or a base-state event, references no relation of
+/// `catalog`.
 Status EncodeMutation(const MutationEvent& event,
                       const MutationPayload& payload, const Catalog& catalog,
                       std::string* out);

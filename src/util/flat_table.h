@@ -45,10 +45,9 @@
 
 #include "util/hash.h"
 
-// SSE2 group probing: 16 control bytes per compare via _mm_cmpeq_epi8.
-// Define BCDB_FLAT_TABLE_NO_SSE2 to force the portable SWAR path (used by
-// the shootout to measure the difference).
-#if defined(__SSE2__) && !defined(BCDB_FLAT_TABLE_NO_SSE2)
+// SSE2 group probing: 16 control bytes per compare via _mm_cmpeq_epi8;
+// targets without SSE2 take the portable SWAR path.
+#if defined(__SSE2__)
 #define BCDB_FLAT_TABLE_SSE2 1
 #include <emmintrin.h>
 #endif

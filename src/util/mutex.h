@@ -1,22 +1,20 @@
 #ifndef BCDB_UTIL_MUTEX_H_
 #define BCDB_UTIL_MUTEX_H_
 
-#include <condition_variable>
+#include <cstddef>
 #include <mutex>
-#include <shared_mutex>
-#include <utility>
 
 #include "util/thread_annotations.h"
 
 namespace bcdb {
 
-/// The global lock hierarchy (DESIGN.md §16). Every bcdb::Mutex /
-/// bcdb::SharedMutex is constructed with its rank, and a thread may only
-/// acquire a lock whose rank is *strictly greater* than every rank it
-/// already holds — so any cycle of waiting threads would require a rank
-/// descent somewhere, which the debug-build checker (BCDB_DEBUG_LOCKS)
-/// aborts on at the first wrong-order acquisition, on any schedule, not
-/// just the unlucky interleaving that actually deadlocks.
+/// The global lock hierarchy (DESIGN.md §16). Every bcdb::Mutex is
+/// constructed with its rank, and a thread may only acquire a lock whose
+/// rank is *strictly greater* than every rank it already holds — so any
+/// cycle of waiting threads would require a rank descent somewhere, which
+/// the debug-build checker (BCDB_DEBUG_LOCKS) aborts on at the first
+/// wrong-order acquisition, on any schedule, not just the unlucky
+/// interleaving that actually deadlocks.
 ///
 /// Ranks are spaced by 10 so a future lock can slot between two layers
 /// without renumbering. Two locks of the same rank must never be held
@@ -95,16 +93,6 @@ class BCDB_CAPABILITY("mutex") Mutex {
     lock_debug::OnAcquire(this, rank_);
   }
 
-  /// Non-blocking acquire. A recursive TryLock simply fails (try_lock
-  /// returns false on the owning thread) rather than aborting — the
-  /// discipline check runs only once the lock is actually taken.
-  bool TryLock() BCDB_TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    lock_debug::PreAcquire(this, rank_);
-    lock_debug::OnAcquire(this, rank_);
-    return true;
-  }
-
   void Unlock() BCDB_RELEASE() {
     lock_debug::OnRelease(this);
     mu_.unlock();
@@ -126,52 +114,7 @@ class BCDB_CAPABILITY("mutex") Mutex {
   LockRank rank() const { return rank_; }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
-  const LockRank rank_;
-};
-
-/// Annotated reader/writer mutex (same hierarchy rules as Mutex).
-class BCDB_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  explicit SharedMutex(LockRank rank) : rank_(rank) {}
-
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() BCDB_ACQUIRE() {
-    lock_debug::PreAcquire(this, rank_);
-    mu_.lock();
-    lock_debug::OnAcquire(this, rank_);
-  }
-  void Unlock() BCDB_RELEASE() {
-    lock_debug::OnRelease(this);
-    mu_.unlock();
-  }
-
-  void ReaderLock() BCDB_ACQUIRE_SHARED() {
-    lock_debug::PreAcquire(this, rank_);
-    mu_.lock_shared();
-    lock_debug::OnAcquire(this, rank_);
-  }
-  void ReaderUnlock() BCDB_RELEASE_SHARED() {
-    lock_debug::OnRelease(this);
-    mu_.unlock_shared();
-  }
-
-  void AssertHeld() const BCDB_ASSERT_CAPABILITY(this) {
-#if defined(BCDB_DEBUG_LOCKS)
-    if (!lock_debug::HeldByCurrentThread(this)) {
-      lock_debug::Die(
-          "SharedMutex::AssertHeld failed: not held by this thread");
-    }
-#endif
-  }
-
-  LockRank rank() const { return rank_; }
-
- private:
-  std::shared_mutex mu_;
   const LockRank rank_;
 };
 
@@ -186,62 +129,6 @@ class BCDB_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// RAII exclusive lock over a SharedMutex.
-class BCDB_SCOPED_CAPABILITY SharedMutexLock {
- public:
-  explicit SharedMutexLock(SharedMutex& mu) BCDB_ACQUIRE(mu) : mu_(mu) {
-    mu_.Lock();
-  }
-  ~SharedMutexLock() BCDB_RELEASE() { mu_.Unlock(); }
-
-  SharedMutexLock(const SharedMutexLock&) = delete;
-  SharedMutexLock& operator=(const SharedMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII shared (reader) lock over a SharedMutex.
-class BCDB_SCOPED_CAPABILITY SharedReaderLock {
- public:
-  explicit SharedReaderLock(SharedMutex& mu) BCDB_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_.ReaderLock();
-  }
-  ~SharedReaderLock() BCDB_RELEASE() { mu_.ReaderUnlock(); }
-
-  SharedReaderLock(const SharedReaderLock&) = delete;
-  SharedReaderLock& operator=(const SharedReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// Condition variable bound to bcdb::Mutex. Wait requires the mutex held
-/// (the annotation enforces it); the native handoff inside wait releases
-/// and re-acquires the underlying std::mutex without touching the
-/// hierarchy bookkeeping — the capability is conceptually held across the
-/// wait, and the blocked thread runs no code that could observe otherwise.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  template <typename Predicate>
-  void Wait(Mutex& mu, Predicate pred) BCDB_REQUIRES(mu) {
-    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-    cv_.wait(native, std::move(pred));
-    native.release();  // Ownership stays with the caller's scope.
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace bcdb

@@ -4,12 +4,12 @@
 /// Clang thread-safety-analysis attribute macros (no-ops elsewhere).
 ///
 /// The concurrency discipline of this codebase is *compiler-enforced*: every
-/// lock is a bcdb::Mutex/SharedMutex (util/mutex.h) declared as a
-/// BCDB_CAPABILITY, every field a lock protects carries BCDB_GUARDED_BY, and
-/// every function that expects a lock held carries BCDB_REQUIRES. Under
-/// clang, `-Wthread-safety` then rejects unlocked accesses at build time (the
-/// CI `clang-threadsafety` job runs it as -Werror); under other compilers
-/// the macros vanish and the same source builds unchanged.
+/// lock is a bcdb::Mutex (util/mutex.h) declared as a BCDB_CAPABILITY, every
+/// field a lock protects carries BCDB_GUARDED_BY, and every function that
+/// expects a lock held carries BCDB_REQUIRES. Under clang, `-Wthread-safety`
+/// then rejects unlocked accesses at build time (the CI `clang-threadsafety`
+/// job runs it as -Werror); under other compilers the macros vanish and the
+/// same source builds unchanged.
 ///
 /// Intentionally lock-free state (atomics with a documented protocol) is
 /// tagged BCDB_LOCK_FREE("why") instead — the tag expands to nothing, but
@@ -47,22 +47,12 @@
 /// The function may be called only while holding the given capabilities.
 #define BCDB_REQUIRES(...) \
   BCDB_THREAD_ANNOTATION_ATTRIBUTE(requires_capability(__VA_ARGS__))
-#define BCDB_REQUIRES_SHARED(...) \
-  BCDB_THREAD_ANNOTATION_ATTRIBUTE(requires_shared_capability(__VA_ARGS__))
 
 /// The function acquires/releases the given capabilities.
 #define BCDB_ACQUIRE(...) \
   BCDB_THREAD_ANNOTATION_ATTRIBUTE(acquire_capability(__VA_ARGS__))
-#define BCDB_ACQUIRE_SHARED(...) \
-  BCDB_THREAD_ANNOTATION_ATTRIBUTE(acquire_shared_capability(__VA_ARGS__))
 #define BCDB_RELEASE(...) \
   BCDB_THREAD_ANNOTATION_ATTRIBUTE(release_capability(__VA_ARGS__))
-#define BCDB_RELEASE_SHARED(...) \
-  BCDB_THREAD_ANNOTATION_ATTRIBUTE(release_shared_capability(__VA_ARGS__))
-
-/// The function acquires the capability iff it returns the given value.
-#define BCDB_TRY_ACQUIRE(...) \
-  BCDB_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
 
 /// The function may be called only while NOT holding the capabilities
 /// (deadlock guard for functions that acquire them internally).

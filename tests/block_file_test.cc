@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <string>
@@ -40,6 +42,12 @@ using storage::DurableStore;
 using storage_test::ExpectEquivalent;
 using storage_test::FlipByte;
 using storage_test::ScratchDir;
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(file),
+                     std::istreambuf_iterator<char>());
+}
 
 GeneratorParams SmallParams() {
   GeneratorParams params;
@@ -79,6 +87,48 @@ TEST(BlockFileTest, ExportLoadRoundTripsChainAndMempool) {
   StatusOr<BlockchainDatabase> got = BuildBlockchainDatabase(*loaded);
   ASSERT_TRUE(got.ok()) << got.status();
   ExpectEquivalent(*want, *got);
+}
+
+TEST(BlockFileTest, ExportIsDeterministic) {
+  StatusOr<GeneratedWorkload> workload = GenerateWorkload(SmallParams());
+  ASSERT_TRUE(workload.ok());
+
+  ScratchDir dir;
+  ASSERT_TRUE(
+      ExportNode(workload->node, dir.Sub("a.dat"), dir.Sub("a.mem")).ok());
+  ASSERT_TRUE(
+      ExportNode(workload->node, dir.Sub("b.dat"), dir.Sub("b.mem")).ok());
+  EXPECT_FALSE(FileBytes(dir.Sub("a.dat")).empty());
+  EXPECT_FALSE(FileBytes(dir.Sub("a.mem")).empty());
+  EXPECT_EQ(FileBytes(dir.Sub("a.dat")), FileBytes(dir.Sub("b.dat")));
+  EXPECT_EQ(FileBytes(dir.Sub("a.mem")), FileBytes(dir.Sub("b.mem")));
+}
+
+TEST(BlockFileTest, ExportLoadExportReproducesBytes) {
+  StatusOr<GeneratedWorkload> workload = GenerateWorkload(SmallParams());
+  ASSERT_TRUE(workload.ok());
+
+  ScratchDir dir;
+  ASSERT_TRUE(
+      ExportNode(workload->node, dir.Sub("a.dat"), dir.Sub("a.mem")).ok());
+  StatusOr<SimulatedNode> loaded =
+      LoadNode({dir.Sub("a.dat")}, dir.Sub("a.mem"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_TRUE(ExportNode(*loaded, dir.Sub("b.dat"), dir.Sub("b.mem")).ok());
+  EXPECT_EQ(FileBytes(dir.Sub("a.dat")), FileBytes(dir.Sub("b.dat")));
+  EXPECT_EQ(FileBytes(dir.Sub("a.mem")), FileBytes(dir.Sub("b.mem")));
+}
+
+TEST(BlockFileTest, EmptyNodeRoundTrips) {
+  ScratchDir dir;
+  ASSERT_TRUE(ExportNode(SimulatedNode(), dir.Sub("blk.dat"),
+                         dir.Sub("mempool.dat"))
+                  .ok());
+  StatusOr<SimulatedNode> loaded =
+      LoadNode({dir.Sub("blk.dat")}, dir.Sub("mempool.dat"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->chain().height(), 0u);
+  EXPECT_EQ(loaded->mempool().size(), 0u);
 }
 
 TEST(BlockFileTest, LoadValidatesLikeALiveChain) {

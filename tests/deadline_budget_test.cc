@@ -298,13 +298,13 @@ TEST(DeadlineDcSatTest, HugeBudgetMatchesUnlimitedBitForBit) {
 TEST(MonitorBudgetTest, UndecidedEscalatesToDecidedAcrossPolls) {
   BlockchainDatabase db = MakeConflictLadder(3);  // 3^3 = 27 worlds.
   MonitorOptions options;
-  options.budget.max_worlds = 4;  // Work-based: deterministic expiry.
-  options.budget_growth = 4.0;
+  options.budget.max_worlds = 8;  // Work-based: deterministic expiry.
   ConstraintMonitor monitor(&db, options);
   auto handle = monitor.Add("count", Q("[q(count()) :- R(x, y)] = 99"));
   ASSERT_TRUE(handle.ok());
 
-  // Poll 1 (scale 1, cap 4): expires — the first verdict is kUndecided.
+  // Each undecided verdict doubles the entry's budget.
+  // Poll 1 (scale 1, cap 8): expires — the first verdict is kUndecided.
   auto changes = monitor.Poll();
   ASSERT_TRUE(changes.ok());
   ASSERT_EQ(changes->size(), 1u);
@@ -312,7 +312,7 @@ TEST(MonitorBudgetTest, UndecidedEscalatesToDecidedAcrossPolls) {
   EXPECT_EQ(monitor.poll_stats().undecided_verdicts, 1u);
   EXPECT_EQ(monitor.poll_stats().budget_escalations, 1u);
 
-  // Poll 2 (scale 4, cap 16): still short of 27 worlds. No transition —
+  // Poll 2 (scale 2, cap 16): still short of 27 worlds. No transition —
   // the verdict stays kUndecided — but the retry happened despite the
   // database being quiescent.
   changes = monitor.Poll();
@@ -328,7 +328,7 @@ TEST(MonitorBudgetTest, UndecidedEscalatesToDecidedAcrossPolls) {
   EXPECT_EQ(monitor.poll_stats().backoff_skips, 1u);
   EXPECT_EQ(monitor.poll_stats().undecided_verdicts, 2u);
 
-  // Poll 4 (scale 16, cap 64 >= 27): the check completes and the verdict
+  // Poll 4 (scale 4, cap 32 >= 27): the check completes and the verdict
   // settles — kImpossible, reported as a transition from kUndecided.
   changes = monitor.Poll();
   ASSERT_TRUE(changes.ok());
@@ -341,20 +341,24 @@ TEST(MonitorBudgetTest, UndecidedEscalatesToDecidedAcrossPolls) {
 TEST(MonitorBudgetTest, RepeatOffenderBacksOffExponentially) {
   BlockchainDatabase db = MakeConflictLadder(5);  // 3^5 = 243 worlds.
   MonitorOptions options;
-  options.budget.max_worlds = 4;
-  options.budget_growth = 1.0;  // Never escalates: undecided forever.
+  // Even the fully escalated cap (64 worlds) is short of 243: undecided
+  // forever.
+  options.budget.max_worlds = 1;
   ConstraintMonitor monitor(&db, options);
   ASSERT_TRUE(monitor.Add("count", Q("[q(count()) :- R(x, y)] = 99")).ok());
 
-  for (int poll = 0; poll < 12; ++poll) {
+  // Schedule once the streak starts: retry, retry, skip 1, retry, skip 2,
+  // retry, skip 4, then a retry after every 8 skips.
+  for (int poll = 0; poll < 30; ++poll) {
     ASSERT_TRUE(monitor.Poll().ok());
   }
   const auto& stats = monitor.poll_stats();
-  EXPECT_EQ(stats.budget_escalations, 0u);
-  // Backoff spaces the retries out: of 12 polls, most are sat out
-  // (schedule after the streak starts: retry, skip 1, retry, skip 2, ...).
-  EXPECT_GE(stats.backoff_skips, 6u);
-  EXPECT_LE(stats.undecided_verdicts, 6u);
+  // Backoff spaces the retries out: of 30 polls, most are sat out.
+  EXPECT_EQ(stats.undecided_verdicts, 7u);
+  EXPECT_EQ(stats.backoff_skips, 23u);
+  // Escalation stops at the cap: the budget doubled six times (1 -> 64),
+  // and the seventh undecided verdict did not escalate.
+  EXPECT_EQ(stats.budget_escalations, 6u);
   EXPECT_EQ(monitor.verdict(MonitorHandle()), Verdict::kUnknown);
 
   // A mutation that dirties the constraint bypasses the backoff: the next

@@ -18,70 +18,9 @@ TEST(LockRankTest, NamesCoverEveryRank) {
   EXPECT_STREQ(LockRankName(LockRank::kValuePool), "kValuePool");
 }
 
-/// Takes and drops `mu` from whatever thread calls it; true if the
-/// acquisition succeeded. Opted out of the static analysis: the
-/// conditional unlock is exactly the shape the analysis (rightly)
-/// distrusts in production code.
-bool TryLockAndRelease(Mutex& mu) BCDB_NO_THREAD_SAFETY_ANALYSIS {
-  if (!mu.TryLock()) return false;
-  mu.Unlock();
-  return true;
-}
-
-TEST(MutexTest, TryLockContendedAndUncontended) {
-  Mutex mu(LockRank::kMonitor);
-  {
-    MutexLock lock(mu);
-    std::thread other([&mu] { EXPECT_FALSE(TryLockAndRelease(mu)); });
-    other.join();
-  }
-  std::thread other([&mu] { EXPECT_TRUE(TryLockAndRelease(mu)); });
-  other.join();
-  EXPECT_TRUE(TryLockAndRelease(mu));
-}
-
 TEST(MutexTest, RankAccessor) {
   Mutex mu(LockRank::kMutationLog);
   EXPECT_EQ(mu.rank(), LockRank::kMutationLog);
-  SharedMutex smu(LockRank::kValuePool);
-  EXPECT_EQ(smu.rank(), LockRank::kValuePool);
-}
-
-TEST(SharedMutexTest, ReadersShareWritersExclude) {
-  SharedMutex mu(LockRank::kMonitor);
-  mu.ReaderLock();
-  // A second reader (from another thread) must get in while the first
-  // reader is held — join() would hang forever if readers excluded each
-  // other.
-  std::thread reader([&mu] {
-    SharedReaderLock lock(mu);
-  });
-  reader.join();
-  mu.ReaderUnlock();
-
-  SharedMutexLock writer(mu);
-  mu.AssertHeld();
-}
-
-TEST(CondVarTest, WaitReleasesLockAndWakesOnPredicate) {
-  Mutex mu(LockRank::kMonitor);
-  CondVar cv;
-  bool ready = false;
-  bool observed = false;
-  std::thread waiter([&] {
-    MutexLock lock(mu);
-    cv.Wait(mu, [&ready] { return ready; });
-    observed = ready;
-  });
-  {
-    // If Wait held the native mutex while blocked, this acquisition would
-    // deadlock instead of letting us flip the predicate.
-    MutexLock lock(mu);
-    ready = true;
-  }
-  cv.NotifyAll();
-  waiter.join();
-  EXPECT_TRUE(observed);
 }
 
 #if defined(BCDB_DEBUG_LOCKS)

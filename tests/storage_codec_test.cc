@@ -173,12 +173,10 @@ TEST_F(MutationCodecTest, CurrentInsertedRoundTrips) {
   event.seq = 3;
   event.version = 4;
   event.relation_ids = {0};
-  MutationPayload payload;
-  payload.tuple = &tuple;
-  payload.relation_id = 0;
+  event.tuple = tuple;
 
   std::string buf;
-  ASSERT_TRUE(EncodeMutation(event, payload, catalog_, &buf).ok());
+  ASSERT_TRUE(EncodeMutation(event, MutationPayload{}, catalog_, &buf).ok());
   StatusOr<PersistedMutation> decoded = DecodeMutation(buf, catalog_);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->relation_id, 0u);
@@ -195,12 +193,10 @@ TEST_F(MutationCodecTest, CurrentRemovedRoundTrips) {
   event.version = 12;
   event.pending_id = kNoPendingId;
   event.relation_ids = {1};
-  MutationPayload payload;
-  payload.tuple = &tuple;
-  payload.relation_id = 1;
+  event.tuple = tuple;
 
   std::string buf;
-  ASSERT_TRUE(EncodeMutation(event, payload, catalog_, &buf).ok());
+  ASSERT_TRUE(EncodeMutation(event, MutationPayload{}, catalog_, &buf).ok());
   StatusOr<PersistedMutation> decoded = DecodeMutation(buf, catalog_);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->event.kind, MutationKind::kCurrentRemoved);
@@ -208,7 +204,12 @@ TEST_F(MutationCodecTest, CurrentRemovedRoundTrips) {
   EXPECT_EQ(decoded->relation_id, 1u);
   EXPECT_EQ(decoded->tuple, tuple);
 
-  // The tuple payload is mandatory, exactly as for inserts.
+  // The relation is mandatory, exactly as for inserts: an event with none,
+  // or with one the catalog lacks, is rejected.
+  event.relation_ids = {};
+  buf.clear();
+  EXPECT_FALSE(EncodeMutation(event, MutationPayload{}, catalog_, &buf).ok());
+  event.relation_ids = {catalog_.num_relations()};
   buf.clear();
   EXPECT_FALSE(EncodeMutation(event, MutationPayload{}, catalog_, &buf).ok());
 }

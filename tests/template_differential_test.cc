@@ -274,7 +274,6 @@ TEST(TemplateBudgetDifferentialTest, BatchNeverLiesUnderBudgetAndEscalates) {
   // "rival" member needs both worlds of its component, one per side of the
   // R(a, 0) / R(a, 1) conflict, to prove that no world holds both.
   options.budget.max_worlds = 1;
-  options.budget_growth = 4.0;
   ConstraintMonitor budgeted(&budgeted_db, options);
 
   struct Member {
