@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "util/flat_table.h"
 
@@ -14,7 +15,7 @@ namespace {
 bool VisibleWith(const Relation& rel, TupleId id, const WorldView& view,
                  TupleOwner owner) {
   if (rel.IsVisible(id, view)) return true;
-  const std::vector<TupleOwner>& owners = rel.owners(id);
+  const std::span<const TupleOwner> owners = rel.owners(id);
   return std::find(owners.begin(), owners.end(), owner) != owners.end();
 }
 

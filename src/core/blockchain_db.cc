@@ -240,8 +240,10 @@ Status BlockchainDatabase::RestoreClock(std::uint64_t version,
 
 WorldView BlockchainDatabase::PendingUnionView() const {
   WorldView view = db_->BaseView();
-  for (PendingId id : PendingIds()) {
-    view.Activate(static_cast<TupleOwner>(id));
+  for (PendingId id = 0; id < pending_state_.size(); ++id) {
+    if (pending_state_[id] == PendingState::kPending) {
+      view.Activate(static_cast<TupleOwner>(id));
+    }
   }
   return view;
 }

@@ -43,13 +43,17 @@ class Enumerator {
   /// One Bron–Kerbosch call. `p` and `x` are dead once it returns, so a
   /// call with a single branch descends into it in place (the next loop
   /// iteration is that child's call) — the long first-clique descent of a
-  /// near-complete graph then copies no sets at all.
+  /// near-complete graph then copies no sets at all. A run of such calls
+  /// that each add one conflict-free vertex of P is taken as one bulk step
+  /// (see Candidates), so that descent also rescans P and X once per run
+  /// instead of once per vertex.
   bool ExpandFrom(DynamicBitset& p, DynamicBitset& x, std::size_t depth) {
     if (levels_.size() == depth) levels_.emplace_back();
     Level& level = levels_[depth];
     for (;;) {
-      // Cooperative preemption point: one probe per call keeps the
-      // worst-case overshoot after expiry to a single recursion step.
+      // Cooperative preemption point: one probe per loop iteration keeps
+      // the worst-case overshoot after expiry to a single recursion step or
+      // bulk step, O(|P| + conflicts).
       if (budget_ != nullptr && budget_->Expired()) {
         stats_.stopped_early = true;
         stats_.budget_expired = true;
@@ -74,7 +78,17 @@ class Enumerator {
         }
         return true;
       }
-      Candidates(p, x, level.candidates);
+      if (Candidates(p, x, level.candidates)) {
+        // F = level.candidates: the calls that would add each of F in turn
+        // are taken at once, counted as the calls they stand for.
+        for (std::size_t v : level.candidates) {
+          current_.push_back(v);
+          p.Reset(v);
+          for (std::size_t w : conflicts_[v]) x.Reset(w);
+        }
+        stats_.recursive_calls += level.candidates.size() - 1;
+        continue;
+      }
       if (level.candidates.size() == 1) {
         const std::size_t v = level.candidates.front();
         current_.push_back(v);
@@ -105,8 +119,15 @@ class Enumerator {
   }
 
   /// Fills `out` with the vertices Tomita pivoting branches on, ascending:
-  /// P \ N(pivot).
-  void Candidates(const DynamicBitset& p, const DynamicBitset& x,
+  /// P \ N(pivot). Returns true instead when the pivot is a conflict-free
+  /// vertex of P, with `out` holding F, every conflict-free vertex of P,
+  /// ascending: the pivoted search would add exactly these, in this order,
+  /// one single-branch call each. The pivot u is F's lowest vertex and
+  /// {u} is its only branch. Adding u removes only u from P, since u has no
+  /// conflict there, so no other key in P changes; a vertex of X loses a
+  /// conflict in P only if it conflicts with u, and then it leaves X. So no
+  /// vertex of X reaches key 0, and the next pivot is F's next vertex.
+  bool Candidates(const DynamicBitset& p, const DynamicBitset& x,
                   std::vector<std::size_t>& out) const {
     out.clear();
     // The pivot maximizes |P ∩ N(u)| = |P| − key(u), where
@@ -114,26 +135,29 @@ class Enumerator {
     // ascending, then X ascending, wins. An x ∈ X with key 0 beats every
     // vertex of P (whose keys are ≥ 1) and leaves nothing to branch on.
     for (std::size_t u = x.FindFirst(); u < x.size(); u = x.FindNext(u + 1)) {
-      if (ConflictsIn(p, u) == 0) return;
+      if (ConflictsIn(p, u) == 0) return false;
     }
     std::size_t pivot = p.size();
     std::size_t best_key = std::numeric_limits<std::size_t>::max();
     for (std::size_t u = p.FindFirst(); u < p.size(); u = p.FindNext(u + 1)) {
       const std::size_t key = ConflictsIn(p, u) + 1;
+      if (key == 1) {
+        // No vertex of P ∪ X can do better: collect F from u on.
+        for (; u < p.size(); u = p.FindNext(u + 1)) {
+          if (ConflictsIn(p, u) == 0) out.push_back(u);
+        }
+        return true;
+      }
       if (key < best_key) {
         pivot = u;
         best_key = key;
-        if (key == 1) break;  // No vertex of P ∪ X can do better.
       }
     }
-    if (best_key > 1) {
-      for (std::size_t u = x.FindFirst(); u < x.size();
-           u = x.FindNext(u + 1)) {
-        const std::size_t key = ConflictsIn(p, u);
-        if (key < best_key) {
-          pivot = u;
-          best_key = key;
-        }
+    for (std::size_t u = x.FindFirst(); u < x.size(); u = x.FindNext(u + 1)) {
+      const std::size_t key = ConflictsIn(p, u);
+      if (key < best_key) {
+        pivot = u;
+        best_key = key;
       }
     }
     // P \ N(pivot) = P ∩ ({pivot} ∪ C(pivot)), merged ascending.
@@ -146,6 +170,7 @@ class Enumerator {
       if (p.Test(w)) out.push_back(w);
     }
     if (pivot_pending) out.push_back(pivot);
+    return false;
   }
 
   /// |P ∩ C(u)|.

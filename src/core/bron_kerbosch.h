@@ -47,9 +47,14 @@ struct CliqueEnumerationStats {
 /// If `subset` is empty the single (empty) maximal clique is reported — the
 /// current state with no pending transactions is itself a possible world.
 ///
-/// `budget` (optional) is probed at every recursive expansion — the
-/// enumeration's cooperative preemption point — and the search unwinds as
-/// soon as it reports expiry, leaving `budget_expired` set. With a null or
+/// When the pivot is a vertex of P with no conflict in P, the search adds
+/// every such vertex of P in one step, in the order and with the
+/// `recursive_calls` the one-call-per-vertex descent would produce.
+///
+/// `budget` (optional) is probed at every recursive expansion or bulk step —
+/// the enumeration's cooperative preemption points, so a deadline can
+/// overshoot by one bulk step, O(|P| + conflicts) — and the search unwinds
+/// as soon as it reports expiry, leaving `budget_expired` set. With a null or
 /// never-expiring budget the enumeration order, the reported cliques, and
 /// the stats are bit-identical to a run without budget probes.
 CliqueEnumerationStats EnumerateMaximalCliques(const ConflictLists& conflicts,

@@ -1,6 +1,7 @@
 #include "core/tractable.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "analysis/analyzer.h"
@@ -22,7 +23,7 @@ bool SupportRealizable(const Database& database, const FdGraph& fd_graph,
   // Owner options per supported tuple; a base-owned tuple imposes nothing.
   std::vector<std::vector<TupleOwner>> options;
   for (const CompiledQuery::SupportEntry& entry : support) {
-    const std::vector<TupleOwner>& owners =
+    const std::span<const TupleOwner> owners =
         database.relation(entry.relation_id).owners(entry.tuple_id);
     if (std::find(owners.begin(), owners.end(), kBaseOwner) != owners.end()) {
       continue;  // Always present.

@@ -11,7 +11,7 @@ const std::vector<TupleId> kEmptyTupleIds;
 
 void Relation::Reserve(std::size_t expected_tuples) {
   tuples_.reserve(expected_tuples);
-  owners_.reserve(expected_tuples);
+  owner_cells_.reserve(expected_tuples);
   ids_by_tuple_.reserve(expected_tuples);
 }
 
@@ -19,18 +19,13 @@ TupleId Relation::Insert(Tuple tuple, TupleOwner owner) {
   auto it = ids_by_tuple_.find(tuple);
   if (it != ids_by_tuple_.end()) {
     const TupleId id = it->second;
-    std::vector<TupleOwner>& owner_list = owners_[id];
-    if (std::find(owner_list.begin(), owner_list.end(), owner) ==
-        owner_list.end()) {
-      owner_list.push_back(owner);
-      tuples_by_owner_[owner].push_back(id);
-    }
+    if (AddOwner(id, owner)) tuples_by_owner_[owner].push_back(id);
     return id;
   }
   const TupleId id = static_cast<TupleId>(tuples_.size());
   ids_by_tuple_.emplace(tuple, id);
   tuples_.push_back(std::move(tuple));
-  owners_.push_back({owner});
+  owner_cells_.push_back(owner);
   tuples_by_owner_[owner].push_back(id);
   for (HashIndex& index : indexes_) AddToIndex(index, id);
   return id;
@@ -44,6 +39,9 @@ Status Relation::RestoreTuple(Tuple tuple,
                                  schema_->name());
   }
   for (std::size_t i = 0; i < owners.size(); ++i) {
+    if (owners[i] < kBaseOwner) {
+      return Status::InvalidArgument("restored tuple has a negative owner");
+    }
     for (std::size_t j = i + 1; j < owners.size(); ++j) {
       if (owners[i] == owners[j]) {
         return Status::InvalidArgument("restored tuple repeats an owner");
@@ -53,7 +51,7 @@ Status Relation::RestoreTuple(Tuple tuple,
   const TupleId id = static_cast<TupleId>(tuples_.size());
   ids_by_tuple_.emplace(tuple, id);
   tuples_.push_back(std::move(tuple));
-  owners_.push_back(owners);
+  owner_cells_.push_back(MakeOwnerCell(owners));
   for (TupleOwner owner : owners) tuples_by_owner_[owner].push_back(id);
   for (HashIndex& index : indexes_) AddToIndex(index, id);
   return Status::OK();
@@ -93,14 +91,8 @@ void Relation::PromoteOwner(TupleOwner owner) {
   const std::vector<TupleId> ids = std::move(it->second);
   tuples_by_owner_.erase(it);
   for (TupleId id : ids) {
-    std::vector<TupleOwner>& owner_list = owners_[id];
-    owner_list.erase(std::remove(owner_list.begin(), owner_list.end(), owner),
-                     owner_list.end());
-    if (std::find(owner_list.begin(), owner_list.end(), kBaseOwner) ==
-        owner_list.end()) {
-      owner_list.push_back(kBaseOwner);
-      tuples_by_owner_[kBaseOwner].push_back(id);
-    }
+    EraseOwner(id, owner);
+    if (AddOwner(id, kBaseOwner)) tuples_by_owner_[kBaseOwner].push_back(id);
   }
 }
 
@@ -110,21 +102,14 @@ void Relation::DropOwner(TupleOwner owner) {
   if (it == tuples_by_owner_.end()) return;
   const std::vector<TupleId> ids = std::move(it->second);
   tuples_by_owner_.erase(it);
-  for (TupleId id : ids) {
-    std::vector<TupleOwner>& owner_list = owners_[id];
-    owner_list.erase(std::remove(owner_list.begin(), owner_list.end(), owner),
-                     owner_list.end());
-  }
+  for (TupleId id : ids) EraseOwner(id, owner);
 }
 
 bool Relation::RemoveTupleOwner(const Tuple& tuple, TupleOwner owner) {
   auto it = ids_by_tuple_.find(tuple);
   if (it == ids_by_tuple_.end()) return false;
   const TupleId id = it->second;
-  std::vector<TupleOwner>& owner_list = owners_[id];
-  auto pos = std::find(owner_list.begin(), owner_list.end(), owner);
-  if (pos == owner_list.end()) return false;
-  owner_list.erase(pos);
+  if (!EraseOwner(id, owner)) return false;
   auto by_owner = tuples_by_owner_.find(owner);
   if (by_owner != tuples_by_owner_.end()) {
     std::vector<TupleId>& ids = by_owner->second;
@@ -175,6 +160,59 @@ const std::vector<TupleId>& Relation::IndexLookup(
   assert(key.size() == index.positions.size());
   auto it = index.buckets.find(key);
   return it == index.buckets.end() ? kEmptyTupleIds : it->second;
+}
+
+TupleOwner Relation::MakeOwnerCell(std::span<const TupleOwner> owners) {
+  if (owners.empty()) return kNoOwners;
+  if (owners.size() == 1) return owners.front();
+  std::size_t slot = overflow_.size();
+  if (free_overflow_.empty()) {
+    overflow_.emplace_back();
+  } else {
+    slot = free_overflow_.back();
+    free_overflow_.pop_back();
+  }
+  overflow_[slot].assign(owners.begin(), owners.end());
+  return kFirstOverflow - static_cast<TupleOwner>(slot);
+}
+
+bool Relation::AddOwner(TupleId id, TupleOwner owner) {
+  TupleOwner& cell = owner_cells_[id];
+  if (cell == kNoOwners) {
+    cell = owner;
+    return true;
+  }
+  if (cell >= kBaseOwner) {
+    if (cell == owner) return false;
+    const TupleOwner pair[] = {cell, owner};
+    cell = MakeOwnerCell(pair);
+    return true;
+  }
+  std::vector<TupleOwner>& list = overflow_[OverflowSlot(cell)];
+  if (std::find(list.begin(), list.end(), owner) != list.end()) return false;
+  list.push_back(owner);
+  return true;
+}
+
+bool Relation::EraseOwner(TupleId id, TupleOwner owner) {
+  TupleOwner& cell = owner_cells_[id];
+  if (cell >= kBaseOwner) {
+    if (cell != owner) return false;
+    cell = kNoOwners;
+    return true;
+  }
+  if (cell == kNoOwners) return false;
+  const std::size_t slot = OverflowSlot(cell);
+  std::vector<TupleOwner>& list = overflow_[slot];
+  auto pos = std::find(list.begin(), list.end(), owner);
+  if (pos == list.end()) return false;
+  list.erase(pos);
+  if (list.size() == 1) {
+    cell = list.front();
+    list.clear();
+    free_overflow_.push_back(slot);
+  }
+  return true;
 }
 
 void Relation::AddToIndex(HashIndex& index, TupleId id) const {

@@ -2,6 +2,7 @@
 #define BCDB_RELATIONAL_RELATION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "relational/schema.h"
@@ -19,6 +20,9 @@ using TupleId = std::uint32_t;
 ///
 /// The relation stores each distinct tuple once, together with the set of
 /// owners (the current state and/or pending transactions) that contribute it.
+/// Almost every tuple has exactly one owner, which is stored in the tuple's
+/// 4-byte owner cell itself; only a tuple with two or more owners keeps a
+/// list on the side.
 /// A tuple is visible in a `WorldView` iff at least one of its owners is
 /// active. Secondary hash indexes over attribute subsets are built lazily and
 /// maintained on insert; index entries reference all distinct tuples, so
@@ -54,12 +58,19 @@ class Relation {
   std::size_t num_tuples() const { return tuples_.size(); }
 
   const Tuple& tuple(TupleId id) const { return tuples_[id]; }
-  const std::vector<TupleOwner>& owners(TupleId id) const {
-    return owners_[id];
+  /// The tuple's owners in the order they were added (a removal keeps the
+  /// order of the rest). Valid until the relation is next mutated.
+  std::span<const TupleOwner> owners(TupleId id) const {
+    const TupleOwner& cell = owner_cells_[id];
+    if (cell >= kBaseOwner) return {&cell, 1};
+    if (cell == kNoOwners) return {};
+    return overflow_[OverflowSlot(cell)];
   }
 
   bool IsVisible(TupleId id, const WorldView& view) const {
-    for (TupleOwner owner : owners_[id]) {
+    const TupleOwner cell = owner_cells_[id];
+    if (cell >= kBaseOwner) return view.IsActive(cell);
+    for (TupleOwner owner : owners(id)) {
       if (view.IsActive(owner)) return true;
     }
     return false;
@@ -134,11 +145,34 @@ class Relation {
     FlatIdMap<Tuple, std::vector<TupleId>, TupleHash, TupleEq> buckets;
   };
 
+  /// Owner-cell values below kBaseOwner: a tuple with no owners, and the
+  /// first overflow cell. Cell kFirstOverflow − s names overflow_[s].
+  static constexpr TupleOwner kNoOwners = -2;
+  static constexpr TupleOwner kFirstOverflow = -3;
+
+  static std::size_t OverflowSlot(TupleOwner cell) {
+    return static_cast<std::size_t>(kFirstOverflow - cell);
+  }
+
   void AddToIndex(HashIndex& index, TupleId id) const;
+
+  /// The owner cell that stores `owners` (no repeats), taking an overflow
+  /// slot when there are two or more.
+  TupleOwner MakeOwnerCell(std::span<const TupleOwner> owners);
+  /// Appends `owner` to tuple `id`'s owners; false if it already owns it.
+  bool AddOwner(TupleId id, TupleOwner owner);
+  /// Removes `owner` from tuple `id`'s owners, keeping the order of the
+  /// rest; false if it does not own it.
+  bool EraseOwner(TupleId id, TupleOwner owner);
 
   const RelationSchema* schema_;
   std::vector<Tuple> tuples_;
-  std::vector<std::vector<TupleOwner>> owners_;
+  /// One cell per tuple: its single owner, kNoOwners, or an overflow slot.
+  std::vector<TupleOwner> owner_cells_;
+  /// Owner lists of the tuples with two or more owners, in the order they
+  /// were added; a slot whose tuple drops to one owner is freed for reuse.
+  std::vector<std::vector<TupleOwner>> overflow_;
+  std::vector<std::size_t> free_overflow_;
   FlatIdMap<Tuple, TupleId, TupleHash, TupleEq> ids_by_tuple_;
   FlatIdMap<TupleOwner, std::vector<TupleId>> tuples_by_owner_;
   mutable std::vector<HashIndex> indexes_;

@@ -1,5 +1,6 @@
 #include "storage/record_codec.h"
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -318,7 +319,7 @@ std::string EncodeSnapshot(const BlockchainDatabase& db) {
     AppendU64(&out, rel.num_tuples());
     for (TupleId id = 0; id < rel.num_tuples(); ++id) {
       const Tuple& tuple = rel.tuple(id);
-      const std::vector<TupleOwner>& owners = rel.owners(id);
+      const std::span<const TupleOwner> owners = rel.owners(id);
       AppendU16(&out, static_cast<std::uint16_t>(tuple.arity()));
       AppendU16(&out, static_cast<std::uint16_t>(owners.size()));
       for (std::size_t i = 0; i < tuple.arity(); ++i) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/bron_kerbosch.h"
@@ -394,6 +395,62 @@ TEST(BronKerboschTest, MatchesDenseOracleOnSeededGraphs) {
   }
   EXPECT_EQ(mismatches, 0u);
   EXPECT_GE(runs, 20000u);
+}
+
+TEST(BronKerboschTest, MatchesDenseOracleOnNearCompleteGraphs) {
+  // The G^fd_T shape of a mempool: long runs of conflict-free vertices,
+  // which the search adds in bulk steps. A trial with more than ten
+  // conflict pairs can have too many maximal cliques (up to 2^40) to
+  // enumerate, so it stops early.
+  Xoshiro256 rng(20261019);
+  constexpr int kTrials = 400;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    DenseGraph g(64 + rng.NextBelow(257));
+    const std::size_t n = g.num_vertices();
+    g.MakeComplete();
+    const std::size_t pairs = rng.NextBelow(n / 8 + 1);
+    for (std::size_t k = 0; k < pairs; ++k) {
+      g.RemoveEdge(rng.NextBelow(n), rng.NextBelow(n));
+    }
+    DynamicBitset subset = AllOf(n);
+    if (rng.NextBool(0.5)) {
+      const double keep = 0.5 + rng.NextDouble() * 0.5;
+      for (std::size_t v = 0; v < n; ++v) {
+        if (!rng.NextBool(keep)) subset.Reset(v);
+      }
+    }
+    std::optional<std::size_t> stop_at;
+    if (pairs > 10 || rng.NextBool(0.5)) stop_at = 1 + rng.NextBelow(16);
+    const ConflictLists conflicts = g.ToConflicts();
+    const Trace want = Record(g, conflicts, subset, true, true, stop_at);
+    const Trace got = Record(g, conflicts, subset, true, false, stop_at);
+    ASSERT_TRUE(SameTrace(want, got))
+        << "trial " << trial << " n=" << n << " pairs=" << pairs << ": "
+        << got.cliques.size() << " cliques / " << got.stats.recursive_calls
+        << " calls, oracle " << want.cliques.size() << " / "
+        << want.stats.recursive_calls;
+  }
+}
+
+TEST(BronKerboschTest, NoBulkStepPastAKeyZeroVertexOfX) {
+  // The root pivots on 0 and branches on 0, 1 and 4. In the branch on 4,
+  // P = {5} and X = {1}: 5 is conflict-free in P, but 1 is adjacent to 4
+  // and 5, so {4, 5} is not maximal and the call must end there instead of
+  // adding 5.
+  DenseGraph g(6);
+  g.MakeComplete();
+  for (const auto& [a, b] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {0, 1}, {0, 4}, {1, 2}, {2, 4}, {2, 5}, {3, 4}, {3, 5}}) {
+    g.RemoveEdge(a, b);
+  }
+  const Trace want =
+      Record(g, g.ToConflicts(), AllOf(6), /*use_pivot=*/true, true);
+  const Trace got =
+      Record(g, g.ToConflicts(), AllOf(6), /*use_pivot=*/true, false);
+  EXPECT_EQ(got.cliques,
+            (CliqueSequence{{0, 2, 3}, {0, 5}, {1, 3}, {1, 4, 5}}));
+  EXPECT_EQ(got.stats.recursive_calls, 10u);
+  EXPECT_TRUE(SameTrace(want, got));
 }
 
 TEST(BronKerboschTest, BudgetExpiryMatchesDenseOracle) {

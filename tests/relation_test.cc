@@ -64,6 +64,19 @@ TEST(RelationTest, SharedTupleVisibleThroughEitherOwner) {
   EXPECT_EQ(rel.owners(0).size(), 2u);
 }
 
+TEST(RelationTest, RestoreTupleRejectsOwnersBelowBase) {
+  // Owner cells encode "no owners" and side lists below kBaseOwner, so a
+  // restored owner list may not carry such a value.
+  Database db(MakeCatalog());
+  Relation& rel = db.relation(0);
+  db.RegisterOwner();
+  EXPECT_FALSE(rel.RestoreTuple(T(1, "x"), {0, -2}).ok());
+  EXPECT_FALSE(rel.RestoreTuple(T(1, "x"), {-3}).ok());
+  EXPECT_EQ(rel.num_tuples(), 0u);
+  ASSERT_TRUE(rel.RestoreTuple(T(1, "x"), {0, kBaseOwner}).ok());
+  EXPECT_EQ(rel.owners(0).size(), 2u);
+}
+
 TEST(RelationTest, PromoteOwnerMakesTuplesBase) {
   Database db(MakeCatalog());
   Relation& rel = db.relation(0);

@@ -122,7 +122,7 @@ inline void ExpectEquivalent(const BlockchainDatabase& want,
     for (TupleId id = 0; id < rw.num_tuples(); ++id) {
       EXPECT_EQ(rw.tuple(id), rg.tuple(id))
           << "relation " << r << " tuple " << id;
-      EXPECT_EQ(rw.owners(id), rg.owners(id))
+      EXPECT_TRUE(std::ranges::equal(rw.owners(id), rg.owners(id)))
           << "relation " << r << " tuple " << id;
     }
   }

@@ -15,7 +15,7 @@
 //   2. Every `std::atomic` declaration must carry a BCDB_LOCK_FREE("...")
 //      tag on the same or an adjacent line — intentionally lock-free state
 //      must say so, with its protocol rationale, where it is declared.
-//   3. Every bcdb `Mutex` / `SharedMutex` member declaration must name its
+//   3. Every bcdb `Mutex` member declaration must name its
 //      LockRank on the same or an adjacent line — a lock with no place in
 //      the hierarchy defeats the runtime order checker.
 //
@@ -226,44 +226,42 @@ bool IsAtomicDecl(const std::string& line) {
   return false;
 }
 
-/// Detects a bcdb `Mutex foo_` / `SharedMutex foo_` member/variable
-/// declaration: the wrapper type name (optionally `bcdb::`-qualified) at a
-/// token boundary, followed by whitespace and an identifier. Borrows
+/// Detects a bcdb `Mutex foo_` member/variable declaration: the wrapper
+/// type name (optionally `bcdb::`-qualified) at a token boundary, followed
+/// by whitespace and an identifier. Borrows
 /// (`Mutex&`, `Mutex*`) do not match — the rank lives at the owning
 /// declaration, not at every parameter that borrows the lock.
 bool IsBcdbMutexDecl(const std::string& line) {
-  for (const char* type : {"SharedMutex", "Mutex"}) {
-    const std::size_t n = std::strlen(type);
-    std::size_t pos = 0;
-    while ((pos = line.find(type, pos)) != std::string::npos) {
-      const char before = pos > 0 ? line[pos - 1] : ' ';
-      if (IsIdentChar(before)) {  // SharedMutex's "Mutex", FooMutex, ...
-        pos += n;
-        continue;
-      }
-      if (before == ':') {  // Accept bcdb::Mutex; reject other qualifiers.
-        const std::size_t q = line.rfind("bcdb::", pos);
-        if (q == std::string::npos || q + 6 != pos) {
-          pos += n;
-          continue;
-        }
-      }
-      std::size_t after = pos + n;
-      if (after < line.size() && IsIdentChar(line[after])) {  // MutexLock
-        pos += n;
-        continue;
-      }
-      while (after < line.size() &&
-             (line[after] == ' ' || line[after] == '\t')) {
-        ++after;
-      }
-      if (after > pos + n && after < line.size() &&
-          (std::isalpha(static_cast<unsigned char>(line[after])) ||
-           line[after] == '_')) {
-        return true;
-      }
+  const char* const type = "Mutex";
+  const std::size_t n = std::strlen(type);
+  std::size_t pos = 0;
+  while ((pos = line.find(type, pos)) != std::string::npos) {
+    const char before = pos > 0 ? line[pos - 1] : ' ';
+    if (IsIdentChar(before)) {  // FooMutex, ...
       pos += n;
+      continue;
     }
+    if (before == ':') {  // Accept bcdb::Mutex; reject other qualifiers.
+      const std::size_t q = line.rfind("bcdb::", pos);
+      if (q == std::string::npos || q + 6 != pos) {
+        pos += n;
+        continue;
+      }
+    }
+    std::size_t after = pos + n;
+    if (after < line.size() && IsIdentChar(line[after])) {  // MutexLock
+      pos += n;
+      continue;
+    }
+    while (after < line.size() && (line[after] == ' ' || line[after] == '\t')) {
+      ++after;
+    }
+    if (after > pos + n && after < line.size() &&
+        (std::isalpha(static_cast<unsigned char>(line[after])) ||
+         line[after] == '_')) {
+      return true;
+    }
+    pos += n;
   }
   return false;
 }
@@ -323,7 +321,7 @@ void LintFile(const std::string& path, std::vector<Violation>* out) {
             {path, i + 1, "raw-primitive",
              std::string(prim) +
                  " outside util/mutex.h — use the annotated "
-                 "bcdb::Mutex/MutexLock/CondVar wrappers"});
+                 "bcdb::Mutex/MutexLock wrappers"});
         break;
       }
     }
@@ -336,7 +334,7 @@ void LintFile(const std::string& path, std::vector<Violation>* out) {
     if (IsBcdbMutexDecl(l) && !near_find(i, "LockRank::")) {
       out->push_back(
           {path, i + 1, "unranked-mutex",
-           "bcdb Mutex/SharedMutex member without a LockRank — every lock "
+           "bcdb Mutex member without a LockRank — every lock "
            "must name its place in the hierarchy (DESIGN.md section 16)"});
     }
   }
