@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <utility>
 
 #include "query/compiled_query.h"
 #include "query/parser.h"
+#include "query/validate.h"
 #include "util/union_find.h"
 
 namespace bcdb {
@@ -40,8 +42,8 @@ const char* AnalysisCodeToString(AnalysisCode code) {
       return "unsafe-variable";
     case AnalysisCode::kBadAggregate:
       return "bad-aggregate";
-    case AnalysisCode::kCompileRejected:
-      return "compile-rejected";
+    case AnalysisCode::kBadHead:
+      return "bad-head";
     case AnalysisCode::kAlwaysFalseComparison:
       return "always-false-comparison";
     case AnalysisCode::kJoinTypeConflict:
@@ -158,6 +160,16 @@ class DiagnosticSink {
       return SpanOf(term.value().AsString());
     }
     return {};
+  }
+
+  /// Span of a validator defect: its term's token, else its atom's relation
+  /// name at the atom's occurrence (none when the defect has neither).
+  SourceSpan SpanOfDefect(const QueryDefect& defect) const {
+    if (defect.term.has_value()) {
+      const SourceSpan span = SpanOfTerm(*defect.term);
+      if (span.valid()) return span;
+    }
+    return SpanOf(defect.relation, defect.occurrence);
   }
 
   std::vector<Diagnostic> Take() { return std::move(diagnostics_); }
@@ -415,111 +427,14 @@ bool RunUnsatCore(const DenialConstraint& q, const Catalog& catalog,
   return unsat;
 }
 
-/// Schema conformance of one atom: relation exists, arity matches, constant
-/// terms fit the attribute types. Mirrors CompiledQuery's validation but as
-/// structured diagnostics with spans.
-void CheckAtomAgainstSchema(const Atom& atom, std::size_t occurrence,
-                            const Catalog& catalog, DiagnosticSink& sink) {
-  const SourceSpan span = sink.SpanOf(atom.relation, occurrence);
-  StatusOr<std::size_t> rel_id = catalog.RelationId(atom.relation);
-  if (!rel_id.ok()) {
-    sink.Add(Severity::kError, AnalysisCode::kUnknownRelation,
-             "relation '" + atom.relation + "' is not in the catalog", span);
-    return;
-  }
-  const RelationSchema& schema = catalog.schema(*rel_id);
-  if (atom.args.size() != schema.arity()) {
-    sink.Add(Severity::kError, AnalysisCode::kArityMismatch,
-             "atom " + atom.ToString() + " has arity " +
-                 std::to_string(atom.args.size()) + " but relation " +
-                 schema.name() + " has arity " +
-                 std::to_string(schema.arity()),
-             span);
-    return;
-  }
-  for (std::size_t i = 0; i < atom.args.size(); ++i) {
-    if (atom.args[i].is_variable()) continue;
-    const Value& v = atom.args[i].value();
-    const ValueType expected = schema.attribute(i).type;
-    const bool numeric_ok = v.IsNumeric() && (expected == ValueType::kInt ||
-                                              expected == ValueType::kReal);
-    if (v.type() != expected && !numeric_ok) {
-      sink.Add(Severity::kError, AnalysisCode::kConstantTypeMismatch,
-               "constant " + v.ToString() + " at position " +
-                   std::to_string(i) + " of atom " + atom.ToString() +
-                   " has wrong type (attribute " + schema.attribute(i).name +
-                   " is " + ValueTypeToString(expected) + ")",
-               sink.SpanOfTerm(atom.args[i]).valid()
-                   ? sink.SpanOfTerm(atom.args[i])
-                   : span);
-    }
-  }
-}
-
-/// Range restriction: every variable of a negated atom, comparison,
-/// aggregate head, or answer head must occur in some positive atom.
-void CheckSafety(const DenialConstraint& q, DiagnosticSink& sink) {
-  std::vector<std::string> positive_vars;
-  for (const Atom& atom : q.positive_atoms) {
-    for (const Term& term : atom.args) {
-      if (term.is_variable()) positive_vars.push_back(term.name());
-    }
-  }
-  auto bound = [&](const Term& term) {
-    return !term.is_variable() ||
-           std::find(positive_vars.begin(), positive_vars.end(),
-                     term.name()) != positive_vars.end();
-  };
-  auto flag = [&](const Term& term, const std::string& where) {
-    sink.Add(Severity::kError, AnalysisCode::kUnsafeVariable,
-             "unsafe " + where + ": variable '" + term.name() +
-                 "' does not occur in any positive atom",
-             sink.SpanOf(term.name()));
-  };
-  for (const Atom& atom : q.negated_atoms) {
-    for (const Term& term : atom.args) {
-      if (!bound(term)) flag(term, "negated atom " + atom.ToString());
-    }
-  }
-  for (const Comparison& cmp : q.comparisons) {
-    if (!bound(cmp.lhs)) flag(cmp.lhs, "comparison " + cmp.ToString());
-    if (!bound(cmp.rhs)) flag(cmp.rhs, "comparison " + cmp.ToString());
-  }
-  if (q.aggregate.has_value()) {
-    for (const Term& term : q.aggregate->args) {
-      if (term.is_variable() && !bound(term)) {
-        flag(term, "aggregate head");
-      }
-    }
-  }
-  for (const Term& term : q.head_vars) {
-    if (term.is_variable() && !bound(term)) flag(term, "head");
-  }
-}
-
-void CheckAggregate(const DenialConstraint& q, DiagnosticSink& sink) {
-  if (!q.aggregate.has_value()) return;
-  const AggregateSpec& spec = *q.aggregate;
-  if (!q.head_vars.empty()) {
-    sink.Add(Severity::kError, AnalysisCode::kBadAggregate,
-             "a query cannot have both head variables and an aggregate");
-  }
-  for (const Term& term : spec.args) {
-    if (!term.is_variable()) {
-      sink.Add(Severity::kError, AnalysisCode::kBadAggregate,
-               "aggregate argument " + term.ToString() +
-                   " must be a variable");
-    }
-  }
-  const bool value_agg = spec.fn == AggregateFunction::kSum ||
-                         spec.fn == AggregateFunction::kMax ||
-                         spec.fn == AggregateFunction::kMin;
-  if (value_agg && spec.args.size() != 1) {
-    sink.Add(Severity::kError, AnalysisCode::kBadAggregate,
-             std::string(AggregateFunctionToString(spec.fn)) +
-                 " aggregates take exactly one variable");
-  }
-}
+/// The diagnostic code of each DefectKind, in declaration order.
+constexpr AnalysisCode kDefectCodes[] = {
+    AnalysisCode::kNoPositiveAtoms,      AnalysisCode::kUnknownRelation,
+    AnalysisCode::kArityMismatch,        AnalysisCode::kConstantTypeMismatch,
+    AnalysisCode::kUnsafeVariable,       AnalysisCode::kBadAggregate,
+    AnalysisCode::kBadHead};
+static_assert(std::size(kDefectCodes) ==
+              static_cast<std::size_t>(DefectKind::kBadHead) + 1);
 
 /// Names of every template parameter occurring in `q`, first occurrence
 /// first. Ground constraints return an empty list.
@@ -628,23 +543,13 @@ AnalysisReport AnalyzeConstraint(const DenialConstraint& q, const Database& db,
     return report;
   }
 
-  // --- Schema / arity / type conformance. ---
-  if (q.positive_atoms.empty()) {
-    sink.Add(Severity::kError, AnalysisCode::kNoPositiveAtoms,
-             "query '" + q.name + "' has no positive atoms");
+  // --- Schema binding, safety, aggregate and head shape. ---
+  // The compiler's own validator: a report without errors compiles.
+  for (const QueryDefect& defect : ValidateQuery(q, catalog)) {
+    sink.Add(Severity::kError,
+             kDefectCodes[static_cast<std::size_t>(defect.kind)],
+             defect.message, sink.SpanOfDefect(defect));
   }
-  std::map<std::string, std::size_t> occurrences;
-  for (const std::vector<Atom>* atoms :
-       {&q.positive_atoms, &q.negated_atoms}) {
-    for (const Atom& atom : *atoms) {
-      CheckAtomAgainstSchema(atom, occurrences[atom.relation]++, catalog,
-                             sink);
-    }
-  }
-
-  // --- Safety (range restriction) and aggregate shape. ---
-  CheckSafety(q, sink);
-  CheckAggregate(q, sink);
 
   // --- Unsatisfiability core (folding, bindings, type conflicts). ---
   report.proved_unsat = RunUnsatCore(q, catalog, &sink);
@@ -691,15 +596,10 @@ AnalysisReport AnalyzeConstraint(const DenialConstraint& q, const Database& db,
     }
   }
 
-  // --- Compile safety net + base-state probe. ---
-  // Compilation re-checks everything above and catches the long tail this
-  // analyzer does not reproduce (e.g. non-variable head terms). A compile
-  // failure with no matching structured diagnostic still must surface as an
-  // error: registration would fail later otherwise.
-  StatusOr<CompiledQuery> compiled = CompiledQuery::Compile(q, &db);
-  if (compiled.ok() && options.check_base_state &&
-      !report.proved_unsat) {
-    if (compiled->Evaluate(db.BaseView())) {
+  // --- Base-state probe: the only compile, since evaluating q needs one. ---
+  if (options.check_base_state && !report.proved_unsat && !sink.has_error()) {
+    StatusOr<CompiledQuery> compiled = CompiledQuery::Compile(q, &db);
+    if (compiled.ok() && compiled->Evaluate(db.BaseView())) {
       sink.Add(Severity::kWarning, AnalysisCode::kAlreadyViolated,
                "the constraint is already violated by the current state R "
                "alone; every possible world inherits the violation");
@@ -708,22 +608,6 @@ AnalysisReport AnalyzeConstraint(const DenialConstraint& q, const Database& db,
   }
 
   report.diagnostics = sink.Take();
-  if (!compiled.ok()) {
-    bool already_flagged = false;
-    for (const Diagnostic& diag : report.diagnostics) {
-      if (diag.severity == Severity::kError) {
-        already_flagged = true;
-        break;
-      }
-    }
-    if (!already_flagged) {
-      report.diagnostics.push_back(
-          Diagnostic{Severity::kError, AnalysisCode::kCompileRejected,
-                     "rejected by the query compiler: " +
-                         compiled.status().message(),
-                     SourceSpan{}});
-    }
-  }
   return report;
 }
 
@@ -775,7 +659,7 @@ TemplateAnalysis AnalyzeTemplate(const ConstraintTemplate& tmpl,
     dummy_report = AnalyzeConstraint(*dummy, db, constraints, admission);
   } else {
     dummy_report.diagnostics.push_back(
-        Diagnostic{Severity::kError, AnalysisCode::kCompileRejected,
+        Diagnostic{Severity::kError, AnalysisCode::kUnboundParameter,
                    dummy.status().message(), SourceSpan{}});
   }
 

@@ -41,9 +41,7 @@ enum class AnalysisCode {
                             //        variable unbound by any positive atom.
   kBadAggregate,            // error: malformed aggregate head (non-variable
                             //        args, value aggregate without exactly one).
-  kCompileRejected,         // error: CompiledQuery::Compile rejected the
-                            //        constraint for a reason the structured
-                            //        checks above did not reproduce.
+  kBadHead,                 // error: a head term that is not a variable.
   kAlwaysFalseComparison,   // warning: a comparison can never hold (constant
                             //          fold, x < x, conflicting constants).
   kJoinTypeConflict,        // warning: one variable joins attributes of
@@ -141,7 +139,10 @@ struct AnalysisReport {
 
 /// Statically analyzes `q` against `db`'s catalog, base state, and the
 /// integrity constraints `constraints`. Never fails: defects come back as
-/// kError diagnostics inside the report.
+/// kError diagnostics inside the report. The schema, safety, aggregate and
+/// head errors are ValidateQuery's defects, the check CompiledQuery::Compile
+/// fails on, so a ground query's report is ok() exactly when it compiles.
+/// Compiles q only for the base-state probe (`check_base_state`).
 AnalysisReport AnalyzeConstraint(const DenialConstraint& q, const Database& db,
                                  const ConstraintSet& constraints,
                                  const AnalyzerOptions& options = {});

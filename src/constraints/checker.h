@@ -62,11 +62,6 @@ class ConstraintChecker {
   /// owner-vs-owner conflicts decompose the full check.)
   bool FdConsistentWithBase(TupleOwner owner) const;
 
-  /// Precomputed index id for `fd`'s determinant in its relation.
-  std::size_t FdIndexId(std::size_t fd_ordinal) const {
-    return fd_index_ids_[fd_ordinal];
-  }
-
  private:
   // True if the FD holds across `ids` (tuples of one relation) plus,
   // when `against_base` is set, the base-visible tuples sharing determinants.

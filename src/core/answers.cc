@@ -5,7 +5,6 @@
 #include <set>
 
 #include "core/possible_worlds.h"
-#include "query/analysis.h"
 #include "query/compiled_query.h"
 
 namespace bcdb {
@@ -74,8 +73,7 @@ StatusOr<std::vector<Tuple>> CertainAnswers(DcSatEngine& engine,
   if (!compiled.ok()) return compiled.status();
   BCDB_RETURN_IF_ERROR(compiled->RequireGround());
 
-  const QueryAnalysis analysis = AnalyzeQuery(q, db.catalog());
-  if (analysis.monotone) {
+  if (compiled->analysis().monotone) {
     // R is a possible world and q(R) ⊆ q(W) for every world W, so the
     // intersection over Poss(D) is exactly q(R).
     std::set<Tuple> answers;
@@ -118,8 +116,7 @@ StatusOr<std::vector<Tuple>> PossibleAnswers(DcSatEngine& engine,
   if (!compiled.ok()) return compiled.status();
   BCDB_RETURN_IF_ERROR(compiled->RequireGround());
 
-  const QueryAnalysis analysis = AnalyzeQuery(q, db.catalog());
-  if (analysis.monotone) {
+  if (compiled->analysis().monotone) {
     // Candidates are the answers over the (not necessarily consistent)
     // superset R ∪ T; a candidate is possible iff the head-bound Boolean
     // query can become true in some world — i.e. iff DCSat does NOT

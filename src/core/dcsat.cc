@@ -258,8 +258,8 @@ DcSatEngine::LookupOrCompile(const DenialConstraint& q) {
   if (!compiled.ok()) return compiled.status();
   BCDB_RETURN_IF_ERROR(compiled->RequireGround());
   // The class needs only the catalog, the integrity constraints and the
-  // structural analysis the compiler already derived — not AnalyzeConstraint,
-  // which would compile q a second time.
+  // structural analysis the compiler already derived, not a full
+  // AnalyzeConstraint report.
   const TractabilityClass klass = ClassifyConstraint(
       q, compiled->analysis(), db_->constraints(),
       ProvedUnsatisfiable(q, db_->catalog()));
@@ -432,9 +432,6 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
 
   // --- Component structure (OptDCSat) or one big component (Naive). ---
   const bool opt = algorithm == DcSatAlgorithm::kOpt;
-  if (opt && !compiled.equalities_status().ok()) {
-    return compiled.equalities_status();
-  }
   const std::shared_ptr<const ComponentList> components =
       Decompose(opt ? &compiled.equalities() : nullptr,
                 &result.stats.theta_q_merged,

@@ -44,9 +44,10 @@ class Term {
 
   bool is_variable() const { return kind_ == Kind::kVar; }
   bool is_param() const { return kind_ == Kind::kParam; }
+  bool is_constant() const { return kind_ == Kind::kConst; }
   /// Requires is_variable() || is_param().
   const std::string& name() const { return name_; }
-  /// Requires !is_variable() && !is_param().
+  /// Requires is_constant().
   const Value& value() const { return value_; }
 
   bool operator==(const Term& other) const {
@@ -137,8 +138,9 @@ struct AggregateSpec {
 ///
 /// A plain constraint `q() ← P, N, C` holds positive atoms `P`, negated
 /// atoms `N` and comparisons `C`; an aggregate constraint adds the
-/// `aggregate` head. Structural validation (safety, schema binding) happens
-/// in CompiledQuery::Compile.
+/// `aggregate` head. Structural validation (safety, schema binding) is
+/// ValidateQuery (query/validate.h), which CompiledQuery::Compile and the
+/// static analyzer share.
 struct DenialConstraint {
   std::string name = "q";
   /// Head variables. Empty for Boolean queries (denial constraints proper);

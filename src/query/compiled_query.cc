@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "query/validate.h"
 #include "util/flat_table.h"
 
 namespace bcdb {
@@ -21,15 +22,9 @@ class VariableTable {
     return id;
   }
 
-  StatusOr<std::size_t> Lookup(const std::string& name) const {
-    auto it = ids_.find(name);
-    if (it == ids_.end()) {
-      return Status::InvalidArgument(
-          "unsafe query: variable '" + name +
-          "' does not occur in any positive atom");
-    }
-    return it->second;
-  }
+  /// Requires a name Intern has seen; ValidateQuery's safety check
+  /// guarantees that for every term Compile resolves.
+  std::size_t Lookup(const std::string& name) const { return ids_.at(name); }
 
   std::vector<std::string> names() const { return names_; }
   std::size_t size() const { return names_.size(); }
@@ -39,53 +34,21 @@ class VariableTable {
   std::vector<std::string> names_;
 };
 
-/// The type rule for a constant (or a parameter's value) at attribute `i`:
-/// its own type, or any numeric value at a numeric attribute.
-bool FitsAttribute(const Value& v, const RelationSchema& schema,
-                   std::size_t i) {
-  const ValueType expected = schema.attribute(i).type;
-  return v.type() == expected ||
-         (v.IsNumeric() &&
-          (expected == ValueType::kInt || expected == ValueType::kReal));
-}
-
-bool IsConstant(const Term& term) {
-  return !term.is_variable() && !term.is_param();
-}
-
-Status ValidateAtomAgainstSchema(const Atom& atom, const RelationSchema& schema) {
-  if (atom.args.size() != schema.arity()) {
-    return Status::InvalidArgument(
-        "atom " + atom.ToString() + " has arity " +
-        std::to_string(atom.args.size()) + " but relation " + schema.name() +
-        " has arity " + std::to_string(schema.arity()));
-  }
-  for (std::size_t i = 0; i < atom.args.size(); ++i) {
-    if (!IsConstant(atom.args[i])) continue;
-    const Value& v = atom.args[i].value();
-    if (!FitsAttribute(v, schema, i)) {
-      return Status::InvalidArgument(
-          "constant " + v.ToString() + " at position " + std::to_string(i) +
-          " of atom " + atom.ToString() + " has wrong type (expected " +
-          ValueTypeToString(schema.attribute(i).type) + ")");
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
                                                const Database* db) {
+  const Catalog& catalog = db->catalog();
+  const std::vector<QueryDefect> defects = ValidateQuery(q, catalog);
+  if (!defects.empty()) {
+    const QueryDefect& first = defects.front();
+    return first.kind == DefectKind::kUnknownRelation
+               ? Status::NotFound(first.message)
+               : Status::InvalidArgument(first.message);
+  }
   CompiledQuery result;
   result.db_ = db;
   result.source_ = q;
-  const Catalog& catalog = db->catalog();
-
-  if (q.positive_atoms.empty()) {
-    return Status::InvalidArgument("query '" + q.name +
-                                   "' has no positive atoms");
-  }
 
   // --- Parameter slots first, in ConstraintTemplate's parameter order. ---
   VariableTable vars;
@@ -101,51 +64,43 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
     intern_param(cmp.lhs);
     intern_param(cmp.rhs);
   }
-  if (q.aggregate.has_value()) {
-    for (const Term& term : q.aggregate->args) intern_param(term);
-    if (q.aggregate->threshold_param.has_value()) {
-      result.agg_threshold_slot_ =
-          vars.Intern("$" + *q.aggregate->threshold_param);
-    }
+  // ValidateQuery rejects a parameter among the aggregate's arguments.
+  if (q.aggregate.has_value() && q.aggregate->threshold_param.has_value()) {
+    result.agg_threshold_slot_ =
+        vars.Intern("$" + *q.aggregate->threshold_param);
   }
   result.num_params_ = vars.size();
 
-  // --- Validate atoms and intern variables (positive atoms define them). ---
+  // --- Intern variables (positive atoms define them). ---
   // A parameter's type is checked per binding (ValidateBinding), so each
   // atom site of one is recorded here.
   auto record_param_sites = [&](const Atom& atom, std::size_t rel_id) {
     for (std::size_t i = 0; i < atom.args.size(); ++i) {
       if (!atom.args[i].is_param()) continue;
       result.param_type_checks_.push_back(ParamTypeCheck{
-          *vars.Lookup("$" + atom.args[i].name()), rel_id, i,
+          vars.Lookup("$" + atom.args[i].name()), rel_id, i,
           atom.ToString()});
     }
   };
   std::vector<std::size_t> atom_relation_ids(q.positive_atoms.size());
   for (std::size_t a = 0; a < q.positive_atoms.size(); ++a) {
     const Atom& atom = q.positive_atoms[a];
-    StatusOr<std::size_t> rel_id = catalog.RelationId(atom.relation);
-    if (!rel_id.ok()) return rel_id.status();
-    BCDB_RETURN_IF_ERROR(
-        ValidateAtomAgainstSchema(atom, catalog.schema(*rel_id)));
-    atom_relation_ids[a] = *rel_id;
-    record_param_sites(atom, *rel_id);
+    atom_relation_ids[a] = *catalog.RelationId(atom.relation);
+    record_param_sites(atom, atom_relation_ids[a]);
     for (const Term& term : atom.args) {
       if (term.is_variable()) vars.Intern(term.name());
     }
   }
 
   // Variables and parameters resolve to slots; constants are interned.
-  auto slot_of = [&](const Term& term) -> StatusOr<std::size_t> {
+  auto slot_of = [&](const Term& term) {
     return vars.Lookup(term.is_param() ? "$" + term.name() : term.name());
   };
-  auto resolve_term = [&](const Term& term) -> StatusOr<Arg> {
+  auto resolve_term = [&](const Term& term) {
     Arg arg;
-    if (!IsConstant(term)) {
-      StatusOr<std::size_t> id = slot_of(term);
-      if (!id.ok()) return id.status();
+    if (!term.is_constant()) {
       arg.is_var = true;
-      arg.var = *id;
+      arg.var = slot_of(term);
     } else {
       arg.constant = term.value();
       arg.constant_id = ValuePool::Global().Intern(term.value());
@@ -153,25 +108,20 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
     return arg;
   };
 
-  // --- Compile negated atoms and comparisons (safety-checked). ---
+  // --- Compile negated atoms and comparisons. ---
   struct PendingNeg {
     NegCheck check;
     std::vector<std::size_t> vars;
   };
   std::vector<PendingNeg> pending_negs;
   for (const Atom& atom : q.negated_atoms) {
-    StatusOr<std::size_t> rel_id = catalog.RelationId(atom.relation);
-    if (!rel_id.ok()) return rel_id.status();
-    BCDB_RETURN_IF_ERROR(
-        ValidateAtomAgainstSchema(atom, catalog.schema(*rel_id)));
-    record_param_sites(atom, *rel_id);
     PendingNeg pending;
-    pending.check.relation_id = *rel_id;
+    pending.check.relation_id = *catalog.RelationId(atom.relation);
+    record_param_sites(atom, pending.check.relation_id);
     for (const Term& term : atom.args) {
-      StatusOr<Arg> arg = resolve_term(term);
-      if (!arg.ok()) return arg.status();
-      if (arg->is_var) pending.vars.push_back(arg->var);
-      pending.check.args.push_back(std::move(*arg));
+      Arg arg = resolve_term(term);
+      if (arg.is_var) pending.vars.push_back(arg.var);
+      pending.check.args.push_back(std::move(arg));
     }
     pending_negs.push_back(std::move(pending));
   }
@@ -182,13 +132,11 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
   };
   std::vector<PendingCmp> pending_cmps;
   for (const Comparison& cmp : q.comparisons) {
-    StatusOr<Arg> lhs = resolve_term(cmp.lhs);
-    if (!lhs.ok()) return lhs.status();
-    StatusOr<Arg> rhs = resolve_term(cmp.rhs);
-    if (!rhs.ok()) return rhs.status();
-    if (IsConstant(cmp.lhs) && IsConstant(cmp.rhs)) {
+    CmpCheck check{resolve_term(cmp.lhs), cmp.op, resolve_term(cmp.rhs)};
+    if (cmp.lhs.is_constant() && cmp.rhs.is_constant()) {
       // Constant comparison: fold at compile time.
-      if (!EvaluateComparison(lhs->constant, cmp.op, rhs->constant)) {
+      if (!EvaluateComparison(check.lhs.constant, cmp.op,
+                              check.rhs.constant)) {
         result.always_false_ = true;
       }
       continue;
@@ -196,29 +144,19 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
     if (!cmp.lhs.is_variable() && !cmp.rhs.is_variable()) {
       // Parameters and constants only: folded once the binding is known,
       // by the same value comparison the constant fold uses.
-      result.binding_checks_.push_back(
-          CmpCheck{std::move(*lhs), cmp.op, std::move(*rhs)});
+      result.binding_checks_.push_back(std::move(check));
       continue;
     }
     PendingCmp pending;
-    pending.check = CmpCheck{std::move(*lhs), cmp.op, std::move(*rhs)};
+    pending.check = std::move(check);
     if (pending.check.lhs.is_var) pending.vars.push_back(pending.check.lhs.var);
     if (pending.check.rhs.is_var) pending.vars.push_back(pending.check.rhs.var);
     pending_cmps.push_back(std::move(pending));
   }
 
   // --- Compile the head (answer-producing queries). ---
-  if (!q.head_vars.empty() && q.aggregate.has_value()) {
-    return Status::InvalidArgument(
-        "a query cannot have both head variables and an aggregate");
-  }
   for (const Term& term : q.head_vars) {
-    if (!term.is_variable()) {
-      return Status::InvalidArgument("head arguments must be variables");
-    }
-    StatusOr<std::size_t> id = vars.Lookup(term.name());
-    if (!id.ok()) return id.status();
-    result.head_var_ids_.push_back(*id);
+    result.head_var_ids_.push_back(slot_of(term));
   }
 
   // --- Compile the aggregate head. ---
@@ -229,22 +167,11 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
     result.agg_op_ = spec.op;
     result.agg_threshold_ = spec.threshold;
     for (const Term& term : spec.args) {
-      if (!term.is_variable()) {
-        return Status::InvalidArgument(
-            "aggregate arguments must be variables in query '" + q.name + "'");
-      }
-      StatusOr<std::size_t> id = vars.Lookup(term.name());
-      if (!id.ok()) return id.status();
-      result.agg_vars_.push_back(*id);
+      result.agg_vars_.push_back(slot_of(term));
     }
     const bool value_agg = spec.fn == AggregateFunction::kSum ||
                            spec.fn == AggregateFunction::kMax ||
                            spec.fn == AggregateFunction::kMin;
-    if (value_agg && result.agg_vars_.size() != 1) {
-      return Status::InvalidArgument(
-          std::string(AggregateFunctionToString(spec.fn)) +
-          " aggregates take exactly one variable");
-    }
     if (value_agg) {
       // The aggregated variable is non-negative if any positive-atom
       // occurrence is at a non-negative attribute (equal values, so one
@@ -292,7 +219,7 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
       if (atom_planned[a]) continue;
       std::size_t score = 0;
       for (const Term& term : q.positive_atoms[a].args) {
-        if (IsConstant(term) || var_bound[*slot_of(term)]) ++score;
+        if (term.is_constant() || var_bound[slot_of(term)]) ++score;
       }
       if (best == q.positive_atoms.size() || score > best_score) {
         best = a;
@@ -308,7 +235,7 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
     std::vector<std::size_t> bound_positions;
     for (std::size_t i = 0; i < atom.args.size(); ++i) {
       const Term& term = atom.args[i];
-      if (IsConstant(term) || var_bound[*slot_of(term)]) {
+      if (term.is_constant() || var_bound[slot_of(term)]) {
         bound_positions.push_back(i);
       }
     }
@@ -318,7 +245,7 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
       step.index_id =
           db->relation(step.relation_id).GetOrBuildIndex(bound_positions);
       for (std::size_t pos : bound_positions) {
-        step.key_args.push_back(*resolve_term(atom.args[pos]));
+        step.key_args.push_back(resolve_term(atom.args[pos]));
       }
     }
 
@@ -337,11 +264,11 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
       const Term& term = atom.args[i];
       ArgAction action;
       action.position = i;
-      if (IsConstant(term)) {
+      if (term.is_constant()) {
         action.kind = ArgAction::kCheckConst;
         action.constant_id = ValuePool::Global().Intern(term.value());
       } else {
-        const std::size_t id = *slot_of(term);
+        const std::size_t id = slot_of(term);
         if (var_bound[id]) {
           action.kind = ArgAction::kCheckVar;
           action.var = id;
@@ -385,7 +312,7 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
     std::vector<std::size_t> const_positions;
     std::vector<Value> const_values;
     for (std::size_t i = 0; i < atom.args.size(); ++i) {
-      if (IsConstant(atom.args[i])) {
+      if (atom.args[i].is_constant()) {
         const_positions.push_back(i);
         const_values.push_back(atom.args[i].value());
       }
@@ -401,14 +328,10 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
 
   // Structural derivations the DCSat engine needs on every check, hoisted
   // to compile time (both depend only on the query and the catalog).
-  result.analysis_ = AnalyzeQuery(q, db->catalog());
-  StatusOr<std::vector<EqualityConstraint>> equalities =
-      EqualitiesFromQuery(q, db->catalog());
-  if (equalities.ok()) {
-    result.equalities_ = std::move(*equalities);
-  } else {
-    result.equalities_status_ = equalities.status();
-  }
+  // EqualitiesFromQuery fails only on an unknown relation, which
+  // ValidateQuery has ruled out.
+  result.analysis_ = AnalyzeQuery(q, catalog);
+  result.equalities_ = *EqualitiesFromQuery(q, catalog);
 
   return result;
 }

@@ -37,10 +37,10 @@ namespace bcdb {
 /// binding.
 class CompiledQuery {
  public:
-  /// Validates `q` against `db`'s catalog (atom arities, constant types,
-  /// safety: every variable of a negated atom / comparison / aggregate head
-  /// occurs in a positive atom) and builds the evaluation plan. `db` must
-  /// outlive the compiled query.
+  /// Validates `q` against `db`'s catalog with ValidateQuery (the check the
+  /// static analyzer reports from) and builds the evaluation plan. Fails
+  /// with the first defect: NotFound for an unknown relation,
+  /// InvalidArgument for every other. `db` must outlive the compiled query.
   static StatusOr<CompiledQuery> Compile(const DenialConstraint& q,
                                          const Database* db);
 
@@ -113,9 +113,7 @@ class CompiledQuery {
 
   /// Θ_q: the equality constraints implied by the query's join structure
   /// (shared variables / constants across positive atoms), precomputed at
-  /// compile time for the same reason. Empty when `equalities_status()` is
-  /// not OK (atoms that do not bind to the catalog).
-  const Status& equalities_status() const { return equalities_status_; }
+  /// compile time for the same reason.
   const std::vector<EqualityConstraint>& equalities() const {
     return equalities_;
   }
@@ -244,7 +242,6 @@ class CompiledQuery {
   DenialConstraint source_;
   QueryAnalysis analysis_;
   std::vector<EqualityConstraint> equalities_;
-  Status equalities_status_ = Status::OK();
   std::vector<std::string> variable_names_;
   std::vector<std::size_t> head_var_ids_;
   std::vector<Step> steps_;

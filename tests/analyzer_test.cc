@@ -143,15 +143,15 @@ TEST_F(AnalyzerTest, BadAggregate) {
 }
 
 TEST_F(AnalyzerTest, CompileRejectedSafetyNet) {
-  // A defect the structured checks do not reproduce: non-variable head
-  // terms. The compiler safety net must still fail the report.
+  // Non-variable head terms: the parser never produces them, so only the
+  // shared validator's head check can fail the report.
   DenialConstraint q;
   q.head_vars = {Term::Const(std::int64_t{7})};
   q.positive_atoms.push_back(
       Atom{"R", {Term::Var("x"), Term::Var("y")}, false});
   AnalysisReport report = Analyze(q);
   EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(HasDiagnostic(report, AnalysisCode::kCompileRejected));
+  EXPECT_TRUE(HasDiagnostic(report, AnalysisCode::kBadHead));
 }
 
 TEST_F(AnalyzerTest, AlwaysFalseComparison) {
@@ -416,6 +416,33 @@ TEST(ClassifiedDispatchTest, ErrorReportRejected) {
       Severity::kError, AnalysisCode::kUnknownRelation, "injected", {}});
   EXPECT_EQ(engine.CheckPrepared(*q, *compiled, report).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(ClassifiedDispatchTest, AnalyzeBuildsNoIndex) {
+  // Analysis decides legality with the compiler's validator and does not
+  // compile, so it builds none of the hash indexes a plan would probe.
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddRelation(RelationSchema(
+                      "W", {Attribute{"a", ValueType::kInt, false},
+                            Attribute{"b", ValueType::kInt, false},
+                            Attribute{"c", ValueType::kInt, false}}))
+                  .ok());
+  auto db = BlockchainDatabase::Create(std::move(catalog), ConstraintSet());
+  ASSERT_TRUE(db.ok());
+  DcSatEngine engine(&*db);
+  const Relation& w = db->database().relation(*db->catalog().RelationId("W"));
+  // Index ids are dense, so the id of an index over a new position set is
+  // the number of indexes built before it.
+  const std::size_t before = w.GetOrBuildIndex({0, 1, 2});
+  // A plan for q probes W on position 1, the constant's.
+  auto q = ParseDenialConstraint("q() :- W(x, 5, z)");
+  ASSERT_TRUE(q.ok());
+  ASSERT_TRUE(engine.Analyze(*q).ok());
+  EXPECT_EQ(w.GetOrBuildIndex({0, 2}), before + 1);
+  // Compiling does build it.
+  ASSERT_TRUE(CompiledQuery::Compile(*q, &db->database()).ok());
+  EXPECT_EQ(w.GetOrBuildIndex({0, 1}), before + 3);
 }
 
 // --- Monitor registration contract. ---

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/dcsat.h"
 #include "query/parser.h"
 #include "running_example.h"
@@ -191,6 +195,32 @@ TEST_F(DcSatTest, CompiledQuerySurvivesCacheGrowthAndEviction) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->satisfied, before.satisfied);
   EXPECT_EQ(result->decided, before.decided);
+}
+
+TEST_F(DcSatTest, CompiledCacheHitsWhenCyclingFiftyTexts) {
+  // An ad-hoc client cycling a fixed list of texts in order: with a FIFO
+  // cache smaller than the list every request evicts the next one needed,
+  // so the second pass would recompile everything.
+  std::vector<DenialConstraint> queries;
+  for (int i = 0; i < 50; ++i) {
+    auto q = ParseDenialConstraint("q() :- TxOut(t, s, pk, " +
+                                   std::to_string(i) + ")");
+    ASSERT_TRUE(q.ok());
+    queries.push_back(*q);
+  }
+  // Holding the first-pass queries keeps their addresses from being reused
+  // by a recompile, so equal pointers mean cache hits.
+  std::vector<std::shared_ptr<const CompiledQuery>> first_pass;
+  for (const DenialConstraint& q : queries) {
+    auto compiled = engine_.GetOrCompile(q);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    first_pass.push_back(*compiled);
+  }
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    auto compiled = engine_.GetOrCompile(queries[i]);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    EXPECT_EQ(*compiled, first_pass[i]) << "text " << i;
+  }
 }
 
 }  // namespace
