@@ -1,7 +1,6 @@
 #include "analysis/analyzer.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iterator>
 #include <map>
 #include <optional>
@@ -698,24 +697,13 @@ AnalysisReport AnalyzeConstraintText(std::string_view text, const Database& db,
                                      const ConstraintSet& constraints,
                                      AnalyzerOptions options) {
   options.source_text = text;
-  StatusOr<DenialConstraint> q = ParseDenialConstraint(text);
+  std::size_t error_offset = 0;
+  StatusOr<DenialConstraint> q = ParseDenialConstraint(text, &error_offset);
   if (!q.ok()) {
     AnalysisReport report;
-    // Parser messages end in "at offset N" when they can localize the
-    // defect; recover the offset for the span.
-    const std::string& message = q.status().message();
-    SourceSpan span;
-    const std::size_t marker = message.rfind("at offset ");
-    if (marker != std::string::npos) {
-      const char* digits = message.c_str() + marker + 10;
-      char* end = nullptr;
-      const unsigned long offset = std::strtoul(digits, &end, 10);
-      if (end != digits && offset < text.size()) {
-        span = SourceSpan{static_cast<std::size_t>(offset), 1};
-      }
-    }
-    report.diagnostics.push_back(Diagnostic{
-        Severity::kError, AnalysisCode::kParseError, message, span});
+    report.diagnostics.push_back(
+        Diagnostic{Severity::kError, AnalysisCode::kParseError,
+                   q.status().message(), SourceSpan{error_offset, 1}});
     return report;
   }
   return AnalyzeConstraint(*q, db, constraints, options);

@@ -165,9 +165,10 @@ struct TemplateAnalysis {
   /// Projectable, with an error-free generalized query: a monitor may
   /// settle the class's members by answer passes over Generalized().
   bool batchable = false;
-  /// The isomorphism-class key: canonical α-renamed skeleton plus the
-  /// IND-closed footprint. Two registrations with equal keys share all
-  /// class-level evaluation work.
+  /// The isomorphism-class key (ClassKey): canonical α-renamed skeleton
+  /// plus the IND-closed footprint, which bcdb_lint prints so an operator
+  /// can see which constraints ConstraintMonitor::Add would put in one
+  /// class.
   std::string class_key;
 };
 
@@ -182,7 +183,12 @@ TemplateAnalysis AnalyzeTemplate(const ConstraintTemplate& tmpl,
                                  const AnalyzerOptions& options = {});
 
 /// The isomorphism-class key of `tmpl` over `footprint` (its IND-closed
-/// relation ids): TemplateAnalysis::class_key.
+/// relation ids): TemplateAnalysis::class_key. It is an exact identity only
+/// for a constant-free template over catalog relations, such as
+/// Canonicalize makes of a constraint the analyzer accepted: its skeleton
+/// text then holds only relation names, α-renamed variables and parameters,
+/// and operators. A hand-written template's constants print as display
+/// text, so its key is for display (bcdb_lint) only.
 std::string ClassKey(const ConstraintTemplate& tmpl,
                      const std::vector<std::size_t>& footprint);
 

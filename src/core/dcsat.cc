@@ -249,9 +249,8 @@ bool DcSatEngine::TryIncrementalRefresh() {
 
 StatusOr<const DcSatEngine::CompiledCacheEntry*>
 DcSatEngine::LookupOrCompile(const DenialConstraint& q) {
-  std::string text = q.ToString();
   for (const CompiledCacheEntry& entry : compiled_cache_) {
-    if (entry.text == text) return &entry;
+    if (entry.compiled->source() == q) return &entry;
   }
   StatusOr<CompiledQuery> compiled =
       CompiledQuery::Compile(q, &db_->database());
@@ -269,7 +268,6 @@ DcSatEngine::LookupOrCompile(const DenialConstraint& q) {
     compiled_cache_.erase(compiled_cache_.begin());
   }
   compiled_cache_.push_back(CompiledCacheEntry{
-      std::move(text),
       std::make_shared<const CompiledQuery>(std::move(*compiled)), klass});
   return &compiled_cache_.back();
 }

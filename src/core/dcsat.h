@@ -251,17 +251,18 @@ class DcSatEngine {
   static constexpr std::size_t kDecompositionMemoCapacity = 8;
 
   /// Capacity of the compiled-query cache (FIFO eviction beyond it). A
-  /// FIFO cache cycled through more distinct texts than it holds never hits,
-  /// so this covers perfbench `adhoc`'s 50 texts.
+  /// FIFO cache cycled through more distinct queries than it holds never
+  /// hits, so this covers perfbench `adhoc`'s 50 queries.
   static constexpr std::size_t kCompiledCacheCapacity = 64;
 
   /// Compiled-query cache for Check. Pollers and benchmark harnesses
   /// re-check the same constraints; recompiling per check (plan
   /// construction, structural analysis, Θ_q derivation, static
-  /// classification) is pure overhead there. Keyed by query text alone:
-  /// plans and classes depend only on the query's structure, so one entry
-  /// stays valid across database mutations (see CompiledQuery). Fails on a
-  /// query with unbound parameters.
+  /// classification) is pure overhead there. Keyed by the query itself
+  /// (DenialConstraint's ==, so `4` and `4.0` share a plan, as they compile
+  /// alike): plans and classes depend only on the query's structure, so one
+  /// entry stays valid across database mutations (see CompiledQuery). Fails
+  /// on a query with unbound parameters.
   ///
   /// Entries are shared-ownership: the returned query stays valid for as
   /// long as the caller holds the pointer, across arbitrary later compiles,
@@ -323,7 +324,6 @@ class DcSatEngine {
   /// and shuffles only move the controlling pointers, never the queries
   /// callers may still hold.
   struct CompiledCacheEntry {
-    std::string text;
     std::shared_ptr<const CompiledQuery> compiled;
     /// The query's static class, computed once when it compiled.
     TractabilityClass klass;

@@ -97,7 +97,6 @@ StatusOr<std::size_t> ConstraintMonitor::CreateClass(
     if (generalized.ok()) cls.generalized = std::move(*generalized);
   }
   cls.label = std::move(label);
-  cls.key = std::move(analysis.class_key);
   // The dirty filter keys on the analyzer's IND-closed footprint: the
   // relations the constraint references, closed under IND coupling — a
   // mutation in R can change the possible worlds of an S-tuple when
@@ -142,12 +141,14 @@ StatusOr<MonitorHandle> ConstraintMonitor::Add(std::string label,
                                    report.ErrorSummary());
   }
 
-  // Canonicalize into (template, binding): constants become parameters, and
-  // the α-renamed skeleton plus IND-closed footprint keys the class — a
-  // million structurally identical Adds land in one class and share its
-  // compiled plan. The grounded footprint equals the class footprint
-  // (relations are binding-independent), so the key can be built without
-  // re-running the template analyzer on every Add.
+  // Canonicalize into (template, binding): every constant, the aggregate
+  // threshold included, becomes a parameter, and the α-renamed skeleton
+  // plus IND-closed footprint keys the class — a million structurally
+  // identical Adds land in one class and share its compiled plan. The key
+  // is exact because q passed the analyzer above (see ClassKey). The
+  // grounded footprint equals the class footprint (relations are
+  // binding-independent), so the key can be built without re-running the
+  // template analyzer on every Add.
   StatusOr<CanonicalizedConstraint> canon = ConstraintTemplate::Canonicalize(q);
   if (!canon.ok()) return canon.status();
   std::string key = ClassKey(canon->tmpl, report.footprint);

@@ -338,14 +338,6 @@ class ConstraintMonitor {
     return cls != nullptr && cls->generalized.has_value();
   }
 
-  /// The class's canonicalization key (α-renamed skeleton + IND-closed
-  /// footprint) — equal keys mean Add would have merged the classes.
-  std::string class_key(TemplateHandle tmpl) const BCDB_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    const TemplateClass* cls = FindClass(tmpl);
-    return cls != nullptr ? cls->key : std::string();
-  }
-
   /// Re-evaluates the dirty standing constraints against the current
   /// database state and returns the transitions since the previous poll
   /// (first poll reports every constraint as a transition from kUnknown).
@@ -387,13 +379,11 @@ class ConstraintMonitor {
   static constexpr std::size_t kMaxBackoffPolls = 8;
 
   /// One template class: the unit of registration, dirty tracking, and plan
-  /// sharing. Add-created classes are deduplicated by `key`; RegisterTemplate
-  /// always creates a fresh class.
+  /// sharing. Add-created classes are deduplicated by `class_by_key_`;
+  /// RegisterTemplate always creates a fresh class.
   struct TemplateClass {
     std::string label;
     ConstraintTemplate tmpl;
-    /// Canonical skeleton + IND-closed footprint: the isomorphism key.
-    std::string key;
     /// Class-level analysis: the generalized query's report for projectable
     /// classes (monotonicity, connectivity, tractability, and footprint are
     /// binding-independent facts), a dummy-typed instance's otherwise.

@@ -83,25 +83,23 @@ std::string DenialConstraint::ToString() const {
   for (const Atom& atom : negated_atoms) append(atom.ToString());
   for (const Comparison& cmp : comparisons) append(cmp.ToString());
 
-  if (!aggregate.has_value()) {
-    std::string head = name + "(";
-    for (std::size_t i = 0; i < head_vars.size(); ++i) {
-      if (i > 0) head += ", ";
-      head += head_vars[i].ToString();
-    }
-    return head + ") :- " + body;
+  std::string head;
+  for (const Term& var : head_vars) {
+    if (!head.empty()) head += ", ";
+    head += var.ToString();
   }
-  std::string head = name + "(" + AggregateFunctionToString(aggregate->fn) + "(";
+  if (!aggregate.has_value()) return name + "(" + head + ") :- " + body;
+  if (!head.empty()) head += ", ";
+  head += std::string(AggregateFunctionToString(aggregate->fn)) + "(";
   for (std::size_t i = 0; i < aggregate->args.size(); ++i) {
     if (i > 0) head += ", ";
     head += aggregate->args[i].ToString();
   }
-  head += "))";
   const std::string threshold_text =
       aggregate->threshold_param.has_value()
           ? "$" + *aggregate->threshold_param
           : aggregate->threshold.ToString();
-  return "[" + head + " :- " + body + "] " +
+  return "[" + name + "(" + head + ")) :- " + body + "] " +
          ComparisonOpToString(aggregate->op) + " " + threshold_text;
 }
 

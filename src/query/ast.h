@@ -82,6 +82,7 @@ struct Atom {
   std::vector<Term> args;
   bool negated = false;
 
+  bool operator==(const Atom&) const = default;
   std::string ToString() const;
 };
 
@@ -106,6 +107,7 @@ struct Comparison {
   ComparisonOp op;
   Term rhs;
 
+  bool operator==(const Comparison&) const = default;
   std::string ToString() const;
 };
 
@@ -129,8 +131,11 @@ struct AggregateSpec {
   ComparisonOp op = ComparisonOp::kGt;
   Value threshold;
   /// When set, the threshold is the template parameter `$threshold_param`
-  /// rather than the `threshold` constant.
+  /// rather than the `threshold` constant, which then stays NULL (== would
+  /// tell apart two queries that differ only in that unused constant).
   std::optional<std::string> threshold_param;
+
+  bool operator==(const AggregateSpec&) const = default;
 };
 
 /// A denial constraint: a Boolean (possibly aggregate) query `q` that the
@@ -157,7 +162,14 @@ struct DenialConstraint {
   bool is_positive() const { return negated_atoms.empty(); }
   bool is_boolean() const { return head_vars.empty(); }
 
-  /// Datalog-ish rendering, parseable by query::Parse.
+  /// A query's identity is its syntax tree: constants compare by Value
+  /// equality (so `4` and `4.0` are equal), everything else exactly.
+  bool operator==(const DenialConstraint&) const = default;
+
+  /// Datalog-ish rendering, for display only. ParseDenialConstraint reads
+  /// the rendering of any query it can produce back to an equal query, but
+  /// an API-built string constant may hold a quote and render like other
+  /// terms, so text is never an identity: compare queries with ==.
   std::string ToString() const;
 };
 

@@ -1,13 +1,24 @@
 #include "query/parser.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace bcdb {
 
 namespace {
+
+/// Where parsing failed: every error site reports its token's offset here.
+struct ParseError {
+  std::size_t offset = 0;
+
+  Status At(std::size_t at, std::string message) {
+    offset = at;
+    return Status::InvalidArgument(std::move(message));
+  }
+};
 
 enum class TokenKind {
   kIdent,
@@ -33,7 +44,8 @@ struct Token {
 
 class Lexer {
  public:
-  explicit Lexer(std::string_view input) : input_(input) {}
+  Lexer(std::string_view input, ParseError& error)
+      : input_(input), error_(error) {}
 
   StatusOr<std::vector<Token>> Tokenize() {
     std::vector<Token> tokens;
@@ -80,7 +92,7 @@ class Lexer {
             text += input_[pos_++];
           }
           if (pos_ == input_.size()) {
-            return Status::InvalidArgument("unterminated string literal");
+            return error_.At(start, "unterminated string literal");
           }
           ++pos_;  // Closing quote.
           tokens.push_back({TokenKind::kString, std::move(text), start});
@@ -95,9 +107,9 @@ class Lexer {
             ++pos_;
           }
           if (pos_ == name_start) {
-            return Status::InvalidArgument(
-                "expected parameter name after '$' at offset " +
-                std::to_string(start));
+            return error_.At(start,
+                             "expected parameter name after '$' at offset " +
+                                 std::to_string(start));
           }
           tokens.push_back(
               {TokenKind::kParam,
@@ -134,8 +146,8 @@ class Lexer {
             tokens.push_back({TokenKind::kArrow, ":-", start});
             pos_ += 2;
           } else {
-            return Status::InvalidArgument("unexpected ':' at offset " +
-                                           std::to_string(start));
+            return error_.At(start, "unexpected ':' at offset " +
+                                        std::to_string(start));
           }
           break;
         case '<':
@@ -171,14 +183,13 @@ class Lexer {
             tokens.push_back({TokenKind::kOp, "!=", start});
             pos_ += 2;
           } else {
-            return Status::InvalidArgument("unexpected '!' at offset " +
-                                           std::to_string(start));
+            return error_.At(start, "unexpected '!' at offset " +
+                                        std::to_string(start));
           }
           break;
         default:
-          return Status::InvalidArgument(std::string("unexpected character '") +
-                                         c + "' at offset " +
-                                         std::to_string(start));
+          return error_.At(start, std::string("unexpected character '") + c +
+                                      "' at offset " + std::to_string(start));
       }
     }
     tokens.push_back({TokenKind::kEnd, "", input_.size()});
@@ -191,12 +202,14 @@ class Lexer {
   }
 
   std::string_view input_;
+  ParseError& error_;
   std::size_t pos_ = 0;
 };
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(std::vector<Token> tokens, ParseError& error)
+      : tokens_(std::move(tokens)), error_(error) {}
 
   StatusOr<DenialConstraint> Parse() {
     DenialConstraint q;
@@ -205,7 +218,7 @@ class Parser {
 
     // Head: name '(' [aggfn '(' args ')'] ')'
     if (Current().kind != TokenKind::kIdent) {
-      return Status::InvalidArgument("expected query name");
+      return Fail("expected query name");
     }
     q.name = Current().text;
     Advance();
@@ -213,9 +226,9 @@ class Parser {
     if (aggregate) {
       AggregateSpec spec;
       if (Current().kind != TokenKind::kIdent) {
-        return Status::InvalidArgument("expected aggregate function");
+        return Fail("expected aggregate function");
       }
-      StatusOr<AggregateFunction> fn = ParseAggregateFunction(Current().text);
+      StatusOr<AggregateFunction> fn = ParseAggregateFunction();
       if (!fn.ok()) return fn.status();
       spec.fn = *fn;
       Advance();
@@ -232,10 +245,11 @@ class Parser {
       // Optional head variables: q(x, y) :- ... (answer-producing query).
       while (Current().kind != TokenKind::kRParen &&
              Current().kind != TokenKind::kEnd) {
+        const std::size_t term_offset = Current().offset;
         StatusOr<Term> term = ParseTerm();
         if (!term.ok()) return term.status();
         if (!term->is_variable()) {
-          return Status::InvalidArgument("head arguments must be variables");
+          return error_.At(term_offset, "head arguments must be variables");
         }
         q.head_vars.push_back(std::move(*term));
         if (Current().kind == TokenKind::kComma) Advance();
@@ -257,16 +271,18 @@ class Parser {
     if (aggregate) {
       BCDB_RETURN_IF_ERROR(Expect(TokenKind::kRBracket, "]"));
       if (Current().kind != TokenKind::kOp) {
-        return Status::InvalidArgument("expected comparison after ']'");
+        return Fail("expected comparison after ']'");
       }
-      StatusOr<ComparisonOp> op = ParseOp(Current().text);
+      StatusOr<ComparisonOp> op = ParseOp();
       if (!op.ok()) return op.status();
       q.aggregate->op = *op;
       Advance();
+      const std::size_t threshold_offset = Current().offset;
       StatusOr<Term> threshold = ParseTerm();
       if (!threshold.ok()) return threshold.status();
       if (threshold->is_variable()) {
-        return Status::InvalidArgument("aggregate threshold must be a constant");
+        return error_.At(threshold_offset,
+                         "aggregate threshold must be a constant");
       }
       if (threshold->is_param()) {
         q.aggregate->threshold_param = threshold->name();
@@ -277,8 +293,7 @@ class Parser {
 
     if (Current().kind == TokenKind::kPeriod) Advance();
     if (Current().kind != TokenKind::kEnd) {
-      return Status::InvalidArgument("unexpected trailing input: '" +
-                                     Current().text + "'");
+      return Fail("unexpected trailing input: '" + Current().text + "'");
     }
     return q;
   }
@@ -289,33 +304,39 @@ class Parser {
     if (pos_ + 1 < tokens_.size()) ++pos_;
   }
 
+  /// An InvalidArgument error at the current token.
+  Status Fail(std::string message) {
+    return error_.At(Current().offset, std::move(message));
+  }
+
   Status Expect(TokenKind kind, const char* what) {
     if (Current().kind != kind) {
-      return Status::InvalidArgument("expected '" + std::string(what) +
-                                     "', found '" + Current().text + "'");
+      return Fail("expected '" + std::string(what) + "', found '" +
+                  Current().text + "'");
     }
     Advance();
     return Status::OK();
   }
 
-  static StatusOr<AggregateFunction> ParseAggregateFunction(
-      const std::string& name) {
+  StatusOr<AggregateFunction> ParseAggregateFunction() {
+    const std::string& name = Current().text;
     if (name == "count") return AggregateFunction::kCount;
     if (name == "cntd") return AggregateFunction::kCountDistinct;
     if (name == "sum") return AggregateFunction::kSum;
     if (name == "max") return AggregateFunction::kMax;
     if (name == "min") return AggregateFunction::kMin;
-    return Status::InvalidArgument("unknown aggregate function '" + name + "'");
+    return Fail("unknown aggregate function '" + name + "'");
   }
 
-  static StatusOr<ComparisonOp> ParseOp(const std::string& text) {
+  StatusOr<ComparisonOp> ParseOp() {
+    const std::string& text = Current().text;
     if (text == "=") return ComparisonOp::kEq;
     if (text == "!=") return ComparisonOp::kNe;
     if (text == "<") return ComparisonOp::kLt;
     if (text == ">") return ComparisonOp::kGt;
     if (text == "<=") return ComparisonOp::kLe;
     if (text == ">=") return ComparisonOp::kGe;
-    return Status::InvalidArgument("unknown comparison '" + text + "'");
+    return Fail("unknown comparison '" + text + "'");
   }
 
   StatusOr<Term> ParseTerm() {
@@ -337,17 +358,21 @@ class Parser {
         return term;
       }
       case TokenKind::kNumber: {
-        Term term = token.text.find('.') == std::string::npos
-                        ? Term::Const(Value::Int(std::strtoll(
-                              token.text.c_str(), nullptr, 10)))
-                        : Term::Const(Value::Real(
-                              std::strtod(token.text.c_str(), nullptr)));
+        const char* first = token.text.data();
+        const char* last = first + token.text.size();
+        const bool is_int = token.text.find('.') == std::string::npos;
+        std::int64_t i = 0;
+        double d = 0;
+        if ((is_int ? std::from_chars(first, last, i).ec
+                    : std::from_chars(first, last, d).ec) != std::errc()) {
+          return Fail("numeric literal " + token.text + " at offset " +
+                      std::to_string(token.offset) + " is out of range");
+        }
         Advance();
-        return term;
+        return Term::Const(is_int ? Value::Int(i) : Value::Real(d));
       }
       default:
-        return Status::InvalidArgument("expected term, found '" + token.text +
-                                       "'");
+        return Fail("expected term, found '" + token.text + "'");
     }
   }
 
@@ -375,18 +400,16 @@ class Parser {
       (negated ? q.negated_atoms : q.positive_atoms).push_back(std::move(atom));
       return Status::OK();
     }
-    if (negated) {
-      return Status::InvalidArgument("'not' must be followed by an atom");
-    }
+    if (negated) return Fail("'not' must be followed by an atom");
     Comparison cmp;
     StatusOr<Term> lhs = ParseTerm();
     if (!lhs.ok()) return lhs.status();
     cmp.lhs = std::move(*lhs);
     if (Current().kind != TokenKind::kOp) {
-      return Status::InvalidArgument("expected comparison operator, found '" +
-                                     Current().text + "'");
+      return Fail("expected comparison operator, found '" + Current().text +
+                  "'");
     }
-    StatusOr<ComparisonOp> op = ParseOp(Current().text);
+    StatusOr<ComparisonOp> op = ParseOp();
     if (!op.ok()) return op.status();
     cmp.op = *op;
     Advance();
@@ -398,17 +421,21 @@ class Parser {
   }
 
   std::vector<Token> tokens_;
+  ParseError& error_;
   std::size_t pos_ = 0;
 };
 
 }  // namespace
 
-StatusOr<DenialConstraint> ParseDenialConstraint(std::string_view text) {
-  Lexer lexer(text);
-  StatusOr<std::vector<Token>> tokens = lexer.Tokenize();
-  if (!tokens.ok()) return tokens.status();
-  Parser parser(std::move(*tokens));
-  return parser.Parse();
+StatusOr<DenialConstraint> ParseDenialConstraint(std::string_view text,
+                                                 std::size_t* error_offset) {
+  ParseError error;
+  StatusOr<std::vector<Token>> tokens = Lexer(text, error).Tokenize();
+  StatusOr<DenialConstraint> q =
+      tokens.ok() ? Parser(std::move(*tokens), error).Parse()
+                  : StatusOr<DenialConstraint>(tokens.status());
+  if (!q.ok() && error_offset != nullptr) *error_offset = error.offset;
+  return q;
 }
 
 }  // namespace bcdb

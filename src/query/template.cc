@@ -1,6 +1,7 @@
 #include "query/template.h"
 
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "query/parser.h"
@@ -10,8 +11,8 @@ namespace bcdb {
 namespace {
 
 /// Calls `fn(term, site)` for every term of the constraint in the fixed
-/// template traversal order (aggregate thresholds are visited as a
-/// pseudo-term only when parameterized).
+/// template traversal order. The aggregate threshold comes last, as a
+/// constant or parameter term, and takes back whichever `fn` leaves there.
 template <typename Fn>
 void ForEachTerm(DenialConstraint& q, Fn&& fn) {
   for (std::size_t a = 0; a < q.positive_atoms.size(); ++a) {
@@ -30,12 +31,19 @@ void ForEachTerm(DenialConstraint& q, Fn&& fn) {
     fn(q.comparisons[c].lhs, ParamSite{ParamSite::Kind::kComparison, c, 0});
     fn(q.comparisons[c].rhs, ParamSite{ParamSite::Kind::kComparison, c, 1});
   }
-  if (q.aggregate.has_value()) {
-    for (std::size_t i = 0; i < q.aggregate->args.size(); ++i) {
-      fn(q.aggregate->args[i],
-         ParamSite{ParamSite::Kind::kAggregateArg, 0, i});
-    }
+  if (!q.aggregate.has_value()) return;
+  AggregateSpec& spec = *q.aggregate;
+  for (std::size_t i = 0; i < spec.args.size(); ++i) {
+    fn(spec.args[i], ParamSite{ParamSite::Kind::kAggregateArg, 0, i});
   }
+  Term threshold = spec.threshold_param.has_value()
+                       ? Term::Param(*spec.threshold_param)
+                       : Term::Const(spec.threshold);
+  fn(threshold, ParamSite{ParamSite::Kind::kAggregateThreshold, 0, 0});
+  spec.threshold_param = threshold.is_param()
+                             ? std::optional<std::string>(threshold.name())
+                             : std::nullopt;
+  spec.threshold = threshold.is_constant() ? threshold.value() : Value();
 }
 
 }  // namespace
@@ -55,11 +63,6 @@ StatusOr<ConstraintTemplate> ConstraintTemplate::Create(
     tmpl.param_sites_[it->second].push_back(site);
   };
   ForEachTerm(constraint, visit);
-  if (constraint.aggregate.has_value() &&
-      constraint.aggregate->threshold_param.has_value()) {
-    visit(Term::Param(*constraint.aggregate->threshold_param),
-          ParamSite{ParamSite::Kind::kAggregateThreshold, 0, 0});
-  }
   for (const Term& head : constraint.head_vars) {
     if (head.is_param()) {
       return Status::InvalidArgument(
@@ -112,12 +115,6 @@ StatusOr<CanonicalizedConstraint> ConstraintTemplate::Canonicalize(
     term = Term::Param("b" + std::to_string(it->second));
   });
   if (!bad.ok()) return bad;
-  if (rewritten.aggregate.has_value() &&
-      rewritten.aggregate->threshold_param.has_value()) {
-    return Status::InvalidArgument(
-        "cannot canonicalize a constraint that already has parameters ('$" +
-        *rewritten.aggregate->threshold_param + "')");
-  }
   StatusOr<ConstraintTemplate> tmpl = Create(std::move(rewritten));
   if (!tmpl.ok()) return tmpl.status();
   CanonicalizedConstraint result;
@@ -180,13 +177,6 @@ std::string ConstraintTemplate::CanonicalSkeleton() const {
     }
   };
   ForEachTerm(renamed, rename);
-  if (renamed.aggregate.has_value() &&
-      renamed.aggregate->threshold_param.has_value()) {
-    auto [it, inserted] =
-        param_of.emplace(*renamed.aggregate->threshold_param,
-                         "p" + std::to_string(param_of.size()));
-    renamed.aggregate->threshold_param = it->second;
-  }
   for (Term& head : renamed.head_vars) {
     if (!head.is_variable()) continue;
     auto [it, inserted] =

@@ -57,7 +57,7 @@ class ConstraintTemplate {
   static StatusOr<ConstraintTemplate> Parse(std::string_view text);
 
   /// Canonicalizes a ground constraint into a template plus binding by
-  /// extracting every constant (except aggregate thresholds) into a
+  /// extracting every constant, the aggregate threshold included, into a
   /// parameter. Equal constants share one parameter, so `R(1, 1)` and
   /// `R(1, 2)` canonicalize into *different* templates — constant coupling
   /// is part of the structure. Constraints that already contain parameters

@@ -129,6 +129,26 @@ std::vector<QueryDefect> ValidateQuery(const DenialConstraint& q,
           std::string(AggregateFunctionToString(spec.fn)) +
               " aggregates take exactly one variable");
     }
+    // A sum adds its variable's values, so no positive atom may bind it to
+    // a STRING attribute.
+    const bool sums = spec.fn == AggregateFunction::kSum &&
+                      spec.args.size() == 1 && spec.args[0].is_variable();
+    for (const Atom& atom : q.positive_atoms) {
+      StatusOr<std::size_t> rel_id = catalog.RelationId(atom.relation);
+      if (!sums || !rel_id.ok()) continue;
+      const RelationSchema& schema = catalog.schema(*rel_id);
+      for (std::size_t i = 0; i < std::min(atom.args.size(), schema.arity());
+           ++i) {
+        if (atom.args[i] == spec.args[0] &&
+            schema.attribute(i).type == ValueType::kString) {
+          add(DefectKind::kBadAggregate,
+              "sum aggregates variable '" + spec.args[0].name() +
+                  "', which is the STRING attribute " +
+                  schema.attribute(i).name + " of atom " + atom.ToString(),
+              spec.args[0]);
+        }
+      }
+    }
   }
   return defects;
 }

@@ -20,8 +20,9 @@ enum class DefectKind {
   kUnsafeVariable,        // A variable of a negated atom, comparison,
                           // aggregate or head occurs in no positive atom.
   kBadAggregate,          // Head variables beside an aggregate, a
-                          // non-variable aggregate argument, or a value
-                          // aggregate without exactly one argument.
+                          // non-variable aggregate argument, a value
+                          // aggregate without exactly one argument, or a
+                          // sum over a STRING attribute.
   kBadHead,               // A head term that is not a variable.
 };
 

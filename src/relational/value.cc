@@ -1,9 +1,9 @@
 #include "relational/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <sstream>
 
 #include "util/hash.h"
 
@@ -21,6 +21,18 @@ const char* ValueTypeToString(ValueType type) {
       return "STRING";
   }
   return "UNKNOWN";
+}
+
+/// Compares an int with a non-NaN real exactly: converting the int to double
+/// would round above 2^53 and make, say, 2^53 + 1 equal to 2^53.0, which
+/// Hash (integral reals hash as their int) and the ValuePool could not honour.
+static int CompareIntReal(std::int64_t i, double d) {
+  if (d < -9223372036854775808.0) return 1;
+  if (d >= 9223372036854775808.0) return -1;
+  const double whole = std::trunc(d);
+  const auto whole_int = static_cast<std::int64_t>(whole);
+  if (i != whole_int) return i < whole_int ? -1 : 1;
+  return whole < d ? -1 : (whole > d ? 1 : 0);
 }
 
 int Value::Compare(const Value& other) const {
@@ -43,6 +55,8 @@ int Value::Compare(const Value& other) const {
       if (x_nan && y_nan) return 0;
       return x_nan ? 1 : -1;
     }
+    if (a == ValueType::kInt) return CompareIntReal(AsInt(), y);
+    if (b == ValueType::kInt) return -CompareIntReal(other.AsInt(), x);
     return x < y ? -1 : (x > y ? 1 : 0);
   }
   if (a != b) return a < b ? -1 : 1;
@@ -102,9 +116,18 @@ std::string Value::ToString() const {
     case ValueType::kInt:
       return std::to_string(AsInt());
     case ValueType::kReal: {
-      std::ostringstream os;
-      os << AsReal();
-      return os.str();
+      // The shortest fixed-notation text that reads back to the same double
+      // (the parser knows no exponents; the longest, a subnormal, is 327
+      // chars). An integral real keeps a ".0" so it reads back as a real.
+      char text[400] = {};
+      const double d = AsReal();
+      std::string result(text, std::to_chars(text, text + sizeof(text), d,
+                                             std::chars_format::fixed)
+                                   .ptr);
+      if (std::isfinite(d) && result.find('.') == std::string::npos) {
+        result += ".0";
+      }
+      return result;
     }
     case ValueType::kString:
       return "'" + AsString() + "'";

@@ -23,7 +23,7 @@ const char* ValueTypeToString(ValueType type);
 ///
 /// Values are immutable, regular (copyable, equality-comparable, hashable,
 /// totally ordered) so they can serve directly as hash-index keys. Numeric
-/// values of different types (`kInt` vs `kReal`) compare numerically, which
+/// values of different types (`kInt` vs `kReal`) compare by exact value, which
 /// matches SQL comparison semantics; values of incomparable types order by
 /// type tag so sorting is always well-defined.
 ///
@@ -76,7 +76,8 @@ class Value {
 
   std::size_t Hash() const;
 
-  /// Display form: NULL, 42, 1.5, 'text'.
+  /// Display form: NULL, 42, 1.5, 4.0, 'text'. A finite real prints in the
+  /// shortest fixed notation that reads back to the same double.
   std::string ToString() const;
 
  private:

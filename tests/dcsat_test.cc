@@ -223,5 +223,85 @@ TEST_F(DcSatTest, CompiledCacheHitsWhenCyclingFiftyTexts) {
   }
 }
 
+// The compiled-query cache is keyed by the query itself, never by its
+// display text, which printed reals to 6 significant digits, dropped head
+// variables beside an aggregate, and cannot tell a quote inside a string
+// constant from the quotes around it. Each check below on a warm engine
+// must equal the one on a fresh engine.
+
+TEST_F(DcSatTest, ThresholdsThatPrintedAlikeGetTheirOwnPlans) {
+  // U7Pk can collect 4 (T5) but never more.
+  const DcSatResult at_four =
+      Check("[q(sum(a)) :- TxOut(t, s, 'U7Pk', a)] >= 4", {});
+  EXPECT_FALSE(at_four.satisfied);
+  const std::string above =
+      "[q(sum(a)) :- TxOut(t, s, 'U7Pk', a)] >= 4.0000001";
+  const DcSatResult warm = Check(above, {});
+  DcSatEngine fresh(&db_);
+  auto q = ParseDenialConstraint(above);
+  ASSERT_TRUE(q.ok());
+  auto cold = fresh.Check(*q);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_TRUE(cold->satisfied);
+  EXPECT_EQ(warm.satisfied, cold->satisfied);
+  EXPECT_EQ(warm.decided, cold->decided);
+}
+
+TEST_F(DcSatTest, HeadVariablesBesideAnAggregateAreRejectedWarmOrCold) {
+  auto plain =
+      ParseDenialConstraint("[q(sum(a)) :- TxOut(t, s, 'U7Pk', a)] >= 1");
+  ASSERT_TRUE(plain.ok());
+  DenialConstraint headed = *plain;
+  headed.head_vars.push_back(Term::Var("t"));
+  EXPECT_EQ(engine_.Check(headed).status().code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(engine_.Check(*plain).ok());
+  EXPECT_EQ(engine_.Check(headed).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(DcSatTest, QuotedStringConstantDoesNotReuseALookalikePlan) {
+  auto two = ParseDenialConstraint(
+      "q() :- TxOut(t, s, pk, a), pk = 'U7Pk', pk != 'U8Pk'");
+  ASSERT_TRUE(two.ok());
+  // One comparison against a constant that holds "', pk != '".
+  DenialConstraint one = *two;
+  one.comparisons = {Comparison{Term::Var("pk"), ComparisonOp::kEq,
+                                Term::Const("U7Pk', pk != 'U8Pk")}};
+  ASSERT_EQ(one.ToString(), two->ToString());
+
+  auto two_result = engine_.Check(*two);
+  ASSERT_TRUE(two_result.ok()) << two_result.status();
+  EXPECT_FALSE(two_result->satisfied);
+  auto warm = engine_.Check(one);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  DcSatEngine fresh(&db_);
+  auto cold = fresh.Check(one);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_TRUE(cold->satisfied);
+  EXPECT_EQ(warm->satisfied, cold->satisfied);
+  EXPECT_NE(*engine_.GetOrCompile(one), *engine_.GetOrCompile(*two));
+}
+
+TEST_F(DcSatTest, SumOverAStringAttributeIsRejected) {
+  // Summing the pk column used to throw from inside the evaluation.
+  auto q = ParseDenialConstraint("[q(sum(pk)) :- TxOut(t, s, pk, a)] >= 4");
+  ASSERT_TRUE(q.ok());
+  auto result = engine_.Check(*q);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("STRING attribute pk"),
+            std::string::npos)
+      << result.status();
+}
+
+TEST_F(DcSatTest, IntAndEqualRealConstantsShareOnePlan) {
+  auto as_int = ParseDenialConstraint("q() :- TxOut(t, s, 'U7Pk', 4)");
+  auto as_real = ParseDenialConstraint("q() :- TxOut(t, s, 'U7Pk', 4.0)");
+  ASSERT_TRUE(as_int.ok() && as_real.ok());
+  EXPECT_EQ(*as_int, *as_real);
+  EXPECT_EQ(*engine_.GetOrCompile(*as_int), *engine_.GetOrCompile(*as_real));
+}
+
 }  // namespace
 }  // namespace bcdb

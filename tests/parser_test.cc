@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+
 #include "query/parser.h"
 
 namespace bcdb {
@@ -178,6 +183,62 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseDenialConstraint("[q(frobnicate(a)) :- R(a)] > 1").ok());
   EXPECT_FALSE(ParseDenialConstraint("[q(sum(a)) :- R(a)] > x").ok());
   EXPECT_FALSE(ParseDenialConstraint("q() :- R(x) trailing").ok());
+}
+
+TEST(ParserTest, OutOfRangeLiteralsAreErrors) {
+  std::size_t offset = 0;
+  auto too_big = ParseDenialConstraint(
+      "q() :- TxOut(t, s, 'U7Pk', 99999999999999999999)", &offset);
+  ASSERT_FALSE(too_big.ok());
+  EXPECT_EQ(too_big.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_big.status().message().find("99999999999999999999"),
+            std::string::npos);
+  EXPECT_NE(too_big.status().message().find("at offset 27"),
+            std::string::npos);
+  EXPECT_EQ(offset, 27u);
+
+  const std::string huge_real = std::string(400, '9') + ".5";
+  auto overflow = ParseDenialConstraint("q() :- R(x), x > -" + huge_real);
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(overflow.status().message().find("out of range"),
+            std::string::npos);
+
+  auto max = ParseDenialConstraint("q() :- R(-9223372036854775808)");
+  ASSERT_TRUE(max.ok()) << max.status();
+  EXPECT_EQ(max->positive_atoms[0].args[0].value(),
+            Value::Int(std::numeric_limits<std::int64_t>::min()));
+}
+
+TEST(ParserTest, EveryErrorReportsItsOffset) {
+  // Each text with the offset of the token the parser stopped at.
+  const std::pair<const char*, std::size_t> cases[] = {
+      {"", 0},
+      {"q( :- R(x)", 3},
+      {"q() :- R(x,", 11},
+      {"q() :- R('unterminated)", 9},
+      {"q() :- not x > 3", 11},
+      {"[q(frobnicate(a)) :- R(a)] > 1", 3},
+      {"[q(sum(a)) :- R(a)] > x", 22},
+      {"[q(sum(a)) :- R(a)] x", 20},
+      {"q() :- R(x) trailing", 12},
+      {"q(1) :- R(x)", 2},
+      {"q() :- R(x), x 3", 15},
+      {"q() :- R(x) : 1", 12},
+      {"q() :- R($)", 9},
+      {"q() :- R(x) ! 1", 12},
+      {"q() :- R(x) ; 1", 12},
+      {"[q(1) :- R(x)] > 1", 3},
+      {"q() :- R(x), x > ,", 17},
+      {"q() R(x)", 4},
+  };
+  for (const auto& [text, want] : cases) {
+    std::size_t offset = 12345;
+    auto q = ParseDenialConstraint(text, &offset);
+    ASSERT_FALSE(q.ok()) << text;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_EQ(offset, want) << text << ": " << q.status();
+  }
 }
 
 }  // namespace

@@ -1,15 +1,21 @@
-// Seeded, structure-aware mutation test of the parser, the analyzer and the
-// compiler. Mutants of the examples/constraints corpus drop, duplicate and
-// resize atoms, rename relations, plant wrong-typed constants, strand
-// variables in negated atoms and comparisons, and malform aggregate and
-// answer heads. Every mutant must come back as a Status or a report (never
-// an abort), and a parameter-free mutant must pass the analyzer exactly
-// when it compiles: both read one validator (ValidateQuery).
+// Seeded, structure-aware mutation test of the parser, the analyzer, the
+// compiler and the engine's compiled-query cache. Mutants of the
+// examples/constraints corpus drop, duplicate and resize atoms, rename
+// relations, plant wrong-typed constants, swap a constant between int and
+// real, strand variables in negated atoms and comparisons, and malform
+// aggregate and answer heads. Every mutant must come back as a Status or a
+// report (never an abort), and a parameter-free mutant must pass the
+// analyzer exactly when it compiles: both read one validator
+// (ValidateQuery). A mutant's display text parses back to an equal query,
+// every parse error carries a span, and a warm engine answers every mutant
+// and its int <-> real twin as a fresh engine does.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,9 +23,11 @@
 #include "analysis/analyzer.h"
 #include "analysis/schema_text.h"
 #include "bitcoin/to_relational.h"
+#include "core/dcsat.h"
 #include "query/compiled_query.h"
 #include "query/parser.h"
 #include "query/template.h"
+#include "running_example.h"
 #include "util/rng.h"
 
 namespace bcdb {
@@ -87,6 +95,42 @@ bool HasNonVariableHead(const DenialConstraint& q) {
   return false;
 }
 
+/// Replaces each numeric constant `v` of q (atom and comparison terms, a
+/// constant aggregate threshold), in order, with `fn(v)`.
+template <typename Fn>
+void RewriteNumericConstants(DenialConstraint& q, Fn&& fn) {
+  auto rewrite = [&](Term& term) {
+    if (term.is_constant() && term.value().IsNumeric()) {
+      term = Term::Const(fn(term.value()));
+    }
+  };
+  for (std::vector<Atom>* atoms : {&q.positive_atoms, &q.negated_atoms}) {
+    for (Atom& atom : *atoms) {
+      for (Term& term : atom.args) rewrite(term);
+    }
+  }
+  for (Comparison& cmp : q.comparisons) {
+    rewrite(cmp.lhs);
+    rewrite(cmp.rhs);
+  }
+  if (q.aggregate.has_value() && !q.aggregate->threshold_param.has_value() &&
+      q.aggregate->threshold.IsNumeric()) {
+    q.aggregate->threshold = fn(q.aggregate->threshold);
+  }
+}
+
+/// The equal value of the other numeric type, if there is one (4 <-> 4.0);
+/// otherwise `v` itself.
+Value OtherNumericType(const Value& v) {
+  if (v.type() == ValueType::kInt) {
+    return Value::Real(static_cast<double>(v.AsInt()));
+  }
+  const double d = v.AsReal();
+  return std::trunc(d) == d && std::abs(d) < 1e18
+             ? Value::Int(static_cast<std::int64_t>(d))
+             : v;
+}
+
 class Mutator {
  public:
   Mutator(std::uint64_t seed, const Catalog& catalog)
@@ -140,7 +184,7 @@ class Mutator {
   }
 
   void MutateOnce(DenialConstraint& q) {
-    switch (Pick(12)) {
+    switch (Pick(13)) {
       case 0: {  // Drop an atom.
         std::vector<Atom>& atoms =
             Coin() || q.negated_atoms.empty() ? q.positive_atoms
@@ -246,13 +290,29 @@ class Mutator {
         for (std::size_t i = 0; i < n; ++i) {
           spec.args.push_back(Term::Var(SomeVariable(q)));
         }
-        spec.threshold = Value::Int(2);
+        // A parameterized threshold stays: the parser never leaves a
+        // constant beside a threshold parameter.
+        if (!spec.threshold_param.has_value()) spec.threshold = Value::Int(2);
         q.aggregate = spec;
         break;
       }
       case 10: {  // Answer-producing head over (mostly) bound variables.
         q.aggregate.reset();
         q.head_vars = {Term::Var(SomeVariable(q))};
+        break;
+      }
+      case 11: {  // A numeric constant as the other numeric type (4 <-> 4.0).
+        std::size_t n = 0;
+        RewriteNumericConstants(q, [&](const Value& v) {
+          ++n;
+          return v;
+        });
+        if (n == 0) break;
+        const std::size_t pick = Pick(n);
+        std::size_t seen = 0;
+        RewriteNumericConstants(q, [&](const Value& v) {
+          return seen++ == pick ? OtherNumericType(v) : v;
+        });
         break;
       }
       default: {  // Swap an atom term for a variable of the query.
@@ -355,11 +415,20 @@ TEST(ValidatorMutationTest, AnalyzerAcceptsExactlyWhatCompiles) {
       ExpectAgreement(mutant, env, label, tally);
     }
 
-    // Its rendering, through the parser and the text analyzer.
-    (void)AnalyzeConstraintText(text, env.db, env.constraints);
+    // Its rendering, through the parser and the text analyzer. Display
+    // text that parses reads back to the mutant itself.
+    const AnalysisReport text_report =
+        AnalyzeConstraintText(text, env.db, env.constraints);
+    for (const Diagnostic& diag : text_report.diagnostics) {
+      if (diag.code == AnalysisCode::kParseError) {
+        EXPECT_TRUE(diag.span.valid()) << label;
+        EXPECT_LE(diag.span.offset, text.size()) << label;
+      }
+    }
     StatusOr<DenialConstraint> parsed = ParseDenialConstraint(text);
     if (parsed.ok()) {
       ++tally.parsed;
+      EXPECT_TRUE(*parsed == mutant) << label;
       if (!HasParam(*parsed)) ExpectAgreement(*parsed, env, label, tally);
     }
   }
@@ -367,6 +436,68 @@ TEST(ValidatorMutationTest, AnalyzerAcceptsExactlyWhatCompiles) {
   EXPECT_GT(tally.parsed, kMutants / 4);
   EXPECT_GT(tally.accepted, kMutants / 20);
   EXPECT_GT(tally.rejected, kMutants / 4);
+}
+
+/// One engine check's observable outcome.
+struct CheckOutcome {
+  StatusCode code;
+  bool decided = false;
+  bool satisfied = false;
+  std::optional<std::vector<PendingId>> witness;
+
+  bool operator==(const CheckOutcome&) const = default;
+};
+
+CheckOutcome RunCheck(DcSatEngine& engine, const DenialConstraint& q) {
+  StatusOr<DcSatResult> result = engine.Check(q);
+  if (!result.ok()) {
+    return CheckOutcome{result.status().code(), false, false, std::nullopt};
+  }
+  return CheckOutcome{StatusCode::kOk, result->decided, result->satisfied,
+                      result->witness};
+}
+
+// The compiled-query cache hands a query the plan of an equal query only:
+// through one warm engine, cycled well past its capacity, every mutant and
+// its int <-> real twin (an equal query, so it shares the mutant's plan)
+// gets the answer a fresh engine gives.
+TEST(ValidatorMutationTest, WarmEngineAnswersAsAFreshOne) {
+  BlockchainDatabase db = testing_fixtures::MakeRunningExample();
+  std::vector<DenialConstraint> seeds =
+      ParseCorpusFile("examples/constraints/bitcoin.dc");
+  for (const char* text : {
+           "[q(sum(a)) :- TxOut(t, s, 'U7Pk', a)] >= 4",
+           "[q(sum(a)) :- TxOut(t, s, 'U7Pk', a)] >= 4.0000001",
+           "[q(count()) :- TxOut(t, s, 'U4Pk', a)] >= 2",
+           "q() :- TxIn(pt, ps, pk, a, ntx, sig), TxOut(ntx, s, 'U4Pk', 3)",
+           "q() :- TxOut(t, s, 'U7Pk', a), a > 2.5",
+       }) {
+    StatusOr<DenialConstraint> q = ParseDenialConstraint(text);
+    ASSERT_TRUE(q.ok()) << text;
+    seeds.push_back(*std::move(q));
+  }
+
+  constexpr int kChecks = 2400;
+  static_assert(kChecks > 30 * static_cast<int>(
+                              DcSatEngine::kCompiledCacheCapacity));
+  Mutator mutator(kSeed + 2, db.database().catalog());
+  DcSatEngine warm(&db);
+  int decided = 0;
+  for (int i = 0; i < kChecks; ++i) {
+    const DenialConstraint mutant =
+        mutator.Mutate(seeds[static_cast<std::size_t>(i) % seeds.size()]);
+    DenialConstraint twin = mutant;
+    RewriteNumericConstants(twin, OtherNumericType);
+    ASSERT_TRUE(twin == mutant) << mutant.ToString();
+    for (const DenialConstraint& q : {mutant, twin}) {
+      DcSatEngine fresh(&db);
+      const CheckOutcome want = RunCheck(fresh, q);
+      EXPECT_TRUE(RunCheck(warm, q) == want)
+          << "mutant " << i << ": " << q.ToString();
+      if (want.code == StatusCode::kOk) ++decided;
+    }
+  }
+  EXPECT_GT(decided, kChecks / 10);
 }
 
 }  // namespace

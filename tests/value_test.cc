@@ -56,11 +56,28 @@ TEST(ValueTest, AsNumeric) {
   EXPECT_FALSE(Value::Null().IsNumeric());
 }
 
+TEST(ValueTest, IntAndRealCompareExactlyBeyondDoublePrecision) {
+  // 2^53 + 1 has no double: converting it would round it onto 2^53.
+  const std::int64_t above = (std::int64_t{1} << 53) + 1;
+  const Value two_53 = Value::Real(9007199254740992.0);
+  EXPECT_GT(Value::Int(above), two_53);
+  EXPECT_LT(two_53, Value::Int(above));
+  EXPECT_EQ(Value::Int(above - 1), two_53);
+  EXPECT_LT(Value::Int(std::numeric_limits<std::int64_t>::max()),
+            Value::Real(9223372036854775808.0));
+  EXPECT_EQ(Value::Int(std::numeric_limits<std::int64_t>::min()),
+            Value::Real(-9223372036854775808.0));
+  EXPECT_LT(Value::Int(-3), Value::Real(-2.5));
+  EXPECT_GT(Value::Int(-2), Value::Real(-2.5));
+}
+
 TEST(ValueTest, ToString) {
   EXPECT_EQ(Value::Null().ToString(), "NULL");
   EXPECT_EQ(Value::Int(-7).ToString(), "-7");
   EXPECT_EQ(Value::Str("x").ToString(), "'x'");
   EXPECT_EQ(Value::Real(0.5).ToString(), "0.5");
+  EXPECT_EQ(Value::Real(4.0000001).ToString(), "4.0000001");
+  EXPECT_EQ(Value::Real(4).ToString(), "4.0");
 }
 
 TEST(ValueTest, CompareIsAntisymmetric) {
