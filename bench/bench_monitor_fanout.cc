@@ -141,7 +141,8 @@ Verdict PerConstraintVerdict(const DcSatEngine& engine,
   if (!compiled.ok()) std::abort();
   if (compiled->Evaluate(db.BaseView())) return Verdict::kHappened;
   DcSatOptions options;  // Serial and unbudgeted, like each monitor search.
-  auto result = engine.CheckPrepared(q, *compiled, report, options);
+  auto result =
+      engine.CheckPrepared(*compiled, Tuple(), report.tractability, options);
   if (!result.ok()) std::abort();
   if (!result->decided) return Verdict::kUndecided;
   return result->satisfied ? Verdict::kImpossible : Verdict::kPossible;
@@ -181,11 +182,15 @@ bool RegisterFleet(ConstraintMonitor& monitor, const std::string& shape,
 
 /// Median seconds of `poll` over `polls` churn steps (one fresh pending
 /// transaction per step keeps every member dirty, as in steady state),
-/// after one untimed warm-up poll.
+/// after one warm-up poll, the first, whose seconds go to `*first` when it
+/// is non-null.
 template <typename PollFn>
 double TimedPolls(BlockchainDatabase& db, std::size_t polls,
-                  std::int64_t* next_key, const PollFn& poll) {
+                  std::int64_t* next_key, const PollFn& poll,
+                  double* first = nullptr) {
+  Stopwatch first_watch;
   poll();
+  if (first != nullptr) *first = first_watch.ElapsedSeconds();
   std::vector<double> seconds;
   for (std::size_t p = 0; p < polls; ++p) {
     Transaction churn;
@@ -265,20 +270,21 @@ int main(int argc, char** argv) {
       Stopwatch reg_watch;
       if (!RegisterFleet(monitor, point.shape, point.n, &handles)) return 1;
       const double reg_seconds = reg_watch.ElapsedSeconds();
+      double first = 0;
       const double median = TimedPolls(db, polls, &next_key, [&] {
         if (!monitor.Poll(poll_options).ok()) std::abort();
-      });
+      }, &first);
       runs.push_back({point.shape, point.n, true, median});
       std::fprintf(stderr,
                    "%-13s n=%-8zu %-15s register %7.2fs  poll median "
-                   "%10.3f ms  (classes=%zu, batched=%zu, evaluated=%zu, "
-                   "searched=%zu)\n",
+                   "%10.3f ms  first %10.3f ms  (classes=%zu, batched=%zu, "
+                   "evaluated=%zu, searched=%zu)\n",
                    point.shape, point.n, "batched", reg_seconds, median * 1e3,
+                   first * 1e3,
                    monitor.num_classes(),
                    monitor.poll_stats().constraints_batched,
                    monitor.poll_stats().constraints_evaluated,
-                   monitor.poll_stats().compile_cache_hits +
-                       monitor.poll_stats().compile_cache_misses);
+                   monitor.poll_stats().searches);
       const std::size_t disagreements =
           CountDisagreements(monitor, handles, db);
       if (disagreements > 0) {

@@ -13,7 +13,7 @@
 // plus two ground Adds that collapse onto one shared Add-class. A class
 // compiles its plan once, at registration; each poll probes every member's
 // binding through it over R and R ∪ T, and only a member neither probe
-// settles compiles and searches its own grounded constraint (see
+// settles runs its own search, on the same class plan with its binding (see
 // bench_monitor_fanout for the 10^5/10^6-member numbers).
 //
 // Run: ./build/examples/template_fleet
@@ -43,8 +43,7 @@ void Report(const ConstraintMonitor& monitor,
   std::printf("  [classes=%zu, class evaluations so far=%zu, members "
               "through class plans=%zu, member searches=%zu]\n",
               monitor.num_classes(), stats.classes_evaluated,
-              stats.constraints_batched,
-              stats.compile_cache_hits + stats.compile_cache_misses);
+              stats.constraints_batched, stats.searches);
 }
 
 }  // namespace

@@ -161,13 +161,23 @@ class DiagnosticSink {
     return {};
   }
 
-  /// Span of a validator defect: its term's token, else its atom's relation
-  /// name at the atom's occurrence (none when the defect has neither).
-  SourceSpan SpanOfDefect(const QueryDefect& defect) const {
+  /// Span of a validator defect in `q`: its term's token, else its atom's
+  /// relation name at the atom's occurrence; an aggregate-shape defect
+  /// points at the aggregate function, a missing positive atom at the whole
+  /// text.
+  SourceSpan SpanOfDefect(const QueryDefect& defect,
+                          const DenialConstraint& q) const {
     if (defect.term.has_value()) {
       const SourceSpan span = SpanOfTerm(*defect.term);
       if (span.valid()) return span;
     }
+    const SourceSpan whole{0, source_text_.size()};
+    if (defect.kind == DefectKind::kBadAggregate) {
+      const SourceSpan span =
+          SpanOf(AggregateFunctionToString(q.aggregate->fn));
+      return span.valid() ? span : whole;
+    }
+    if (defect.kind == DefectKind::kNoPositiveAtoms) return whole;
     return SpanOf(defect.relation, defect.occurrence);
   }
 
@@ -457,11 +467,62 @@ std::vector<std::string> CollectParams(const DenialConstraint& q) {
   }
   if (q.aggregate.has_value()) {
     for (const Term& term : q.aggregate->args) visit(term);
-    if (q.aggregate->threshold_param.has_value()) {
-      visit(Term::Param(*q.aggregate->threshold_param));
-    }
+    visit(q.aggregate->threshold);
   }
   return params;
+}
+
+/// The passes after validation: the unsat proof, monotonicity,
+/// connectivity, footprint and class, with their diagnostics (notes only
+/// while `sink` holds no error). A template comes with each parameter as a
+/// variable (`$name`), so nothing derived depends on its value.
+void DeriveClassFacts(const DenialConstraint& q, const Catalog& catalog,
+                      const ConstraintSet& constraints, DiagnosticSink& sink,
+                      AnalysisReport& report) {
+  // --- Unsatisfiability core (folding, bindings, type conflicts). ---
+  report.proved_unsat = RunUnsatCore(q, catalog, &sink);
+
+  // --- Monotonicity and connectivity. ---
+  report.analysis = AnalyzeQuery(q, catalog);
+  const QueryAnalysis& analysis = report.analysis;
+  // Derived-fact notes are suppressed for erroneous constraints: the
+  // classification is only meaningful once the errors are fixed.
+  if (!analysis.monotone && !sink.has_error()) {
+    sink.Add(Severity::kNote, AnalysisCode::kNonMonotone,
+             "not proved monotone (" + analysis.monotone_reason +
+                 "); the exhaustive possible-world search applies and the "
+                 "monitor re-checks on every mutation");
+  }
+  if (!q.is_aggregate() && q.positive_atoms.size() > 1 &&
+      !analysis.connected && !sink.has_error()) {
+    sink.Add(Severity::kNote, AnalysisCode::kDisconnected,
+             "the Gaifman graph is disconnected; OptDCSat's per-component "
+             "split does not apply (NaiveDCSat runs instead)");
+  }
+
+  // --- Dichotomy classification. ---
+  report.footprint = IndClosedFootprint(q, catalog, constraints);
+  report.tractability =
+      ClassifyConstraint(q, analysis, constraints, report.proved_unsat);
+  const bool has_fds = !constraints.fds().empty();
+  const bool has_inds = !constraints.inds().empty();
+  if (report.tractability == TractabilityClass::kCoNpMixed &&
+      !sink.has_error()) {
+    if (has_fds && has_inds) {
+      sink.Add(Severity::kNote, AnalysisCode::kMixedConstraintClass,
+               "keys/FDs mix with inclusion dependencies: DCSat is "
+               "CoNP-complete for this class (Theorem 1); a check budget is "
+               "advisable");
+    } else {
+      sink.Add(Severity::kNote, AnalysisCode::kGeneralQueryShape,
+               "the constraint set is one-sided but the query falls outside "
+               "the proven-PTIME fragment (" +
+                   std::string(has_fds ? "FD-only needs a positive "
+                                         "non-aggregate conjunctive query"
+                                       : "IND-only needs a monotone query") +
+                   "); the general search applies");
+    }
+  }
 }
 
 }  // namespace
@@ -547,53 +608,10 @@ AnalysisReport AnalyzeConstraint(const DenialConstraint& q, const Database& db,
   for (const QueryDefect& defect : ValidateQuery(q, catalog)) {
     sink.Add(Severity::kError,
              kDefectCodes[static_cast<std::size_t>(defect.kind)],
-             defect.message, sink.SpanOfDefect(defect));
+             defect.message, sink.SpanOfDefect(defect, q));
   }
 
-  // --- Unsatisfiability core (folding, bindings, type conflicts). ---
-  report.proved_unsat = RunUnsatCore(q, catalog, &sink);
-
-  // --- Monotonicity and connectivity. ---
-  report.analysis = AnalyzeQuery(q, catalog);
-  const QueryAnalysis& analysis = report.analysis;
-  // Derived-fact notes are suppressed for erroneous constraints: the
-  // classification is only meaningful once the errors are fixed.
-  if (!analysis.monotone && !sink.has_error()) {
-    sink.Add(Severity::kNote, AnalysisCode::kNonMonotone,
-             "not proved monotone (" + analysis.monotone_reason +
-                 "); the exhaustive possible-world search applies and the "
-                 "monitor re-checks on every mutation");
-  }
-  if (!q.is_aggregate() && q.positive_atoms.size() > 1 &&
-      !analysis.connected && !sink.has_error()) {
-    sink.Add(Severity::kNote, AnalysisCode::kDisconnected,
-             "the Gaifman graph is disconnected; OptDCSat's per-component "
-             "split does not apply (NaiveDCSat runs instead)");
-  }
-
-  // --- Dichotomy classification. ---
-  report.footprint = IndClosedFootprint(q, catalog, constraints);
-  report.tractability =
-      ClassifyConstraint(q, analysis, constraints, report.proved_unsat);
-  const bool has_fds = !constraints.fds().empty();
-  const bool has_inds = !constraints.inds().empty();
-  if (report.tractability == TractabilityClass::kCoNpMixed &&
-      !sink.has_error()) {
-    if (has_fds && has_inds) {
-      sink.Add(Severity::kNote, AnalysisCode::kMixedConstraintClass,
-               "keys/FDs mix with inclusion dependencies: DCSat is "
-               "CoNP-complete for this class (Theorem 1); a check budget is "
-               "advisable");
-    } else {
-      sink.Add(Severity::kNote, AnalysisCode::kGeneralQueryShape,
-               "the constraint set is one-sided but the query falls outside "
-               "the proven-PTIME fragment (" +
-                   std::string(has_fds ? "FD-only needs a positive "
-                                         "non-aggregate conjunctive query"
-                                       : "IND-only needs a monotone query") +
-                   "); the general search applies");
-    }
-  }
+  DeriveClassFacts(q, catalog, constraints, sink, report);
 
   // --- Base-state probe: the only compile, since evaluating q needs one. ---
   if (options.check_base_state && !report.proved_unsat && !sink.has_error()) {
@@ -649,34 +667,29 @@ TemplateAnalysis AnalyzeTemplate(const ConstraintTemplate& tmpl,
   }
 
   AnalyzerOptions admission = options;
-  // Base-state and unsat classifications of the dummy instance would be
-  // binding-dependent facts, not class facts.
   admission.check_base_state = false;
-  AnalysisReport dummy_report;
   StatusOr<DenialConstraint> dummy = tmpl.Instantiate(dummies);
-  if (dummy.ok()) {
-    dummy_report = AnalyzeConstraint(*dummy, db, constraints, admission);
-  } else {
-    dummy_report.diagnostics.push_back(
+  if (!dummy.ok()) {
+    result.report.diagnostics.push_back(
         Diagnostic{Severity::kError, AnalysisCode::kUnboundParameter,
                    dummy.status().message(), SourceSpan{}});
+  } else {
+    result.report = AnalyzeConstraint(*dummy, db, constraints, admission);
   }
 
-  result.batchable = tmpl.projectable() && dummy_report.ok();
-  if (result.batchable) {
-    // The class-level report comes from the generalized query: with
-    // parameters as variables, monotonicity / connectivity / tractability /
-    // footprint are exactly the facts shared by every member.
-    AnalysisReport general =
-        AnalyzeConstraint(tmpl.Generalized(), db, constraints, admission);
-    if (general.ok()) {
-      result.report = std::move(general);
-    } else {
-      result.batchable = false;
-      result.report = std::move(dummy_report);
-    }
-  } else {
-    result.report = std::move(dummy_report);
+  if (result.report.ok()) {
+    // Every class fact comes from the template with its parameters as
+    // variables of unknown value, so it holds for every binding: the
+    // dummy's constants would fold comparisons, couple atoms and type
+    // operands as no binding need. (The generalized query of a projectable
+    // template is the same query with a head.)
+    DenialConstraint general = tmpl.Generalized();
+    general.head_vars.clear();
+    DiagnosticSink sink(options.source_text);
+    result.report = AnalysisReport{};
+    DeriveClassFacts(general, catalog, constraints, sink, result.report);
+    result.report.diagnostics = sink.Take();
+    result.batchable = tmpl.projectable();
   }
 
   result.class_key = ClassKey(tmpl, result.report.footprint);

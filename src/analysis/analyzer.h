@@ -156,14 +156,14 @@ AnalysisReport AnalyzeConstraintText(std::string_view text, const Database& db,
 
 /// Everything the analyzer derives about a whole template class.
 struct TemplateAnalysis {
-  /// The class-level report. For batchable templates this analyzes the
-  /// *generalized* query (parameters as head variables), so monotonicity,
-  /// connectivity, tractability, and footprint are binding-independent
-  /// class facts; otherwise it analyzes a dummy-typed instance, which is
-  /// only good for admission (its errors are binding-independent).
+  /// The class-level report. A dummy-typed instance decides admission (its
+  /// errors are binding-independent); an admitted template's facts — unsat
+  /// proof, monotonicity, connectivity, tractability, footprint and their
+  /// diagnostics — come from the template with each parameter a variable
+  /// of unknown value, so they hold for every binding.
   AnalysisReport report;
-  /// Projectable, with an error-free generalized query: a monitor may
-  /// settle the class's members by answer passes over Generalized().
+  /// Projectable and admitted: a monitor may settle the class's members by
+  /// answer passes over Generalized().
   bool batchable = false;
   /// The isomorphism-class key (ClassKey): canonical α-renamed skeleton
   /// plus the IND-closed footprint, which bcdb_lint prints so an operator
@@ -176,7 +176,9 @@ struct TemplateAnalysis {
 /// safety, cross-type parameters — checked on a dummy-typed instance so the
 /// errors are binding-independent), batchability, the class-level report,
 /// and the canonicalization key. Never fails; defects come back as kError
-/// diagnostics inside the report.
+/// diagnostics inside the report. No class fact depends on the dummy: a
+/// template whose unsat proof needs its binding (`$lo > $hi`) is not
+/// classed trivially-unsat.
 TemplateAnalysis AnalyzeTemplate(const ConstraintTemplate& tmpl,
                                  const Database& db,
                                  const ConstraintSet& constraints,

@@ -256,12 +256,7 @@ DcSatEngine::LookupOrCompile(const DenialConstraint& q) {
       CompiledQuery::Compile(q, &db_->database());
   if (!compiled.ok()) return compiled.status();
   BCDB_RETURN_IF_ERROR(compiled->RequireGround());
-  // The class needs only the catalog, the integrity constraints and the
-  // structural analysis the compiler already derived, not a full
-  // AnalyzeConstraint report.
-  const TractabilityClass klass = ClassifyConstraint(
-      q, compiled->analysis(), db_->constraints(),
-      ProvedUnsatisfiable(q, db_->catalog()));
+  const TractabilityClass klass = Classify(*compiled, q);
   if (compiled_cache_.size() >= kCompiledCacheCapacity) {
     // FIFO eviction drops only the cache's reference; queries handed out by
     // earlier calls stay alive with their holders.
@@ -287,25 +282,31 @@ StatusOr<DcSatResult> DcSatEngine::Check(const DenialConstraint& q,
   const bool cache_hit =
       cached_version_ == db_->version() && fd_graph_.has_value();
   RefreshCaches();
-  return CheckImpl(q, *(*entry)->compiled, options, (*entry)->klass,
+  return CheckImpl(*(*entry)->compiled, Tuple(), options, (*entry)->klass,
                    cache_hit, total_watch);
 }
 
 StatusOr<DcSatResult> DcSatEngine::CheckPrepared(
-    const DenialConstraint& q, const CompiledQuery& compiled,
-    const AnalysisReport& report, const DcSatOptions& options) const {
+    const CompiledQuery& plan, const Tuple& binding, TractabilityClass klass,
+    const DcSatOptions& options) const {
   Stopwatch total_watch;
-  if (!report.ok()) {
-    return Status::InvalidArgument(
-        "constraint rejected by static analysis: " + report.ErrorSummary());
-  }
+  BCDB_RETURN_IF_ERROR(plan.ValidateBinding(binding));
   if (cached_version_ != db_->version() || !fd_graph_.has_value()) {
     return Status::Internal(
         "CheckPrepared requires fresh steady-state caches; call "
         "PrepareSteadyState after the last database mutation");
   }
-  return CheckImpl(q, compiled, options, report.tractability,
-                   /*cache_hit=*/true, total_watch);
+  return CheckImpl(plan, binding, options, klass, /*cache_hit=*/true,
+                   total_watch);
+}
+
+TractabilityClass DcSatEngine::Classify(const CompiledQuery& plan,
+                                        const DenialConstraint& ground) const {
+  // The class needs only the catalog, the integrity constraints and the
+  // structural analysis the compiler already derived, not a full
+  // AnalyzeConstraint report.
+  return ClassifyConstraint(plan.source(), plan.analysis(), db_->constraints(),
+                            ProvedUnsatisfiable(ground, db_->catalog()));
 }
 
 AnalysisReport DcSatEngine::Analyze(const DenialConstraint& q) const {
@@ -318,9 +319,10 @@ AnalysisReport DcSatEngine::Analyze(const DenialConstraint& q) const {
 }
 
 StatusOr<DcSatResult> DcSatEngine::CheckImpl(
-    const DenialConstraint& q, const CompiledQuery& compiled,
+    const CompiledQuery& compiled, const Tuple& binding,
     const DcSatOptions& options, TractabilityClass klass, bool cache_hit,
     const Stopwatch& total_watch) const {
+  const DenialConstraint& q = compiled.source();
   const QueryAnalysis& analysis = compiled.analysis();
   DcSatResult result;
   result.stats.steady_cache_hit = cache_hit;
@@ -339,7 +341,7 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
       return result;
     }
     std::optional<DcSatResult> tractable =
-        TryTractableDcSat(*db_, *fd_graph_, compiled, klass);
+        TryTractableDcSat(*db_, *fd_graph_, compiled, binding, klass);
     if (tractable.has_value()) {
       tractable->stats.steady_cache_hit = cache_hit;
       tractable->stats.total_seconds = total_watch.ElapsedSeconds();
@@ -389,7 +391,7 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
     // them decides unsat conclusively, budget or not.
     for (const WorldView& world : enumeration->worlds) {
       ++result.stats.num_worlds_evaluated;
-      if (compiled.Evaluate(world)) {
+      if (compiled.Evaluate(world, binding)) {
         result.satisfied = false;
         result.witness = WitnessOf(world);
         break;
@@ -406,7 +408,8 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
   }
 
   // --- Monotone pre-check over R ∪ T (Section 6.3). ---
-  if (options.use_precheck && !compiled.Evaluate(db_->PendingUnionView())) {
+  if (options.use_precheck &&
+      !compiled.Evaluate(db_->PendingUnionView(), binding)) {
     result.satisfied = true;
     result.stats.precheck_decided = true;
     result.stats.total_seconds = total_watch.ElapsedSeconds();
@@ -421,7 +424,7 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
   // The base world R is itself a possible world; the clique search below
   // reaches it only when a component is empty, so check it once up front.
   ++result.stats.num_worlds_evaluated;
-  if (compiled.Evaluate(db_->BaseView())) {
+  if (compiled.Evaluate(db_->BaseView(), binding)) {
     result.satisfied = false;
     result.witness = std::vector<PendingId>{};
     result.stats.total_seconds = total_watch.ElapsedSeconds();
@@ -439,8 +442,9 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
 
   // --- Clique search: the first violating world decides. ---
   result.witness =
-      SearchComponents(*components, compiled, opt && options.use_covers,
-                       budget, options.use_pivot, result.stats);
+      SearchComponents(*components, compiled, binding,
+                       opt && options.use_covers, budget, options.use_pivot,
+                       result.stats);
   result.satisfied = !result.witness.has_value();
   if (result.satisfied && result.stats.budget_expired) {
     // No counterexample found and parts of the search were skipped: the
@@ -513,8 +517,8 @@ std::shared_ptr<const ComponentList> DcSatEngine::MemoLookup(
 
 std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
     const ComponentList& components, const CompiledQuery& query,
-    bool use_covers, const Budget* budget, bool use_pivot,
-    DcSatStats& stats) const {
+    const Tuple& binding, bool use_covers, const Budget* budget,
+    bool use_pivot, DcSatStats& stats) const {
   // Scans the components in index order. Budget expiry ends the scan (the
   // budget latches, so the rest would only be marked expired too), and so
   // does the first violating world.
@@ -529,7 +533,7 @@ std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
       for (PendingId id : component) {
         cover_view.Activate(static_cast<TupleOwner>(id));
       }
-      if (!query.CoversConstants(cover_view)) {
+      if (!query.CoversConstants(cover_view, binding)) {
         ++stats.components_completed;
         continue;
       }
@@ -556,7 +560,7 @@ std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
               *db_, *fd_graph_, appendability_, clique, &maximal_stats);
           ++stats.num_worlds_evaluated;
           stats.maximal_probes += maximal_stats.probes;
-          if (!query.Evaluate(world)) return true;
+          if (!query.Evaluate(world, binding)) return true;
           stop_world = WitnessOf(world);
           return false;
         },

@@ -207,19 +207,29 @@ class DcSatEngine {
                               const DcSatOptions& options = {});
 
   /// Const query path for concurrent callers (ConstraintMonitor::Poll):
-  /// decides D |= ¬q with a query already compiled against the current
-  /// database, routed on `report`'s class exactly as Check routes on its
-  /// cached one, without touching the engine's caches. `report` must be this
-  /// database's analysis of `q` (see Analyze); fails with InvalidArgument on
-  /// a report carrying errors. Requires PrepareSteadyState (or any Check)
-  /// to have run since the last database mutation; fails with Internal
-  /// otherwise. Many threads may call this simultaneously as long as the
-  /// database is not mutated concurrently. They share the decomposition
-  /// memo (see Decompose) and the appendability-to-R status.
-  StatusOr<DcSatResult> CheckPrepared(const DenialConstraint& q,
-                                      const CompiledQuery& compiled,
-                                      const AnalysisReport& report,
+  /// decides D |= ¬q for q = `plan.source()` with its parameters bound to
+  /// `binding` (empty for a ground plan), on a plan compiled against this
+  /// database, without touching the engine's caches. Routes on `klass`
+  /// exactly as Check routes on its cached class: pass Classify(plan, q with
+  /// `binding` substituted). Θ_q and connectivity are the plan's, which a
+  /// template's parameters leave sound for every binding (DESIGN §13).
+  /// Fails with InvalidArgument on a binding the plan rejects
+  /// (CompiledQuery::ValidateBinding). Requires PrepareSteadyState (or any
+  /// Check) to have run since the last database mutation; fails with
+  /// Internal otherwise. Many threads may call this simultaneously as long
+  /// as the database is not mutated concurrently. They share the
+  /// decomposition memo (see Decompose) and the appendability-to-R status.
+  StatusOr<DcSatResult> CheckPrepared(const CompiledQuery& plan,
+                                      const Tuple& binding,
+                                      TractabilityClass klass,
                                       const DcSatOptions& options = {}) const;
+
+  /// The static class Check routes on: ClassifyConstraint over `plan`'s
+  /// source and structural analysis, with the unsat proof of `ground` —
+  /// the source itself, or a template source with a binding substituted
+  /// (the only binding-dependent input). Compiles nothing.
+  TractabilityClass Classify(const CompiledQuery& plan,
+                             const DenialConstraint& ground) const;
 
   /// Statically analyzes `q` against this database and its integrity
   /// constraints (no base-state probe: the engine re-checks R itself on
@@ -279,9 +289,10 @@ class DcSatEngine {
 
  private:
   /// The whole decision procedure after compilation, against fresh caches,
-  /// routed on `klass` (the query's static class).
-  StatusOr<DcSatResult> CheckImpl(const DenialConstraint& q,
-                                  const CompiledQuery& compiled,
+  /// for `compiled`'s source under `binding`, routed on `klass` (its static
+  /// class).
+  StatusOr<DcSatResult> CheckImpl(const CompiledQuery& compiled,
+                                  const Tuple& binding,
                                   const DcSatOptions& options,
                                   TractabilityClass klass, bool cache_hit,
                                   const Stopwatch& total_watch) const;
@@ -290,8 +301,9 @@ class DcSatEngine {
   /// cover filter (`query`'s CoversConstants, when `use_covers`),
   /// ChargeComponent, Bron–Kerbosch over the component with
   /// ChargeClique/ChargeWorld per clique, GetMaximalOfClique, then `query`
-  /// over the maximal world. Returns the active pending ids of the first
-  /// world that satisfies `query` in the lowest such component, or nullopt.
+  /// over the maximal world, with `binding` filling its parameters. Returns
+  /// the active pending ids of the first world that satisfies `query` in
+  /// the lowest such component, or nullopt.
   /// Scans the components in index order on the caller's thread and ends at
   /// the first violating world or budget expiry. Accumulates the coverage,
   /// completion, clique, world and probe counts into `stats` and sets
@@ -299,8 +311,8 @@ class DcSatEngine {
   /// component early.
   std::optional<std::vector<PendingId>> SearchComponents(
       const ComponentList& components, const CompiledQuery& query,
-      bool use_covers, const Budget* budget, bool use_pivot,
-      DcSatStats& stats) const;
+      const Tuple& binding, bool use_covers, const Budget* budget,
+      bool use_pivot, DcSatStats& stats) const;
 
   void RefreshCaches();
   /// Patches fd_graph_/theta_i_ from the mutation events since

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <utility>
 
-#include "query/analysis.h"
 #include "query/compiled_query.h"
 #include "query/parser.h"
 #include "util/parallel_for.h"
@@ -172,8 +171,6 @@ StatusOr<MonitorHandle> ConstraintMonitor::Add(std::string label,
   entry.class_id = class_id;
   entry.label = std::move(label);
   entry.binding = Tuple(canon->binding);
-  entry.grounded = std::make_unique<Grounded>(
-      Grounded{std::move(q), std::move(report), std::nullopt});
   return AppendEntry(std::move(entry));
 }
 
@@ -228,29 +225,6 @@ StatusOr<MonitorHandle> ConstraintMonitor::Bind(
   return AppendEntry(std::move(entry));
 }
 
-Status ConstraintMonitor::GroundEntry(Entry& entry) {
-  if (entry.grounded == nullptr) {
-    const TemplateClass& cls = classes_[entry.class_id];
-    StatusOr<DenialConstraint> grounded =
-        cls.tmpl.Instantiate(entry.binding.values());
-    if (!grounded.ok()) return grounded.status();
-    AnalysisReport report = engine_.Analyze(*grounded);
-    if (!report.ok()) {
-      return Status::InvalidArgument(
-          "binding " + BindingSummary(entry.binding) + " for template '" +
-          cls.label + "' rejected by static analysis: " +
-          report.ErrorSummary());
-    }
-    entry.grounded = std::make_unique<Grounded>(
-        Grounded{*std::move(grounded), std::move(report), std::nullopt});
-  }
-  StatusOr<CompiledQuery> compiled =
-      CompiledQuery::Compile(entry.grounded->q, &db_->database());
-  if (!compiled.ok()) return compiled.status();
-  entry.grounded->compiled = std::move(*compiled);
-  return Status::OK();
-}
-
 Status ConstraintMonitor::Remove(MonitorHandle handle) {
   MutexLock lock(mutex_);
   if (!handle.valid()) {
@@ -269,7 +243,6 @@ Status ConstraintMonitor::Remove(MonitorHandle handle) {
   }
   entry.removed = true;
   entry.verdict = Verdict::kUnknown;
-  entry.grounded.reset();
   TemplateClass& cls = classes_[entry.class_id];
   if (cls.generalized.has_value() &&
       --cls.live_per_unique[entry.unique_slot] == 0) {
@@ -367,9 +340,9 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
   // polynomial check risks nothing but spurious kUndecided verdicts. Each
   // check then runs under its budget scaled by the escalation factor
   // (undecided verdicts earn a larger retry budget).
-  auto base_budget_for = [&](const AnalysisReport& report) -> BudgetLimits {
+  auto base_budget_for = [&](TractabilityClass klass) -> BudgetLimits {
     if (!options.budget.unlimited()) return options.budget;
-    switch (report.tractability) {
+    switch (klass) {
       case TractabilityClass::kTriviallyUnsat:
       case TractabilityClass::kPtimeFdOnly:
       case TractabilityClass::kPtimeIndOnly:
@@ -478,37 +451,40 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
     }
   });
 
-  // Phase 3 (single-threaded): ground the survivors. Compiling builds hash
-  // indexes in the storage layer, which is not thread-safe, so it happens
-  // here between the fan-outs; a member compiles once and keeps its plan.
+  // Phase 3: each survivor's own (serial) search on its class plan with its
+  // binding, under its escalated budget. It routes as Check routes the
+  // instantiated constraint: the class's structure with the unsat proof of
+  // the member's binding, which compiles nothing and is computed once per
+  // member.
   std::vector<std::size_t> survivors;
   for (std::size_t slot : to_evaluate) {
     if (verdicts[slot] == Verdict::kUnknown) survivors.push_back(slot);
   }
-  for (std::size_t slot : survivors) {
-    Entry& entry = entries_[slot];
-    if (entry.grounded != nullptr && entry.grounded->compiled.has_value()) {
-      ++poll_stats_.compile_cache_hits;
-      continue;
-    }
-    BCDB_RETURN_IF_ERROR(GroundEntry(entry));
-    ++poll_stats_.compile_cache_misses;
-  }
-
-  // Phase 4: each survivor's own (serial) search, under its escalated
-  // budget.
+  const TemplateClass* class_table = classes_.data();
   std::vector<Status> statuses(survivors.size());
+  std::vector<TractabilityClass> routes(survivors.size());
   ParallelFor(survivors.size(), width, [&](std::size_t i) {
     const Entry& entry = entry_table[survivors[i]];
+    const TemplateClass& cls = class_table[entry.class_id];
+    if (entry.route != kUnrouted) {
+      routes[i] = static_cast<TractabilityClass>(entry.route);
+    } else {
+      StatusOr<DenialConstraint> ground =
+          cls.tmpl.Instantiate(entry.binding.values());
+      if (!ground.ok()) {
+        statuses[i] = ground.status();
+        return;
+      }
+      routes[i] = engine_.Classify(*cls.plan, *ground);
+    }
+    const TractabilityClass klass = routes[i];
     DcSatOptions check = options;
-    const Grounded& grounded = *entry.grounded;
-    const BudgetLimits base_budget = base_budget_for(grounded.report);
+    const BudgetLimits base_budget = base_budget_for(klass);
     check.budget = entry.budget_scale > 1.0
                        ? base_budget.Scaled(entry.budget_scale)
                        : base_budget;
     StatusOr<DcSatResult> result =
-        engine_.CheckPrepared(grounded.q, *grounded.compiled, grounded.report,
-                              check);
+        engine_.CheckPrepared(*cls.plan, entry.binding, klass, check);
     if (!result.ok()) {
       statuses[i] = result.status();
     } else if (!result->decided) {
@@ -523,7 +499,7 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
     poll_stats_.constraints_parallel += to_evaluate.size();
   }
 
-  // Phase 5 (single-threaded): every status is checked before any verdict
+  // Phase 4 (single-threaded): every status is checked before any verdict
   // commits. Committing the leading entries and then erroring out would
   // swallow their transitions forever — the next poll sees the verdict
   // already updated and reports no Change. On error nothing commits and
@@ -531,6 +507,10 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
   for (const Status& status : statuses) {
     if (!status.ok()) return status;
   }
+  for (std::size_t i = 0; i < survivors.size(); ++i) {
+    entries_[survivors[i]].route = static_cast<std::uint8_t>(routes[i]);
+  }
+  poll_stats_.searches += survivors.size();
   poll_stats_.classes_evaluated += classes_batched;
   poll_stats_.constraints_batched += members_batched;
   std::vector<Change> changes;

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -116,7 +115,9 @@ struct MonitorOptions {
 /// constant-free skeleton is hashed, so a million near-identical Adds
 /// collapse onto one class. What members of a class share is its compiled
 /// *class plan*: the template compiled once at registration, with each
-/// parameter a slot the member's binding fills (CompiledQuery).
+/// parameter a slot the member's binding fills (CompiledQuery). A member is
+/// nothing but its class and its binding: every probe and search runs on
+/// the class plan, so no member ever compiles or analyzes its own query.
 ///
 /// Poll decides every member with the same routine, over a read-only
 /// snapshot: the engine's steady-state caches are refreshed once
@@ -134,9 +135,11 @@ struct MonitorOptions {
 ///   1. a "happened" probe: the class plan over R with the member's binding;
 ///   2. for monotone classes, the pre-check probe over R ∪ T (false there
 ///      means impossible in every world);
-///   3. only if neither settles it, the member's own grounded check
-///      (DcSatEngine::CheckPrepared with its own budget), compiled the first
-///      time the member gets this far and reused ever after.
+///   3. only if neither settles it, the member's own search:
+///      DcSatEngine::CheckPrepared on the class plan with the member's
+///      binding and its own budget, routed on the class the instantiated
+///      constraint would get (DcSatEngine::Classify, which compiles
+///      nothing).
 /// A projectable class with more distinct bindings than the relation its
 /// generalized plan starts from has stored tuples runs steps 1 and 2 set at
 /// a time instead: one answer enumeration over R and one over R ∪ T. The
@@ -182,10 +185,13 @@ class ConstraintMonitor {
   /// Cumulative counters for the steady-state behaviour of Poll.
   struct PollStats {
     std::size_t polls = 0;
-    /// Searches that reused their member's grounded plan.
+    /// Always 0: a poll compiles nothing, since every search runs on its
+    /// class plan. Kept because perfbench reads `compile_cache_misses`
+    /// (`monitor.compile_misses_per_poll`); ROADMAP's perfbench v2 item
+    /// renames or removes both.
     std::size_t compile_cache_hits = 0;
-    /// Grounded plans compiled: a member's first search.
     std::size_t compile_cache_misses = 0;
+    std::size_t searches = 0;  // Members neither probe settled.
     std::size_t constraints_evaluated = 0;  // Entries re-checked successfully.
     std::size_t constraints_skipped = 0;    // Entries clean — verdict kept.
     std::size_t threads_used = 1;  // Last poll's requested fan-out width.
@@ -209,9 +215,8 @@ class ConstraintMonitor {
   /// rejection is the contract: the static analyzer runs here, and any
   /// error-severity diagnostic (unknown relation, arity mismatch, unsafe
   /// variable, ...) fails the Add with the full diagnostic summary — a
-  /// malformed constraint never reaches Poll. The accepted entry keeps its
-  /// AnalysisReport (see analysis()) and uses the inferred footprint,
-  /// monotonicity, and tractability class for dirty tracking and dispatch.
+  /// malformed constraint never reaches Poll. The report is not kept: the
+  /// entry reports its class's analysis (see analysis()).
   ///
   /// Internally the constraint is canonicalized: every constant is
   /// extracted into a parameter binding and the constant-free skeleton
@@ -243,8 +248,8 @@ class ConstraintMonitor {
   /// Binds one member of a template class: `binding[i]` substitutes the
   /// template's `param_names()[i]`. The member behaves exactly like an Add
   /// of the instantiated constraint — own handle, own verdict, own Change
-  /// records — but is probed through the class plan, and grounded only if
-  /// it reaches a search. Fails with InvalidArgument on a handle from
+  /// records — and, like it, is probed and searched through the class
+  /// plan. Fails with InvalidArgument on a handle from
   /// another monitor, a binding of the wrong arity, or binding values whose
   /// types the instantiated constraint would be rejected for
   /// (CompiledQuery::ValidateBinding).
@@ -295,22 +300,17 @@ class ConstraintMonitor {
     return entry != nullptr ? entry->label : std::string();
   }
 
-  /// The static analysis of the entry (classification, footprint,
-  /// diagnostics); nullptr for invalid or removed handles. Add entries
-  /// report their own grounded analysis; bound template members report the
-  /// class-level analysis (binding-independent by construction) until their
-  /// first search grounds them, and their own from then on. The pointer
-  /// borrows from the monitor and is valid
-  /// only until the next registration or removal (the tables may grow) —
-  /// the same single-threaded introspection contract as before; do not
-  /// cache it across mutating calls.
+  /// The static analysis of the entry's class (classification, footprint,
+  /// diagnostics), which holds for every binding (AnalyzeTemplate);
+  /// nullptr for invalid or removed handles. The pointer borrows from the
+  /// monitor and is valid only until the next registration or removal (the
+  /// tables may grow) — the same single-threaded introspection contract as
+  /// before; do not cache it across mutating calls.
   const AnalysisReport* analysis(MonitorHandle handle) const
       BCDB_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     const Entry* entry = Find(handle);
-    if (entry == nullptr) return nullptr;
-    if (entry->grounded != nullptr) return &entry->grounded->report;
-    return &classes_[entry->class_id].report;
+    return entry != nullptr ? &classes_[entry->class_id].report : nullptr;
   }
 
   /// Label of a template class; empty for foreign/invalid handles.
@@ -377,6 +377,7 @@ class ConstraintMonitor {
   static constexpr double kBudgetGrowth = 2.0;
   static constexpr double kMaxBudgetScale = 64.0;
   static constexpr std::size_t kMaxBackoffPolls = 8;
+  static constexpr std::uint8_t kUnrouted = 0xff;
 
   /// One template class: the unit of registration, dirty tracking, and plan
   /// sharing. Add-created classes are deduplicated by `class_by_key_`;
@@ -384,9 +385,9 @@ class ConstraintMonitor {
   struct TemplateClass {
     std::string label;
     ConstraintTemplate tmpl;
-    /// Class-level analysis: the generalized query's report for projectable
-    /// classes (monotonicity, connectivity, tractability, and footprint are
-    /// binding-independent facts), a dummy-typed instance's otherwise.
+    /// Class-level analysis (AnalyzeTemplate): every fact in it holds for
+    /// every binding. Searches do not route on its class, which ignores
+    /// the binding's unsat proof.
     AnalysisReport report;
     /// The class plan: the template compiled once, parameters as slots.
     std::optional<CompiledQuery> plan;
@@ -410,16 +411,6 @@ class ConstraintMonitor {
     std::size_t unique_live = 0;
   };
 
-  /// Grounded machinery for one member's own search: the instantiated
-  /// constraint and its analysis (Add computes both at registration) and
-  /// the compiled grounded plan — compiled by GroundEntry the first time
-  /// the member reaches a search, then kept.
-  struct Grounded {
-    DenialConstraint q;
-    AnalysisReport report;
-    std::optional<CompiledQuery> compiled;
-  };
-
   /// One standing constraint: a (class, binding) pair.
   struct Entry {
     std::size_t class_id = 0;
@@ -431,16 +422,16 @@ class ConstraintMonitor {
     std::size_t unique_slot = 0;
     Verdict verdict = Verdict::kUnknown;
     bool removed = false;
+    /// The TractabilityClass the member's searches route on
+    /// (DcSatEngine::Classify), cached by its first search; kUnrouted
+    /// before it.
+    std::uint8_t route = kUnrouted;
     /// Budget escalation state (see kBudgetGrowth): consecutive undecided
     /// verdicts, the cumulative budget multiplier the next check gets, and
     /// how many polls the entry still sits out before being retried.
     std::size_t undecided_streak = 0;
     double budget_scale = 1.0;
     std::size_t backoff_remaining = 0;
-    /// The member's own search machinery; null until Add registers it or
-    /// the member first reaches a search. Held out of line so the polls'
-    /// scans over the entry table stay compact at millions of members.
-    std::unique_ptr<Grounded> grounded;
   };
 
   /// The live entry behind `handle`, or nullptr. Handles minted by a
@@ -472,11 +463,6 @@ class ConstraintMonitor {
 
   /// Appends a member entry of `class_id`; returns its handle.
   MonitorHandle AppendEntry(Entry entry) BCDB_REQUIRES(mutex_);
-
-  /// Materializes the grounded machinery for the member's own search: the
-  /// instantiated constraint and its analysis (unless Add already did) and
-  /// the compiled grounded plan.
-  Status GroundEntry(Entry& entry) BCDB_REQUIRES(mutex_);
 
   /// The set-at-a-time probes of a projectable class: settles the members
   /// at `slots` (of `entries`) into `verdicts` from one answer enumeration of
@@ -511,7 +497,7 @@ class ConstraintMonitor {
   BlockchainDatabase* db_;
   MonitorOptions options_;
   /// Externally synchronized by mutex_: the monitor holds its lock across
-  /// every engine call (Poll, Add's Analyze, GroundEntry). Not annotated
+  /// every engine call (Poll, Add's Analyze). Not annotated
   /// because the engine() introspection accessor intentionally escapes it.
   DcSatEngine engine_;
   /// This monitor's process-unique identity, stamped into every handle.

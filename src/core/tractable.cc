@@ -78,6 +78,7 @@ bool SupportRealizable(const Database& database, const FdGraph& fd_graph,
 std::optional<DcSatResult> TryTractableDcSat(const BlockchainDatabase& db,
                                              const FdGraph& fd_graph,
                                              const CompiledQuery& compiled,
+                                             const Tuple& binding,
                                              TractabilityClass klass,
                                              std::size_t support_limit) {
   if (klass != TractabilityClass::kPtimeIndOnly &&
@@ -94,7 +95,7 @@ std::optional<DcSatResult> TryTractableDcSat(const BlockchainDatabase& db,
     const WorldView maximal = GetMaximal(db, db.PendingIds(), &maximal_stats);
     result.stats.num_worlds_evaluated = 1;
     result.stats.maximal_probes = maximal_stats.probes;
-    result.satisfied = !compiled.Evaluate(maximal);
+    result.satisfied = !compiled.Evaluate(maximal, binding);
     if (!result.satisfied) result.witness = maximal.active_bits().ToVector();
     return result;
   }
@@ -108,7 +109,7 @@ std::optional<DcSatResult> TryTractableDcSat(const BlockchainDatabase& db,
   std::size_t supports_seen = 0;
   std::vector<PendingId> witness;
   compiled.EnumerateSupports(
-      db.PendingUnionView(),
+      db.PendingUnionView(), binding,
       [&](const std::vector<CompiledQuery::SupportEntry>& support) {
         if (++supports_seen > support_limit) {
           abstained = true;

@@ -42,11 +42,13 @@ namespace bcdb {
 /// `DcSatAlgorithm::kTractable` and a witness world when unsatisfied.
 ///
 /// `fd_graph` must be current for `db` (the engine's cached one) and
-/// `compiled` must be the constraint compiled against `db`'s database. The
-/// procedure only reads them, so concurrent callers may share both.
+/// `compiled` must be the constraint compiled against `db`'s database,
+/// decided under `binding` (empty for a ground constraint). The procedure
+/// only reads them, so concurrent callers may share all three.
 std::optional<DcSatResult> TryTractableDcSat(const BlockchainDatabase& db,
                                              const FdGraph& fd_graph,
                                              const CompiledQuery& compiled,
+                                             const Tuple& binding,
                                              TractabilityClass klass,
                                              std::size_t support_limit = 100000);
 

@@ -95,12 +95,9 @@ std::string DenialConstraint::ToString() const {
     if (i > 0) head += ", ";
     head += aggregate->args[i].ToString();
   }
-  const std::string threshold_text =
-      aggregate->threshold_param.has_value()
-          ? "$" + *aggregate->threshold_param
-          : aggregate->threshold.ToString();
   return "[" + name + "(" + head + ")) :- " + body + "] " +
-         ComparisonOpToString(aggregate->op) + " " + threshold_text;
+         ComparisonOpToString(aggregate->op) + " " +
+         aggregate->threshold.ToString();
 }
 
 }  // namespace bcdb

@@ -129,11 +129,8 @@ struct AggregateSpec {
   /// The tuple x̄ of variables aggregated over (may be empty for count).
   std::vector<Term> args;
   ComparisonOp op = ComparisonOp::kGt;
-  Value threshold;
-  /// When set, the threshold is the template parameter `$threshold_param`
-  /// rather than the `threshold` constant, which then stays NULL (== would
-  /// tell apart two queries that differ only in that unused constant).
-  std::optional<std::string> threshold_param;
+  /// The constant c, or a template parameter standing for it.
+  Term threshold;
 
   bool operator==(const AggregateSpec&) const = default;
 };

@@ -65,10 +65,7 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
     intern_param(cmp.rhs);
   }
   // ValidateQuery rejects a parameter among the aggregate's arguments.
-  if (q.aggregate.has_value() && q.aggregate->threshold_param.has_value()) {
-    result.agg_threshold_slot_ =
-        vars.Intern("$" + *q.aggregate->threshold_param);
-  }
+  if (q.aggregate.has_value()) intern_param(q.aggregate->threshold);
   result.num_params_ = vars.size();
 
   // --- Intern variables (positive atoms define them). ---
@@ -165,7 +162,7 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
     result.is_aggregate_ = true;
     result.agg_fn_ = spec.fn;
     result.agg_op_ = spec.op;
-    result.agg_threshold_ = spec.threshold;
+    result.agg_threshold_ = resolve_term(spec.threshold);
     for (const Term& term : spec.args) {
       result.agg_vars_.push_back(slot_of(term));
     }
@@ -307,22 +304,21 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
   }
 
   // --- Constant-coverage probes (for OptDCSat's Covers test). ---
+  // A parameter position is probed with the binding's value, so the index
+  // covers constant and parameter positions alike.
   for (std::size_t a = 0; a < q.positive_atoms.size(); ++a) {
     const Atom& atom = q.positive_atoms[a];
-    std::vector<std::size_t> const_positions;
-    std::vector<Value> const_values;
+    std::vector<std::size_t> positions;
+    CoverProbe probe;
     for (std::size_t i = 0; i < atom.args.size(); ++i) {
-      if (atom.args[i].is_constant()) {
-        const_positions.push_back(i);
-        const_values.push_back(atom.args[i].value());
+      if (!atom.args[i].is_variable()) {
+        positions.push_back(i);
+        probe.key_args.push_back(resolve_term(atom.args[i]));
       }
     }
-    if (const_positions.empty()) continue;
-    CoverProbe probe;
+    if (positions.empty()) continue;
     probe.relation_id = atom_relation_ids[a];
-    probe.index_id =
-        db->relation(probe.relation_id).GetOrBuildIndex(const_positions);
-    probe.key = Tuple(std::move(const_values));
+    probe.index_id = db->relation(probe.relation_id).GetOrBuildIndex(positions);
     result.cover_probes_.push_back(std::move(probe));
   }
 
@@ -585,10 +581,7 @@ bool CompiledQuery::Evaluate(const WorldView& view,
   }
   AggState agg;
   agg.query = this;
-  agg.threshold = agg_threshold_slot_.has_value()
-                      ? &ValuePool::Global().value(
-                            assignment[*agg_threshold_slot_])
-                      : &agg_threshold_;
+  agg.threshold = &ResolveArgValue(agg_threshold_, assignment);
   if (agg_fn_ == AggregateFunction::kCountDistinct) {
     agg.distinct.reserve(DistinctSetSizeHint());
   }
@@ -600,11 +593,12 @@ bool CompiledQuery::Evaluate(const WorldView& view,
 }
 
 void CompiledQuery::EnumerateSupports(
-    const WorldView& view,
+    const WorldView& view, const Tuple& binding,
     const std::function<bool(const std::vector<SupportEntry>&)>& callback)
     const {
-  if (always_false_ || is_aggregate_ || num_params_ > 0) return;
+  if (always_false_ || is_aggregate_) return;
   std::vector<ValueId> assignment(num_variables(), kNullValueId);
+  if (!BindParams(binding, assignment)) return;
   std::vector<SupportEntry> support;
   support.reserve(steps_.size());
   SearchContext context;
@@ -694,19 +688,25 @@ std::string CompiledQuery::ExplainPlan() const {
     out += "  => " +
            std::string(AggregateFunctionToString(agg_fn_)) + " " +
            ComparisonOpToString(agg_op_) + " " +
-           (agg_threshold_slot_.has_value()
-                ? variable_names_[*agg_threshold_slot_]
-                : agg_threshold_.ToString()) +
+           (agg_threshold_.is_var ? variable_names_[agg_threshold_.var]
+                                  : agg_threshold_.constant.ToString()) +
            (agg_early_exit_ ? " (early exit)" : "") + "\n";
   }
   return out;
 }
 
-bool CompiledQuery::CoversConstants(const WorldView& view) const {
+bool CompiledQuery::CoversConstants(const WorldView& view,
+                                    const Tuple& binding) const {
+  if (binding.arity() != num_params_) return false;
   for (const CoverProbe& probe : cover_probes_) {
     const Relation& rel = db_->relation(probe.relation_id);
+    ProjectionKey key(probe.key_args.size());
+    for (std::size_t i = 0; i < probe.key_args.size(); ++i) {
+      const Arg& arg = probe.key_args[i];
+      key.set(i, arg.is_var ? binding.ids()[arg.var] : arg.constant_id);
+    }
     bool covered = false;
-    for (TupleId id : rel.IndexLookup(probe.index_id, probe.key)) {
+    for (TupleId id : rel.IndexLookup(probe.index_id, key)) {
       if (rel.IsVisible(id, view)) {
         covered = true;
         break;

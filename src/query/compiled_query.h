@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,7 +32,8 @@ namespace bcdb {
 /// step. They count as bound when the join order and index keys are chosen,
 /// and may occur in positive and negated atoms, comparisons and an aggregate
 /// threshold. `Compile(t).Evaluate(view, b)` equals
-/// `Compile(t.Instantiate(b)).Evaluate(view)`; a ground query takes the empty
+/// `Compile(t.Instantiate(b)).Evaluate(view)`, and likewise for
+/// CoversConstants and EnumerateSupports; a ground query takes the empty
 /// binding.
 class CompiledQuery {
  public:
@@ -68,9 +68,14 @@ class CompiledQuery {
   bool Evaluate(const WorldView& view) const { return Evaluate(view, Tuple()); }
 
   /// True iff every positive atom's constants are covered by some tuple
-  /// visible in `view` (the Covers(R, T, q) test of OptDCSat). Parameter
-  /// positions are not probed.
-  bool CoversConstants(const WorldView& view) const;
+  /// visible in `view` (the Covers(R, T, q) test of OptDCSat). A parameter
+  /// position is probed with its value in `binding`, so the answer equals
+  /// the grounded plan's; false when the binding's arity is not
+  /// num_params().
+  bool CoversConstants(const WorldView& view, const Tuple& binding) const;
+  bool CoversConstants(const WorldView& view) const {
+    return CoversConstants(view, Tuple());
+  }
 
   /// For answer-producing ground queries (non-empty head): invokes
   /// `callback` once per *distinct* head-projection of a satisfying
@@ -91,12 +96,13 @@ class CompiledQuery {
     TupleId tuple_id;
   };
 
-  /// For ground non-aggregate queries: invokes `callback` once per satisfying
-  /// assignment with the tuples matched by the positive atoms (in plan
-  /// order). Return false to stop. Used by the tractable-fragment DCSat
-  /// fast paths, which must reason about *who contributed* each tuple.
+  /// For non-aggregate queries: invokes `callback` once per satisfying
+  /// assignment under `binding` with the tuples matched by the positive
+  /// atoms (in plan order). Return false to stop. Used by the
+  /// tractable-fragment DCSat fast paths, which must reason about *who
+  /// contributed* each tuple.
   void EnumerateSupports(
-      const WorldView& view,
+      const WorldView& view, const Tuple& binding,
       const std::function<bool(const std::vector<SupportEntry>&)>& callback)
       const;
 
@@ -182,12 +188,12 @@ class CompiledQuery {
     std::vector<NegCheck> negations;    // Fully bound after this step.
   };
 
-  /// Constant-coverage probe for one positive atom (atoms without constants
-  /// are omitted).
+  /// Coverage probe for one positive atom: its constant and parameter
+  /// positions (atoms with neither are omitted).
   struct CoverProbe {
-    std::size_t relation_id;
-    std::size_t index_id;
-    Tuple key;
+    std::size_t relation_id = 0;
+    std::size_t index_id = 0;
+    std::vector<Arg> key_args;  // Parallel to the index's sorted positions.
   };
 
   struct AggState;
@@ -256,8 +262,7 @@ class CompiledQuery {
   AggregateFunction agg_fn_ = AggregateFunction::kCount;
   std::vector<std::size_t> agg_vars_;
   ComparisonOp agg_op_ = ComparisonOp::kGt;
-  Value agg_threshold_;
-  std::optional<std::size_t> agg_threshold_slot_;  // A parameter threshold.
+  Arg agg_threshold_;  // The constant or the parameter slot.
   bool agg_early_exit_ = false;
   bool aggregate_arg_non_negative_ = false;
 };

@@ -284,11 +284,7 @@ class Parser {
         return error_.At(threshold_offset,
                          "aggregate threshold must be a constant");
       }
-      if (threshold->is_param()) {
-        q.aggregate->threshold_param = threshold->name();
-      } else {
-        q.aggregate->threshold = threshold->value();
-      }
+      q.aggregate->threshold = *std::move(threshold);
     }
 
     if (Current().kind == TokenKind::kPeriod) Advance();

@@ -1,7 +1,6 @@
 #include "query/template.h"
 
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "query/parser.h"
@@ -11,8 +10,7 @@ namespace bcdb {
 namespace {
 
 /// Calls `fn(term, site)` for every term of the constraint in the fixed
-/// template traversal order. The aggregate threshold comes last, as a
-/// constant or parameter term, and takes back whichever `fn` leaves there.
+/// template traversal order; the aggregate threshold comes last.
 template <typename Fn>
 void ForEachTerm(DenialConstraint& q, Fn&& fn) {
   for (std::size_t a = 0; a < q.positive_atoms.size(); ++a) {
@@ -36,14 +34,7 @@ void ForEachTerm(DenialConstraint& q, Fn&& fn) {
   for (std::size_t i = 0; i < spec.args.size(); ++i) {
     fn(spec.args[i], ParamSite{ParamSite::Kind::kAggregateArg, 0, i});
   }
-  Term threshold = spec.threshold_param.has_value()
-                       ? Term::Param(*spec.threshold_param)
-                       : Term::Const(spec.threshold);
-  fn(threshold, ParamSite{ParamSite::Kind::kAggregateThreshold, 0, 0});
-  spec.threshold_param = threshold.is_param()
-                             ? std::optional<std::string>(threshold.name())
-                             : std::nullopt;
-  spec.threshold = threshold.is_constant() ? threshold.value() : Value();
+  fn(spec.threshold, ParamSite{ParamSite::Kind::kAggregateThreshold, 0, 0});
 }
 
 }  // namespace
@@ -152,8 +143,7 @@ StatusOr<DenialConstraint> ConstraintTemplate::Instantiate(
           result.aggregate->args[site.arg_index] = Term::Const(binding[p]);
           break;
         case ParamSite::Kind::kAggregateThreshold:
-          result.aggregate->threshold = binding[p];
-          result.aggregate->threshold_param.reset();
+          result.aggregate->threshold = Term::Const(binding[p]);
           break;
       }
     }

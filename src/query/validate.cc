@@ -118,8 +118,15 @@ std::vector<QueryDefect> ValidateQuery(const DenialConstraint& q,
     for (const Term& term : spec.args) {
       if (!term.is_variable()) {
         add(DefectKind::kBadAggregate,
-            "aggregate argument " + term.ToString() + " must be a variable");
+            "aggregate argument " + term.ToString() + " must be a variable",
+            term);
       }
+    }
+    if (spec.threshold.is_variable()) {
+      add(DefectKind::kBadAggregate,
+          "aggregate threshold " + spec.threshold.name() +
+              " must be a constant or a parameter",
+          spec.threshold);
     }
     const bool value_agg = spec.fn == AggregateFunction::kSum ||
                            spec.fn == AggregateFunction::kMax ||

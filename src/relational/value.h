@@ -1,10 +1,12 @@
 #ifndef BCDB_RELATIONAL_VALUE_H_
 #define BCDB_RELATIONAL_VALUE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 
 namespace bcdb {
@@ -39,10 +41,10 @@ class Value {
   Value() = default;
 
   static Value Null() { return Value(); }
-  static Value Int(std::int64_t v) { return Value(Rep(std::in_place_index<1>, v)); }
-  static Value Real(double v) { return Value(Rep(std::in_place_index<2>, v)); }
+  static Value Int(std::int64_t v) { return Value(std::in_place_index<1>, v); }
+  static Value Real(double v) { return Value(std::in_place_index<2>, v); }
   static Value Str(std::string v) {
-    return Value(Rep(std::in_place_index<3>, std::move(v)));
+    return Value(std::in_place_index<3>, std::move(v));
   }
 
   ValueType type() const { return static_cast<ValueType>(rep_.index()); }
@@ -82,7 +84,11 @@ class Value {
 
  private:
   using Rep = std::variant<std::monostate, std::int64_t, double, std::string>;
-  explicit Value(Rep rep) : rep_(std::move(rep)) {}
+  /// Constructs the alternative in place: moving a whole Rep temporary
+  /// in made g++ 12 warn -Wmaybe-uninitialized under the sanitizers.
+  template <std::size_t I, typename T>
+  Value(std::in_place_index_t<I> index, T&& v)
+      : rep_(index, std::forward<T>(v)) {}
 
   Rep rep_;
 };

@@ -78,8 +78,7 @@ DenialConstraint MakeAggregateConstraint(const std::string& x,
   q.aggregate = AggregateSpec{AggregateFunction::kSum,
                               {V("a")},
                               ComparisonOp::kGe,
-                              Value::Int(n),
-                              std::nullopt};
+                              Term::Const(Value::Int(n))};
   return q;
 }
 
@@ -94,8 +93,7 @@ DenialConstraint MakeDistinctTransfersConstraint(const std::string& x,
   q.aggregate = AggregateSpec{AggregateFunction::kCountDistinct,
                               {V("ntx")},
                               ComparisonOp::kGe,
-                              Value::Int(n),
-                              std::nullopt};
+                              Term::Const(Value::Int(n))};
   return q;
 }
 

@@ -5,6 +5,7 @@
 #include "analysis/analyzer.h"
 #include "analysis/lint_format.h"
 #include "analysis/schema_text.h"
+#include "bitcoin/to_relational.h"
 #include "core/dcsat.h"
 #include "core/monitor.h"
 #include "query/compiled_query.h"
@@ -135,7 +136,7 @@ TEST_F(AnalyzerTest, BadAggregate) {
   spec.fn = AggregateFunction::kSum;
   spec.args = {Term::Var("x"), Term::Var("y")};  // sum takes one variable.
   spec.op = ComparisonOp::kGt;
-  spec.threshold = Value::Int(3);
+  spec.threshold = Term::Const(Value::Int(3));
   q.aggregate = spec;
   AnalysisReport report = Analyze(q);
   EXPECT_FALSE(report.ok());
@@ -313,6 +314,58 @@ TEST_F(AnalyzerTest, SpansPointIntoSourceText) {
             "Nope");
 }
 
+// --- A template's class holds for every binding: no fact of it comes from
+// the dummy instance admission runs on. ---
+
+TEST(TemplateClassTest, NoFactComesFromTheDummyBinding) {
+  Catalog catalog = bitcoin::MakeBitcoinCatalog();
+  auto constraints = bitcoin::MakeBitcoinConstraints(catalog);
+  ASSERT_TRUE(constraints.ok());
+  Database db(std::move(catalog));
+  auto analyze = [&](const char* text) {
+    auto tmpl = ConstraintTemplate::Parse(text);
+    EXPECT_TRUE(tmpl.ok()) << tmpl.status();
+    return AnalyzeTemplate(*tmpl, db, *constraints).report;
+  };
+  // The dummy instance folds $lo > $hi to 0 > 0, but lo = 5, hi = 3
+  // satisfies it: the class is the template's, with nothing to warn about.
+  const AnalysisReport range = analyze("q() :- TxOut(t, s, p, a), $lo > $hi");
+  ASSERT_TRUE(range.ok()) << range.ErrorSummary();
+  EXPECT_FALSE(range.proved_unsat);
+  EXPECT_EQ(range.tractability, TractabilityClass::kCoNpMixed);
+  EXPECT_EQ(range.CountSeverity(Severity::kWarning), 0u);
+  // A proof that needs no binding stands.
+  const AnalysisReport self = analyze("q() :- TxOut(t, s, $pk, a), a < a");
+  ASSERT_TRUE(self.ok()) << self.ErrorSummary();
+  EXPECT_TRUE(self.proved_unsat);
+  EXPECT_EQ(self.tractability, TractabilityClass::kTriviallyUnsat);
+  EXPECT_TRUE(HasDiagnostic(self, AnalysisCode::kAlwaysFalseComparison));
+  // Equal dummies would couple the two atoms; distinct bindings do not.
+  const AnalysisReport pair =
+      analyze("q() :- TxOut(t, s, $a, x), TxOut(u, r, $b, y)");
+  ASSERT_TRUE(pair.ok()) << pair.ErrorSummary();
+  EXPECT_FALSE(pair.analysis.connected);
+  EXPECT_TRUE(HasDiagnostic(pair, AnalysisCode::kDisconnected));
+
+  // The monitor reports that class for the template and its members.
+  Catalog monitored = bitcoin::MakeBitcoinCatalog();
+  auto monitored_constraints = bitcoin::MakeBitcoinConstraints(monitored);
+  ASSERT_TRUE(monitored_constraints.ok());
+  auto bdb = BlockchainDatabase::Create(std::move(monitored),
+                                        *std::move(monitored_constraints));
+  ASSERT_TRUE(bdb.ok());
+  ConstraintMonitor monitor(&*bdb);
+  auto tmpl = monitor.RegisterTemplate(
+      "range", "q() :- TxOut(t, s, p, a), $lo > $hi");
+  ASSERT_TRUE(tmpl.ok()) << tmpl.status();
+  auto member = monitor.Bind(*tmpl, {Value::Int(5), Value::Int(3)});
+  ASSERT_TRUE(member.ok()) << member.status();
+  EXPECT_EQ(monitor.template_analysis(*tmpl)->tractability,
+            TractabilityClass::kCoNpMixed);
+  EXPECT_EQ(monitor.analysis(*member)->tractability,
+            TractabilityClass::kCoNpMixed);
+}
+
 // --- The {key, ind} CoNP witness construction from the hardness proof:
 // a key conflict decides which R-tuple exists, and the IND couples an
 // S-tuple's world membership to that choice. The classifier must place the
@@ -386,7 +439,8 @@ TEST(ClassifiedDispatchTest, TriviallyUnsatShortCircuits) {
   // The report-carrying path routes on the same class.
   auto compiled = CompiledQuery::Compile(*q, &db->database());
   ASSERT_TRUE(compiled.ok());
-  auto prepared = engine.CheckPrepared(*q, *compiled, report);
+  auto prepared =
+      engine.CheckPrepared(*compiled, Tuple(), report.tractability);
   ASSERT_TRUE(prepared.ok());
   EXPECT_EQ(prepared->stats.algorithm_used, DcSatAlgorithm::kStatic);
   // The general search agrees on the verdict.
@@ -397,25 +451,28 @@ TEST(ClassifiedDispatchTest, TriviallyUnsatShortCircuits) {
   EXPECT_TRUE(general->satisfied);
 }
 
-TEST(ClassifiedDispatchTest, ErrorReportRejected) {
+TEST(ClassifiedDispatchTest, BadBindingRejected) {
   auto db = BlockchainDatabase::Create(MakeCatalog(),
                                        MakeConstraints(MakeCatalog(), Sets::kNone));
   ASSERT_TRUE(db.ok());
   DcSatEngine engine(&*db);
   engine.PrepareSteadyState();
-  // Analyzer errors normally fail compilation as well, so the
-  // report-carrying path is handed a compilable query whose report carries
-  // an error diagnostic.
-  auto q = ParseDenialConstraint("q() :- R(x, y)");
+  // The prepared path takes a plan and a binding; a binding the
+  // instantiated query would be rejected for fails like the plan's
+  // ValidateBinding, never as a vacuous verdict.
+  auto q = ParseDenialConstraint("q() :- R($a, y)");
   ASSERT_TRUE(q.ok());
   auto compiled = CompiledQuery::Compile(*q, &db->database());
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  AnalysisReport report = engine.Analyze(*q);
-  ASSERT_TRUE(report.ok());
-  report.diagnostics.push_back(Diagnostic{
-      Severity::kError, AnalysisCode::kUnknownRelation, "injected", {}});
-  EXPECT_EQ(engine.CheckPrepared(*q, *compiled, report).status().code(),
-            StatusCode::kInvalidArgument);
+  const TractabilityClass klass = TractabilityClass::kCoNpMixed;
+  EXPECT_TRUE(engine.CheckPrepared(*compiled, Tuple({Value::Int(1)}), klass)
+                  .ok());
+  for (const Tuple& bad : {Tuple(), Tuple({Value::Str("x")}),
+                           Tuple({Value::Int(1), Value::Int(2)})}) {
+    EXPECT_EQ(engine.CheckPrepared(*compiled, bad, klass).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad.ToString();
+  }
 }
 
 TEST(ClassifiedDispatchTest, AnalyzeBuildsNoIndex) {

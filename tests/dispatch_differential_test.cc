@@ -15,8 +15,8 @@ namespace {
 // Differential harness for the one decision path: for every instance and
 // constraint, DcSatEngine::Check(q) — which classifies q itself, once per
 // compiled query — must be bit-identical (decided, satisfied, witness,
-// algorithm_used) to CheckPrepared(q, compiled, Analyze(q)), the
-// report-carrying path the monitor uses, and verdict-identical to the
+// algorithm_used) to CheckPrepared(compiled, {}, Analyze(q).tractability),
+// the prepared path the monitor's searches use, and verdict-identical to the
 // general search kAuto falls back to, requested explicitly. Classification
 // only routes, it never re-decides.
 
@@ -124,7 +124,8 @@ TEST_P(DispatchDifferentialTest, ClassifiedMatchesLegacyAndGeneral) {
       ASSERT_TRUE(checked.ok());
       auto compiled = CompiledQuery::Compile(*q, &db.database());
       ASSERT_TRUE(compiled.ok());
-      auto prepared = engine.CheckPrepared(*q, *compiled, report);
+      auto prepared =
+          engine.CheckPrepared(*compiled, Tuple(), report.tractability);
       ASSERT_TRUE(prepared.ok());
       DcSatOptions general_options;
       general_options.algorithm = GeneralSearchAlgorithm(*q, report.analysis);

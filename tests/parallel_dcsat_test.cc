@@ -270,7 +270,8 @@ TEST(ParallelMonitorTest, ParallelPollMatchesSerialVerdicts) {
   EXPECT_GT(searched, 0u);
   EXPECT_EQ(parallel_monitor.poll_stats().threads_used, 4u);
   EXPECT_EQ(parallel_monitor.poll_stats().constraints_parallel, 6u);
-  EXPECT_EQ(parallel_monitor.poll_stats().compile_cache_misses, searched);
+  // Searches run on the class plans: a poll compiles nothing.
+  EXPECT_EQ(parallel_monitor.poll_stats().compile_cache_misses, 0u);
 
   // A quiescent re-poll reports nothing; with nothing mutated, the dirty
   // filter skips every constraint outright.
@@ -324,7 +325,8 @@ TEST(ParallelMonitorTest, ConcurrentCheckPreparedCallersAgree) {
   ASSERT_TRUE(compiled.ok());
   const AnalysisReport report = engine.Analyze(*q);
 
-  auto serial = engine.CheckPrepared(*q, *compiled, report);
+  auto serial =
+      engine.CheckPrepared(*compiled, Tuple(), report.tractability);
   ASSERT_TRUE(serial.ok());
 
   std::atomic<int> mismatches{0};
@@ -332,7 +334,8 @@ TEST(ParallelMonitorTest, ConcurrentCheckPreparedCallersAgree) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 10; ++i) {
-        auto result = engine.CheckPrepared(*q, *compiled, report);
+        auto result =
+            engine.CheckPrepared(*compiled, Tuple(), report.tractability);
         if (!result.ok() || result->satisfied != serial->satisfied ||
             result->witness != serial->witness) {
           mismatches.fetch_add(1);
@@ -380,7 +383,8 @@ TEST(ParallelMonitorTest, ConcurrentDecompositionMemoMissesAndHitsAgree) {
       compiled.push_back(std::move(*query));
       reports.push_back(engine.Analyze(q));
       auto result =
-          reference.CheckPrepared(q, compiled.back(), reports.back(), options);
+          reference.CheckPrepared(compiled.back(), Tuple(),
+                                reports.back().tractability, options);
       ASSERT_TRUE(result.ok());
       serial.push_back(*result);
     }
@@ -394,8 +398,8 @@ TEST(ParallelMonitorTest, ConcurrentDecompositionMemoMissesAndHitsAgree) {
         for (int i = 0; i < 10; ++i) {
           const std::size_t k = static_cast<std::size_t>(t + i) % 2;
           auto result =
-              engine.CheckPrepared(queries[k], compiled[k], reports[k],
-                                   options);
+              engine.CheckPrepared(compiled[k], Tuple(),
+                                   reports[k].tractability, options);
           if (!result.ok() || result->satisfied != serial[k].satisfied ||
               result->witness != serial[k].witness ||
               result->stats.num_components != serial[k].stats.num_components ||
@@ -413,7 +417,8 @@ TEST(ParallelMonitorTest, ConcurrentDecompositionMemoMissesAndHitsAgree) {
     // Both shapes are memoized once the threads are done.
     for (std::size_t k = 0; k < 2; ++k) {
       auto again =
-          engine.CheckPrepared(queries[k], compiled[k], reports[k], options);
+          engine.CheckPrepared(compiled[k], Tuple(),
+                               reports[k].tractability, options);
       ASSERT_TRUE(again.ok());
       EXPECT_TRUE(again->stats.decomposition_reused) << "round " << round;
     }
@@ -503,7 +508,8 @@ TEST(ParallelMonitorTest, ConcurrentAppendabilityFillAgrees) {
       compiled.push_back(std::move(*query));
       reports.push_back(engine.Analyze(q));
       auto result =
-          reference.CheckPrepared(q, compiled.back(), reports.back(), options);
+          reference.CheckPrepared(compiled.back(), Tuple(),
+                                reports.back().tractability, options);
       ASSERT_TRUE(result.ok());
       ASSERT_EQ(result->stats.algorithm_used, DcSatAlgorithm::kNaive);
       serial.push_back(*result);
@@ -521,8 +527,8 @@ TEST(ParallelMonitorTest, ConcurrentAppendabilityFillAgrees) {
         for (int i = 0; i < 6; ++i) {
           const std::size_t k = static_cast<std::size_t>(t + i) % kQueries;
           auto result =
-              engine.CheckPrepared(queries[k], compiled[k], reports[k],
-                                   options);
+              engine.CheckPrepared(compiled[k], Tuple(),
+                                   reports[k].tractability, options);
           if (!result.ok() || result->satisfied != serial[k].satisfied ||
               result->witness != serial[k].witness ||
               result->stats.num_cliques != serial[k].stats.num_cliques ||
@@ -541,7 +547,8 @@ TEST(ParallelMonitorTest, ConcurrentAppendabilityFillAgrees) {
     // reference engine checked first (on its cold status) runs fewer.
     for (std::size_t k = 0; k < kQueries; ++k) {
       auto again =
-          engine.CheckPrepared(queries[k], compiled[k], reports[k], options);
+          engine.CheckPrepared(compiled[k], Tuple(),
+                               reports[k].tractability, options);
       ASSERT_TRUE(again.ok());
       EXPECT_LE(again->stats.maximal_probes, serial[k].stats.maximal_probes)
           << "round " << round;
@@ -704,8 +711,8 @@ TEST(ParallelMonitorTest, PollIsWidthInvariantAcrossChurn) {
   EXPECT_GT(static_cast<std::size_t>(kCellKeys * kCellValues),
             serial_db.database().relation(r_id).num_tuples());
   const ConstraintMonitor::PollStats stats = serial.poll_stats();
-  EXPECT_GT(stats.compile_cache_misses, 0u);
-  EXPECT_GT(stats.compile_cache_hits, 0u);
+  EXPECT_EQ(stats.compile_cache_misses, 0u);
+  EXPECT_EQ(stats.compile_cache_hits, 0u);
   EXPECT_GT(stats.undecided_verdicts, 0u);
   EXPECT_GT(stats.backoff_skips, 0u);
   EXPECT_GT(wide.poll_stats().constraints_parallel, 0u);
@@ -720,14 +727,15 @@ TEST(ParallelMonitorTest, CheckPreparedRejectsStaleCaches) {
   auto compiled = CompiledQuery::Compile(*q, &db.database());
   ASSERT_TRUE(compiled.ok());
   const AnalysisReport report = engine.Analyze(*q);
-  ASSERT_TRUE(engine.CheckPrepared(*q, *compiled, report).ok());
+  const TractabilityClass klass = report.tractability;
+  ASSERT_TRUE(engine.CheckPrepared(*compiled, Tuple(), klass).ok());
 
   ASSERT_TRUE(db.DiscardPending(0).ok());  // Mutation → caches stale.
-  EXPECT_FALSE(engine.CheckPrepared(*q, *compiled, report).ok());
+  EXPECT_FALSE(engine.CheckPrepared(*compiled, Tuple(), klass).ok());
   engine.PrepareSteadyState();
   auto fresh = CompiledQuery::Compile(*q, &db.database());
   ASSERT_TRUE(fresh.ok());
-  EXPECT_TRUE(engine.CheckPrepared(*q, *fresh, report).ok());
+  EXPECT_TRUE(engine.CheckPrepared(*fresh, Tuple(), klass).ok());
 }
 
 }  // namespace

@@ -75,7 +75,7 @@ TEST(ParserTest, AggregateQuery) {
   ASSERT_TRUE(q->aggregate.has_value());
   EXPECT_EQ(q->aggregate->fn, AggregateFunction::kSum);
   EXPECT_EQ(q->aggregate->op, ComparisonOp::kGt);
-  EXPECT_EQ(q->aggregate->threshold, Value::Int(5));
+  EXPECT_EQ(q->aggregate->threshold, Term::Const(Value::Int(5)));
   ASSERT_EQ(q->aggregate->args.size(), 1u);
   EXPECT_EQ(q->aggregate->args[0].name(), "a");
 }
@@ -121,8 +121,8 @@ TEST(ParserTest, TemplateParams) {
   auto agg = ParseDenialConstraint("[q(count()) :- R(x, y)] > $limit");
   ASSERT_TRUE(agg.ok());
   ASSERT_TRUE(agg->aggregate.has_value());
-  ASSERT_TRUE(agg->aggregate->threshold_param.has_value());
-  EXPECT_EQ(*agg->aggregate->threshold_param, "limit");
+  ASSERT_TRUE(agg->aggregate->threshold.is_param());
+  EXPECT_EQ(agg->aggregate->threshold.name(), "limit");
 }
 
 TEST(ParserTest, TemplateParamsRoundTrip) {

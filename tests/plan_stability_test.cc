@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/blockchain_db.h"
@@ -27,10 +30,14 @@ DenialConstraint Q(const std::string& text) {
   return *q;
 }
 
-/// R(a, b) with key a, S(x, y) with y non-negative and S[x] ⊆ R[a]; a few
-/// base tuples and pending transactions over small values, so joins,
-/// conflicts and repeats all occur.
-BlockchainDatabase MakeInstance(Xoshiro256& rng) {
+/// Which integrity constraints MakeInstance declares.
+enum class Mix { kFd, kInd, kMixed };
+
+/// R(a, b) with key a, S(x, y) with y non-negative and S[x] ⊆ R[a] (the key
+/// only under kFd, the IND only under kInd); a few base tuples and pending
+/// transactions over small values, so joins, conflicts and repeats all
+/// occur.
+BlockchainDatabase MakeInstance(Xoshiro256& rng, Mix mix = Mix::kMixed) {
   Catalog catalog;
   EXPECT_TRUE(catalog
                   .AddRelation(RelationSchema(
@@ -43,9 +50,13 @@ BlockchainDatabase MakeInstance(Xoshiro256& rng) {
                             Attribute{"y", ValueType::kInt, true}}))
                   .ok());
   ConstraintSet constraints;
-  constraints.AddFd(*FunctionalDependency::Key(catalog, "R", {"a"}));
-  constraints.AddInd(
-      *InclusionDependency::Create(catalog, "S", {"x"}, "R", {"a"}));
+  if (mix != Mix::kInd) {
+    constraints.AddFd(*FunctionalDependency::Key(catalog, "R", {"a"}));
+  }
+  if (mix != Mix::kFd) {
+    constraints.AddInd(
+        *InclusionDependency::Create(catalog, "S", {"x"}, "R", {"a"}));
+  }
   auto db =
       BlockchainDatabase::Create(std::move(catalog), std::move(constraints));
   EXPECT_TRUE(db.ok());
@@ -277,6 +288,110 @@ TEST_P(ParameterSlotTest, TemplatePlanMatchesGroundedCompile) {
         EXPECT_EQ(plan->Evaluate(views[v], Tuple(binding)),
                   grounded->Evaluate(views[v]))
             << q->ToString() << ", view " << v;
+      }
+    }
+  }
+}
+
+/// The supports EnumerateSupports reports over `view`, each as its sorted
+/// (relation, tuple) pairs: plans may match atoms in different orders.
+std::set<std::vector<std::pair<std::size_t, TupleId>>> Supports(
+    const CompiledQuery& plan, const WorldView& view, const Tuple& binding) {
+  std::set<std::vector<std::pair<std::size_t, TupleId>>> supports;
+  plan.EnumerateSupports(
+      view, binding,
+      [&](const std::vector<CompiledQuery::SupportEntry>& support) {
+        std::vector<std::pair<std::size_t, TupleId>> pairs;
+        for (const CompiledQuery::SupportEntry& entry : support) {
+          pairs.emplace_back(entry.relation_id, entry.tuple_id);
+        }
+        std::sort(pairs.begin(), pairs.end());
+        supports.insert(std::move(pairs));
+        return true;
+      });
+  return supports;
+}
+
+/// No binding value equals another or a literal constant of the template:
+/// instantiating then makes no two terms equal that the template keeps
+/// apart, so the grounded query's Θ_q and connectivity are the template's.
+bool CoincidenceFree(const ConstraintTemplate& tmpl,
+                     const std::vector<Value>& binding) {
+  std::vector<Value> literals;
+  auto collect = [&](const Term& term) {
+    if (term.is_constant()) literals.push_back(term.value());
+  };
+  const DenialConstraint& q = tmpl.constraint();
+  for (const std::vector<Atom>* atoms : {&q.positive_atoms, &q.negated_atoms}) {
+    for (const Atom& atom : *atoms) {
+      for (const Term& term : atom.args) collect(term);
+    }
+  }
+  for (const Comparison& cmp : q.comparisons) {
+    collect(cmp.lhs);
+    collect(cmp.rhs);
+  }
+  for (std::size_t i = 0; i < binding.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (binding[i] == binding[j]) return false;
+    }
+    for (const Value& literal : literals) {
+      if (binding[i] == literal) return false;
+    }
+  }
+  return true;
+}
+
+// The member search: CheckPrepared on the class plan with a binding decides
+// as Check decides the instantiated constraint, under every constraint mix.
+// Its Θ_q and connectivity are the template's, so the two searches can take
+// different (equally sound) routes only when binding values coincide.
+TEST_P(ParameterSlotTest, PreparedSearchMatchesGroundedCheck) {
+  for (Mix mix : {Mix::kFd, Mix::kInd, Mix::kMixed}) {
+    Xoshiro256 rng(GetParam());
+    BlockchainDatabase db = MakeInstance(rng, mix);
+    DcSatEngine engine(&db);
+    engine.PrepareSteadyState();
+    const std::vector<WorldView> views = Views(db, rng);
+    for (const SlotCase& c : SlotCases()) {
+      auto tmpl = ConstraintTemplate::Parse(c.text);
+      ASSERT_TRUE(tmpl.ok()) << c.text << ": " << tmpl.status();
+      auto plan = CompiledQuery::Compile(tmpl->constraint(), &db.database());
+      ASSERT_TRUE(plan.ok()) << c.text << ": " << plan.status();
+      for (const std::vector<Value>& values : c.bindings) {
+        auto q = tmpl->Instantiate(values);
+        ASSERT_TRUE(q.ok()) << q.status();
+        const std::string context = q->ToString() + " under mix " +
+                                    std::to_string(static_cast<int>(mix));
+        auto grounded = CompiledQuery::Compile(*q, &db.database());
+        ASSERT_TRUE(grounded.ok()) << context << ": " << grounded.status();
+        const Tuple binding(values);
+        for (std::size_t v = 0; v < views.size(); ++v) {
+          EXPECT_EQ(plan->CoversConstants(views[v], binding),
+                    grounded->CoversConstants(views[v]))
+              << context << ", view " << v;
+          EXPECT_EQ(Supports(*plan, views[v], binding),
+                    Supports(*grounded, views[v], Tuple()))
+              << context << ", view " << v;
+        }
+
+        auto want = engine.Check(*q);
+        ASSERT_TRUE(want.ok()) << context << ": " << want.status();
+        auto got =
+            engine.CheckPrepared(*plan, binding, engine.Classify(*plan, *q));
+        ASSERT_TRUE(got.ok()) << context << ": " << got.status();
+        EXPECT_EQ(got->decided, want->decided) << context;
+        EXPECT_EQ(got->satisfied, want->satisfied) << context;
+        if (!CoincidenceFree(*tmpl, values)) continue;
+        EXPECT_EQ(got->stats.algorithm_used, want->stats.algorithm_used)
+            << context;
+        EXPECT_EQ(got->stats.num_components, want->stats.num_components)
+            << context;
+        EXPECT_EQ(got->stats.num_components_covered,
+                  want->stats.num_components_covered)
+            << context;
+        EXPECT_EQ(got->stats.num_cliques, want->stats.num_cliques) << context;
+        EXPECT_EQ(got->witness, want->witness) << context;
       }
     }
   }

@@ -78,7 +78,7 @@ class ReferenceEvaluator {
         break;
       }
     }
-    return EvaluateComparison(aggregate, spec.op, spec.threshold);
+    return EvaluateComparison(aggregate, spec.op, spec.threshold.value());
   }
 
  private:

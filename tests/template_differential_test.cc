@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/monitor.h"
@@ -217,6 +218,95 @@ TEST_P(TemplateDifferentialTest, BatchedMatchesGroundedAcrossChurn) {
 
     (void)h.db.DiscardPending(1);
     h.PollAndCompare("after discard P1");
+  }
+}
+
+// Members whose search runs on the class plan in a way the grounded check
+// may not: a binding the unsat proof rejects in a non-monotone class, two
+// parameters bound equal (the grounded query's constants couple its atoms,
+// the template's parameters do not), and FD-only members whose search is the
+// assignment-support check over the class plan.
+TEST_P(TemplateDifferentialTest, MemberSearchesMatchGroundedAcrossChurn) {
+  for (const Config& config : kConfigs) {
+    SCOPED_TRACE(std::string(config.name) + " seed " +
+                 std::to_string(GetParam()));
+    const std::uint64_t seed =
+        GetParam() * 11 + (config.keys ? 1 : 0) + (config.inds ? 2 : 0);
+    Harness h(seed, config);
+    // A second monitor holds fleet 1 under a one-world default budget: an
+    // unsat binding routes to the static class and is decided without a
+    // search. Routed on the class alone it would run the budgeted
+    // exhaustive search and stay undecided.
+    MonitorOptions tight;
+    tight.budget.max_worlds = 1;
+    ConstraintMonitor budgeted(&h.db, tight);
+    std::vector<std::pair<MonitorHandle, bool>> budgeted_members;
+
+    // Fleet 1: non-monotone, with bindings the unsat proof rejects
+    // (lo <= hi) beside ones it cannot.
+    const char* range = "q() :- R(x, y), not S(x, y), $lo > $hi";
+    auto t1 = h.monitor.RegisterTemplate("range", range);
+    auto b1 = budgeted.RegisterTemplate("range", range);
+    ASSERT_TRUE(t1.ok());
+    ASSERT_TRUE(b1.ok());
+    const std::vector<std::pair<std::int64_t, std::int64_t>> ranges = {
+        {1, 0}, {3, 1}, {0, 0}, {0, 2}, {1, 3}};
+    for (const auto& [lo, hi] : ranges) {
+      const std::vector<Value> binding = {Value::Int(lo), Value::Int(hi)};
+      const std::string name =
+          "range(" + std::to_string(lo) + "," + std::to_string(hi) + ")";
+      h.Bind(*t1, range, binding, name);
+      auto member = budgeted.Bind(*b1, binding);
+      ASSERT_TRUE(member.ok()) << name << ": " << member.status();
+      budgeted_members.emplace_back(*member, lo <= hi);
+    }
+
+    // Fleet 2: a disconnected join whose parameters take equal values.
+    const char* pair = "q() :- R($a, y), S($b, z)";
+    auto t2 = h.monitor.RegisterTemplate("pair", pair);
+    ASSERT_TRUE(t2.ok());
+    for (std::int64_t a = 0; a < 4; ++a) {
+      h.Bind(*t2, pair, {Value::Int(a), Value::Int(a)},
+             "pair(" + std::to_string(a) + ")");
+    }
+    h.Bind(*t2, pair, {Value::Int(0), Value::Int(1)}, "pair(0,1)");
+
+    // Fleet 3: a positive join, in the FD-only fragment under fd-only.
+    const char* chain = "q() :- R($a, y), S(y, z)";
+    auto t3 = h.monitor.RegisterTemplate("chain", chain);
+    ASSERT_TRUE(t3.ok());
+    for (std::int64_t a = 0; a < 5; ++a) {
+      h.Bind(*t3, chain, {Value::Int(a)}, "chain(" + std::to_string(a) + ")");
+    }
+    if (HasFatalFailure()) return;
+
+    auto poll_budgeted = [&](const char* when) {
+      ASSERT_TRUE(budgeted.Poll().ok()) << when;
+      for (std::size_t i = 0; i < budgeted_members.size(); ++i) {
+        const Verdict got = budgeted.verdict(budgeted_members[i].first);
+        if (budgeted_members[i].second) {
+          EXPECT_EQ(got, Verdict::kImpossible) << when << ": range " << i;
+        } else if (got != Verdict::kUndecided) {
+          EXPECT_EQ(got, h.monitor.verdict(h.handles[i]))
+              << when << ": range " << i;
+        }
+      }
+    };
+    h.PollAndCompare("initial");
+    poll_budgeted("initial");
+    (void)h.db.ApplyPending(0);
+    h.PollAndCompare("after apply P0");
+    poll_budgeted("after apply P0");
+    Transaction extra("extra");
+    extra.Add("R", Tuple({Value::Int(3), Value::Int(1)}));
+    extra.Add("S", Tuple({Value::Int(1), Value::Int(3)}));
+    ASSERT_TRUE(h.db.AddPending(extra).ok());
+    h.PollAndCompare("after add pending");
+    poll_budgeted("after add pending");
+    (void)h.db.DiscardPending(1);
+    h.PollAndCompare("after discard P1");
+    poll_budgeted("after discard P1");
+    EXPECT_GT(h.monitor.poll_stats().searches, 0u);
   }
 }
 

@@ -7,7 +7,7 @@
 // report (never an abort), and a parameter-free mutant must pass the
 // analyzer exactly when it compiles: both read one validator
 // (ValidateQuery). A mutant's display text parses back to an equal query,
-// every parse error carries a span, and a warm engine answers every mutant
+// every error diagnostic carries a span, and a warm engine answers every mutant
 // and its int <-> real twin as a fresh engine does.
 
 #include <gtest/gtest.h>
@@ -85,7 +85,7 @@ bool HasParam(const DenialConstraint& q) {
   }
   if (any(q.head_vars)) return true;
   return q.aggregate.has_value() &&
-         (any(q.aggregate->args) || q.aggregate->threshold_param.has_value());
+         (any(q.aggregate->args) || q.aggregate->threshold.is_param());
 }
 
 bool HasNonVariableHead(const DenialConstraint& q) {
@@ -113,10 +113,7 @@ void RewriteNumericConstants(DenialConstraint& q, Fn&& fn) {
     rewrite(cmp.lhs);
     rewrite(cmp.rhs);
   }
-  if (q.aggregate.has_value() && !q.aggregate->threshold_param.has_value() &&
-      q.aggregate->threshold.IsNumeric()) {
-    q.aggregate->threshold = fn(q.aggregate->threshold);
-  }
+  if (q.aggregate.has_value()) rewrite(q.aggregate->threshold);
 }
 
 /// The equal value of the other numeric type, if there is one (4 <-> 4.0);
@@ -265,7 +262,7 @@ class Mutator {
         } else {
           AggregateSpec spec;
           spec.fn = AggregateFunction::kCount;
-          spec.threshold = Value::Int(1);
+          spec.threshold = Term::Const(Value::Int(1));
           q.aggregate = spec;
           if (q.head_vars.empty() || Coin()) {
             q.head_vars.push_back(Term::Var(SomeVariable(q)));
@@ -290,9 +287,10 @@ class Mutator {
         for (std::size_t i = 0; i < n; ++i) {
           spec.args.push_back(Term::Var(SomeVariable(q)));
         }
-        // A parameterized threshold stays: the parser never leaves a
-        // constant beside a threshold parameter.
-        if (!spec.threshold_param.has_value()) spec.threshold = Value::Int(2);
+        // A parameterized threshold stays a parameter.
+        if (!spec.threshold.is_param()) {
+          spec.threshold = Term::Const(Value::Int(2));
+        }
         q.aggregate = spec;
         break;
       }
@@ -420,8 +418,9 @@ TEST(ValidatorMutationTest, AnalyzerAcceptsExactlyWhatCompiles) {
     const AnalysisReport text_report =
         AnalyzeConstraintText(text, env.db, env.constraints);
     for (const Diagnostic& diag : text_report.diagnostics) {
-      if (diag.code == AnalysisCode::kParseError) {
-        EXPECT_TRUE(diag.span.valid()) << label;
+      if (diag.severity == Severity::kError) {
+        EXPECT_TRUE(diag.span.valid())
+            << label << ": " << AnalysisCodeToString(diag.code);
         EXPECT_LE(diag.span.offset, text.size()) << label;
       }
     }
