@@ -9,6 +9,10 @@
 //                  never merges), bindings striped round-robin.
 //   all_distinct — one class per member: the degenerate grouping where
 //                  sharing a plan cannot help and must not hurt.
+//   added        — the one_class members as ground constraints through
+//                  Add, which canonicalizes them into the classes it
+//                  creates (two: R($b0, $b0) for the members whose two
+//                  values are equal, R($b0, $b1) for the rest).
 // The per_constraint baseline is a loop in this file that does, every poll,
 // what a monitor without class plans did for every member: compile the
 // grounded constraint, evaluate it over R, and otherwise decide it with
@@ -152,6 +156,18 @@ Verdict PerConstraintVerdict(const DcSatEngine& engine,
 /// handle to `handles`; returns false on any registration error.
 bool RegisterFleet(ConstraintMonitor& monitor, const std::string& shape,
                    std::size_t n, std::vector<MonitorHandle>* handles) {
+  if (shape == "added") {
+    for (std::size_t i = 0; i < n; ++i) {
+      auto handle = monitor.Add("m" + std::to_string(i), GroundedMember(i));
+      if (!handle.ok()) {
+        std::fprintf(stderr, "Add failed: %s\n",
+                     handle.status().ToString().c_str());
+        return false;
+      }
+      handles->push_back(*handle);
+    }
+    return true;
+  }
   std::size_t num_classes = 1;
   if (shape == "k_classes") num_classes = 16;
   if (shape == "all_distinct") num_classes = n;
@@ -244,14 +260,16 @@ int main(int argc, char** argv) {
     points = {{"one_class", 100, true},
               {"one_class", 1000, true},
               {"k_classes", 1000, true},
-              {"all_distinct", 200, true}};
+              {"all_distinct", 200, true},
+              {"added", 1000, true}};
   } else {
     points = {{"one_class", 100, true},      {"one_class", 1000, true},
               {"one_class", 10000, true},    {"one_class", 100000, true},
               {"one_class", 1000000, false},  // Baseline gated: ~minutes.
               {"k_classes", 1000, true},     {"k_classes", 10000, true},
               {"k_classes", 100000, true},   {"all_distinct", 1000, true},
-              {"all_distinct", 10000, true}};
+              {"all_distinct", 10000, true}, {"added", 1000, true},
+              {"added", 100000, true}};
     std::fprintf(stderr,
                  "[cap] per-constraint baseline skipped at n=10^6 and "
                  "all_distinct capped at 10^4 (registering 10^5+ classes "
@@ -276,7 +294,7 @@ int main(int argc, char** argv) {
       }, &first);
       runs.push_back({point.shape, point.n, true, median});
       std::fprintf(stderr,
-                   "%-13s n=%-8zu %-15s register %7.2fs  poll median "
+                   "%-13s n=%-8zu %-15s register %8.4fs  poll median "
                    "%10.3f ms  first %10.3f ms  (classes=%zu, batched=%zu, "
                    "evaluated=%zu, searched=%zu)\n",
                    point.shape, point.n, "batched", reg_seconds, median * 1e3,
@@ -319,7 +337,7 @@ int main(int argc, char** argv) {
     });
     runs.push_back({point.shape, point.n, false, median});
     std::fprintf(stderr,
-                 "%-13s n=%-8zu %-15s register %7.2fs  poll median "
+                 "%-13s n=%-8zu %-15s register %8.4fs  poll median "
                  "%10.3f ms\n",
                  point.shape, point.n, "per_constraint", reg_seconds,
                  median * 1e3);

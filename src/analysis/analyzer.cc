@@ -130,6 +130,15 @@ SourceSpan FindIdentifier(std::string_view text, std::string_view name,
   return {};
 }
 
+/// The diagnostic code of each DefectKind, in declaration order.
+constexpr AnalysisCode kDefectCodes[] = {
+    AnalysisCode::kNoPositiveAtoms,      AnalysisCode::kUnknownRelation,
+    AnalysisCode::kArityMismatch,        AnalysisCode::kConstantTypeMismatch,
+    AnalysisCode::kUnsafeVariable,       AnalysisCode::kBadAggregate,
+    AnalysisCode::kBadHead};
+static_assert(std::size(kDefectCodes) ==
+              static_cast<std::size_t>(DefectKind::kBadHead) + 1);
+
 /// Collects every diagnostic of one analysis pass, resolving spans against
 /// the (possibly empty) source text.
 class DiagnosticSink {
@@ -151,10 +160,11 @@ class DiagnosticSink {
     return FindIdentifier(source_text_, name, occurrence);
   }
 
-  /// Span of a term: variables and string constants locate their token,
-  /// other constants fall back to the whole constraint.
+  /// Span of a term: variables, parameters (`$name`) and string constants
+  /// locate their token, other constants fall back to the whole constraint.
   SourceSpan SpanOfTerm(const Term& term) const {
     if (term.is_variable()) return SpanOf(term.name());
+    if (term.is_param()) return SpanOf("$" + term.name());
     if (term.value().type() == ValueType::kString) {
       return SpanOf(term.value().AsString());
     }
@@ -179,6 +189,16 @@ class DiagnosticSink {
     }
     if (defect.kind == DefectKind::kNoPositiveAtoms) return whole;
     return SpanOf(defect.relation, defect.occurrence);
+  }
+
+  /// One kError diagnostic per ValidateQuery defect of `q`: the check
+  /// CompiledQuery::Compile fails on, so `q` compiles exactly when none is
+  /// added.
+  void AddDefects(const DenialConstraint& q, const Catalog& catalog) {
+    for (const QueryDefect& defect : ValidateQuery(q, catalog)) {
+      Add(Severity::kError, kDefectCodes[static_cast<std::size_t>(defect.kind)],
+          defect.message, SpanOfDefect(defect, q));
+    }
   }
 
   std::vector<Diagnostic> Take() { return std::move(diagnostics_); }
@@ -436,15 +456,6 @@ bool RunUnsatCore(const DenialConstraint& q, const Catalog& catalog,
   return unsat;
 }
 
-/// The diagnostic code of each DefectKind, in declaration order.
-constexpr AnalysisCode kDefectCodes[] = {
-    AnalysisCode::kNoPositiveAtoms,      AnalysisCode::kUnknownRelation,
-    AnalysisCode::kArityMismatch,        AnalysisCode::kConstantTypeMismatch,
-    AnalysisCode::kUnsafeVariable,       AnalysisCode::kBadAggregate,
-    AnalysisCode::kBadHead};
-static_assert(std::size(kDefectCodes) ==
-              static_cast<std::size_t>(DefectKind::kBadHead) + 1);
-
 /// Names of every template parameter occurring in `q`, first occurrence
 /// first. Ground constraints return an empty list.
 std::vector<std::string> CollectParams(const DenialConstraint& q) {
@@ -604,13 +615,7 @@ AnalysisReport AnalyzeConstraint(const DenialConstraint& q, const Database& db,
   }
 
   // --- Schema binding, safety, aggregate and head shape. ---
-  // The compiler's own validator: a report without errors compiles.
-  for (const QueryDefect& defect : ValidateQuery(q, catalog)) {
-    sink.Add(Severity::kError,
-             kDefectCodes[static_cast<std::size_t>(defect.kind)],
-             defect.message, sink.SpanOfDefect(defect, q));
-  }
-
+  sink.AddDefects(q, catalog);
   DeriveClassFacts(q, catalog, constraints, sink, report);
 
   // --- Base-state probe: the only compile, since evaluating q needs one. ---
@@ -633,65 +638,20 @@ TemplateAnalysis AnalyzeTemplate(const ConstraintTemplate& tmpl,
                                  const ConstraintSet& constraints,
                                  const AnalyzerOptions& options) {
   const Catalog& catalog = db.catalog();
+  DiagnosticSink sink(options.source_text);
   TemplateAnalysis result;
-
-  // Admission runs on a dummy-typed instance: each parameter takes a value
-  // of its first positive-atom attribute's type (Int(0) when the parameter
-  // has no positive site or the site does not bind). Every admission error
-  // (schema, arity, safety, aggregate shape, cross-type parameters) is
-  // binding-independent, so rejecting the dummy rejects every binding.
-  std::vector<Value> dummies;
-  dummies.reserve(tmpl.num_params());
-  for (std::size_t p = 0; p < tmpl.num_params(); ++p) {
-    ValueType type = ValueType::kInt;
-    for (const ParamSite& site : tmpl.param_sites()[p]) {
-      if (site.kind != ParamSite::Kind::kPositiveAtom) continue;
-      const Atom& atom = tmpl.constraint().positive_atoms[site.element_index];
-      StatusOr<std::size_t> rel_id = catalog.RelationId(atom.relation);
-      if (rel_id.ok() && atom.args.size() == catalog.schema(*rel_id).arity()) {
-        type = catalog.schema(*rel_id).attribute(site.arg_index).type;
-      }
-      break;
-    }
-    switch (type) {
-      case ValueType::kReal:
-        dummies.push_back(Value::Real(0));
-        break;
-      case ValueType::kString:
-        dummies.push_back(Value::Str(""));
-        break;
-      default:
-        dummies.push_back(Value::Int(0));
-        break;
-    }
-  }
-
-  AnalyzerOptions admission = options;
-  admission.check_base_state = false;
-  StatusOr<DenialConstraint> dummy = tmpl.Instantiate(dummies);
-  if (!dummy.ok()) {
-    result.report.diagnostics.push_back(
-        Diagnostic{Severity::kError, AnalysisCode::kUnboundParameter,
-                   dummy.status().message(), SourceSpan{}});
-  } else {
-    result.report = AnalyzeConstraint(*dummy, db, constraints, admission);
-  }
-
-  if (result.report.ok()) {
-    // Every class fact comes from the template with its parameters as
-    // variables of unknown value, so it holds for every binding: the
-    // dummy's constants would fold comparisons, couple atoms and type
-    // operands as no binding need. (The generalized query of a projectable
-    // template is the same query with a head.)
-    DenialConstraint general = tmpl.Generalized();
-    general.head_vars.clear();
-    DiagnosticSink sink(options.source_text);
-    result.report = AnalysisReport{};
-    DeriveClassFacts(general, catalog, constraints, sink, result.report);
-    result.report.diagnostics = sink.Take();
-    result.batchable = tmpl.projectable();
-  }
-
+  // Admission is the class plan's own check, parameters bound: the
+  // template is admitted exactly when its plan compiles.
+  sink.AddDefects(tmpl.constraint(), catalog);
+  // Every class fact comes from the template with its parameters as
+  // variables of unknown value, so it holds for every binding. (The
+  // generalized query of a projectable template is the same query with a
+  // head.)
+  DenialConstraint general = tmpl.Generalized();
+  general.head_vars.clear();
+  DeriveClassFacts(general, catalog, constraints, sink, result.report);
+  result.report.diagnostics = sink.Take();
+  result.batchable = tmpl.projectable() && result.report.ok();
   result.class_key = ClassKey(tmpl, result.report.footprint);
   return result;
 }

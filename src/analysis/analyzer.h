@@ -36,7 +36,9 @@ enum class AnalysisCode {
   kNoPositiveAtoms,         // error: a query needs at least one positive atom.
   kUnknownRelation,         // error: atom references a relation not in the catalog.
   kArityMismatch,           // error: atom arity != schema arity.
-  kConstantTypeMismatch,    // error: constant term incompatible with attribute type.
+  kConstantTypeMismatch,    // error: constant term incompatible with attribute
+                            //        type, or a template parameter filling
+                            //        attributes no one value fits.
   kUnsafeVariable,          // error: negated-atom / comparison / aggregate-head
                             //        variable unbound by any positive atom.
   kBadAggregate,            // error: malformed aggregate head (non-variable
@@ -156,11 +158,11 @@ AnalysisReport AnalyzeConstraintText(std::string_view text, const Database& db,
 
 /// Everything the analyzer derives about a whole template class.
 struct TemplateAnalysis {
-  /// The class-level report. A dummy-typed instance decides admission (its
-  /// errors are binding-independent); an admitted template's facts — unsat
-  /// proof, monotonicity, connectivity, tractability, footprint and their
-  /// diagnostics — come from the template with each parameter a variable
-  /// of unknown value, so they hold for every binding.
+  /// The class-level report. Its errors are ValidateQuery's defects of the
+  /// template itself, the check its class plan compiles with; its facts —
+  /// unsat proof, monotonicity, connectivity, tractability, footprint and
+  /// their diagnostics — come from the template with each parameter a
+  /// variable of unknown value, so they hold for every binding.
   AnalysisReport report;
   /// Projectable and admitted: a monitor may settle the class's members by
   /// answer passes over Generalized().
@@ -172,25 +174,29 @@ struct TemplateAnalysis {
   std::string class_key;
 };
 
-/// Statically analyzes a constraint template: admission (schema, arity,
-/// safety, cross-type parameters — checked on a dummy-typed instance so the
-/// errors are binding-independent), batchability, the class-level report,
-/// and the canonicalization key. Never fails; defects come back as kError
-/// diagnostics inside the report. No class fact depends on the dummy: a
-/// template whose unsat proof needs its binding (`$lo > $hi`) is not
-/// classed trivially-unsat.
+/// Statically analyzes a constraint template: admission, batchability, the
+/// class-level report, and the canonicalization key, in one validation and
+/// one fact pass. Never fails; defects come back as kError diagnostics
+/// inside the report. Admission is ValidateQuery over the template with its
+/// parameters bound (schema, arity, safety, aggregate and head shape, and a
+/// parameter no single value fits), so the report is ok() exactly when
+/// CompiledQuery::Compile(tmpl.constraint()) succeeds; the types of a
+/// binding's values are the class plan's to check (ValidateBinding). No
+/// class fact depends on a binding: a template whose unsat proof needs one
+/// (`$lo > $hi`) is not classed trivially-unsat.
 TemplateAnalysis AnalyzeTemplate(const ConstraintTemplate& tmpl,
                                  const Database& db,
                                  const ConstraintSet& constraints,
                                  const AnalyzerOptions& options = {});
 
 /// The isomorphism-class key of `tmpl` over `footprint` (its IND-closed
-/// relation ids): TemplateAnalysis::class_key. It is an exact identity only
-/// for a constant-free template over catalog relations, such as
-/// Canonicalize makes of a constraint the analyzer accepted: its skeleton
-/// text then holds only relation names, α-renamed variables and parameters,
-/// and operators. A hand-written template's constants print as display
-/// text, so its key is for display (bcdb_lint) only.
+/// relation ids): TemplateAnalysis::class_key. It is an exact identity for
+/// a constant-free template, such as Canonicalize makes of any ground
+/// constraint (only head terms keep their constants, which no admitted
+/// template has): its skeleton text then holds only relation names,
+/// α-renamed variables and parameters, and operators. A hand-written
+/// template's constants print as display text, so its key is for display
+/// (bcdb_lint) only.
 std::string ClassKey(const ConstraintTemplate& tmpl,
                      const std::vector<std::size_t>& footprint);
 

@@ -6,12 +6,15 @@
 
 #include "core/possible_worlds.h"
 #include "query/compiled_query.h"
+#include "query/template.h"
 
 namespace bcdb {
 
 namespace {
 
-Status ValidateAnswerQuery(const DenialConstraint& q) {
+/// The plan of an answer query: ground, non-aggregate, with a head.
+StatusOr<CompiledQuery> CompileAnswerQuery(const DenialConstraint& q,
+                                           const Database& db) {
   if (q.is_aggregate()) {
     return Status::InvalidArgument(
         "answer enumeration requires a non-aggregate query");
@@ -20,7 +23,37 @@ Status ValidateAnswerQuery(const DenialConstraint& q) {
     return Status::InvalidArgument(
         "answer enumeration requires head variables (q(x, ...) :- ...)");
   }
-  return Status::OK();
+  StatusOr<CompiledQuery> compiled = CompiledQuery::Compile(q, &db);
+  if (compiled.ok()) BCDB_RETURN_IF_ERROR(compiled->RequireGround());
+  return compiled;
+}
+
+/// `q` without its head, every body occurrence of a head variable replaced
+/// by `replace(i)` for the variable's last head position i.
+template <typename Fn>
+DenialConstraint ReplaceHeadVariables(const DenialConstraint& q, Fn&& replace) {
+  std::map<std::string, std::size_t> position;
+  for (std::size_t i = 0; i < q.head_vars.size(); ++i) {
+    position[q.head_vars[i].name()] = i;
+  }
+  auto rewrite = [&](Term& term) {
+    if (!term.is_variable()) return;
+    auto it = position.find(term.name());
+    if (it != position.end()) term = replace(it->second);
+  };
+  DenialConstraint body = q;
+  body.head_vars.clear();
+  for (std::vector<Atom>* atoms :
+       {&body.positive_atoms, &body.negated_atoms}) {
+    for (Atom& atom : *atoms) {
+      for (Term& term : atom.args) rewrite(term);
+    }
+  }
+  for (Comparison& cmp : body.comparisons) {
+    rewrite(cmp.lhs);
+    rewrite(cmp.rhs);
+  }
+  return body;
 }
 
 std::vector<Tuple> Sorted(std::set<Tuple> tuples) {
@@ -34,44 +67,23 @@ StatusOr<DenialConstraint> BindHead(const DenialConstraint& q,
   if (binding.arity() != q.head_vars.size()) {
     return Status::InvalidArgument("binding arity does not match query head");
   }
-  std::map<std::string, Value> substitution;
-  for (std::size_t i = 0; i < q.head_vars.size(); ++i) {
-    if (!q.head_vars[i].is_variable()) {
+  for (const Term& head : q.head_vars) {
+    if (!head.is_variable()) {
       return Status::InvalidArgument("head arguments must be variables");
     }
-    substitution[q.head_vars[i].name()] = binding[i];
   }
-  auto rewrite = [&](Term& term) {
-    if (!term.is_variable()) return;
-    auto it = substitution.find(term.name());
-    if (it != substitution.end()) term = Term::Const(it->second);
-  };
-
-  DenialConstraint bound = q;
-  bound.head_vars.clear();
+  DenialConstraint bound = ReplaceHeadVariables(
+      q, [&](std::size_t i) { return Term::Const(binding[i]); });
   bound.name = q.name + "_bound";
-  for (Atom& atom : bound.positive_atoms) {
-    for (Term& term : atom.args) rewrite(term);
-  }
-  for (Atom& atom : bound.negated_atoms) {
-    for (Term& term : atom.args) rewrite(term);
-  }
-  for (Comparison& cmp : bound.comparisons) {
-    rewrite(cmp.lhs);
-    rewrite(cmp.rhs);
-  }
   return bound;
 }
 
 StatusOr<std::vector<Tuple>> CertainAnswers(DcSatEngine& engine,
                                             const DenialConstraint& q,
                                             std::size_t world_limit) {
-  BCDB_RETURN_IF_ERROR(ValidateAnswerQuery(q));
   const BlockchainDatabase& db = engine.db();
-  StatusOr<CompiledQuery> compiled =
-      CompiledQuery::Compile(q, &db.database());
+  StatusOr<CompiledQuery> compiled = CompileAnswerQuery(q, db.database());
   if (!compiled.ok()) return compiled.status();
-  BCDB_RETURN_IF_ERROR(compiled->RequireGround());
 
   if (compiled->analysis().monotone) {
     // R is a possible world and q(R) ⊆ q(W) for every world W, so the
@@ -109,23 +121,36 @@ StatusOr<std::vector<Tuple>> CertainAnswers(DcSatEngine& engine,
 StatusOr<std::vector<Tuple>> PossibleAnswers(DcSatEngine& engine,
                                              const DenialConstraint& q,
                                              std::size_t world_limit) {
-  BCDB_RETURN_IF_ERROR(ValidateAnswerQuery(q));
   const BlockchainDatabase& db = engine.db();
-  StatusOr<CompiledQuery> compiled =
-      CompiledQuery::Compile(q, &db.database());
+  StatusOr<CompiledQuery> compiled = CompileAnswerQuery(q, db.database());
   if (!compiled.ok()) return compiled.status();
-  BCDB_RETURN_IF_ERROR(compiled->RequireGround());
 
   if (compiled->analysis().monotone) {
     // Candidates are the answers over the (not necessarily consistent)
     // superset R ∪ T; a candidate is possible iff the head-bound Boolean
     // query can become true in some world — i.e. iff DCSat does NOT
-    // certify the bound query as a satisfied denial constraint.
+    // certify the bound query as a satisfied denial constraint. The bound
+    // queries are one template, parameter `$i` standing for head position
+    // i, compiled once and checked with each candidate as its binding.
+    StatusOr<ConstraintTemplate> tmpl =
+        ConstraintTemplate::Create(ReplaceHeadVariables(q, [](std::size_t i) {
+          return Term::Param(std::to_string(i));
+        }));
+    if (!tmpl.ok()) return tmpl.status();
+    StatusOr<CompiledQuery> plan =
+        CompiledQuery::Compile(tmpl->constraint(), &db.database());
+    if (!plan.ok()) return plan.status();
+    engine.PrepareSteadyState();
     std::set<Tuple> possible;
+    std::vector<Value> binding(tmpl->num_params());
     for (const Tuple& candidate : compiled->Answers(db.PendingUnionView())) {
-      StatusOr<DenialConstraint> bound = BindHead(q, candidate);
-      if (!bound.ok()) return bound.status();
-      StatusOr<DcSatResult> result = engine.Check(*bound);
+      for (std::size_t p = 0; p < binding.size(); ++p) {
+        binding[p] = candidate[std::stoul(tmpl->param_names()[p])];
+      }
+      StatusOr<DenialConstraint> instance = tmpl->Instantiate(binding);
+      if (!instance.ok()) return instance.status();
+      StatusOr<DcSatResult> result = engine.CheckPrepared(
+          *plan, Tuple(binding), engine.Classify(*plan, *instance));
       if (!result.ok()) return result.status();
       if (!result->satisfied) possible.insert(candidate);
     }

@@ -77,12 +77,19 @@ void ConstraintMonitor::MarkRelationDirty(std::size_t relation_id) {
   dirty_relations_.Set(relation_id);
 }
 
-std::string ConstraintMonitor::BindingSummary(const Tuple& binding) {
-  return binding.ToString();
-}
-
-StatusOr<std::size_t> ConstraintMonitor::CreateClass(
-    std::string label, ConstraintTemplate tmpl, TemplateAnalysis analysis) {
+StatusOr<std::size_t> ConstraintMonitor::AdmitClass(const std::string& what,
+                                                    std::string label,
+                                                    ConstraintTemplate tmpl) {
+  // Registration-time rejection is the contract: a template whose class
+  // plan would not compile (unknown relation, arity mismatch, unsafe
+  // variable, a parameter no value fits, ...) fails here with every
+  // diagnostic attached instead of surfacing at first poll.
+  TemplateAnalysis analysis =
+      AnalyzeTemplate(tmpl, db_->database(), db_->constraints());
+  if (!analysis.report.ok()) {
+    return Status::InvalidArgument(what + " rejected by static analysis: " +
+                                   analysis.report.ErrorSummary());
+  }
   TemplateClass cls;
   // Plans depend only on the query's structure, so each is compiled once
   // here and serves every later poll whatever the database does.
@@ -96,22 +103,24 @@ StatusOr<std::size_t> ConstraintMonitor::CreateClass(
     if (generalized.ok()) cls.generalized = std::move(*generalized);
   }
   cls.label = std::move(label);
-  // The dirty filter keys on the analyzer's IND-closed footprint: the
-  // relations the constraint references, closed under IND coupling — a
-  // mutation in R can change the possible worlds of an S-tuple when
-  // S[x] ⊆ R[a] ties them together, so members over S must re-evaluate on
-  // R churn even though the constraint never mentions R.
-  cls.relation_ids = analysis.report.footprint;
-  cls.always_dirty = !analysis.report.analysis.monotone;
   cls.report = std::move(analysis.report);
   cls.tmpl = std::move(tmpl);
   classes_.push_back(std::move(cls));
   return classes_.size() - 1;
 }
 
-MonitorHandle ConstraintMonitor::AppendEntry(Entry entry) {
-  const std::size_t slot = entries_.size();
-  TemplateClass& cls = classes_[entry.class_id];
+StatusOr<MonitorHandle> ConstraintMonitor::AppendMember(std::size_t class_id,
+                                                        Tuple binding,
+                                                        std::string label) {
+  TemplateClass& cls = classes_[class_id];
+  // The class plan applies the grounded compiler's type rule, so a binding
+  // the instantiated constraint would be rejected for fails here, not at
+  // its first search.
+  BCDB_RETURN_IF_ERROR(cls.plan->ValidateBinding(binding));
+  Entry entry;
+  entry.class_id = class_id;
+  entry.label = std::move(label);
+  entry.binding = std::move(binding);
   if (cls.generalized.has_value()) {
     entry.unique_slot =
         cls.unique_of.try_emplace(entry.binding, cls.unique_of.size())
@@ -123,55 +132,37 @@ MonitorHandle ConstraintMonitor::AppendEntry(Entry entry) {
   }
   entries_.push_back(std::move(entry));
   ++live_count_;
-  return MonitorHandle(slot, uid_);
+  return MonitorHandle(entries_.size() - 1, uid_);
 }
 
 StatusOr<MonitorHandle> ConstraintMonitor::Add(std::string label,
                                                DenialConstraint q) {
   MutexLock lock(mutex_);
-  // Registration-time rejection is the contract: the static analyzer runs
-  // here, so a constraint Poll could never evaluate (unknown relation,
-  // arity mismatch, unsafe variable, ...) fails the Add with every
-  // diagnostic attached instead of surfacing at first poll.
-  AnalysisReport report = engine_.Analyze(q);
-  if (!report.ok()) {
-    return Status::InvalidArgument("constraint '" + label +
-                                   "' rejected by static analysis: " +
-                                   report.ErrorSummary());
-  }
-
   // Canonicalize into (template, binding): every constant, the aggregate
   // threshold included, becomes a parameter, and the α-renamed skeleton
   // plus IND-closed footprint keys the class — a million structurally
-  // identical Adds land in one class and share its compiled plan. The key
-  // is exact because q passed the analyzer above (see ClassKey). The
-  // grounded footprint equals the class footprint (relations are
-  // binding-independent), so the key can be built without re-running the
-  // template analyzer on every Add.
+  // identical Adds land in one class and share its compiled plan, and only
+  // the first runs the analyzer. The key is exact among admitted classes
+  // (see ClassKey).
   StatusOr<CanonicalizedConstraint> canon = ConstraintTemplate::Canonicalize(q);
   if (!canon.ok()) return canon.status();
-  std::string key = ClassKey(canon->tmpl, report.footprint);
-
+  std::string key = ClassKey(
+      canon->tmpl, IndClosedFootprint(canon->tmpl.constraint(),
+                                      db_->catalog(), db_->constraints()));
   std::size_t class_id;
   auto it = class_by_key_.find(key);
   if (it != class_by_key_.end()) {
     class_id = it->second;
   } else {
-    TemplateAnalysis analysis =
-        AnalyzeTemplate(canon->tmpl, db_->database(), db_->constraints());
     std::string class_label = canon->tmpl.CanonicalSkeleton();
-    StatusOr<std::size_t> created = CreateClass(
-        std::move(class_label), std::move(canon->tmpl), std::move(analysis));
-    if (!created.ok()) return created.status();
-    class_id = *created;
+    StatusOr<std::size_t> admitted =
+        AdmitClass("constraint '" + label + "'", std::move(class_label),
+                   std::move(canon->tmpl));
+    if (!admitted.ok()) return admitted.status();
+    class_id = *admitted;
     class_by_key_.emplace(std::move(key), class_id);
   }
-
-  Entry entry;
-  entry.class_id = class_id;
-  entry.label = std::move(label);
-  entry.binding = Tuple(canon->binding);
-  return AppendEntry(std::move(entry));
+  return AppendMember(class_id, Tuple(canon->binding), std::move(label));
 }
 
 StatusOr<MonitorHandle> ConstraintMonitor::Add(std::string label,
@@ -184,15 +175,8 @@ StatusOr<MonitorHandle> ConstraintMonitor::Add(std::string label,
 StatusOr<TemplateHandle> ConstraintMonitor::RegisterTemplate(
     std::string label, ConstraintTemplate tmpl) {
   MutexLock lock(mutex_);
-  TemplateAnalysis analysis =
-      AnalyzeTemplate(tmpl, db_->database(), db_->constraints());
-  if (!analysis.report.ok()) {
-    return Status::InvalidArgument("template '" + label +
-                                   "' rejected by static analysis: " +
-                                   analysis.report.ErrorSummary());
-  }
   StatusOr<std::size_t> class_id =
-      CreateClass(std::move(label), std::move(tmpl), std::move(analysis));
+      AdmitClass("template '" + label + "'", label, std::move(tmpl));
   if (!class_id.ok()) return class_id.status();
   return TemplateHandle(*class_id, uid_);
 }
@@ -207,22 +191,16 @@ StatusOr<TemplateHandle> ConstraintMonitor::RegisterTemplate(
 StatusOr<MonitorHandle> ConstraintMonitor::Bind(
     TemplateHandle tmpl, const std::vector<Value>& binding) {
   MutexLock lock(mutex_);
-  if (FindClass(tmpl) == nullptr) {
+  const TemplateClass* cls = FindClass(tmpl);
+  if (cls == nullptr) {
     return Status::InvalidArgument(
         tmpl.valid() && tmpl.owner_ != uid_
             ? "template handle belongs to a different monitor"
             : "invalid template handle");
   }
-  const TemplateClass& cls = classes_[tmpl.value()];
-  Entry entry;
-  entry.class_id = tmpl.value();
-  entry.binding = Tuple(binding);
-  // The class plan applies the grounded compiler's type rule, so a binding
-  // the instantiated constraint would be rejected for fails here, not at
-  // its first search.
-  BCDB_RETURN_IF_ERROR(cls.plan->ValidateBinding(entry.binding));
-  entry.label = cls.label + BindingSummary(entry.binding);
-  return AppendEntry(std::move(entry));
+  Tuple values(binding);
+  std::string label = cls->label + values.ToString();
+  return AppendMember(tmpl.value(), std::move(values), std::move(label));
 }
 
 Status ConstraintMonitor::Remove(MonitorHandle handle) {
@@ -256,8 +234,8 @@ bool ConstraintMonitor::ClassIsDirty(const TemplateClass& cls) const {
   // Not proved monotone: any mutation anywhere may flip the verdict, but a
   // fully quiescent database (no events since the last completed poll)
   // cannot change any verdict — not even a non-monotone one.
-  if (cls.always_dirty) return mutated_since_poll_;
-  for (std::size_t relation_id : cls.relation_ids) {
+  if (!cls.report.analysis.monotone) return mutated_since_poll_;
+  for (std::size_t relation_id : cls.report.footprint) {
     if (relation_id < dirty_relations_.size() &&
         dirty_relations_.Test(relation_id)) {
       return true;
@@ -434,7 +412,8 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
   ParallelFor(tasks.size(), width, [&](std::size_t t) {
     const TemplateClass& cls = *tasks[t].cls;
     const WorldView* precheck =
-        options.use_precheck && !cls.always_dirty ? &pending_union : nullptr;
+        options.use_precheck && cls.report.analysis.monotone ? &pending_union
+                                                             : nullptr;
     if (tasks[t].answer_passes) {
       SettleByAnswers(cls, tasks[t].slots, entry_table, base, precheck,
                       verdicts);
@@ -545,7 +524,7 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
       changes.push_back(Change{MonitorHandle(slot, uid_),
                                entry.label, entry.verdict, verdict,
                                classes_[entry.class_id].label,
-                               BindingSummary(entry.binding)});
+                               entry.binding.ToString()});
       entry.verdict = verdict;
     }
   }

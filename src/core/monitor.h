@@ -211,17 +211,20 @@ class ConstraintMonitor {
   ConstraintMonitor(const ConstraintMonitor&) = delete;
   ConstraintMonitor& operator=(const ConstraintMonitor&) = delete;
 
-  /// Registers a standing constraint; returns its handle. Registration-time
-  /// rejection is the contract: the static analyzer runs here, and any
-  /// error-severity diagnostic (unknown relation, arity mismatch, unsafe
-  /// variable, ...) fails the Add with the full diagnostic summary — a
-  /// malformed constraint never reaches Poll. The report is not kept: the
-  /// entry reports its class's analysis (see analysis()).
-  ///
-  /// Internally the constraint is canonicalized: every constant is
-  /// extracted into a parameter binding and the constant-free skeleton
-  /// (plus IND-closed footprint) keys a template class, so structurally
-  /// identical Adds share one class and its compiled plan.
+  /// Registers a standing constraint; returns its handle. It is Canonicalize
+  /// plus Bind: every constant is extracted into a parameter binding, and
+  /// the constant-free skeleton (plus IND-closed footprint) keys a template
+  /// class, so structurally identical Adds share one class and its compiled
+  /// plan. The first Add of a class admits it as RegisterTemplate does; the
+  /// member is then bound as Bind binds one. So registration-time rejection
+  /// is the contract: a constraint that would not compile fails the Add
+  /// and never reaches Poll — an unknown relation, arity mismatch, unsafe
+  /// variable, ... with the template's full diagnostic summary, a constant
+  /// of the wrong type with the class plan's ValidateBinding message — and
+  /// an Add is accepted exactly when its constraint compiles. Only the Add that admits a class runs the analyzer; the
+  /// entry reports its class's analysis (see analysis()). A class admitted
+  /// for a member whose binding is then rejected stays, for later Adds of
+  /// its shape.
   StatusOr<MonitorHandle> Add(std::string label, DenialConstraint q);
 
   /// Convenience overload: parses `query_text` first, so callers with
@@ -230,8 +233,9 @@ class ConstraintMonitor {
 
   /// Registers a constraint template — a constraint with `$name` constant
   /// placeholders — as a new class and compiles its class plan. The
-  /// template analyzer runs here: binding-independent errors (unknown
-  /// relation, arity mismatch, unsafe variable, ...) fail the registration.
+  /// template analyzer runs here: the errors its plan's compile would fail
+  /// on (unknown relation, arity mismatch, unsafe variable, a parameter
+  /// filling an INT and a STRING attribute, ...) fail the registration.
   /// A class the analysis proves projectable (Boolean, non-aggregate,
   /// positive, every parameter in some positive atom) also gets the
   /// generalized plan its set-at-a-time answer passes run.
@@ -386,23 +390,19 @@ class ConstraintMonitor {
     std::string label;
     ConstraintTemplate tmpl;
     /// Class-level analysis (AnalyzeTemplate): every fact in it holds for
-    /// every binding. Searches do not route on its class, which ignores
-    /// the binding's unsat proof.
+    /// every binding. Its IND-closed footprint keys the dirty filter: a
+    /// mutation in R can change the possible worlds of an S-tuple when
+    /// S[x] ⊆ R[a] ties them together, so members over S re-evaluate on R
+    /// churn even though the constraint never mentions R. A class not
+    /// proved monotone is dirty on any mutation and never settled by the
+    /// R ∪ T pre-check probe. Searches do not route on its class, which
+    /// ignores the binding's unsat proof.
     AnalysisReport report;
     /// The class plan: the template compiled once, parameters as slots.
     std::optional<CompiledQuery> plan;
     /// Projectable classes only: the generalized plan (parameters projected
     /// into head variables) the set-at-a-time answer passes enumerate.
     std::optional<CompiledQuery> generalized;
-    /// The analyzer's IND-closed footprint — the dirty-filter key. A
-    /// mutation in R can change the possible worlds of an S-tuple when
-    /// S[x] ⊆ R[a] ties them together, so members over S must re-evaluate
-    /// on R churn even though the constraint never mentions R.
-    std::vector<std::size_t> relation_ids;
-    /// Not proved monotone (class-level — monotonicity is structural, so
-    /// it holds for every binding): never skipped by the dirty filter, and
-    /// never settled by the R ∪ T pre-check probe.
-    bool always_dirty = false;
     /// Projectable classes only, maintained by Bind/Add/Remove: each
     /// distinct binding ever bound -> its dense slot (Entry::unique_slot),
     /// the live members per slot, and how many slots have any.
@@ -455,14 +455,18 @@ class ConstraintMonitor {
     return &classes_[tmpl.value()];
   }
 
-  /// Builds a TemplateClass from an analyzed template and compiles its
-  /// plans; returns its id.
-  StatusOr<std::size_t> CreateClass(std::string label, ConstraintTemplate tmpl,
-                                    TemplateAnalysis analysis)
+  /// Admits `tmpl` as a new class (RegisterTemplate, and the first Add of
+  /// a shape): analyzes it, rejecting an error report as "<what> rejected
+  /// by static analysis: ...", compiles its plans and returns its id.
+  StatusOr<std::size_t> AdmitClass(const std::string& what, std::string label,
+                                   ConstraintTemplate tmpl)
       BCDB_REQUIRES(mutex_);
 
-  /// Appends a member entry of `class_id`; returns its handle.
-  MonitorHandle AppendEntry(Entry entry) BCDB_REQUIRES(mutex_);
+  /// Appends a member of `class_id` (Bind, and every Add) once the class
+  /// plan accepts `binding` (ValidateBinding); returns its handle.
+  StatusOr<MonitorHandle> AppendMember(std::size_t class_id, Tuple binding,
+                                       std::string label)
+      BCDB_REQUIRES(mutex_);
 
   /// The set-at-a-time probes of a projectable class: settles the members
   /// at `slots` (of `entries`) into `verdicts` from one answer enumeration of
@@ -474,9 +478,6 @@ class ConstraintMonitor {
                               const Entry* entries, const WorldView& base,
                               const WorldView* pending_union,
                               std::vector<Verdict>& verdicts);
-
-  /// "(v0, v1, ...)" display form of a binding tuple.
-  static std::string BindingSummary(const Tuple& binding);
 
   /// Whether any of the class's footprint relations was dirtied.
   bool ClassIsDirty(const TemplateClass& cls) const BCDB_REQUIRES(mutex_);
@@ -497,7 +498,7 @@ class ConstraintMonitor {
   BlockchainDatabase* db_;
   MonitorOptions options_;
   /// Externally synchronized by mutex_: the monitor holds its lock across
-  /// every engine call (Poll, Add's Analyze). Not annotated
+  /// every engine call (Poll). Not annotated
   /// because the engine() introspection accessor intentionally escapes it.
   DcSatEngine engine_;
   /// This monitor's process-unique identity, stamped into every handle.

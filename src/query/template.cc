@@ -94,9 +94,9 @@ StatusOr<CanonicalizedConstraint> ConstraintTemplate::Canonicalize(
     if (term.is_param()) {
       if (bad.ok()) {
         bad = Status::InvalidArgument(
-            "cannot canonicalize a constraint that already has parameters "
-            "('$" +
-            term.name() + "')");
+            "unbound parameter '$" + term.name() +
+            "'; only a ground constraint canonicalizes (register a "
+            "template and bind it)");
       }
       return;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 namespace bcdb {
 
@@ -30,6 +31,13 @@ std::vector<QueryDefect> ValidateQuery(const DenialConstraint& q,
         "query '" + q.name + "' has no positive atoms");
   }
   std::map<std::string, std::size_t> occurrences;
+  // Each parameter's first atom site ("Relation.attribute", its type), or
+  // an empty site once the parameter is reported.
+  std::map<std::string, std::pair<std::string, ValueType>> param_site;
+  // One value fits two attributes iff their types are equal or numeric.
+  auto coarse = [](ValueType t) {
+    return t == ValueType::kReal ? ValueType::kInt : t;
+  };
   for (const std::vector<Atom>* atoms :
        {&q.positive_atoms, &q.negated_atoms}) {
     for (const Atom& atom : *atoms) {
@@ -53,15 +61,32 @@ std::vector<QueryDefect> ValidateQuery(const DenialConstraint& q,
       }
       for (std::size_t i = 0; i < atom.args.size(); ++i) {
         const Term& term = atom.args[i];
-        if (!term.is_constant() || FitsAttribute(term.value(), schema, i)) {
-          continue;
+        const Attribute& attribute = schema.attribute(i);
+        if (term.is_param()) {
+          std::string here = schema.name() + "." + attribute.name;
+          auto [it, inserted] =
+              param_site.try_emplace(term.name(), here, attribute.type);
+          auto& [first, type] = it->second;
+          if (inserted || first.empty() ||
+              coarse(type) == coarse(attribute.type)) {
+            continue;
+          }
+          add(DefectKind::kConstantTypeMismatch,
+              "parameter '$" + term.name() + "' fills " +
+                  ValueTypeToString(type) + " attribute " + first + " and " +
+                  ValueTypeToString(attribute.type) + " attribute " + here +
+                  "; no value fits both",
+              term, &atom, occurrence);
+          first.clear();
+        } else if (term.is_constant() &&
+                   !FitsAttribute(term.value(), schema, i)) {
+          add(DefectKind::kConstantTypeMismatch,
+              "constant " + term.value().ToString() + " at position " +
+                  std::to_string(i) + " of atom " + atom.ToString() +
+                  " has wrong type (attribute " + attribute.name + " is " +
+                  ValueTypeToString(attribute.type) + ")",
+              term, &atom, occurrence);
         }
-        add(DefectKind::kConstantTypeMismatch,
-            "constant " + term.value().ToString() + " at position " +
-                std::to_string(i) + " of atom " + atom.ToString() +
-                " has wrong type (attribute " + schema.attribute(i).name +
-                " is " + ValueTypeToString(schema.attribute(i).type) + ")",
-            term, &atom, occurrence);
       }
     }
   }

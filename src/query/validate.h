@@ -16,7 +16,9 @@ enum class DefectKind {
   kNoPositiveAtoms,       // The body has no positive atom.
   kUnknownRelation,       // An atom names a relation not in the catalog.
   kArityMismatch,         // An atom's arity differs from its relation's.
-  kConstantTypeMismatch,  // A constant does not fit its attribute's type.
+  kConstantTypeMismatch,  // A constant does not fit its attribute's type,
+                          // or no one value fits every atom attribute a
+                          // parameter fills (an INT and a STRING one).
   kUnsafeVariable,        // A variable of a negated atom, comparison,
                           // aggregate or head occurs in no positive atom.
   kBadAggregate,          // Head variables beside an aggregate, a
@@ -44,12 +46,16 @@ struct QueryDefect {
 /// Every defect that makes CompiledQuery::Compile reject `q` against
 /// `catalog`, in a fixed order: no positive atoms; then per atom (positive
 /// atoms first) an unknown relation, or an arity mismatch, or each constant
-/// of the wrong type; then unsafe variables of negated atoms, comparisons,
-/// the aggregate and the head, with non-variable head terms among them;
-/// then the aggregate's shape. Empty iff `q` compiles. Parameters (`$name`)
-/// count as bound and their types are checked per binding
-/// (CompiledQuery::ValidateBinding), so a template validates as its
-/// compiled class plan does.
+/// of the wrong type and each parameter whose attribute here no value of
+/// its earlier atom sites fits (once per parameter, at its `$name`); then
+/// unsafe variables of negated atoms, comparisons, the aggregate and the
+/// head, with non-variable head terms among them; then the aggregate's
+/// shape. Empty iff `q` compiles. Parameters (`$name`) count as bound; the
+/// type of a parameter's value is checked per binding
+/// (CompiledQuery::ValidateBinding), and the unfittable parameter is the
+/// one type defect no binding can repair. So a template validates as its
+/// compiled class plan does, and is admitted (AnalyzeTemplate) exactly when
+/// some binding of it compiles.
 std::vector<QueryDefect> ValidateQuery(const DenialConstraint& q,
                                        const Catalog& catalog);
 

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/answers.h"
 #include "core/dcsat.h"
 #include "query/parser.h"
 #include "running_example.h"
@@ -196,6 +197,37 @@ TEST_F(DcSatTest, CompiledQuerySurvivesCacheGrowthAndEviction) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->satisfied, before.satisfied);
   EXPECT_EQ(result->decided, before.decided);
+}
+
+TEST_F(DcSatTest, PossibleAnswersLeaveTheCachedPlans) {
+  // PossibleAnswers decides its candidates on one plan of q's body with
+  // the head variables as parameters. Checking each head-bound query
+  // instead compiled one plan per candidate and, past the cache's
+  // capacity, evicted every plan it held.
+  const std::size_t kExtra = DcSatEngine::kCompiledCacheCapacity + 37;
+  for (std::size_t i = 0; i < kExtra; ++i) {
+    ASSERT_TRUE(db_.InsertCurrent(
+                       "TxOut",
+                       Tuple({Value::Int(static_cast<std::int64_t>(100 + i)),
+                              Value::Int(1),
+                              Value::Str("W" + std::to_string(i)),
+                              Value::Int(1)}))
+                    .ok());
+  }
+  auto held_q = ParseDenialConstraint("q() :- TxOut(t, s, 'U1Pk', a)");
+  ASSERT_TRUE(held_q.ok());
+  auto held = engine_.GetOrCompile(*held_q);
+  ASSERT_TRUE(held.ok()) << held.status();
+
+  auto q = ParseDenialConstraint("q(pk) :- TxOut(t, s, pk, a)");
+  ASSERT_TRUE(q.ok());
+  auto possible = PossibleAnswers(engine_, *q);
+  ASSERT_TRUE(possible.ok()) << possible.status();
+  EXPECT_GT(possible->size(), DcSatEngine::kCompiledCacheCapacity);
+
+  auto again = engine_.GetOrCompile(*held_q);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(*again, *held);
 }
 
 TEST_F(DcSatTest, CompiledCacheHitsWhenCyclingFiftyTexts) {

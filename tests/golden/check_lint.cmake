@@ -3,7 +3,8 @@
 # tests/CMakeLists.txt registers one ctest per file and format:
 #
 #   cmake -DLINT=<bcdb_lint> -DSOURCE_DIR=<repo root> -DSCHEMA=<schema arg>
-#         -DNAME=<bad|marketplace|templates|bitcoin> -DFORMAT=<text|json>
+#         -DNAME=<bad|marketplace|templates|template_admission|bitcoin>
+#         -DFORMAT=<text|json>
 #         -P tests/golden/check_lint.cmake
 #
 # After an intended change, regenerate a golden from the repository root:

@@ -1,54 +1,27 @@
 // Asserts the hot lookup path — projecting a key from a stored tuple and
 // probing a hash index with it — performs zero heap allocations. Runs in
-// its own binary because it overrides the global allocation functions to
-// count; the counting wrappers delegate to malloc/free, which sanitizer
-// builds intercept as usual.
+// its own binary because it links counting_allocator.cc, which overrides
+// the global allocation functions to count.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "counting_allocator.h"
 #include "relational/database.h"
 #include "relational/relation.h"
 #include "relational/tuple.h"
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace bcdb {
 namespace {
 
 class AllocationGuard {
  public:
-  AllocationGuard() : start_(g_allocations.load()) {}
-  std::size_t count() const { return g_allocations.load() - start_; }
+  AllocationGuard() : start_(testing_fixtures::HeapAllocations()) {}
+  std::size_t count() const {
+    return testing_fixtures::HeapAllocations() - start_;
+  }
 
  private:
   std::size_t start_;

@@ -6,9 +6,12 @@
 // aggregate and answer heads. Every mutant must come back as a Status or a
 // report (never an abort), and a parameter-free mutant must pass the
 // analyzer exactly when it compiles: both read one validator
-// (ValidateQuery). A mutant's display text parses back to an equal query,
-// every error diagnostic carries a span, and a warm engine answers every mutant
-// and its int <-> real twin as a fresh engine does.
+// (ValidateQuery). So must a template mutant pass the template analyzer,
+// and a monitor must Add a parameter-free mutant exactly when the analyzer
+// accepts it, with an error-free class report. A mutant's display text
+// parses back to an equal query, every error diagnostic carries a span,
+// and a warm engine answers every mutant and its int <-> real twin as a
+// fresh engine does.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +27,7 @@
 #include "analysis/schema_text.h"
 #include "bitcoin/to_relational.h"
 #include "core/dcsat.h"
+#include "core/monitor.h"
 #include "query/compiled_query.h"
 #include "query/parser.h"
 #include "query/template.h"
@@ -360,6 +364,25 @@ void ExpectAgreement(const DenialConstraint& q, const Environment& env,
   }
 }
 
+/// A monitor registers `q` exactly when the analyzer (no base-state probe)
+/// accepts it, and the accepted member's class report has no error.
+void ExpectAddAgreement(const DenialConstraint& q, const Environment& env,
+                        ConstraintMonitor& monitor, const std::string& label) {
+  AnalyzerOptions options;
+  options.check_base_state = false;
+  const AnalysisReport report =
+      AnalyzeConstraint(q, env.db, env.constraints, options);
+  const StatusOr<MonitorHandle> added = monitor.Add(label, q);
+  EXPECT_EQ(added.ok(), report.ok())
+      << label << "\n  report: " << report.ErrorSummary()
+      << "\n  add: " << added.status();
+  if (added.ok()) {
+    const AnalysisReport* member = monitor.analysis(*added);
+    ASSERT_NE(member, nullptr) << label;
+    EXPECT_TRUE(member->ok()) << label << ": " << member->ErrorSummary();
+  }
+}
+
 TEST(ValidatorMutationTest, AnalyzerAcceptsExactlyWhatCompiles) {
   StatusOr<ParsedSchema> marketplace =
       ParseSchemaText(ReadSourceFile("examples/constraints/marketplace.schema"));
@@ -389,6 +412,16 @@ TEST(ValidatorMutationTest, AnalyzerAcceptsExactlyWhatCompiles) {
   }
   ASSERT_GE(seeds.size(), 15u);
 
+  // One monitor per schema takes every parameter-free mutant.
+  StatusOr<BlockchainDatabase> marketplace_chain = BlockchainDatabase::Create(
+      marketplace->catalog, marketplace->constraints);
+  StatusOr<BlockchainDatabase> bitcoin_chain =
+      BlockchainDatabase::Create(bitcoin_catalog, *bitcoin_constraints);
+  ASSERT_TRUE(marketplace_chain.ok()) << marketplace_chain.status();
+  ASSERT_TRUE(bitcoin_chain.ok()) << bitcoin_chain.status();
+  ConstraintMonitor marketplace_monitor(&*marketplace_chain);
+  ConstraintMonitor bitcoin_monitor(&*bitcoin_chain);
+
   Mutator marketplace_mutator(kSeed, envs[0].db.catalog());
   Mutator bitcoin_mutator(kSeed + 1, envs[1].db.catalog());
   Tally tally;
@@ -397,6 +430,8 @@ TEST(ValidatorMutationTest, AnalyzerAcceptsExactlyWhatCompiles) {
     const Environment& env = *seed.env;
     Mutator& mutator =
         seed.env == &envs[0] ? marketplace_mutator : bitcoin_mutator;
+    ConstraintMonitor& monitor =
+        seed.env == &envs[0] ? marketplace_monitor : bitcoin_monitor;
     const DenialConstraint mutant = mutator.Mutate(seed.q);
     const std::string text = mutant.ToString();
     const std::string label = "mutant " + std::to_string(i) + ": " + text;
@@ -406,11 +441,18 @@ TEST(ValidatorMutationTest, AnalyzerAcceptsExactlyWhatCompiles) {
     if (HasParam(mutant)) {
       StatusOr<ConstraintTemplate> tmpl = ConstraintTemplate::Create(mutant);
       if (tmpl.ok()) {
-        (void)AnalyzeTemplate(*tmpl, env.db, env.constraints);
+        const TemplateAnalysis analysis =
+            AnalyzeTemplate(*tmpl, env.db, env.constraints);
+        const StatusOr<CompiledQuery> plan =
+            CompiledQuery::Compile(tmpl->constraint(), &env.db);
+        EXPECT_EQ(analysis.report.ok(), plan.ok())
+            << label << "\n  report: " << analysis.report.ErrorSummary()
+            << "\n  compile: " << plan.status();
       }
       (void)CompiledQuery::Compile(mutant, &env.db);
     } else {
       ExpectAgreement(mutant, env, label, tally);
+      ExpectAddAgreement(mutant, env, monitor, label);
     }
 
     // Its rendering, through the parser and the text analyzer. Display

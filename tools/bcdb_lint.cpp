@@ -97,8 +97,10 @@ bool LintFile(const std::string& path, const bcdb::Database& db,
     if (LooksLikeTemplate(c.text)) {
       auto tmpl = bcdb::ConstraintTemplate::Parse(c.text);
       if (tmpl.ok()) {
+        bcdb::AnalyzerOptions options;
+        options.source_text = c.text;
         bcdb::TemplateAnalysis analysis =
-            bcdb::AnalyzeTemplate(*tmpl, db, constraints);
+            bcdb::AnalyzeTemplate(*tmpl, db, constraints, options);
         c.is_template = true;
         c.num_params = tmpl->num_params();
         c.batchable = analysis.batchable;
