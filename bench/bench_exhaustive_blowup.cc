@@ -53,9 +53,9 @@ void BM_ExhaustiveWorlds(benchmark::State& state) {
   std::size_t worlds = 0;
   for (auto _ : state) {
     auto result = engine.Check(*q);
-    if (!result.ok() ||
+    if (!result.ok() || !result->decided ||
         result->stats.algorithm_used != DcSatAlgorithm::kExhaustive) {
-      state.SkipWithError("exhaustive path not taken");
+      state.SkipWithError("exhaustive path not taken or not finished");
       break;
     }
     worlds = result->stats.num_worlds_evaluated;

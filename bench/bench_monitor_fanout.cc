@@ -11,8 +11,8 @@
 //                  sharing a plan cannot help and must not hurt.
 //   added        — the one_class members as ground constraints through
 //                  Add, which canonicalizes them into the classes it
-//                  creates (two: R($b0, $b0) for the members whose two
-//                  values are equal, R($b0, $b1) for the rest).
+//                  creates (two: R($p0, $p0) for the members whose two
+//                  values are equal, R($p0, $p1) for the rest).
 // The per_constraint baseline is a loop in this file that does, every poll,
 // what a monitor without class plans did for every member: compile the
 // grounded constraint, evaluate it over R, and otherwise decide it with
@@ -21,15 +21,20 @@
 // same database, and the bench exits non-zero on any disagreement.
 //
 // Standalone timer (no google-benchmark): emits a human table on stderr and
-// the machine-readable BENCH_monitor_fanout.json. Pass --smoke (or
-// BCDB_BENCH_SMOKE=1) for a seconds-scale CI run; the full run sweeps
-// 10^2..10^5 in both modes plus a monitor-only 10^6 point and enforces the
-// >= 20x acceptance bound at 10^5 / one_class.
+// the machine-readable BENCH_monitor_fanout.json. Each row prints its
+// registration time in total and per member, so `added` (Add) and
+// `one_class` (Bind) read side by side. Pass --smoke (or BCDB_BENCH_SMOKE=1)
+// for a seconds-scale CI run: its small rows each time polls until 30 polls
+// or 50 ms of polls, whichever comes first, so two builds' smoke medians can
+// be compared. The full run times 5 polls per row, sweeps 10^2..10^5 in both
+// modes plus a monitor-only 10^6 point and enforces the >= 20x acceptance
+// bound at 10^5 / one_class.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -196,25 +201,34 @@ bool RegisterFleet(ConstraintMonitor& monitor, const std::string& shape,
   return true;
 }
 
-/// Median seconds of `poll` over `polls` churn steps (one fresh pending
-/// transaction per step keeps every member dirty, as in steady state),
-/// after one warm-up poll, the first, whose seconds go to `*first` when it
-/// is non-null.
+/// How many polls a row times: `max_polls`, or fewer once the timed polls
+/// add up to `min_seconds`.
+struct PollWindow {
+  std::size_t max_polls;
+  double min_seconds;
+};
+
+/// Median seconds of `poll` over the churn steps of `window` (one fresh
+/// pending transaction per step keeps every member dirty, as in steady
+/// state), after one warm-up poll, the first, whose seconds go to `*first`
+/// when it is non-null.
 template <typename PollFn>
-double TimedPolls(BlockchainDatabase& db, std::size_t polls,
+double TimedPolls(BlockchainDatabase& db, const PollWindow& window,
                   std::int64_t* next_key, const PollFn& poll,
                   double* first = nullptr) {
   Stopwatch first_watch;
   poll();
   if (first != nullptr) *first = first_watch.ElapsedSeconds();
   std::vector<double> seconds;
-  for (std::size_t p = 0; p < polls; ++p) {
+  double total = 0;
+  while (seconds.size() < window.max_polls && total < window.min_seconds) {
     Transaction churn;
     churn.Add("R", Tuple({Value::Int((*next_key)++), Value::Int(0)}));
     if (!db.AddPending(churn).ok()) std::abort();
     Stopwatch watch;
     poll();
     seconds.push_back(watch.ElapsedSeconds());
+    total += seconds.back();
   }
   return Median(seconds);
 }
@@ -248,7 +262,9 @@ struct Run {
 int main(int argc, char** argv) {
   const std::size_t threads = ApplyThreadFlag(&argc, argv);
   const bool smoke = ApplySmokeFlag(&argc, argv);
-  const std::size_t polls = smoke ? 3 : 5;
+  const PollWindow window =
+      smoke ? PollWindow{30, 0.05}
+            : PollWindow{5, std::numeric_limits<double>::infinity()};
 
   struct Point {
     const char* shape;
@@ -289,16 +305,17 @@ int main(int argc, char** argv) {
       if (!RegisterFleet(monitor, point.shape, point.n, &handles)) return 1;
       const double reg_seconds = reg_watch.ElapsedSeconds();
       double first = 0;
-      const double median = TimedPolls(db, polls, &next_key, [&] {
+      const double median = TimedPolls(db, window, &next_key, [&] {
         if (!monitor.Poll(poll_options).ok()) std::abort();
       }, &first);
       runs.push_back({point.shape, point.n, true, median});
       std::fprintf(stderr,
-                   "%-13s n=%-8zu %-15s register %8.4fs  poll median "
-                   "%10.3f ms  first %10.3f ms  (classes=%zu, batched=%zu, "
-                   "evaluated=%zu, searched=%zu)\n",
-                   point.shape, point.n, "batched", reg_seconds, median * 1e3,
-                   first * 1e3,
+                   "%-13s n=%-8zu %-15s register %8.4fs (%7.3f us/member)  "
+                   "poll median %10.3f ms  first %10.3f ms  (classes=%zu, "
+                   "batched=%zu, evaluated=%zu, searched=%zu)\n",
+                   point.shape, point.n, "batched", reg_seconds,
+                   reg_seconds * 1e6 / static_cast<double>(point.n),
+                   median * 1e3, first * 1e3,
                    monitor.num_classes(),
                    monitor.poll_stats().constraints_batched,
                    monitor.poll_stats().constraints_evaluated,
@@ -329,7 +346,7 @@ int main(int argc, char** argv) {
     }
     const double reg_seconds = reg_watch.ElapsedSeconds();
     std::vector<Verdict> verdicts(point.n);
-    const double median = TimedPolls(db, polls, &next_key, [&] {
+    const double median = TimedPolls(db, window, &next_key, [&] {
       engine.PrepareSteadyState();
       for (std::size_t i = 0; i < point.n; ++i) {
         verdicts[i] = PerConstraintVerdict(engine, db, members[i], reports[i]);
@@ -337,9 +354,10 @@ int main(int argc, char** argv) {
     });
     runs.push_back({point.shape, point.n, false, median});
     std::fprintf(stderr,
-                 "%-13s n=%-8zu %-15s register %8.4fs  poll median "
-                 "%10.3f ms\n",
+                 "%-13s n=%-8zu %-15s register %8.4fs (%7.3f us/member)  "
+                 "poll median %10.3f ms\n",
                  point.shape, point.n, "per_constraint", reg_seconds,
+                 reg_seconds * 1e6 / static_cast<double>(point.n),
                  median * 1e3);
   }
 

@@ -181,14 +181,17 @@ int main() {
       continue;
     }
     std::printf("%s  [%s, %.1f ms, %zu worlds, %zu cliques]\n",
-                result->satisfied
+                !result->decided
+                    ? "UNDECIDED: the search stopped at its world cap"
+                : result->satisfied
                     ? "SATISFIED: q is false in every possible world"
                     : "NOT satisfied: q holds in some possible world",
                 DcSatAlgorithmToString(result->stats.algorithm_used),
                 result->stats.total_seconds * 1e3,
                 result->stats.num_worlds_evaluated,
                 result->stats.num_cliques);
-    if (!result->satisfied && result->witness.has_value()) {
+    if (result->decided && !result->satisfied &&
+        result->witness.has_value()) {
       std::printf("  witness world: %zu pending transaction(s) active\n",
                   result->witness->size());
     }

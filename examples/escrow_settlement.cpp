@@ -34,9 +34,10 @@ bool Ask(DcSatEngine& engine, const char* question, const char* text,
     return false;
   }
   std::printf("%-46s %s\n", question,
-              result->satisfied ? "NO (impossible in every world)"
-                                : "YES (possible)");
-  return result->satisfied == expect_satisfied;
+              !result->decided    ? "UNDECIDED"
+              : result->satisfied ? "NO (impossible in every world)"
+                                  : "YES (possible)");
+  return result->decided && result->satisfied == expect_satisfied;
 }
 
 }  // namespace

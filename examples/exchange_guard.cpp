@@ -50,9 +50,10 @@ bool SafeToBroadcast(const SimulatedNode& node, const std::string& customer,
   }
   std::printf("  guard: paying %s more than %lld sat is %s\n",
               customer.c_str(), static_cast<long long>(limit),
-              result->satisfied ? "IMPOSSIBLE in every possible world"
-                                : "POSSIBLE in some possible world");
-  return result->satisfied;
+              !result->decided    ? "UNDECIDED"
+              : result->satisfied ? "IMPOSSIBLE in every possible world"
+                                  : "POSSIBLE in some possible world");
+  return result->decided && result->satisfied;
 }
 
 }  // namespace

@@ -31,6 +31,7 @@ std::string VerdictAt(const NetworkSimulator& net, NodeId v) {
   if (!q.ok()) return "error";
   auto result = engine.Check(*q);
   if (!result.ok()) return "error";
+  if (!result->decided) return "undecided";
   return result->satisfied ? "impossible" : "possible";
 }
 

@@ -33,8 +33,9 @@ Tuple In(std::int64_t prev_tx, std::int64_t prev_ser, const char* pk,
 
 void Report(const char* label, const DcSatResult& result) {
   std::printf("%-28s -> %s (algorithm: %s, worlds evaluated: %zu)\n", label,
-              result.satisfied ? "SAFE: cannot happen in any possible world"
-                               : "DANGER: happens in some possible world",
+              !result.decided    ? "UNDECIDED: the search stopped early"
+              : result.satisfied ? "SAFE: cannot happen in any possible world"
+                                 : "DANGER: happens in some possible world",
               DcSatAlgorithmToString(result.stats.algorithm_used),
               result.stats.num_worlds_evaluated);
 }
@@ -115,5 +116,10 @@ int main() {
       "\nConclusion: re-issue the payment as a conflicting transaction — in "
       "every possible\nworld at most one of the two spends of output "
       "(101, 1) is accepted, so Bob is paid once.\n");
-  return before->satisfied && !careless->satisfied && safe->satisfied ? 0 : 1;
+  const bool decided =
+      before->decided && careless->decided && safe->decided;
+  return decided && before->satisfied && !careless->satisfied &&
+                 safe->satisfied
+             ? 0
+             : 1;
 }

@@ -36,8 +36,9 @@ Tuple Transfer(std::int64_t diamond, std::int64_t seq, const char* from,
 
 void Report(const char* question, const DcSatResult& result) {
   std::printf("%-52s %s\n", question,
-              result.satisfied ? "NO (in every possible world)"
-                               : "YES (in some possible world)");
+              !result.decided    ? "UNDECIDED"
+              : result.satisfied ? "NO (in every possible world)"
+                                 : "YES (in some possible world)");
 }
 
 }  // namespace

@@ -243,21 +243,11 @@ std::optional<std::size_t> BoundRelation(const Atom& atom,
 class UnsatCore {
  public:
   UnsatCore(const DenialConstraint& q, const Catalog& catalog) : q_(q) {
-    auto intern = [&](const Term& term) {
+    ForEachTerm(q, [&](const Term& term) {
       if (term.is_variable()) {
         var_ids_.emplace(term.name(), var_ids_.size());
       }
-    };
-    for (const Atom& atom : q.positive_atoms) {
-      for (const Term& term : atom.args) intern(term);
-    }
-    for (const Atom& atom : q.negated_atoms) {
-      for (const Term& term : atom.args) intern(term);
-    }
-    for (const Comparison& cmp : q.comparisons) {
-      intern(cmp.lhs);
-      intern(cmp.rhs);
-    }
+    });
     uf_ = UnionFind(var_ids_.size());
     for (const Comparison& cmp : q.comparisons) {
       if (cmp.op != ComparisonOp::kEq) continue;
@@ -456,33 +446,6 @@ bool RunUnsatCore(const DenialConstraint& q, const Catalog& catalog,
   return unsat;
 }
 
-/// Names of every template parameter occurring in `q`, first occurrence
-/// first. Ground constraints return an empty list.
-std::vector<std::string> CollectParams(const DenialConstraint& q) {
-  std::vector<std::string> params;
-  auto visit = [&](const Term& term) {
-    if (!term.is_param()) return;
-    if (std::find(params.begin(), params.end(), term.name()) == params.end()) {
-      params.push_back(term.name());
-    }
-  };
-  for (const std::vector<Atom>* atoms :
-       {&q.positive_atoms, &q.negated_atoms}) {
-    for (const Atom& atom : *atoms) {
-      for (const Term& term : atom.args) visit(term);
-    }
-  }
-  for (const Comparison& cmp : q.comparisons) {
-    visit(cmp.lhs);
-    visit(cmp.rhs);
-  }
-  if (q.aggregate.has_value()) {
-    for (const Term& term : q.aggregate->args) visit(term);
-    visit(q.aggregate->threshold);
-  }
-  return params;
-}
-
 /// The passes after validation: the unsat proof, monotonicity,
 /// connectivity, footprint and class, with their diagnostics (notes only
 /// while `sink` holds no error). A template comes with each parameter as a
@@ -602,7 +565,7 @@ AnalysisReport AnalyzeConstraint(const DenialConstraint& q, const Database& db,
   // --- Unbound template parameters. ---
   // Every later pass treats terms as variable-or-constant, so parameters
   // must be rejected up front (the rest of the analysis would misread them).
-  const std::vector<std::string> params = CollectParams(q);
+  const std::vector<std::string> params = ParamNames(q);
   if (!params.empty()) {
     for (const std::string& name : params) {
       sink.Add(Severity::kError, AnalysisCode::kUnboundParameter,
@@ -652,18 +615,7 @@ TemplateAnalysis AnalyzeTemplate(const ConstraintTemplate& tmpl,
   DeriveClassFacts(general, catalog, constraints, sink, result.report);
   result.report.diagnostics = sink.Take();
   result.batchable = tmpl.projectable() && result.report.ok();
-  result.class_key = ClassKey(tmpl, result.report.footprint);
   return result;
-}
-
-std::string ClassKey(const ConstraintTemplate& tmpl,
-                     const std::vector<std::size_t>& footprint) {
-  std::string key = tmpl.CanonicalSkeleton() + "#fp:";
-  for (std::size_t i = 0; i < footprint.size(); ++i) {
-    if (i > 0) key += ",";
-    key += std::to_string(footprint[i]);
-  }
-  return key;
 }
 
 AnalysisReport AnalyzeConstraintText(std::string_view text, const Database& db,

@@ -167,19 +167,14 @@ struct TemplateAnalysis {
   /// Projectable and admitted: a monitor may settle the class's members by
   /// answer passes over Generalized().
   bool batchable = false;
-  /// The isomorphism-class key (ClassKey): canonical α-renamed skeleton
-  /// plus the IND-closed footprint, which bcdb_lint prints so an operator
-  /// can see which constraints ConstraintMonitor::Add would put in one
-  /// class.
-  std::string class_key;
 };
 
-/// Statically analyzes a constraint template: admission, batchability, the
-/// class-level report, and the canonicalization key, in one validation and
-/// one fact pass. Never fails; defects come back as kError diagnostics
-/// inside the report. Admission is ValidateQuery over the template with its
-/// parameters bound (schema, arity, safety, aggregate and head shape, and a
-/// parameter no single value fits), so the report is ok() exactly when
+/// Statically analyzes a constraint template: admission, batchability and
+/// the class-level report, in one validation and one fact pass. Never fails;
+/// defects come back as kError diagnostics inside the report. Admission is
+/// ValidateQuery over the template with its parameters bound (schema, arity,
+/// safety, aggregate and head shape, and a parameter no single value fits),
+/// so the report is ok() exactly when
 /// CompiledQuery::Compile(tmpl.constraint()) succeeds; the types of a
 /// binding's values are the class plan's to check (ValidateBinding). No
 /// class fact depends on a binding: a template whose unsat proof needs one
@@ -188,17 +183,6 @@ TemplateAnalysis AnalyzeTemplate(const ConstraintTemplate& tmpl,
                                  const Database& db,
                                  const ConstraintSet& constraints,
                                  const AnalyzerOptions& options = {});
-
-/// The isomorphism-class key of `tmpl` over `footprint` (its IND-closed
-/// relation ids): TemplateAnalysis::class_key. It is an exact identity for
-/// a constant-free template, such as Canonicalize makes of any ground
-/// constraint (only head terms keep their constants, which no admitted
-/// template has): its skeleton text then holds only relation names,
-/// α-renamed variables and parameters, and operators. A hand-written
-/// template's constants print as display text, so its key is for display
-/// (bcdb_lint) only.
-std::string ClassKey(const ConstraintTemplate& tmpl,
-                     const std::vector<std::size_t>& footprint);
 
 /// The cheap classification core and the engine's only routing decision
 /// (DcSatEngine caches it per compiled query): no diagnostics, no

@@ -38,6 +38,21 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
+namespace {
+
+/// The displayed class key: the template's α-renamed skeleton and its
+/// IND-closed footprint, `<skeleton>#fp:<id>,<id>,...`.
+std::string ClassKeyText(const LintedConstraint& c) {
+  std::string key = c.skeleton + "#fp:";
+  for (std::size_t i = 0; i < c.report.footprint.size(); ++i) {
+    if (i > 0) key += ",";
+    key += std::to_string(c.report.footprint[i]);
+  }
+  return key;
+}
+
+}  // namespace
+
 std::string FormatConstraintText(std::string_view file,
                                  const LintedConstraint& c) {
   std::string out;
@@ -69,7 +84,7 @@ std::string FormatConstraintText(std::string_view file,
              TractabilityClassToString(c.report.tractability) +
              (c.report.analysis.monotone ? ", monotone" : ", non-monotone") +
              (c.batchable ? ", batch-admitted" : ", per-member") + "\n";
-      out += location + "class key: " + c.class_key + "\n";
+      out += location + "class key: " + ClassKeyText(c) + "\n";
     } else {
       out += location + "class " +
              TractabilityClassToString(c.report.tractability) +
@@ -108,7 +123,7 @@ void AppendConstraintJson(const LintedConstraint& c, std::string& out) {
     out += ", \"template\": true, \"params\": " + std::to_string(c.num_params) +
            ", \"batchable\": ";
     out += c.batchable ? "true" : "false";
-    out += ", \"class_key\": \"" + JsonEscape(c.class_key) + "\"";
+    out += ", \"class_key\": \"" + JsonEscape(ClassKeyText(c)) + "\"";
   }
   out += ", \"footprint\": [";
   for (std::size_t i = 0; i < c.report.footprint.size(); ++i) {

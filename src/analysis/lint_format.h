@@ -20,13 +20,15 @@ struct LintedConstraint {
   AnalysisReport report;
   /// Template lines ($name placeholders) are analyzed class-level
   /// (AnalyzeTemplate): the report describes the whole template class, and
-  /// the fields below carry its batchability and canonicalization key.
+  /// the fields below carry its batchability and α-renamed skeleton.
   bool is_template = false;
   bool batchable = false;
   std::size_t num_params = 0;
-  /// The isomorphism-class key: α-renamed skeleton + IND-closed footprint.
-  /// Registrations with equal keys share all class-level evaluation work.
-  std::string class_key;
+  /// ConstraintTemplate::CanonicalSkeleton. The display prints it with the
+  /// report's IND-closed footprint as the class key,
+  /// `<skeleton>#fp:<ids>`, so an operator can see which constraints
+  /// ConstraintMonitor::Add would put in one class.
+  std::string skeleton;
 };
 
 /// Escapes `s` for embedding inside a JSON string literal (quotes,

@@ -36,23 +36,13 @@ DenialConstraint ReplaceHeadVariables(const DenialConstraint& q, Fn&& replace) {
   for (std::size_t i = 0; i < q.head_vars.size(); ++i) {
     position[q.head_vars[i].name()] = i;
   }
-  auto rewrite = [&](Term& term) {
+  DenialConstraint body = q;
+  body.head_vars.clear();
+  ForEachTerm(body, [&](Term& term) {
     if (!term.is_variable()) return;
     auto it = position.find(term.name());
     if (it != position.end()) term = replace(it->second);
-  };
-  DenialConstraint body = q;
-  body.head_vars.clear();
-  for (std::vector<Atom>* atoms :
-       {&body.positive_atoms, &body.negated_atoms}) {
-    for (Atom& atom : *atoms) {
-      for (Term& term : atom.args) rewrite(term);
-    }
-  }
-  for (Comparison& cmp : body.comparisons) {
-    rewrite(cmp.lhs);
-    rewrite(cmp.rhs);
-  }
+  });
   return body;
 }
 
@@ -152,6 +142,9 @@ StatusOr<std::vector<Tuple>> PossibleAnswers(DcSatEngine& engine,
       StatusOr<DcSatResult> result = engine.CheckPrepared(
           *plan, Tuple(binding), engine.Classify(*plan, *instance));
       if (!result.ok()) return result.status();
+      if (!result->decided) {
+        return Status::OutOfRange("possible-answer check stopped undecided");
+      }
       if (!result->satisfied) possible.insert(candidate);
     }
     return Sorted(std::move(possible));

@@ -381,15 +381,13 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
   }
 
   if (algorithm == DcSatAlgorithm::kExhaustive) {
-    StatusOr<PossibleWorldsEnumeration> enumeration =
-        EnumeratePossibleWorldsWithin(*db_, options.exhaustive_world_limit,
-                                      budget);
-    if (!enumeration.ok()) return enumeration.status();
+    const PossibleWorldsEnumeration enumeration =
+        EnumeratePossibleWorldsWithin(*db_, kMaxExhaustiveWorlds, budget);
     result.satisfied = true;
     // The enumerated worlds are evaluated even after expiry (bounded work:
-    // the budget already capped how many exist): a violating world among
-    // them decides unsat conclusively, budget or not.
-    for (const WorldView& world : enumeration->worlds) {
+    // the budget or the cap already bounded how many exist): a violating
+    // world among them decides unsat conclusively, budget or not.
+    for (const WorldView& world : enumeration.worlds) {
       ++result.stats.num_worlds_evaluated;
       if (compiled.Evaluate(world, binding)) {
         result.satisfied = false;
@@ -397,12 +395,12 @@ StatusOr<DcSatResult> DcSatEngine::CheckImpl(
         break;
       }
     }
-    if (result.satisfied && !enumeration->complete) {
+    if (result.satisfied && !enumeration.complete) {
       // Certifying satisfaction needs all of Poss(D); we ran out mid-way.
       result.decided = false;
       result.satisfied = false;
     }
-    result.stats.budget_expired = budget != nullptr && budget->Expired();
+    result.stats.budget_expired = !enumeration.complete;
     result.stats.total_seconds = total_watch.ElapsedSeconds();
     return result;
   }
@@ -539,10 +537,6 @@ std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
       }
     }
     ++stats.num_components_covered;
-    if (budget != nullptr && !budget->ChargeComponent()) {
-      stats.budget_expired = true;
-      return std::nullopt;
-    }
 
     DynamicBitset subset(db_->num_pending());
     for (PendingId id : component) subset.Set(id);
@@ -551,8 +545,7 @@ std::optional<std::vector<PendingId>> DcSatEngine::SearchComponents(
     const CliqueEnumerationStats clique_stats = EnumerateMaximalCliques(
         fd_graph_->conflict_lists(), subset, use_pivot,
         [&](const std::vector<std::size_t>& clique) {
-          if (budget != nullptr &&
-              (!budget->ChargeClique() || !budget->ChargeWorld())) {
+          if (budget != nullptr && !budget->ChargeWorld()) {
             return false;  // Budget expired; unwind without evaluating.
           }
           GetMaximalStats maximal_stats;

@@ -72,8 +72,6 @@ struct DcSatOptions {
   bool use_covers = true;
   /// Tomita pivoting inside Bron–Kerbosch.
   bool use_pivot = true;
-  /// Exhaustive only: abort after this many worlds.
-  std::size_t exhaustive_world_limit = 1u << 20;
   /// ConstraintMonitor::Poll only: the fan-out width of its probes and
   /// per-constraint searches. 0 = hardware concurrency; 1 = serial, on the
   /// caller's thread. Check and CheckPrepared ignore it: one check scans its
@@ -149,7 +147,8 @@ struct DcSatStats {
   /// status, so a repeat check at one database version runs no more than
   /// the first. A count of work, read from no clock.
   std::size_t maximal_probes = 0;
-  /// The check's BudgetLimits tripped (deadline or a work ceiling). The
+  /// The check's BudgetLimits tripped (deadline or a work ceiling), or the
+  /// exhaustive search reached DcSatEngine::kMaxExhaustiveWorlds. The
   /// result is still decided if a violating world was found first.
   bool budget_expired = false;
   bool steady_cache_hit = false;  // fd-graph/Θ_I caches were already fresh.
@@ -158,9 +157,12 @@ struct DcSatStats {
 };
 
 struct DcSatResult {
-  /// False: the check's budget (DcSatOptions::budget) expired before the
-  /// answer settled — `satisfied`/`witness` are meaningless and the stats
-  /// describe the partial search. Always true with unlimited budgets.
+  /// False: the answer did not settle before the check's budget
+  /// (DcSatOptions::budget) expired or, on the exhaustive path, before
+  /// DcSatEngine::kMaxExhaustiveWorlds worlds were enumerated without a
+  /// violating one — `satisfied`/`witness` are meaningless and the stats
+  /// describe the partial search. A caller treats both alike: the monitor
+  /// reports kUndecided and retries on its backoff schedule.
   bool decided = true;
   /// D |= ¬q: the denial constraint holds in every possible world.
   bool satisfied = false;
@@ -256,6 +258,11 @@ class DcSatEngine {
       const std::vector<EqualityConstraint>* theta_q,
       std::size_t* theta_q_merged = nullptr, bool* reused = nullptr) const;
 
+  /// The built-in cap of the exhaustive possible-world search, which
+  /// materializes every world it finds: past it the check is undecided, as
+  /// if a budget had expired, whatever DcSatOptions::budget says.
+  static constexpr std::size_t kMaxExhaustiveWorlds = std::size_t{1} << 20;
+
   /// Capacity of the decomposition memo (FIFO eviction beyond it). Each
   /// entry holds one partition of the valid nodes, ~16 bytes per node.
   static constexpr std::size_t kDecompositionMemoCapacity = 8;
@@ -298,9 +305,9 @@ class DcSatEngine {
                                   const Stopwatch& total_watch) const;
 
   /// The component search of the Naive and Opt paths: per component, the
-  /// cover filter (`query`'s CoversConstants, when `use_covers`),
-  /// ChargeComponent, Bron–Kerbosch over the component with
-  /// ChargeClique/ChargeWorld per clique, GetMaximalOfClique, then `query`
+  /// cover filter (`query`'s CoversConstants, when `use_covers`), then
+  /// Bron–Kerbosch over the component with one ChargeWorld per clique,
+  /// GetMaximalOfClique, then `query`
   /// over the maximal world, with `binding` filling its parameters. Returns
   /// the active pending ids of the first world that satisfies `query` in
   /// the lowest such component, or nullopt.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <utility>
 
 #include "query/compiled_query.h"
@@ -138,29 +139,29 @@ StatusOr<MonitorHandle> ConstraintMonitor::AppendMember(std::size_t class_id,
 StatusOr<MonitorHandle> ConstraintMonitor::Add(std::string label,
                                                DenialConstraint q) {
   MutexLock lock(mutex_);
-  // Canonicalize into (template, binding): every constant, the aggregate
-  // threshold included, becomes a parameter, and the α-renamed skeleton
-  // plus IND-closed footprint keys the class — a million structurally
-  // identical Adds land in one class and share its compiled plan, and only
-  // the first runs the analyzer. The key is exact among admitted classes
-  // (see ClassKey).
-  StatusOr<CanonicalizedConstraint> canon = ConstraintTemplate::Canonicalize(q);
+  // One pass over a copy of q canonicalizes it into (template, binding):
+  // every constant, the aggregate threshold included, becomes a parameter
+  // and every variable an α-renamed one, so the canonical template is the
+  // class key. A million structurally identical Adds land in one class and
+  // share its compiled plan, and only the first runs the analyzer.
+  StatusOr<CanonicalizedConstraint> canon =
+      ConstraintTemplate::Canonicalize(q);
   if (!canon.ok()) return canon.status();
-  std::string key = ClassKey(
-      canon->tmpl, IndClosedFootprint(canon->tmpl.constraint(),
-                                      db_->catalog(), db_->constraints()));
   std::size_t class_id;
-  auto it = class_by_key_.find(key);
+  auto it = class_by_key_.find(canon->tmpl.constraint());
   if (it != class_by_key_.end()) {
     class_id = it->second;
   } else {
-    std::string class_label = canon->tmpl.CanonicalSkeleton();
-    StatusOr<std::size_t> admitted =
-        AdmitClass("constraint '" + label + "'", std::move(class_label),
-                   std::move(canon->tmpl));
+    // The diagnostics name the canonical variables v<i>; a rejection also
+    // quotes both texts, so the caller can map them back to its own names.
+    std::string class_label = canon->tmpl.constraint().ToString();
+    StatusOr<std::size_t> admitted = AdmitClass(
+        "constraint '" + label + "' (" + q.ToString() + ", canonical form " +
+            class_label + ")",
+        class_label, std::move(canon->tmpl));
     if (!admitted.ok()) return admitted.status();
     class_id = *admitted;
-    class_by_key_.emplace(std::move(key), class_id);
+    class_by_key_.emplace(classes_[class_id].tmpl.constraint(), class_id);
   }
   return AppendMember(class_id, Tuple(canon->binding), std::move(label));
 }
@@ -441,6 +442,7 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
   }
   const TemplateClass* class_table = classes_.data();
   std::vector<Status> statuses(survivors.size());
+  std::vector<char> capped(survivors.size(), 0);
   std::vector<TractabilityClass> routes(survivors.size());
   ParallelFor(survivors.size(), width, [&](std::size_t i) {
     const Entry& entry = entry_table[survivors[i]];
@@ -468,6 +470,7 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
       statuses[i] = result.status();
     } else if (!result->decided) {
       verdicts[survivors[i]] = Verdict::kUndecided;
+      capped[i] = check.budget.unlimited() ? 1 : 0;
     } else {
       verdicts[survivors[i]] =
           result->satisfied ? Verdict::kImpossible : Verdict::kPossible;
@@ -493,11 +496,21 @@ StatusOr<std::vector<ConstraintMonitor::Change>> ConstraintMonitor::Poll(
   poll_stats_.classes_evaluated += classes_batched;
   poll_stats_.constraints_batched += members_batched;
   std::vector<Change> changes;
+  std::size_t next_survivor = 0;
   for (std::size_t slot : to_evaluate) {
     Entry& entry = entries_[slot];
     ++poll_stats_.constraints_evaluated;
     const Verdict verdict = verdicts[slot];
-    if (verdict == Verdict::kUndecided) {
+    // to_evaluate and survivors are both in slot order.
+    const bool searched = next_survivor < survivors.size() &&
+                          survivors[next_survivor] == slot;
+    const bool at_cap = searched && capped[next_survivor++] != 0;
+    if (at_cap) {
+      // The same instance reaches the same cap: sit out until dirty.
+      ++poll_stats_.undecided_verdicts;
+      ++entry.undecided_streak;
+      entry.backoff_remaining = std::numeric_limits<std::size_t>::max();
+    } else if (verdict == Verdict::kUndecided) {
       ++poll_stats_.undecided_verdicts;
       ++entry.undecided_streak;
       if (entry.budget_scale < kMaxBudgetScale) {

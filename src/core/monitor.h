@@ -3,10 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/dcsat.h"
@@ -112,10 +112,11 @@ struct MonitorOptions {
 /// each RegisterTemplate + Bind pair registers one ground member of that
 /// class. Plain Add still accepts ground constraints and internally
 /// canonicalizes them — constants are extracted into a binding and the
-/// constant-free skeleton is hashed, so a million near-identical Adds
-/// collapse onto one class. What members of a class share is its compiled
-/// *class plan*: the template compiled once at registration, with each
-/// parameter a slot the member's binding fills (CompiledQuery). A member is
+/// constant-free canonical template is the class key, so a million
+/// near-identical Adds collapse onto one class. What members of a class
+/// share is its compiled *class plan*: the template compiled once at
+/// registration, with each parameter a slot the member's binding fills
+/// (CompiledQuery). A member is
 /// nothing but its class and its binding: every probe and search runs on
 /// the class plan, so no member ever compiles or analyzes its own query.
 ///
@@ -173,9 +174,9 @@ class ConstraintMonitor {
     Verdict before;
     Verdict after;
     /// Label of the template class the entry belongs to (the canonical
-    /// skeleton for classes Add created implicitly) — a stable aggregation
-    /// key: dashboards fold a million per-member changes into per-class
-    /// rows without re-deriving the grouping.
+    /// template's text for classes Add created implicitly) — a stable
+    /// aggregation key: dashboards fold a million per-member changes into
+    /// per-class rows without re-deriving the grouping.
     std::string template_label;
     /// Display form of the member's parameter binding, e.g. "(42, 'a1b2')";
     /// "()" for parameterless constraints.
@@ -212,17 +213,22 @@ class ConstraintMonitor {
   ConstraintMonitor& operator=(const ConstraintMonitor&) = delete;
 
   /// Registers a standing constraint; returns its handle. It is Canonicalize
-  /// plus Bind: every constant is extracted into a parameter binding, and
-  /// the constant-free skeleton (plus IND-closed footprint) keys a template
-  /// class, so structurally identical Adds share one class and its compiled
-  /// plan. The first Add of a class admits it as RegisterTemplate does; the
-  /// member is then bound as Bind binds one. So registration-time rejection
-  /// is the contract: a constraint that would not compile fails the Add
-  /// and never reaches Poll — an unknown relation, arity mismatch, unsafe
-  /// variable, ... with the template's full diagnostic summary, a constant
-  /// of the wrong type with the class plan's ValidateBinding message — and
-  /// an Add is accepted exactly when its constraint compiles. Only the Add that admits a class runs the analyzer; the
-  /// entry reports its class's analysis (see analysis()). A class admitted
+  /// plus Bind: one pass over `q` extracts every constant into a parameter
+  /// binding and α-renames the rest, and the canonical template it yields
+  /// is the class key (compared with ==), so constraints equal up to
+  /// constants and naming share one class and its compiled plan. The class
+  /// is labeled with the canonical template's text, and its diagnostics
+  /// name the α-renamed variables (v0, v1, ...). The first Add of a class
+  /// admits it as RegisterTemplate does; the member is then bound as Bind
+  /// binds one. So registration-time rejection is the contract: a
+  /// constraint that would not compile fails the Add and never reaches Poll
+  /// — an unknown relation, arity mismatch, unsafe variable, ... with the
+  /// template's full diagnostic summary (in v<i> names, quoting both q's
+  /// text and its canonical form), a constant of the wrong type with
+  /// the class plan's ValidateBinding message — and an Add is accepted
+  /// exactly when its constraint compiles. Only the Add that admits a class
+  /// runs the analyzer; the entry reports its class's analysis (see
+  /// analysis()). A class admitted
   /// for a member whose binding is then rejected stays, for later Adds of
   /// its shape.
   StatusOr<MonitorHandle> Add(std::string label, DenialConstraint q);
@@ -377,7 +383,10 @@ class ConstraintMonitor {
   /// exponentially: after the k-th consecutive undecided verdict the entry
   /// sits out min(2^(k-2), kMaxBackoffPolls) polls (none after the first —
   /// the first retry is immediate, with a bigger budget) unless a mutation
-  /// dirties it, which re-checks at once.
+  /// dirties it, which re-checks at once. A check that ran unbudgeted and
+  /// still stopped undecided reached DcSatEngine::kMaxExhaustiveWorlds,
+  /// which no budget raises: that entry neither escalates nor retries until
+  /// a mutation dirties it.
   static constexpr double kBudgetGrowth = 2.0;
   static constexpr double kMaxBudgetScale = 64.0;
   static constexpr std::size_t kMaxBackoffPolls = 8;
@@ -511,10 +520,13 @@ class ConstraintMonitor {
   /// views it resolved and are joined before it is released.
   mutable Mutex mutex_{LockRank::kMonitor};
   std::vector<TemplateClass> classes_ BCDB_GUARDED_BY(mutex_);
-  /// Canonicalization key -> class id, for the classes Add creates. Classes
-  /// from RegisterTemplate are intentionally absent: each registration is
-  /// its own class, owned by its label.
-  std::map<std::string, std::size_t> class_by_key_ BCDB_GUARDED_BY(mutex_);
+  /// Canonical template (Canonicalize) -> class id, for the classes Add
+  /// creates. The IND-closed footprint is a function of the template's
+  /// relation names, so it needs no place in the key. Classes from
+  /// RegisterTemplate are intentionally absent: each registration is its
+  /// own class, owned by its label.
+  std::unordered_map<DenialConstraint, std::size_t, QueryHash> class_by_key_
+      BCDB_GUARDED_BY(mutex_);
   std::vector<Entry> entries_ BCDB_GUARDED_BY(mutex_);
   std::size_t live_count_ BCDB_GUARDED_BY(mutex_) = 0;
   /// Seq of the first mutation-log event no poll has read yet.

@@ -30,13 +30,16 @@ bool IsPossibleWorld(const BlockchainDatabase& db,
 
 StatusOr<std::vector<WorldView>> EnumeratePossibleWorlds(
     const BlockchainDatabase& db, std::size_t limit) {
-  StatusOr<PossibleWorldsEnumeration> enumeration =
+  PossibleWorldsEnumeration enumeration =
       EnumeratePossibleWorldsWithin(db, limit, /*budget=*/nullptr);
-  if (!enumeration.ok()) return enumeration.status();
-  return std::move(enumeration->worlds);
+  if (!enumeration.complete) {
+    return Status::OutOfRange("possible-world enumeration exceeded limit " +
+                              std::to_string(limit));
+  }
+  return std::move(enumeration.worlds);
 }
 
-StatusOr<PossibleWorldsEnumeration> EnumeratePossibleWorldsWithin(
+PossibleWorldsEnumeration EnumeratePossibleWorldsWithin(
     const BlockchainDatabase& db, std::size_t limit, const Budget* budget) {
   const std::vector<PendingId> pending = db.PendingIds();
   PossibleWorldsEnumeration result;
@@ -46,17 +49,14 @@ StatusOr<PossibleWorldsEnumeration> EnumeratePossibleWorldsWithin(
   frontier.push_back(db.BaseView());
   seen.insert(frontier.back().active_bits());
   while (!frontier.empty()) {
-    if (budget != nullptr && !budget->ChargeWorld()) {
+    if (result.worlds.size() == limit ||
+        (budget != nullptr && !budget->ChargeWorld())) {
       result.complete = false;
       return result;
     }
     WorldView view = frontier.front();
     frontier.pop_front();
     result.worlds.push_back(view);
-    if (result.worlds.size() > limit) {
-      return Status::OutOfRange("possible-world enumeration exceeded limit " +
-                                std::to_string(limit));
-    }
     for (PendingId id : pending) {
       const TupleOwner owner = static_cast<TupleOwner>(id);
       if (view.IsActive(owner)) continue;

@@ -31,16 +31,18 @@ StatusOr<std::vector<WorldView>> EnumeratePossibleWorlds(
 
 /// EnumeratePossibleWorlds with graceful degradation: `budget` (may be
 /// null = unlimited) is charged one world per BFS pop — the enumeration's
-/// cooperative preemption point — and on expiry the search stops where it
-/// is instead of erroring, returning the worlds found so far with
-/// `complete == false`. A truncated enumeration is still a genuine subset
-/// of Poss(D); it just cannot certify absence.
+/// cooperative preemption point — and on expiry, or once `limit` worlds are
+/// found and another remains, the search stops where it is instead of
+/// erroring, returning the worlds found so far with `complete == false`. A
+/// truncated enumeration is still a genuine subset of Poss(D); it just
+/// cannot certify absence.
 struct PossibleWorldsEnumeration {
   std::vector<WorldView> worlds;
-  /// False: the budget expired before Poss(D) was exhausted.
+  /// False: the budget expired or the limit was reached before Poss(D) was
+  /// exhausted.
   bool complete = true;
 };
-StatusOr<PossibleWorldsEnumeration> EnumeratePossibleWorldsWithin(
+PossibleWorldsEnumeration EnumeratePossibleWorldsWithin(
     const BlockchainDatabase& db, std::size_t limit, const Budget* budget);
 
 }  // namespace bcdb

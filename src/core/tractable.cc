@@ -13,6 +13,10 @@ namespace bcdb {
 
 namespace {
 
+/// The assignment supports the FD-only procedure enumerates before it
+/// abstains.
+constexpr std::size_t kMaxSupports = 100000;
+
 /// Can the supported tuples all come from one consistent world? Each tuple
 /// is contributed by the base state (free) or by pending transactions; we
 /// search over the (constantly many) owner choices for a set that is
@@ -79,8 +83,7 @@ std::optional<DcSatResult> TryTractableDcSat(const BlockchainDatabase& db,
                                              const FdGraph& fd_graph,
                                              const CompiledQuery& compiled,
                                              const Tuple& binding,
-                                             TractabilityClass klass,
-                                             std::size_t support_limit) {
+                                             TractabilityClass klass) {
   if (klass != TractabilityClass::kPtimeIndOnly &&
       klass != TractabilityClass::kPtimeFdOnly) {
     return std::nullopt;
@@ -111,7 +114,7 @@ std::optional<DcSatResult> TryTractableDcSat(const BlockchainDatabase& db,
   compiled.EnumerateSupports(
       db.PendingUnionView(), binding,
       [&](const std::vector<CompiledQuery::SupportEntry>& support) {
-        if (++supports_seen > support_limit) {
+        if (++supports_seen > kMaxSupports) {
           abstained = true;
           return false;
         }

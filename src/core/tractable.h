@@ -37,7 +37,7 @@ namespace bcdb {
 /// `klass` is the constraint's static class (ClassifyConstraint) and picks
 /// the procedure; every other class returns nullopt, and so does the
 /// FD-only procedure once the assignment-support enumeration exceeds
-/// `support_limit` (it abstains rather than risk a pathological query
+/// 100,000 supports (it abstains rather than risk a pathological query
 /// shape). The caller then runs the general algorithms. Results carry
 /// `DcSatAlgorithm::kTractable` and a witness world when unsatisfied.
 ///
@@ -49,8 +49,7 @@ std::optional<DcSatResult> TryTractableDcSat(const BlockchainDatabase& db,
                                              const FdGraph& fd_graph,
                                              const CompiledQuery& compiled,
                                              const Tuple& binding,
-                                             TractabilityClass klass,
-                                             std::size_t support_limit = 100000);
+                                             TractabilityClass klass);
 
 }  // namespace bcdb
 

@@ -1,5 +1,10 @@
 #include "query/ast.h"
 
+#include <algorithm>
+#include <functional>
+
+#include "util/hash.h"
+
 namespace bcdb {
 
 std::string Atom::ToString() const {
@@ -98,6 +103,33 @@ std::string DenialConstraint::ToString() const {
   return "[" + name + "(" + head + ")) :- " + body + "] " +
          ComparisonOpToString(aggregate->op) + " " +
          aggregate->threshold.ToString();
+}
+
+std::vector<std::string> ParamNames(const DenialConstraint& q) {
+  std::vector<std::string> names;
+  ForEachTerm(q, [&](const Term& term) {
+    if (term.is_param() &&
+        std::find(names.begin(), names.end(), term.name()) == names.end()) {
+      names.push_back(term.name());
+    }
+  });
+  return names;
+}
+
+std::size_t QueryHash::operator()(const DenialConstraint& q) const {
+  std::size_t seed = std::hash<std::string>{}(q.name);
+  for (const std::vector<Atom>* atoms :
+       {&q.positive_atoms, &q.negated_atoms}) {
+    for (const Atom& atom : *atoms) HashCombineValue(seed, atom.relation);
+  }
+  auto mix = [&](const Term& term) {
+    HashCombine(seed, term.is_constant()
+                          ? term.value().Hash()
+                          : std::hash<std::string>{}(term.name()));
+  };
+  ForEachTerm(q, mix);
+  for (const Term& term : q.head_vars) mix(term);
+  return seed;
 }
 
 }  // namespace bcdb

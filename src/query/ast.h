@@ -1,8 +1,11 @@
 #ifndef BCDB_QUERY_AST_H_
 #define BCDB_QUERY_AST_H_
 
+#include <concepts>
+#include <cstddef>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "relational/value.h"
@@ -168,6 +171,42 @@ struct DenialConstraint {
   /// an API-built string constant may hold a quote and render like other
   /// terms, so text is never an identity: compare queries with ==.
   std::string ToString() const;
+};
+
+/// The one walk over a query's terms, in the order that fixes the parameter
+/// order: positive atoms, negated atoms, comparisons (lhs before rhs),
+/// aggregate arguments, then the aggregate threshold. Head terms are not
+/// visited. `fn` gets a `Term&` from a mutable query and a `const Term&`
+/// from a const one.
+template <typename Query, typename Fn>
+  requires std::same_as<std::remove_const_t<Query>, DenialConstraint>
+void ForEachTerm(Query& q, Fn&& fn) {
+  for (auto& atom : q.positive_atoms) {
+    for (auto& term : atom.args) fn(term);
+  }
+  for (auto& atom : q.negated_atoms) {
+    for (auto& term : atom.args) fn(term);
+  }
+  for (auto& cmp : q.comparisons) {
+    fn(cmp.lhs);
+    fn(cmp.rhs);
+  }
+  if (!q.aggregate.has_value()) return;
+  for (auto& term : q.aggregate->args) fn(term);
+  fn(q.aggregate->threshold);
+}
+
+/// The parameter order: the name of each template parameter of `q`, once,
+/// by first occurrence in ForEachTerm order. A binding's value i, a
+/// compiled plan's parameter slot i and ConstraintTemplate::param_names()[i]
+/// all stand for ParamNames(q)[i]. Empty for a ground query.
+std::vector<std::string> ParamNames(const DenialConstraint& q);
+
+/// A hash consistent with DenialConstraint's ==: it mixes the query's name,
+/// relation names and terms (a constant by Value::Hash, so `4` and `4.0`
+/// agree) and leaves the operators to ==.
+struct QueryHash {
+  std::size_t operator()(const DenialConstraint& q) const;
 };
 
 }  // namespace bcdb

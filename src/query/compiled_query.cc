@@ -50,22 +50,9 @@ StatusOr<CompiledQuery> CompiledQuery::Compile(const DenialConstraint& q,
   result.db_ = db;
   result.source_ = q;
 
-  // --- Parameter slots first, in ConstraintTemplate's parameter order. ---
+  // --- Parameter slots first, in the parameter order (ParamNames). ---
   VariableTable vars;
-  auto intern_param = [&](const Term& term) {
-    if (term.is_param()) vars.Intern("$" + term.name());
-  };
-  for (const std::vector<Atom>* atoms : {&q.positive_atoms, &q.negated_atoms}) {
-    for (const Atom& atom : *atoms) {
-      for (const Term& term : atom.args) intern_param(term);
-    }
-  }
-  for (const Comparison& cmp : q.comparisons) {
-    intern_param(cmp.lhs);
-    intern_param(cmp.rhs);
-  }
-  // ValidateQuery rejects a parameter among the aggregate's arguments.
-  if (q.aggregate.has_value()) intern_param(q.aggregate->threshold);
+  for (const std::string& name : ParamNames(q)) vars.Intern("$" + name);
   result.num_params_ = vars.size();
 
   // --- Intern variables (positive atoms define them). ---

@@ -44,10 +44,9 @@ class CompiledQuery {
   static StatusOr<CompiledQuery> Compile(const DenialConstraint& q,
                                          const Database* db);
 
-  /// Number of parameter slots; 0 for a ground query. Slot i is the i-th
-  /// distinct parameter by first occurrence over the positive atoms, negated
-  /// atoms, comparisons and aggregate threshold — ConstraintTemplate's
-  /// param_names() order — and variable_names()[i] is its `$`-prefixed name.
+  /// Number of parameter slots; 0 for a ground query. Slot i is
+  /// ParamNames(q)[i] (query/ast.h), the order of ConstraintTemplate's
+  /// param_names(), and variable_names()[i] is its `$`-prefixed name.
   std::size_t num_params() const { return num_params_; }
 
   /// OK for a ground query; InvalidArgument naming the first parameter

@@ -11,25 +11,6 @@
 
 namespace bcdb {
 
-/// A position inside a DenialConstraint where a template parameter occurs.
-struct ParamSite {
-  enum class Kind {
-    kPositiveAtom,
-    kNegatedAtom,
-    kComparison,
-    kAggregateArg,
-    kAggregateThreshold,
-  };
-
-  Kind kind = Kind::kPositiveAtom;
-  /// Index into the corresponding constraint list (atom / comparison index);
-  /// unused for kAggregateThreshold.
-  std::size_t element_index = 0;
-  /// Argument position inside the atom (or aggregate argument list). For
-  /// kComparison, 0 = lhs and 1 = rhs.
-  std::size_t arg_index = 0;
-};
-
 struct CanonicalizedConstraint;
 
 /// A denial constraint with named constant placeholders (`$name`).
@@ -38,40 +19,42 @@ struct CanonicalizedConstraint;
 /// structurally identical constraints differing only in constants share one
 /// template and are registered as per-binding instances via
 /// `ConstraintMonitor::Bind`. `Instantiate` substitutes a binding (one Value
-/// per parameter, in `param_names()` order) to recover an ordinary ground
-/// constraint; `Generalized` turns parameters into head variables so the
-/// whole class can be evaluated as a single answer-producing query.
+/// per parameter, in `param_names()` order, which is ParamNames of the
+/// constraint) to recover an ordinary ground constraint; `Generalized` turns
+/// parameters into head variables so the whole class can be evaluated as a
+/// single answer-producing query.
 class ConstraintTemplate {
  public:
   /// An empty template (no constraint, no parameters); assign a real one
   /// from Create/Parse/Canonicalize before use.
   ConstraintTemplate() = default;
 
-  /// Wraps a parsed constraint, collecting parameter occurrences. Parameter
-  /// order is first occurrence in a fixed traversal: positive atoms, negated
-  /// atoms, comparisons (lhs before rhs), aggregate arguments, aggregate
-  /// threshold.
+  /// Wraps a parsed constraint; its parameter order is ParamNames
+  /// (query/ast.h).
   static StatusOr<ConstraintTemplate> Create(DenialConstraint constraint);
 
   /// Parses `text` (which may contain `$name` placeholders) and Creates.
   static StatusOr<ConstraintTemplate> Parse(std::string_view text);
 
-  /// Canonicalizes a ground constraint into a template plus binding by
-  /// extracting every constant, the aggregate threshold included, into a
-  /// parameter. Equal constants share one parameter, so `R(1, 1)` and
-  /// `R(1, 2)` canonicalize into *different* templates — constant coupling
-  /// is part of the structure. Constraints that already contain parameters
-  /// are rejected.
+  /// Canonicalizes a ground constraint into a template plus binding, in one
+  /// pass over a copy: each constant, the aggregate threshold included,
+  /// becomes a parameter `$p<i>` (equal constants share one, so `R(1, 1)`
+  /// and `R(1, 2)` canonicalize into *different* templates — constant
+  /// coupling is part of the structure), each variable becomes `v<i>` (body
+  /// first, then the head) and the query is named `q`. Two ground
+  /// constraints canonicalize to equal templates exactly when they are
+  /// equal up to constants and naming, so the canonical template is its own
+  /// class key. Constraints that already contain parameters are rejected.
   static StatusOr<CanonicalizedConstraint> Canonicalize(
-      const DenialConstraint& constraint);
+      DenialConstraint constraint);
 
-  /// Substitutes `binding[i]` for parameter `param_names()[i]` everywhere,
-  /// yielding a ground constraint.
+  /// Substitutes `binding[i]` for every occurrence of parameter
+  /// `param_names()[i]`, yielding a ground constraint.
   StatusOr<DenialConstraint> Instantiate(const std::vector<Value>& binding) const;
 
-  /// An α-renamed rendering (query name -> "q", variables -> v0, v1, ...,
-  /// parameters -> p0, p1, ..., by first occurrence): two templates have
-  /// equal skeletons iff they are isomorphic up to naming.
+  /// The template α-renamed as Canonicalize renames (query name -> "q",
+  /// variables -> v0, v1, ..., parameters -> $p0, $p1, ..., by first
+  /// occurrence), rendered for display (bcdb_lint's class key).
   std::string CanonicalSkeleton() const;
 
   /// Whether the parameters can be projected into head variables, so one
@@ -88,15 +71,10 @@ class ConstraintTemplate {
   const DenialConstraint& constraint() const { return constraint_; }
   const std::vector<std::string>& param_names() const { return param_names_; }
   std::size_t num_params() const { return param_names_.size(); }
-  /// Occurrence sites per parameter, parallel to `param_names()`.
-  const std::vector<std::vector<ParamSite>>& param_sites() const {
-    return param_sites_;
-  }
 
  private:
   DenialConstraint constraint_;
   std::vector<std::string> param_names_;
-  std::vector<std::vector<ParamSite>> param_sites_;
   bool projectable_ = false;
 };
 

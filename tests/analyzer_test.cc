@@ -626,6 +626,7 @@ TEST(LintFormatTest, TemplateLinesCarryClassKeyAndAdmission) {
   const TemplateAnalysis analysis = AnalyzeTemplate(*tmpl, db, constraints);
   ASSERT_TRUE(analysis.report.ok());
   EXPECT_TRUE(analysis.batchable);
+  ASSERT_EQ(analysis.report.footprint, std::vector<std::size_t>{0});
 
   LintedConstraint c;
   c.text = "q() :- R($a, y)";
@@ -634,28 +635,28 @@ TEST(LintFormatTest, TemplateLinesCarryClassKeyAndAdmission) {
   c.is_template = true;
   c.batchable = analysis.batchable;
   c.num_params = tmpl->num_params();
-  c.class_key = analysis.class_key;
+  c.skeleton = tmpl->CanonicalSkeleton();
+  EXPECT_EQ(c.skeleton, "q() :- R($p0, v0)");
 
+  // The class key is the skeleton followed by the IND-closed footprint.
   const std::string text = FormatConstraintText("f.dc", c);
   EXPECT_NE(text.find("f.dc:4: template (1 param)"), std::string::npos);
   EXPECT_NE(text.find("batch-admitted"), std::string::npos);
-  EXPECT_NE(text.find("f.dc:4: class key: " + analysis.class_key),
+  EXPECT_NE(text.find("f.dc:4: class key: q() :- R($p0, v0)#fp:0\n"),
             std::string::npos);
 
   const std::string json = FormatFileJson("f.dc", {c});
   EXPECT_NE(json.find("\"template\": true"), std::string::npos);
   EXPECT_NE(json.find("\"params\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"batchable\": true"), std::string::npos);
-  EXPECT_NE(json.find("\"class_key\": \"" + JsonEscape(analysis.class_key) +
-                      "\""),
+  EXPECT_NE(json.find("\"class_key\": \"q() :- R($p0, v0)#fp:0\""),
             std::string::npos);
 
   // An alpha-renamed registration of the same skeleton shares the key: the
   // lint output is how an operator spots fleets that will share one class.
   auto renamed = ConstraintTemplate::Parse("q() :- R($other, z)");
   ASSERT_TRUE(renamed.ok());
-  EXPECT_EQ(AnalyzeTemplate(*renamed, db, constraints).class_key,
-            analysis.class_key);
+  EXPECT_EQ(renamed->CanonicalSkeleton(), c.skeleton);
 }
 
 }  // namespace

@@ -167,7 +167,7 @@ Trace Record(const DenseGraph& g, const ConflictLists& conflicts,
   Budget budget(limits);
   const CliqueCallback callback = [&](const std::vector<std::size_t>& c) {
     trace.cliques.push_back(c);
-    budget.ChargeClique();
+    budget.ChargeWorld();
     return !stop_at.has_value() || trace.cliques.size() < *stop_at;
   };
   const Budget* probe = limits.unlimited() ? nullptr : &budget;
@@ -458,7 +458,7 @@ TEST(BronKerboschTest, BudgetExpiryMatchesDenseOracle) {
   // expires mid-enumeration and the next call's probe unwinds the search.
   const DenseGraph g(12);
   BudgetLimits limits;
-  limits.max_cliques = 2;
+  limits.max_worlds = 2;
   for (const bool use_pivot : {true, false}) {
     const Trace want = Record(g, g.ToConflicts(), AllOf(12), use_pivot, true,
                               std::nullopt, limits);

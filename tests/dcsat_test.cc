@@ -157,13 +157,17 @@ TEST_F(DcSatTest, StatsArePopulated) {
 }
 
 TEST_F(DcSatTest, ExhaustiveWorldLimit) {
+  // Past its world budget the exhaustive search is undecided, not an error.
   auto q = ParseDenialConstraint("q() :- TxOut(t, s, 'U9Pk', a)");
   ASSERT_TRUE(q.ok());
   DcSatOptions options;
   options.algorithm = DcSatAlgorithm::kExhaustive;
-  options.exhaustive_world_limit = 2;
-  EXPECT_EQ(engine_.Check(*q, options).status().code(),
-            StatusCode::kOutOfRange);
+  options.budget.max_worlds = 2;
+  auto result = engine_.Check(*q, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result->decided);
+  EXPECT_TRUE(result->stats.budget_expired);
+  EXPECT_LE(result->stats.num_worlds_evaluated, 2u);
 }
 
 TEST_F(DcSatTest, CompileErrorsPropagate) {

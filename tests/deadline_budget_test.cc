@@ -51,7 +51,7 @@ BlockchainDatabase MakeConflictLadder(std::size_t k) {
 TEST(BudgetLimitsTest, DefaultIsUnlimited) {
   BudgetLimits limits;
   EXPECT_TRUE(limits.unlimited());
-  limits.max_cliques = 1;
+  limits.max_worlds = 1;
   EXPECT_FALSE(limits.unlimited());
   limits = BudgetLimits{};
   limits.deadline_ms = 0.5;
@@ -60,36 +60,37 @@ TEST(BudgetLimitsTest, DefaultIsUnlimited) {
 
 TEST(BudgetLimitsTest, ScaledGrowsBoundedFieldsOnly) {
   BudgetLimits limits;
-  limits.max_cliques = 10;
+  limits.max_worlds = 10;
   limits.deadline_ms = 2;
   BudgetLimits scaled = limits.Scaled(4);
-  EXPECT_EQ(scaled.max_cliques, 40u);
+  EXPECT_EQ(scaled.max_worlds, 40u);
   EXPECT_DOUBLE_EQ(scaled.deadline_ms, 8);
-  EXPECT_EQ(scaled.max_worlds, 0u);      // Unlimited stays unlimited.
-  EXPECT_EQ(scaled.max_components, 0u);
+  // Unlimited stays unlimited.
+  BudgetLimits deadline_only;
+  deadline_only.deadline_ms = 2;
+  EXPECT_EQ(deadline_only.Scaled(4).max_worlds, 0u);
+  EXPECT_DOUBLE_EQ(BudgetLimits{}.Scaled(4).deadline_ms, 0);
   // Saturates instead of overflowing.
-  limits.max_cliques = SIZE_MAX / 2;
-  EXPECT_EQ(limits.Scaled(1e9).max_cliques, SIZE_MAX);
+  limits.max_worlds = SIZE_MAX / 2;
+  EXPECT_EQ(limits.Scaled(1e9).max_worlds, SIZE_MAX);
 }
 
 TEST(BudgetTest, WorkLimitLatchesExpired) {
   BudgetLimits limits;
-  limits.max_cliques = 2;
+  limits.max_worlds = 2;
   Budget budget(limits);
-  EXPECT_TRUE(budget.ChargeClique());
-  EXPECT_TRUE(budget.ChargeClique());
-  EXPECT_FALSE(budget.ChargeClique());  // Third clique is over budget.
-  EXPECT_TRUE(budget.Expired());        // ...and the flag latches.
-  EXPECT_FALSE(budget.ChargeWorld());   // Other charges now fail too.
-  EXPECT_EQ(budget.cliques_charged(), 3u);
+  EXPECT_TRUE(budget.ChargeWorld());
+  EXPECT_TRUE(budget.ChargeWorld());
+  EXPECT_FALSE(budget.ChargeWorld());  // Third world is over budget.
+  EXPECT_TRUE(budget.Expired());       // ...and the flag latches.
+  EXPECT_FALSE(budget.ChargeWorld());  // Later charges fail too.
+  EXPECT_EQ(budget.worlds_charged(), 4u);
 }
 
 TEST(BudgetTest, UnlimitedNeverExpires) {
   Budget budget(BudgetLimits{});
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(budget.ChargeClique());
     EXPECT_TRUE(budget.ChargeWorld());
-    EXPECT_TRUE(budget.ChargeComponent());
     EXPECT_FALSE(budget.Expired());
   }
 }
@@ -158,7 +159,7 @@ TEST(DeadlineDcSatTest, CliqueCapReturnsUndecidedAndUnlimitedDecides) {
 
   DcSatOptions budgeted;
   budgeted.algorithm = DcSatAlgorithm::kOpt;
-  budgeted.budget.max_cliques = 2;
+  budgeted.budget.max_worlds = 2;  // Each clique is charged as one world.
   auto result = engine.Check(q, budgeted);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(result->decided);
@@ -182,7 +183,9 @@ TEST(DeadlineDcSatTest, ComponentCapBoundsBreadth) {
   DenialConstraint q = Q("q() :- R(x, 0), R(x, 1)");
   DcSatOptions budgeted;
   budgeted.algorithm = DcSatAlgorithm::kOpt;
-  budgeted.budget.max_components = 3;
+  // Every searched component charges at least one world, so a world cap
+  // bounds the breadth of the scan too.
+  budgeted.budget.max_worlds = 3;
   auto result = engine.Check(q, budgeted);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(result->decided);
@@ -270,9 +273,7 @@ TEST(DeadlineDcSatTest, HugeBudgetMatchesUnlimitedBitForBit) {
 
       DcSatOptions huge = unlimited;
       huge.budget.deadline_ms = 1e9;
-      huge.budget.max_cliques = std::size_t{1} << 60;
       huge.budget.max_worlds = std::size_t{1} << 60;
-      huge.budget.max_components = std::size_t{1} << 60;
       auto budgeted = engine.Check(q, huge);
       ASSERT_TRUE(budgeted.ok()) << text;
 

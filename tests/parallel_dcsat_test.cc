@@ -208,7 +208,7 @@ TEST_P(ParallelDcSatTest, ThreadCountZeroMeansHardwareConcurrency) {
   budgeted.algorithm = DcSatAlgorithm::kOpt;
   budgeted.use_covers = false;
   budgeted.use_precheck = false;
-  budgeted.budget.max_cliques = 2;
+  budgeted.budget.max_worlds = 2;
   ExpectThreadCountIgnored(db, budgeted, context + " budgeted");
 }
 

@@ -73,17 +73,19 @@ TEST(ConstraintTemplateTest, CanonicalizeExtractsConstants) {
   ASSERT_TRUE(canon.ok());
   ASSERT_EQ(canon->binding.size(), 1u);
   EXPECT_EQ(canon->binding[0], Value::Str("U8Pk"));
-  // Same skeleton regardless of the constant...
+  // The canonical template is α-renamed and holds no constant...
+  EXPECT_EQ(canon->tmpl.constraint().ToString(),
+            "q() :- TxOut(v0, v1, $p0, v2)");
+  // ...so it is the same regardless of the constant...
   auto other = ConstraintTemplate::Canonicalize(
       Q("q() :- TxOut(t, s, 'U9Pk', a)"));
   ASSERT_TRUE(other.ok());
-  EXPECT_EQ(canon->tmpl.CanonicalSkeleton(), other->tmpl.CanonicalSkeleton());
-  // ...and variable naming.
+  EXPECT_TRUE(canon->tmpl.constraint() == other->tmpl.constraint());
+  // ...and of variable and query naming.
   auto renamed = ConstraintTemplate::Canonicalize(
       Q("watch(  ) :- TxOut(w, x, 'U8Pk', z)"));
   ASSERT_TRUE(renamed.ok());
-  EXPECT_EQ(canon->tmpl.CanonicalSkeleton(),
-            renamed->tmpl.CanonicalSkeleton());
+  EXPECT_TRUE(canon->tmpl.constraint() == renamed->tmpl.constraint());
 }
 
 TEST(ConstraintTemplateTest, EqualConstantsCoupleIntoOneParam) {
@@ -97,8 +99,7 @@ TEST(ConstraintTemplateTest, EqualConstantsCoupleIntoOneParam) {
   ASSERT_TRUE(uncoupled.ok());
   EXPECT_EQ(coupled->binding.size(), 1u);
   EXPECT_EQ(uncoupled->binding.size(), 2u);
-  EXPECT_NE(coupled->tmpl.CanonicalSkeleton(),
-            uncoupled->tmpl.CanonicalSkeleton());
+  EXPECT_FALSE(coupled->tmpl.constraint() == uncoupled->tmpl.constraint());
 }
 
 // --- Registration API ---------------------------------------------------
@@ -110,6 +111,21 @@ TEST(TemplateMonitorTest, AddRejectsUnboundParams) {
   ASSERT_FALSE(added.ok());
   EXPECT_NE(added.status().message().find("unbound parameter"),
             std::string::npos);
+}
+
+TEST(TemplateMonitorTest, RejectedAddQuotesTheCallersConstraint) {
+  // The diagnostics name the canonical variables v<i>; the message also
+  // quotes the constraint as given, so the caller's own names appear.
+  BlockchainDatabase db = MakeRunningExample();
+  ConstraintMonitor monitor(&db);
+  auto added = monitor.Add(
+      "orphan", "q() :- TxOut(t, s, 'U8Pk', a), not TxOut(zed, s, p, a)");
+  ASSERT_FALSE(added.ok());
+  const std::string message(added.status().message());
+  EXPECT_NE(message.find("rejected by static analysis"), std::string::npos);
+  EXPECT_NE(message.find("zed"), std::string::npos) << message;
+  EXPECT_NE(message.find("not TxOut(zed, s, p, a)"), std::string::npos)
+      << message;
 }
 
 TEST(TemplateMonitorTest, RegisterTemplateRejectsBadSchema) {
@@ -353,6 +369,20 @@ TEST(TemplateMonitorTest, ChangesCarryTemplateContext) {
   EXPECT_EQ((*changes)[0].template_label, "payout");
   EXPECT_NE((*changes)[0].binding_summary.find("U8Pk"), std::string::npos);
   EXPECT_EQ((*changes)[0].after, Verdict::kPossible);
+}
+
+TEST(TemplateMonitorTest, AddMadeClassIsLabeledByItsCanonicalTemplate) {
+  BlockchainDatabase db = MakeRunningExample();
+  ConstraintMonitor monitor(&db);
+  auto handle =
+      monitor.Add("u7", "[q(sum(a)) :- TxOut(t, s, 'U7Pk', a)] >= 4");
+  ASSERT_TRUE(handle.ok()) << handle.status();
+  auto changes = monitor.Poll();
+  ASSERT_TRUE(changes.ok());
+  ASSERT_EQ(changes->size(), 1u);
+  EXPECT_EQ((*changes)[0].template_label,
+            "[q(sum(v2)) :- TxOut(v0, v1, $p0, v2)] >= $p1");
+  EXPECT_EQ((*changes)[0].binding_summary, "('U7Pk', 4)");
 }
 
 TEST(TemplateMonitorTest, RemovingOneMemberLeavesSiblings) {

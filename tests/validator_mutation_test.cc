@@ -479,6 +479,120 @@ TEST(ValidatorMutationTest, AnalyzerAcceptsExactlyWhatCompiles) {
   EXPECT_GT(tally.rejected, kMutants / 4);
 }
 
+/// `q` with its query name and every variable, head included, renamed.
+DenialConstraint RenamedTwin(DenialConstraint q) {
+  auto rename = [](Term& term) {
+    if (term.is_variable()) term = Term::Var("twin_" + term.name());
+  };
+  ForEachTerm(q, rename);
+  for (Term& term : q.head_vars) rename(term);
+  q.name = "twin";
+  return q;
+}
+
+/// `q` with the coupling of its first two constants flipped: equal ones
+/// are pulled apart (the second gets a value no other constant has), unequal
+/// ones are made equal. nullopt when `q` has fewer than two constants.
+std::optional<DenialConstraint> RecoupledTwin(DenialConstraint q) {
+  std::vector<Term*> constants;
+  ForEachTerm(q, [&](Term& term) {
+    if (term.is_constant()) constants.push_back(&term);
+  });
+  if (constants.size() < 2) return std::nullopt;
+  const Value& first = constants[0]->value();
+  const Value& second = constants[1]->value();
+  if (!(first == second)) {
+    *constants[1] = Term::Const(first);
+  } else if (second.type() == ValueType::kString) {
+    *constants[1] = Term::Const(Value::Str(second.AsString() + "'"));
+  } else {
+    *constants[1] = Term::Const(Value::Real(1e300));
+  }
+  return q;
+}
+
+// Canonicalize is exact up to naming: a ground mutant and its renamed twin
+// canonicalize to equal templates and Add puts them in one class, while a
+// twin whose constants couple differently gets a different template and,
+// when both are admitted, a different class.
+TEST(ValidatorMutationTest, RenamedTwinsShareAClass) {
+  StatusOr<ParsedSchema> marketplace =
+      ParseSchemaText(ReadSourceFile("examples/constraints/marketplace.schema"));
+  ASSERT_TRUE(marketplace.ok()) << marketplace.status();
+  StatusOr<BlockchainDatabase> chain = BlockchainDatabase::Create(
+      marketplace->catalog, marketplace->constraints);
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  BlockchainDatabase bitcoin_chain = testing_fixtures::MakeRunningExample();
+  struct Corpus {
+    BlockchainDatabase* db;
+    std::vector<DenialConstraint> seeds;
+  };
+  Corpus corpora[] = {{&*chain, {}}, {&bitcoin_chain, {}}};
+  for (const char* name : {"bad", "marketplace", "templates"}) {
+    for (DenialConstraint& q : ParseCorpusFile(
+             std::string("examples/constraints/") + name + ".dc")) {
+      corpora[0].seeds.push_back(std::move(q));
+    }
+  }
+  corpora[1].seeds = ParseCorpusFile("examples/constraints/bitcoin.dc");
+
+  constexpr int kTwins = 3000;
+  int shared = 0;
+  int split = 0;
+  for (std::size_t c = 0; c < std::size(corpora); ++c) {
+    const Corpus& corpus = corpora[c];
+    ConstraintMonitor monitor(corpus.db);
+    Mutator mutator(kSeed + 3 + c, corpus.db->database().catalog());
+    for (int i = 0; i < kTwins; ++i) {
+      const DenialConstraint mutant = mutator.Mutate(
+          corpus.seeds[static_cast<std::size_t>(i) % corpus.seeds.size()]);
+      if (HasParam(mutant)) continue;
+      const std::string label = "mutant " + std::to_string(i) + ": " +
+                                mutant.ToString();
+      const DenialConstraint twin = RenamedTwin(mutant);
+      const StatusOr<CanonicalizedConstraint> canon =
+          ConstraintTemplate::Canonicalize(mutant);
+      const StatusOr<CanonicalizedConstraint> twin_canon =
+          ConstraintTemplate::Canonicalize(twin);
+      ASSERT_EQ(canon.ok(), twin_canon.ok()) << label;
+      if (!canon.ok()) continue;
+      EXPECT_TRUE(canon->tmpl.constraint() == twin_canon->tmpl.constraint())
+          << label;
+      EXPECT_TRUE(canon->binding == twin_canon->binding) << label;
+
+      const StatusOr<MonitorHandle> added = monitor.Add("m", mutant);
+      const std::size_t classes = monitor.num_classes();
+      const StatusOr<MonitorHandle> twin_added = monitor.Add("t", twin);
+      ASSERT_EQ(added.ok(), twin_added.ok()) << label;
+      EXPECT_EQ(monitor.num_classes(), classes) << label;
+      if (added.ok()) {
+        EXPECT_EQ(monitor.analysis(*added), monitor.analysis(*twin_added))
+            << label;
+        ++shared;
+      }
+
+      const std::optional<DenialConstraint> recoupled = RecoupledTwin(twin);
+      if (!recoupled.has_value()) continue;
+      const StatusOr<CanonicalizedConstraint> recoupled_canon =
+          ConstraintTemplate::Canonicalize(*recoupled);
+      ASSERT_TRUE(recoupled_canon.ok()) << label;
+      EXPECT_FALSE(canon->tmpl.constraint() ==
+                   recoupled_canon->tmpl.constraint())
+          << label;
+      const StatusOr<MonitorHandle> recoupled_added =
+          monitor.Add("r", *recoupled);
+      if (added.ok() && recoupled_added.ok()) {
+        EXPECT_NE(monitor.analysis(*added), monitor.analysis(*recoupled_added))
+            << label << "\n  recoupled: " << recoupled->ToString();
+        ++split;
+      }
+    }
+  }
+  // Both sides of the property are reached.
+  EXPECT_GT(shared, kTwins / 20);
+  EXPECT_GT(split, kTwins / 100);
+}
+
 /// One engine check's observable outcome.
 struct CheckOutcome {
   StatusCode code;

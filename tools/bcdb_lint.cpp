@@ -104,7 +104,7 @@ bool LintFile(const std::string& path, const bcdb::Database& db,
         c.is_template = true;
         c.num_params = tmpl->num_params();
         c.batchable = analysis.batchable;
-        c.class_key = std::move(analysis.class_key);
+        c.skeleton = tmpl->CanonicalSkeleton();
         c.report = std::move(analysis.report);
       } else {
         // Syntactically broken template: the text analyzer's parse
